@@ -27,8 +27,7 @@ from microinject.dynamics import (
 def max_error(masses, ics, t_end, dt):
     x0, y0, xd0, yd0 = ics
     s0 = StageState(Vec2(x0, y0), Vec2(xd0, yd0))
-    samples = integrate(masses, s0, lambda _t: ZERO_TORQUE,
-                        lambda _t: ZERO_FORCE, t_end, dt)
+    samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, t_end, dt)
     worst = 0.0
     for t, state in samples:
         ref = free_response(masses, x0, y0, xd0, yd0, t)

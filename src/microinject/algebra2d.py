@@ -42,9 +42,6 @@ class Vec2:
         return math.isfinite(self.a0) and math.isfinite(self.a1)
 
 
-ZERO2 = Vec2(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class Mat2:
     """A 2x2 matrix in row-major entry order (m00, m01, m10, m11)."""
@@ -56,14 +53,6 @@ class Mat2:
 
     def max_abs(self) -> float:
         return max(abs(self.m00), abs(self.m01), abs(self.m10), abs(self.m11))
-
-    def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.m00)
-            and math.isfinite(self.m01)
-            and math.isfinite(self.m10)
-            and math.isfinite(self.m11)
-        )
 
 
 def identity() -> Mat2:

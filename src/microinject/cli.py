@@ -176,8 +176,7 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
     s0 = StageState(Vec2(args.x0, args.y0), Vec2(args.xd0, args.yd0))
     try:
         samples = integrate(
-            masses, s0, lambda _t: ZERO_TORQUE, lambda _t: ZERO_FORCE,
-            args.t_end, args.dt,
+            masses, s0, ZERO_TORQUE, ZERO_FORCE, args.t_end, args.dt
         )
     except NonFiniteState as exc:
         print(f"microinject: integration diverged: {exc}", file=sys.stderr)

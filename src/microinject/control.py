@@ -96,11 +96,25 @@ class ControllerVariant(enum.Enum):
     STAGE_CONSISTENT = "StageConsistent"
 
 
+# Variants whose torque law is the stage-space form M@c + B@qdot + fed.
+STAGE_SPACE_VARIANTS = frozenset(
+    {ControllerVariant.SIM_PAPER, ControllerVariant.STAGE_CONSISTENT}
+)
+
+
 def error_state(
     desired: DesiredTrajectoryPoint, q: Vec2, qdot: Vec2, qddot: Vec2
 ) -> ErrorState:
     """Componentwise errors e = qd - q, edot = qd_dot - qdot, eddot = qd_ddot - qddot."""
     return ErrorState(desired.qd - q, desired.qd_dot - qdot, desired.qd_ddot - qddot)
+
+
+def impedance_accel(
+    gains: ImpedanceParams, e: Vec2, edot: Vec2, fe: ForcePair
+) -> Vec2:
+    """The impedance law solved for the error acceleration:
+    eddot = (fe - b*edot - k*e) * (1/m)."""
+    return (fe.vec - edot.scale(gains.b) - e.scale(gains.k)).scale(1.0 / gains.m)
 
 
 def force_control_residual(
@@ -162,7 +176,7 @@ def torque_controller(
     m_mat = mass_matrix(masses)
     b_mat = damping_matrix()
     c = commanded_accel(gains, desired, errors, fe)
-    if variant in (ControllerVariant.SIM_PAPER, ControllerVariant.STAGE_CONSISTENT):
+    if variant in STAGE_SPACE_VARIANTS:
         lead = mat_vec_mul(m_mat, c) + mat_vec_mul(b_mat, qdot)
         tail = fed.vec
     else:

@@ -8,14 +8,15 @@ model equation states them.
 
 With ``tau = fed = 0`` the system decouples into two first-order velocity
 decays and has the closed-form solution implemented by ``free_response``;
-the numerical integrator is checked against it by the test suite.
+the RK4 integrator, which holds the forcing constant, is checked against it
+by the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from .algebra2d import Mat2, Vec2, diag, identity, mat_inv, mat_mul, mat_vec_mul
 from .frames import FrameParams, transformation_matrix
@@ -81,10 +82,6 @@ class ForcePair:
     def vec(self) -> Vec2:
         return Vec2(self.fex, self.fey)
 
-    @classmethod
-    def from_vec(cls, v: Vec2) -> "ForcePair":
-        return cls(v.a0, v.a1)
-
 
 @dataclass(frozen=True)
 class Torque:
@@ -114,6 +111,9 @@ def mass_matrix(masses: MassParams) -> Mat2:
 def damping_matrix() -> Mat2:
     """The positioning-table matrix: the 2x2 identity."""
     return identity()
+
+
+_B = damping_matrix()
 
 
 def dynamics_residual(
@@ -173,6 +173,11 @@ def _sample_times(t_end: float, dt: float) -> List[float]:
     return times
 
 
+def stage_accel(minv: Mat2, qdot: Vec2, tau_vec: Vec2, fed_vec: Vec2) -> Vec2:
+    """qddot = M_inv @ (tau - fed - B @ qdot), the dynamics solved for qddot."""
+    return mat_vec_mul(minv, tau_vec - fed_vec - mat_vec_mul(_B, qdot))
+
+
 def rk4_step(
     minv: Mat2, q: Vec2, qdot: Vec2, tau_vec: Vec2, fed_vec: Vec2, h: float
 ) -> Tuple[Vec2, Vec2]:
@@ -181,18 +186,13 @@ def rk4_step(
     The forcing (tau_vec, fed_vec) is held constant across the substages;
     damping is the identity matrix acting on the substage velocities.
     """
-    b = identity()
-
-    def accel(v: Vec2) -> Vec2:
-        return mat_vec_mul(minv, tau_vec - fed_vec - mat_vec_mul(b, v))
-
-    k1q, k1v = qdot, accel(qdot)
+    k1q, k1v = qdot, stage_accel(minv, qdot, tau_vec, fed_vec)
     v2 = qdot + k1v.scale(0.5 * h)
-    k2q, k2v = v2, accel(v2)
+    k2q, k2v = v2, stage_accel(minv, v2, tau_vec, fed_vec)
     v3 = qdot + k2v.scale(0.5 * h)
-    k3q, k3v = v3, accel(v3)
+    k3q, k3v = v3, stage_accel(minv, v3, tau_vec, fed_vec)
     v4 = qdot + k3v.scale(h)
-    k4q, k4v = v4, accel(v4)
+    k4q, k4v = v4, stage_accel(minv, v4, tau_vec, fed_vec)
     q_new = q + (k1q + k2q.scale(2.0) + k3q.scale(2.0) + k4q).scale(h / 6.0)
     qdot_new = qdot + (k1v + k2v.scale(2.0) + k3v.scale(2.0) + k4v).scale(h / 6.0)
     return q_new, qdot_new
@@ -201,21 +201,20 @@ def rk4_step(
 def integrate(
     masses: MassParams,
     s0: StageState,
-    tau_of_t: Callable[[float], Torque],
-    fed_of_t: Callable[[float], ForcePair],
+    tau: Torque,
+    fed: ForcePair,
     t_end: float,
     dt: float,
 ) -> List[Tuple[float, StageState]]:
-    """Fixed-step RK4 integration of the stage dynamics.
+    """Fixed-step RK4 integration of the stage dynamics under constant forcing.
 
     Parameters
     ----------
     masses : MassParams
     s0 : StageState
         Initial state at t = 0.
-    tau_of_t, fed_of_t : callables
-        Time-varying torque and commanded force, evaluated at the RK4
-        substage times.
+    tau, fed : Torque, ForcePair
+        Motor torque and commanded force, held constant over the whole run.
     t_end : float
         End time (>= 0); a final partial step lands exactly on it.
     dt : float
@@ -236,24 +235,12 @@ def integrate(
     if not t_end >= 0.0:
         raise ValueError("t_end must be >= 0")
     minv = mat_inv(mass_matrix(masses))
-    b = identity()
-
-    def deriv(t: float, q: Vec2, v: Vec2) -> Tuple[Vec2, Vec2]:
-        forcing = tau_of_t(t).vec - fed_of_t(t).vec
-        return v, mat_vec_mul(minv, forcing - mat_vec_mul(b, v))
-
+    tau_vec, fed_vec = tau.vec, fed.vec
     times = _sample_times(t_end, dt)
     samples: List[Tuple[float, StageState]] = [(0.0, s0)]
     q, v = s0.q, s0.qdot
     for i in range(len(times) - 1):
-        t = times[i]
-        h = times[i + 1] - t
-        k1q, k1v = deriv(t, q, v)
-        k2q, k2v = deriv(t + 0.5 * h, q + k1q.scale(0.5 * h), v + k1v.scale(0.5 * h))
-        k3q, k3v = deriv(t + 0.5 * h, q + k2q.scale(0.5 * h), v + k2v.scale(0.5 * h))
-        k4q, k4v = deriv(t + h, q + k3q.scale(h), v + k3v.scale(h))
-        q = q + (k1q + k2q.scale(2.0) + k3q.scale(2.0) + k4q).scale(h / 6.0)
-        v = v + (k1v + k2v.scale(2.0) + k3v.scale(2.0) + k4v).scale(h / 6.0)
+        q, v = rk4_step(minv, q, v, tau_vec, fed_vec, times[i + 1] - times[i])
         state = StageState(q, v)
         if not state.is_finite():
             raise NonFiniteState(

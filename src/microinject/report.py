@@ -78,7 +78,8 @@ def _panel_polylines(
     if hi - lo < 1e-300:
         lo -= 0.5
         hi += 0.5
-    t_lo, t_hi = ts[0], ts[-1]
+    # no finite row leaves every series empty: panels and legend only
+    t_lo, t_hi = (ts[0], ts[-1]) if ts else (0.0, 1.0)
     if t_hi - t_lo < 1e-300:
         t_hi = t_lo + 1.0
     parts = [
@@ -109,11 +110,9 @@ def _panel_polylines(
 def write_trace_svg(path: str, rows: Sequence[TraceRow], title: str) -> None:
     """Two stacked panels (positions, torques) at a fixed 800x480 viewport."""
     finite = [r for r in rows if r.is_finite()]
-    if not finite:
-        finite = rows[:1]
     stride = max(1, len(finite) // 800)
-    sampled = list(finite[::stride])
-    if sampled[-1] is not finite[-1]:
+    sampled = finite[::stride]
+    if finite and sampled[-1] is not finite[-1]:
         sampled.append(finite[-1])
     ts = [r.t for r in sampled]
 

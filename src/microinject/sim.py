@@ -14,22 +14,24 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra2d import Vec2, mat_inv, mat_vec_mul
+from .algebra2d import Vec2, mat_inv
 from .control import (
+    STAGE_SPACE_VARIANTS,
     ControllerVariant,
     DesiredTrajectoryPoint,
     ErrorState,
     ImpedanceParams,
     force_control_residual,
+    impedance_accel,
     torque_controller,
 )
 from .dynamics import (
     ForcePair,
     MassParams,
     _sample_times,
-    damping_matrix,
     mass_matrix,
     rk4_step,
+    stage_accel,
 )
 from .frames import FrameParams
 
@@ -180,6 +182,23 @@ def membrane_force(model: MembraneModel, q: Vec2, qdot: Vec2) -> ForcePair:
     return ForcePair(0.0, 0.0)
 
 
+def _controller_inputs(
+    spec: TrajectorySpec,
+    membrane: MembraneModel,
+    gains: ImpedanceParams,
+    t: float,
+    q: Vec2,
+    qdot: Vec2,
+) -> Tuple[DesiredTrajectoryPoint, ForcePair, ErrorState]:
+    """Desired point, contact force and impedance-target error state at
+    (t, q, qdot): what every torque-law variant is evaluated on."""
+    desired = sample_trajectory(spec, t)
+    fe = membrane_force(membrane, q, qdot)
+    e = desired.qd - q
+    edot = desired.qd_dot - qdot
+    return desired, fe, ErrorState(e, edot, impedance_accel(gains, e, edot, fe))
+
+
 def run_closed_loop(
     variant: ControllerVariant,
     masses: MassParams,
@@ -212,7 +231,6 @@ def run_closed_loop(
     d0 = sample_trajectory(spec, 0.0)
     q, qdot = d0.qd, d0.qd_dot
     minv = mat_inv(mass_matrix(masses))
-    b_mat = damping_matrix()
     times = _sample_times(t_end, dt)
 
     rows: List[TraceRow] = []
@@ -224,16 +242,12 @@ def run_closed_loop(
     diverged = False
 
     for i, t in enumerate(times):
-        desired = sample_trajectory(spec, t)
-        fe = membrane_force(membrane, q, qdot)
-        e = desired.qd - q
-        edot = desired.qd_dot - qdot
-        eddot = (fe.vec - edot.scale(gains.b) - e.scale(gains.k)).scale(1.0 / gains.m)
-        errors = ErrorState(e, edot, eddot)
+        desired, fe, errors = _controller_inputs(spec, membrane, gains, t, q, qdot)
         tau = torque_controller(
             variant, masses, frame, gains, desired, qdot, errors, fe, fed
         )
-        oracle = torque_controller(
+        # a stage-space variant's torque is the oracle's, bit for bit
+        oracle = tau if variant in STAGE_SPACE_VARIANTS else torque_controller(
             ControllerVariant.STAGE_CONSISTENT,
             masses, frame, gains, desired, qdot, errors, fe, fed,
         )
@@ -246,8 +260,9 @@ def run_closed_loop(
             diverged = True
             break
 
-        qddot_real = mat_vec_mul(minv, tau.vec - fed.vec - mat_vec_mul(b_mat, qdot))
-        realized = ErrorState(e, edot, desired.qd_ddot - qddot_real)
+        qddot_real = stage_accel(minv, qdot, tau.vec, fed.vec)
+        e = errors.e
+        realized = ErrorState(e, errors.edot, desired.qd_ddot - qddot_real)
         imp_max = max(imp_max, force_control_residual(gains, realized, fe).max_abs())
         sq_e0 += e.a0 * e.a0
         sq_e1 += e.a1 * e.a1
@@ -320,18 +335,12 @@ def compare_variants(
 
         sq_tau = 0.0
         for row in base_finite:
-            desired = sample_trajectory(spec, row.t)
-            q = Vec2(row.x, row.y)
             qdot = Vec2(row.xdot, row.ydot)
-            fe = membrane_force(membrane, q, qdot)
-            e = desired.qd - q
-            edot = desired.qd_dot - qdot
-            eddot = (fe.vec - edot.scale(gains.b) - e.scale(gains.k)).scale(
-                1.0 / gains.m
+            desired, fe, errors = _controller_inputs(
+                spec, membrane, gains, row.t, Vec2(row.x, row.y), qdot
             )
             tau = torque_controller(
-                variant, masses, frame, gains, desired, qdot,
-                ErrorState(e, edot, eddot), fe, fed,
+                variant, masses, frame, gains, desired, qdot, errors, fe, fed
             )
             dx = tau.taux - row.taux
             dy = tau.tauy - row.tauy

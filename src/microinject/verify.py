@@ -32,6 +32,7 @@ from .control import (
     ErrorState,
     ImpedanceParams,
     commanded_accel,
+    impedance_accel,
     implication_residual,
     required_torque,
     torque_controller,
@@ -159,9 +160,7 @@ def _max_error_vs_closed_form(
 ) -> float:
     x0, y0, xd0, yd0 = ics
     s0 = StageState(Vec2(x0, y0), Vec2(xd0, yd0))
-    samples = integrate(
-        masses, s0, lambda _t: ZERO_TORQUE, lambda _t: ZERO_FORCE, t_end, dt
-    )
+    samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, t_end, dt)
     worst = 0.0
     for t, state in samples:
         ref = free_response(masses, x0, y0, xd0, yd0, t)
@@ -285,7 +284,7 @@ def _draw_control_case(
     edot = Vec2(*(float(v) for v in rng.uniform(-2.0, 2.0, 2)))
     fe = ForcePair(*(float(v) for v in rng.uniform(-10.0, 10.0, 2)))
     fed = ForcePair(*(float(v) for v in rng.uniform(-10.0, 10.0, 2)))
-    eddot = (fe.vec - edot.scale(gains.b) - e.scale(gains.k)).scale(1.0 / gains.m)
+    eddot = impedance_accel(gains, e, edot, fe)
     actual = (qd - e, qd_dot - edot, qd_ddot - eddot)
     return masses, gains, desired, actual, fe, fed
 

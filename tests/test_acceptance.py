@@ -179,8 +179,7 @@ def test_criterion_3_closed_form_solution():
 
     masses = MassParams(1.0, 1.0, 1.0)
     s0 = StageState(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
-    samples = integrate(masses, s0, lambda _t: ZERO_TORQUE,
-                        lambda _t: ZERO_FORCE, 10.0, 1e-3)
+    samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 10.0, 1e-3)
     rk4_err = 0.0
     for t, state in samples:
         ref = free_response(masses, 0.0, 0.0, 1.0, 1.0, t)
@@ -200,8 +199,7 @@ def test_criterion_4_integrator_order():
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         s0 = StageState(Vec2(ics[0], ics[1]), Vec2(ics[2], ics[3]))
-        samples = integrate(masses, s0, lambda _t: ZERO_TORQUE,
-                            lambda _t: ZERO_FORCE, 5.0, dt)
+        samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 5.0, dt)
         worst = 0.0
         for t, state in samples:
             ref = free_response(masses, *ics, t)

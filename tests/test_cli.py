@@ -1,5 +1,8 @@
+import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -65,6 +68,39 @@ class TestVerifyCommand:
         assert proc.returncode == 2
 
 
+ALL_VARIANTS = ("Corrected", "SimPaper", "McPaper", "StageConsistent")
+
+# SHA-256 of every artifact of the all-variants scenario below.  Code changes
+# that are not meant to change output must reproduce these bytes exactly;
+# update a digest only together with an intended change of output.
+ALL_VARIANTS_SHA256 = {
+    "metrics.json": "4293ca54c48da2ee6d1f46f614d0926aa88189d5bc4540817bcdc6e017cfe921",
+    "plot_Corrected.svg": "736104e61308b70a9d79039e6ae73cae0623d4e2efd55f885eca3dc3b32cd0a4",
+    "plot_McPaper.svg": "ef2ac14f975936432eea38878ff4f53b3c8620980ce42ba69c6241f98fe32123",
+    "plot_SimPaper.svg": "07a19ba605f61d5f19fa27574fa98458be4d33bc1bffccf36ba4a926aed23f89",
+    "plot_StageConsistent.svg": "31377c46dec42f63d3ceb6e014125b274885abf73be8c8eadcfef886c068600c",
+    "trace_Corrected.csv": "cbef13e1a880f38cd666b3531730bce60d4c95350cbad689efccaf87b5a8cfbd",
+    "trace_McPaper.csv": "73673c3cb846491104975bbb13e6adaae59bbef3c53ffb5e3a06cce48ad95154",
+    "trace_SimPaper.csv": "cbef13e1a880f38cd666b3531730bce60d4c95350cbad689efccaf87b5a8cfbd",
+    "trace_StageConsistent.csv": "cbef13e1a880f38cd666b3531730bce60d4c95350cbad689efccaf87b5a8cfbd",
+}
+
+
+@pytest.fixture(scope="module")
+def all_variants_run(tmp_path_factory):
+    """One `simulate --svg` run of every variant, shared by the tests that
+    inspect its artifacts."""
+    tmp = tmp_path_factory.mktemp("all_variants")
+    config = write_config(
+        tmp / "scenario.json",
+        run={"t_end": 0.2, "dt": 0.001, "variants": list(ALL_VARIANTS)},
+    )
+    out = tmp / "out"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                   "--svg")
+    return proc, out
+
+
 class TestSimulateCommand:
     def test_happy_path_writes_artifacts(self, tmp_path):
         config = write_config(tmp_path / "scenario.json")
@@ -92,22 +128,44 @@ class TestSimulateCommand:
         for name in ("trace_StageConsistent.csv", "metrics.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_all_variants_and_svg(self, tmp_path):
-        config = write_config(
-            tmp_path / "scenario.json",
-            run={"t_end": 0.2, "dt": 0.001,
-                 "variants": ["Corrected", "SimPaper", "McPaper",
-                              "StageConsistent"]},
-        )
-        out = tmp_path / "out"
-        proc = run_cli("simulate", "--config", str(config), "--out", str(out),
-                       "--svg")
+    def test_all_variants_and_svg(self, all_variants_run):
+        proc, out = all_variants_run
         assert proc.returncode == 0, proc.stderr
-        for name in ("Corrected", "SimPaper", "McPaper", "StageConsistent"):
+        for name in ALL_VARIANTS:
             assert (out / f"trace_{name}.csv").exists()
             svg = (out / f"plot_{name}.svg").read_text()
             assert svg.startswith("<svg")
             assert 'viewBox="0 0 800 480"' in svg
+
+    def test_all_variants_artifacts_match_pinned_bytes(self, all_variants_run):
+        proc, out = all_variants_run
+        assert proc.returncode == 0, proc.stderr
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+        }
+        assert digests == ALL_VARIANTS_SHA256
+
+    def test_svg_of_run_without_finite_rows_has_only_finite_coordinates(
+        self, tmp_path
+    ):
+        # starting past contact_x, the contact force overflows at t = 0,
+        # so not even the first row is finite
+        config = write_config(
+            tmp_path / "scenario.json",
+            trajectory={"kind": "Quintic", "start": [2.0, 0.0],
+                        "end": [1.5, 0.0], "duration": 0.4},
+            membrane={"stiffness": 1e308, "damping": 2.0, "contact_x": 0.0},
+        )
+        out = tmp_path / "out"
+        proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                       "--svg")
+        assert proc.returncode == 1
+        svg = (out / "plot_StageConsistent.svg").read_text()
+        points = re.findall(r'points="([^"]*)"', svg)
+        assert len(points) == 8
+        for coord in " ".join(points).replace(",", " ").split():
+            assert math.isfinite(float(coord)), coord
 
     def test_config_error_exits_2(self, tmp_path):
         config = tmp_path / "scenario.json"

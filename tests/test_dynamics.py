@@ -136,9 +136,7 @@ class TestIntegrate:
     def test_matches_closed_form(self):
         masses = MassParams(1.0, 1.0, 1.0)
         s0 = StageState(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
-        samples = integrate(
-            masses, s0, lambda _t: ZERO_TORQUE, lambda _t: ZERO_FORCE, 10.0, 1e-3
-        )
+        samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 10.0, 1e-3)
         worst = 0.0
         for t, state in samples:
             ref = free_response(masses, 0.0, 0.0, 1.0, 1.0, t)
@@ -149,26 +147,21 @@ class TestIntegrate:
         masses = MassParams(1.0, 1.0, 1.0)
         s0 = StageState(Vec2(0, 0), Vec2(0, 0))
         with pytest.raises(ValueError):
-            integrate(masses, s0, lambda _t: ZERO_TORQUE, lambda _t: ZERO_FORCE, 1.0, 0.0)
+            integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 1.0, 0.0)
         with pytest.raises(ValueError):
-            integrate(masses, s0, lambda _t: ZERO_TORQUE, lambda _t: ZERO_FORCE, -1.0, 0.1)
+            integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, -1.0, 0.1)
 
     def test_zero_horizon_returns_initial_sample(self):
         masses = MassParams(1.0, 1.0, 1.0)
         s0 = StageState(Vec2(0.3, 0.4), Vec2(0.0, 0.0))
-        samples = integrate(
-            masses, s0, lambda _t: ZERO_TORQUE, lambda _t: ZERO_FORCE, 0.0, 0.1
-        )
+        samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 0.0, 0.1)
         assert samples == [(0.0, s0)]
 
     def test_equilibrium_preserved_exactly(self):
         masses = MassParams(0.5, 0.25, 0.25)
         s0 = StageState(Vec2(1.0, -1.0), Vec2(0.0, 0.0))
         forcing = ForcePair(0.8, -0.4)
-        samples = integrate(
-            masses, s0,
-            lambda _t: Torque(0.8, -0.4), lambda _t: forcing, 2.0, 0.01,
-        )
+        samples = integrate(masses, s0, Torque(0.8, -0.4), forcing, 2.0, 0.01)
         for _t, state in samples:
             assert state.q == s0.q
             assert state.qdot == s0.qdot
@@ -176,9 +169,7 @@ class TestIntegrate:
     def test_lands_exactly_on_t_end(self):
         masses = MassParams(1.0, 1.0, 1.0)
         s0 = StageState(Vec2(0, 0), Vec2(1, 1))
-        samples = integrate(
-            masses, s0, lambda _t: ZERO_TORQUE, lambda _t: ZERO_FORCE, 0.7, 0.3
-        )
+        samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 0.7, 0.3)
         assert samples[-1][0] == 0.7
         assert [t for t, _ in samples] == [0.0, 0.3, 0.6, 0.7]
 
@@ -186,10 +177,7 @@ class TestIntegrate:
         masses = MassParams(1.0, 1.0, 1.0)
         s0 = StageState(Vec2(0, 0), Vec2(0, 0))
         with pytest.raises(NonFiniteState) as exc_info:
-            integrate(
-                masses, s0,
-                lambda _t: Torque(1e308, 0.0), lambda _t: ZERO_FORCE, 10.0, 1.0,
-            )
+            integrate(masses, s0, Torque(1e308, 0.0), ZERO_FORCE, 10.0, 1.0)
         exc = exc_info.value
         assert exc.last_index == len(exc.samples) - 1
         assert all(state.is_finite() for _t, state in exc.samples)

@@ -220,9 +220,7 @@ class TestEnergySanity:
     @settings(max_examples=30, deadline=None)
     def test_kinetic_energy_non_increasing_without_forcing(self, masses, vx, vy):
         s0 = StageState(Vec2(0.0, 0.0), Vec2(vx, vy))
-        samples = integrate(
-            masses, s0, lambda _t: ZERO_TORQUE, lambda _t: ZERO_FORCE, 2.0, 1e-2
-        )
+        samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 2.0, 1e-2)
         m = mass_matrix(masses)
 
         def kinetic(state):
