@@ -31,6 +31,16 @@ side by side so their disagreement can be measured instead of argued:
 STAGE_CONSISTENT and SIM_PAPER are algebraically identical under the
 stage-frame error definition; both names are kept because they answer
 different questions (oracle vs. published formulation).
+
+Each formula is evaluated in one place, a float kernel that binds its
+run-constant operators once: ``torque_kernel`` (L = M or M@T, N = B or
+(B@T_inv)@T, and the tail force), ``commanded_accel_kernel`` and
+``force_control_residual_kernel``.  ``torque_controller``,
+``commanded_accel`` and ``force_control_residual`` build the kernel and
+evaluate it once; the closed loop in ``sim`` builds it once per run.  The
+kernels perform the float operations of the ``Vec2`` algebra in the same
+order, products with structural zeros included, so they match the
+``Vec2`` formulas bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 from .algebra2d import Vec2, mat_inv, mat_mul, mat_vec_mul
 from .dynamics import (
@@ -117,16 +127,36 @@ def impedance_accel(
     return (fe.vec - edot.scale(gains.b) - e.scale(gains.k)).scale(1.0 / gains.m)
 
 
+def force_control_residual_kernel(
+    gains: ImpedanceParams,
+) -> Callable[..., Tuple[float, float]]:
+    """The impedance-law residual in floats, with the gains bound once.
+
+    The returned ``residual(e0, e1, ed0, ed1, edd0, edd1, fe0, fe1)`` gives
+    m*eddot + b*edot + k*e - fe per axis.
+    """
+    m, b, k = gains.m, gains.b, gains.k
+
+    def residual(
+        e0: float, e1: float, ed0: float, ed1: float,
+        edd0: float, edd1: float, fe0: float, fe1: float,
+    ) -> Tuple[float, float]:
+        return (
+            ((m * edd0 + b * ed0) + k * e0) - fe0,
+            ((m * edd1 + b * ed1) + k * e1) - fe1,
+        )
+
+    return residual
+
+
 def force_control_residual(
     gains: ImpedanceParams, errors: ErrorState, fe: ForcePair
 ) -> Vec2:
     """m*eddot + b*edot + k*e - fe; zero iff the impedance law holds."""
-    return (
-        errors.eddot.scale(gains.m)
-        + errors.edot.scale(gains.b)
-        + errors.e.scale(gains.k)
-        - fe.vec
-    )
+    e, edot, eddot = errors.e, errors.edot, errors.eddot
+    return Vec2(*force_control_residual_kernel(gains)(
+        e.a0, e.a1, edot.a0, edot.a1, eddot.a0, eddot.a1, fe.fex, fe.fey
+    ))
 
 
 def required_torque(
@@ -145,12 +175,80 @@ def required_torque(
     return Torque.from_vec(tau)
 
 
+def commanded_accel_kernel(
+    gains: ImpedanceParams,
+) -> Callable[..., Tuple[float, float]]:
+    """The commanded acceleration in floats, with the gains bound once.
+
+    The returned ``commanded(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1)`` gives
+    c = qd_ddot + (1/m) * (b*edot + k*e - fe) per axis.
+    """
+    inv_m, b, k = 1.0 / gains.m, gains.b, gains.k
+
+    def commanded(
+        qdd0: float, qdd1: float, e0: float, e1: float,
+        ed0: float, ed1: float, fe0: float, fe1: float,
+    ) -> Tuple[float, float]:
+        return (
+            qdd0 + inv_m * ((b * ed0 + k * e0) - fe0),
+            qdd1 + inv_m * ((b * ed1 + k * e1) - fe1),
+        )
+
+    return commanded
+
+
 def commanded_accel(
     gains: ImpedanceParams, desired: DesiredTrajectoryPoint, errors: ErrorState, fe: ForcePair
 ) -> Vec2:
     """c = qd_ddot + (1/m) * (b*edot + k*e - fe)."""
-    correction = errors.edot.scale(gains.b) + errors.e.scale(gains.k) - fe.vec
-    return desired.qd_ddot + correction.scale(1.0 / gains.m)
+    qdd, e, edot = desired.qd_ddot, errors.e, errors.edot
+    return Vec2(*commanded_accel_kernel(gains)(
+        qdd.a0, qdd.a1, e.a0, e.a1, edot.a0, edot.a1, fe.fex, fe.fey
+    ))
+
+
+def torque_kernel(
+    variant: ControllerVariant,
+    masses: MassParams,
+    frame: FrameParams,
+    gains: ImpedanceParams,
+    fed: ForcePair,
+) -> Callable[..., Tuple[float, float]]:
+    """One torque-law variant in floats, with its operators built once.
+
+    The law is tau = L @ c + N @ qdot + tail: L = M and N = B in stage
+    space, L = M@T and N = (B@T_inv)@T for the transform-weighted variants,
+    and the tail is fe for MC_PAPER, fed otherwise.  The returned
+    ``torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)`` evaluates it
+    at one state.  Every matrix product is formed, the structural zeros
+    included, in the order of ``mat_vec_mul``.
+    """
+    m_mat = mass_matrix(masses)
+    b_mat = damping_matrix()
+    if variant in STAGE_SPACE_VARIANTS:
+        l_mat, n_mat = m_mat, b_mat
+    else:
+        t_mat = transformation_matrix(frame)
+        l_mat = mat_mul(m_mat, t_mat)
+        n_mat = mat_mul(mat_mul(b_mat, mat_inv(t_mat)), t_mat)
+    l00, l01, l10, l11 = l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11
+    n00, n01, n10, n11 = n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11
+    use_fe = variant is ControllerVariant.MC_PAPER
+    fed0, fed1 = fed.fex, fed.fey
+    commanded = commanded_accel_kernel(gains)
+
+    def torque(
+        qdd0: float, qdd1: float, e0: float, e1: float, ed0: float, ed1: float,
+        fe0: float, fe1: float, v0: float, v1: float,
+    ) -> Tuple[float, float]:
+        c0, c1 = commanded(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1)
+        t0, t1 = (fe0, fe1) if use_fe else (fed0, fed1)
+        return (
+            ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + t0,
+            ((l10 * c0 + l11 * c1) + (n10 * v0 + n11 * v1)) + t1,
+        )
+
+    return torque
 
 
 def torque_controller(
@@ -171,21 +269,14 @@ def torque_controller(
     transform-weighted variants evaluate their leading terms identically,
     so MC_PAPER minus CORRECTED is exactly fe - fed, and at the identity
     transform (fx = fy = 1, alpha = 0) all evaluation collapses bit-for-bit
-    onto the stage-space form.
+    onto the stage-space form.  Builds ``torque_kernel`` and evaluates it
+    once.
     """
-    m_mat = mass_matrix(masses)
-    b_mat = damping_matrix()
-    c = commanded_accel(gains, desired, errors, fe)
-    if variant in STAGE_SPACE_VARIANTS:
-        lead = mat_vec_mul(m_mat, c) + mat_vec_mul(b_mat, qdot)
-        tail = fed.vec
-    else:
-        t_mat = transformation_matrix(frame)
-        mt = mat_mul(m_mat, t_mat)
-        nt = mat_mul(mat_mul(b_mat, mat_inv(t_mat)), t_mat)
-        lead = mat_vec_mul(mt, c) + mat_vec_mul(nt, qdot)
-        tail = fe.vec if variant is ControllerVariant.MC_PAPER else fed.vec
-    return Torque.from_vec(lead + tail)
+    qdd, e, edot = desired.qd_ddot, errors.e, errors.edot
+    return Torque(*torque_kernel(variant, masses, frame, gains, fed)(
+        qdd.a0, qdd.a1, e.a0, e.a1, edot.a0, edot.a1,
+        fe.fex, fe.fey, qdot.a0, qdot.a1,
+    ))
 
 
 def implication_residual(

@@ -10,13 +10,20 @@ With ``tau = fed = 0`` the system decouples into two first-order velocity
 decays and has the closed-form solution implemented by ``free_response``;
 the RK4 integrator, which holds the forcing constant, is checked against it
 by the test suite.
+
+The RK4 step is evaluated in one place: ``rk4_kernel`` binds M_inv and B
+once and steps plain floats.  ``rk4_step`` and ``integrate`` wrap it, and
+the closed loop in ``sim`` calls it directly.  It performs the float
+operations of the ``Vec2`` algebra in the same order, products with the
+structural zeros of M_inv and B included, so its results are those of the
+``Vec2`` formulas bit for bit, signed zeros and NaN/inf patterns included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .algebra2d import Mat2, Vec2, diag, identity, mat_inv, mat_mul, mat_vec_mul
 from .frames import FrameParams, transformation_matrix
@@ -173,9 +180,55 @@ def _sample_times(t_end: float, dt: float) -> List[float]:
     return times
 
 
-def stage_accel(minv: Mat2, qdot: Vec2, tau_vec: Vec2, fed_vec: Vec2) -> Vec2:
-    """qddot = M_inv @ (tau - fed - B @ qdot), the dynamics solved for qddot."""
-    return mat_vec_mul(minv, tau_vec - fed_vec - mat_vec_mul(_B, qdot))
+def stage_accel_kernel(minv: Mat2) -> Callable[..., Tuple[float, float]]:
+    """The dynamics solved for qddot, in floats, with M_inv and B bound once.
+
+    The returned ``accel(f0, f1, v0, v1)`` gives M_inv @ (f - B @ v) for the
+    net forcing f = tau - fed and velocity v.  Every product of both
+    matrices is formed, the structural zeros included, in the order of
+    ``mat_vec_mul``, so a non-finite component spreads as it does there.
+    """
+    m00, m01, m10, m11 = minv.m00, minv.m01, minv.m10, minv.m11
+    b00, b01, b10, b11 = _B.m00, _B.m01, _B.m10, _B.m11
+
+    def accel(f0: float, f1: float, v0: float, v1: float) -> Tuple[float, float]:
+        r0 = f0 - (b00 * v0 + b01 * v1)
+        r1 = f1 - (b10 * v0 + b11 * v1)
+        return m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
+
+    return accel
+
+
+def rk4_kernel(minv: Mat2) -> Callable[..., Tuple[float, float, float, float]]:
+    """One classical Runge-Kutta step in floats, with M_inv bound once.
+
+    The returned ``step(f0, f1, x, y, vx, vy, h)`` advances the state
+    (x, y, vx, vy) by h under the net forcing f = tau - fed, held constant
+    across the substages.  It is the one RK4 of the package: ``rk4_step``,
+    ``integrate`` and the closed loop all call it.
+    """
+    accel = stage_accel_kernel(minv)
+
+    def step(
+        f0: float, f1: float, x: float, y: float, vx: float, vy: float, h: float
+    ) -> Tuple[float, float, float, float]:
+        half = 0.5 * h
+        k1x, k1y = accel(f0, f1, vx, vy)
+        v2x, v2y = vx + half * k1x, vy + half * k1y
+        k2x, k2y = accel(f0, f1, v2x, v2y)
+        v3x, v3y = vx + half * k2x, vy + half * k2y
+        k3x, k3y = accel(f0, f1, v3x, v3y)
+        v4x, v4y = vx + h * k3x, vy + h * k3y
+        k4x, k4y = accel(f0, f1, v4x, v4y)
+        w = h / 6.0
+        return (
+            x + w * (((vx + 2.0 * v2x) + 2.0 * v3x) + v4x),
+            y + w * (((vy + 2.0 * v2y) + 2.0 * v3y) + v4y),
+            vx + w * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x),
+            vy + w * (((k1y + 2.0 * k2y) + 2.0 * k3y) + k4y),
+        )
+
+    return step
 
 
 def rk4_step(
@@ -186,16 +239,11 @@ def rk4_step(
     The forcing (tau_vec, fed_vec) is held constant across the substages;
     damping is the identity matrix acting on the substage velocities.
     """
-    k1q, k1v = qdot, stage_accel(minv, qdot, tau_vec, fed_vec)
-    v2 = qdot + k1v.scale(0.5 * h)
-    k2q, k2v = v2, stage_accel(minv, v2, tau_vec, fed_vec)
-    v3 = qdot + k2v.scale(0.5 * h)
-    k3q, k3v = v3, stage_accel(minv, v3, tau_vec, fed_vec)
-    v4 = qdot + k3v.scale(h)
-    k4q, k4v = v4, stage_accel(minv, v4, tau_vec, fed_vec)
-    q_new = q + (k1q + k2q.scale(2.0) + k3q.scale(2.0) + k4q).scale(h / 6.0)
-    qdot_new = qdot + (k1v + k2v.scale(2.0) + k3v.scale(2.0) + k4v).scale(h / 6.0)
-    return q_new, qdot_new
+    x, y, vx, vy = rk4_kernel(minv)(
+        tau_vec.a0 - fed_vec.a0, tau_vec.a1 - fed_vec.a1,
+        q.a0, q.a1, qdot.a0, qdot.a1, h,
+    )
+    return Vec2(x, y), Vec2(vx, vy)
 
 
 def integrate(
@@ -234,14 +282,14 @@ def integrate(
         raise ValueError("dt must be > 0")
     if not t_end >= 0.0:
         raise ValueError("t_end must be >= 0")
-    minv = mat_inv(mass_matrix(masses))
-    tau_vec, fed_vec = tau.vec, fed.vec
+    step = rk4_kernel(mat_inv(mass_matrix(masses)))
+    f0, f1 = tau.taux - fed.fex, tau.tauy - fed.fey
     times = _sample_times(t_end, dt)
     samples: List[Tuple[float, StageState]] = [(0.0, s0)]
-    q, v = s0.q, s0.qdot
+    x, y, vx, vy = s0.q.a0, s0.q.a1, s0.qdot.a0, s0.qdot.a1
     for i in range(len(times) - 1):
-        q, v = rk4_step(minv, q, v, tau_vec, fed_vec, times[i + 1] - times[i])
-        state = StageState(q, v)
+        x, y, vx, vy = step(f0, f1, x, y, vx, vy, times[i + 1] - times[i])
+        state = StageState(Vec2(x, y), Vec2(vx, vy))
         if not state.is_finite():
             raise NonFiniteState(
                 f"state became non-finite at t={times[i + 1]!r}", samples

@@ -52,9 +52,23 @@ def metrics_to_dict(metrics: RunMetrics) -> Dict[str, object]:
     }
 
 
+def _finite_or_null(value: object) -> object:
+    """``value`` with every non-finite float replaced by None (JSON null),
+    since strict JSON has no token for NaN or infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_metrics_json(path: str, payload: Dict[str, object]) -> None:
+    """Strict JSON: a non-finite float is written as null."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -78,6 +92,10 @@ def _panel_polylines(
     if hi - lo < 1e-300:
         lo -= 0.5
         hi += 0.5
+    # a span past the float range is measured on halved values; halving is
+    # exact, and scaling by 1.0 leaves every other span's arithmetic as is
+    half = 1.0 if math.isfinite(hi - lo) else 0.5
+    lo_h, span_h = lo * half, hi * half - lo * half
     # no finite row leaves every series empty: panels and legend only
     t_lo, t_hi = (ts[0], ts[-1]) if ts else (0.0, 1.0)
     if t_hi - t_lo < 1e-300:
@@ -92,7 +110,7 @@ def _panel_polylines(
         pts = []
         for t, v in zip(ts, values):
             px = x0 + (t - t_lo) / (t_hi - t_lo) * w
-            py = y0 + h - (v - lo) / (hi - lo) * h
+            py = y0 + h - (v * half - lo_h) / span_h * h
             pts.append(f"{px:.2f},{py:.2f}")
         color = _COLORS[idx % len(_COLORS)]
         dash = ' stroke-dasharray="5,3"' if dashed else ""

@@ -5,6 +5,14 @@ torque-law variants and the stage dynamics into a deterministic fixed-step
 loop.  The controller runs at the integration rate: its output is held
 constant across each RK4 step.  Identical inputs produce bit-identical
 traces.
+
+The loop steps in plain floats.  Once per run it builds the float kernels
+of the trajectory, the contact model, the variant's torque law, the
+oracle law, the impedance residual and the dynamics; ``compare_variants``
+re-evaluates each law along the base run with the same kernels.
+``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
+contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
+algebra, so traces are bit-identical to the ``Vec2`` formulas.
 """
 
 from __future__ import annotations
@@ -12,26 +20,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .algebra2d import Vec2, mat_inv
 from .control import (
     STAGE_SPACE_VARIANTS,
     ControllerVariant,
     DesiredTrajectoryPoint,
-    ErrorState,
     ImpedanceParams,
-    force_control_residual,
-    impedance_accel,
-    torque_controller,
+    force_control_residual_kernel,
+    torque_kernel,
 )
 from .dynamics import (
     ForcePair,
     MassParams,
     _sample_times,
     mass_matrix,
-    rk4_step,
-    stage_accel,
+    rk4_kernel,
+    stage_accel_kernel,
 )
 from .frames import FrameParams
 
@@ -135,68 +141,114 @@ class TraceRow:
     tauy_oracle: float
 
     def is_finite(self) -> bool:
-        return all(
-            math.isfinite(v)
-            for v in (
-                self.t, self.x, self.y, self.xdot, self.ydot, self.xd, self.yd,
-                self.fex, self.fey, self.taux, self.tauy,
-                self.taux_oracle, self.tauy_oracle,
-            )
+        # a chain of calls, not all() over a generator: every step checks a row
+        f = math.isfinite
+        return (
+            f(self.t) and f(self.x) and f(self.y) and f(self.xdot)
+            and f(self.ydot) and f(self.xd) and f(self.yd) and f(self.fex)
+            and f(self.fey) and f(self.taux) and f(self.tauy)
+            and f(self.taux_oracle) and f(self.tauy_oracle)
         )
+
+
+def _trajectory_kernel(spec: TrajectorySpec) -> Callable[[float], Tuple[float, ...]]:
+    """The desired trajectory in floats, with its constants bound once.
+
+    The returned ``desired(t)`` gives (qd0, qd1, qd_dot0, qd_dot1,
+    qd_ddot0, qd_ddot1) at time t >= 0.
+    """
+    start0, start1 = spec.start.a0, spec.start.a1
+    if spec.kind is TrajectoryKind.QUINTIC:
+        assert spec.end is not None
+        end0, end1 = spec.end.a0, spec.end.a1
+        delta0, delta1 = end0 - start0, end1 - start1
+        duration = spec.duration
+        duration_sq = duration * duration
+
+        def quintic(t: float) -> Tuple[float, ...]:
+            if t >= duration:
+                return end0, end1, 0.0, 0.0, 0.0, 0.0
+            sigma = t / duration
+            s = sigma * sigma * sigma * (10.0 - 15.0 * sigma + 6.0 * sigma * sigma)
+            sd = 30.0 * sigma * sigma * (1.0 - sigma) * (1.0 - sigma) / duration
+            sdd = (60.0 * sigma * (1.0 - sigma) * (1.0 - 2.0 * sigma)) / duration_sq
+            return (
+                start0 + s * delta0, start1 + s * delta1,
+                sd * delta0, sd * delta1, sdd * delta0, sdd * delta1,
+            )
+
+        return quintic
+    assert spec.amplitude is not None and spec.frequency is not None
+    amp0, amp1 = spec.amplitude.a0, spec.amplitude.a1
+    w = 2.0 * math.pi * spec.frequency
+    neg_w_sq = -w * w
+    sin, cos = math.sin, math.cos
+
+    def sinusoid(t: float) -> Tuple[float, ...]:
+        sin_wt = sin(w * t)
+        cos_wt = cos(w * t)
+        sd = w * cos_wt
+        sdd = neg_w_sq * sin_wt
+        return (
+            start0 + sin_wt * amp0, start1 + sin_wt * amp1,
+            sd * amp0, sd * amp1, sdd * amp0, sdd * amp1,
+        )
+
+    return sinusoid
 
 
 def sample_trajectory(spec: TrajectorySpec, t: float) -> DesiredTrajectoryPoint:
     """Desired point at time t (>= 0) with analytic derivatives."""
     if not t >= 0.0:
         raise ValueError("t must be >= 0")
-    if spec.kind is TrajectoryKind.QUINTIC:
-        assert spec.end is not None
-        if t >= spec.duration:
-            return DesiredTrajectoryPoint(spec.end, Vec2(0.0, 0.0), Vec2(0.0, 0.0))
-        sigma = t / spec.duration
-        s = sigma * sigma * sigma * (10.0 - 15.0 * sigma + 6.0 * sigma * sigma)
-        sd = 30.0 * sigma * sigma * (1.0 - sigma) * (1.0 - sigma) / spec.duration
-        sdd = (60.0 * sigma * (1.0 - sigma) * (1.0 - 2.0 * sigma)) / (
-            spec.duration * spec.duration
-        )
-        delta = spec.end - spec.start
-        return DesiredTrajectoryPoint(
-            spec.start + delta.scale(s), delta.scale(sd), delta.scale(sdd)
-        )
-    assert spec.amplitude is not None and spec.frequency is not None
-    w = 2.0 * math.pi * spec.frequency
-    sin_wt = math.sin(w * t)
-    cos_wt = math.cos(w * t)
-    return DesiredTrajectoryPoint(
-        spec.start + spec.amplitude.scale(sin_wt),
-        spec.amplitude.scale(w * cos_wt),
-        spec.amplitude.scale(-w * w * sin_wt),
-    )
+    qd0, qd1, qv0, qv1, qa0, qa1 = _trajectory_kernel(spec)(t)
+    return DesiredTrajectoryPoint(Vec2(qd0, qd1), Vec2(qv0, qv1), Vec2(qa0, qa1))
+
+
+def _contact_kernel(model: MembraneModel) -> Callable[[float, float], float]:
+    """The membrane contact force in floats, with the model bound once.
+
+    The returned ``contact(x, xdot)`` gives the x-component; the
+    y-component is always zero.
+    """
+    stiffness, damping, contact_x = model.stiffness, model.damping, model.contact_x
+
+    def contact(x: float, xdot: float) -> float:
+        if x > contact_x:
+            return max(0.0, stiffness * (x - contact_x) + damping * xdot)
+        return 0.0
+
+    return contact
 
 
 def membrane_force(model: MembraneModel, q: Vec2, qdot: Vec2) -> ForcePair:
     """Contact force at state (q, qdot); zero before contact, never adhesive."""
-    if q.a0 > model.contact_x:
-        raw = model.stiffness * (q.a0 - model.contact_x) + model.damping * qdot.a0
-        return ForcePair(max(0.0, raw), 0.0)
-    return ForcePair(0.0, 0.0)
+    return ForcePair(_contact_kernel(model)(q.a0, qdot.a0), 0.0)
 
 
-def _controller_inputs(
-    spec: TrajectorySpec,
-    membrane: MembraneModel,
-    gains: ImpedanceParams,
-    t: float,
-    q: Vec2,
-    qdot: Vec2,
-) -> Tuple[DesiredTrajectoryPoint, ForcePair, ErrorState]:
-    """Desired point, contact force and impedance-target error state at
-    (t, q, qdot): what every torque-law variant is evaluated on."""
-    desired = sample_trajectory(spec, t)
-    fe = membrane_force(membrane, q, qdot)
-    e = desired.qd - q
-    edot = desired.qd_dot - qdot
-    return desired, fe, ErrorState(e, edot, impedance_accel(gains, e, edot, fe))
+def _inputs_kernel(
+    spec: TrajectorySpec, membrane: MembraneModel
+) -> Callable[..., Tuple[float, ...]]:
+    """What every torque-law variant is evaluated on, in floats.
+
+    The returned ``inputs(t, x, y, xdot, ydot)`` gives (qd0, qd1,
+    qd_ddot0, qd_ddot1, e0, e1, edot0, edot1, fex) at time t and stage
+    state (x, y, xdot, ydot), with e = qd - q and edot = qd_dot - qdot;
+    the contact force's y-component is zero.
+    """
+    desired = _trajectory_kernel(spec)
+    contact = _contact_kernel(membrane)
+
+    def inputs(
+        t: float, x: float, y: float, xdot: float, ydot: float
+    ) -> Tuple[float, ...]:
+        qd0, qd1, qv0, qv1, qa0, qa1 = desired(t)
+        return (
+            qd0, qd1, qa0, qa1,
+            qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot, contact(x, xdot),
+        )
+
+    return inputs
 
 
 def run_closed_loop(
@@ -214,11 +266,12 @@ def run_closed_loop(
 
     The stage starts on the trajectory: q(0) = qd(0), qdot(0) = qd_dot(0).
     Each step samples the desired point, measures the membrane contact
-    force, forms the stage-frame error state (eddot from the impedance
-    target m*eddot = fe - b*edot - k*e), evaluates the variant's torque and
-    the stage-consistent oracle torque at the same state, records a trace
-    row, and advances the dynamics one RK4 step with the variant's torque
-    held constant.
+    force, forms the stage-frame errors e and edot, evaluates the variant's
+    torque and the stage-consistent oracle torque at the same state,
+    records a trace row, scores the impedance law on the acceleration the
+    torque realizes, and advances the dynamics one RK4 step with the
+    variant's torque held constant.  The operators of both laws and of the
+    dynamics are built once per run and the step runs in floats.
 
     On divergence the offending row is recorded as the flagged final row,
     metrics cover the finite prefix, and ``diverged`` is set instead of
@@ -228,10 +281,20 @@ def run_closed_loop(
         raise ValueError("dt must be > 0")
     if not t_end > 0.0:
         raise ValueError("t_end must be > 0")
-    d0 = sample_trajectory(spec, 0.0)
-    q, qdot = d0.qd, d0.qd_dot
+    inputs = _inputs_kernel(spec, membrane)
+    torque = torque_kernel(variant, masses, frame, gains, fed)
+    # a stage-space variant's torque is the oracle's, bit for bit
+    oracle = None if variant in STAGE_SPACE_VARIANTS else torque_kernel(
+        ControllerVariant.STAGE_CONSISTENT, masses, frame, gains, fed
+    )
+    residual = force_control_residual_kernel(gains)
     minv = mat_inv(mass_matrix(masses))
+    accel = stage_accel_kernel(minv)
+    step = rk4_kernel(minv)
+    fed0, fed1 = fed.fex, fed.fey
+    x, y, xdot, ydot = _trajectory_kernel(spec)(0.0)[:4]
     times = _sample_times(t_end, dt)
+    last = len(times) - 1
 
     rows: List[TraceRow] = []
     sq_e0 = 0.0
@@ -242,36 +305,32 @@ def run_closed_loop(
     diverged = False
 
     for i, t in enumerate(times):
-        desired, fe, errors = _controller_inputs(spec, membrane, gains, t, q, qdot)
-        tau = torque_controller(
-            variant, masses, frame, gains, desired, qdot, errors, fe, fed
-        )
-        # a stage-space variant's torque is the oracle's, bit for bit
-        oracle = tau if variant in STAGE_SPACE_VARIANTS else torque_controller(
-            ControllerVariant.STAGE_CONSISTENT,
-            masses, frame, gains, desired, qdot, errors, fe, fed,
-        )
+        qd0, qd1, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(t, x, y, xdot, ydot)
+        tau0, tau1 = torque(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0, xdot, ydot)
+        if oracle is None:
+            or0, or1 = tau0, tau1
+        else:
+            or0, or1 = oracle(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0, xdot, ydot)
         row = TraceRow(
-            t, q.a0, q.a1, qdot.a0, qdot.a1, desired.qd.a0, desired.qd.a1,
-            fe.fex, fe.fey, tau.taux, tau.tauy, oracle.taux, oracle.tauy,
+            t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1
         )
         rows.append(row)
         if not row.is_finite():
             diverged = True
             break
 
-        qddot_real = stage_accel(minv, qdot, tau.vec, fed.vec)
-        e = errors.e
-        realized = ErrorState(e, errors.edot, desired.qd_ddot - qddot_real)
-        imp_max = max(imp_max, force_control_residual(gains, realized, fe).max_abs())
-        sq_e0 += e.a0 * e.a0
-        sq_e1 += e.a1 * e.a1
-        gap = tau.vec - oracle.vec
-        sq_div += gap.a0 * gap.a0 + gap.a1 * gap.a1
+        f0, f1 = tau0 - fed0, tau1 - fed1
+        a0, a1 = accel(f0, f1, xdot, ydot)
+        r0, r1 = residual(e0, e1, ed0, ed1, qa0 - a0, qa1 - a1, fex, 0.0)
+        imp_max = max(imp_max, max(abs(r0), abs(r1)))
+        sq_e0 += e0 * e0
+        sq_e1 += e1 * e1
+        g0, g1 = tau0 - or0, tau1 - or1
+        sq_div += g0 * g0 + g1 * g1
         finite_rows += 1
 
-        if i < len(times) - 1:
-            q, qdot = rk4_step(minv, q, qdot, tau.vec, fed.vec, times[i + 1] - t)
+        if i < last:
+            x, y, xdot, ydot = step(f0, f1, x, y, xdot, ydot, times[i + 1] - t)
 
     n = max(finite_rows, 1)
     metrics = RunMetrics(
@@ -327,30 +386,32 @@ def compare_variants(
         base, masses, frame, gains, spec, membrane, fed, t_end, dt
     )
     base_finite = [r for r in base_rows if r.is_finite()]
+    inputs = _inputs_kernel(spec, membrane)
     reports = []
     for variant in others:
         rows, metrics = run_closed_loop(
             variant, masses, frame, gains, spec, membrane, fed, t_end, dt
         )
 
+        torque = torque_kernel(variant, masses, frame, gains, fed)
         sq_tau = 0.0
         for row in base_finite:
-            qdot = Vec2(row.xdot, row.ydot)
-            desired, fe, errors = _controller_inputs(
-                spec, membrane, gains, row.t, Vec2(row.x, row.y), qdot
+            xdot, ydot = row.xdot, row.ydot
+            _, _, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(
+                row.t, row.x, row.y, xdot, ydot
             )
-            tau = torque_controller(
-                variant, masses, frame, gains, desired, qdot, errors, fe, fed
-            )
-            dx = tau.taux - row.taux
-            dy = tau.tauy - row.tauy
+            tau0, tau1 = torque(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0, xdot, ydot)
+            dx = tau0 - row.taux
+            dy = tau1 - row.tauy
             sq_tau += dx * dx + dy * dy
         torque_rms = math.sqrt(sq_tau / max(len(base_finite), 1))
 
         sq_track = 0.0
         paired = 0
-        for rv, rb in zip(rows, base_rows):
-            if not (rv.is_finite() and rb.is_finite()):
+        # only a run's last row can be non-finite, so pairing with the
+        # finite base rows stops where either run stops being finite
+        for rv, rb in zip(rows, base_finite):
+            if not rv.is_finite():
                 break
             dx = rv.x - rb.x
             dy = rv.y - rb.y

@@ -5,15 +5,23 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TRACE_HEADER = "t,x,y,xdot,ydot,xd,yd,fex,fey,taux,tauy,taux_oracle,tauy_oracle"
 FREE_HEADER = "t,x_closed,y_closed,x_rk4,y_rk4,err_x,err_y"
 
 
 def run_cli(*args, env_extra=None):
+    # the subprocess imports the package from this checkout's src/, as the
+    # test process does
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -200,8 +208,16 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         proc = run_cli("simulate", "--config", str(config), "--out", str(out))
         assert proc.returncode == 1
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["variants"]["StageConsistent"]["diverged"] is True
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        metrics = json.loads((out / "metrics.json").read_text(),
+                             parse_constant=reject)
+        result = metrics["variants"]["StageConsistent"]
+        assert result["diverged"] is True
+        # the squared-error sum overflows over the finite prefix: null
+        assert result["rms_tracking_error"][0] is None
         assert (out / "trace_StageConsistent.csv").exists()
 
     def test_log_env_var_controls_stderr(self, tmp_path):
@@ -270,6 +286,26 @@ class TestFreeResponseCommand:
         )
         assert proc.returncode == 1
         assert "diverged" in proc.stderr
+
+
+def test_svg_of_rows_spanning_past_float_range_has_only_finite_coordinates(
+    tmp_path,
+):
+    # finite torques whose span hi - lo overflows to inf
+    from microinject.report import write_trace_svg
+    from microinject.sim import TraceRow
+
+    rows = [
+        TraceRow(float(i), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                 taux, 0.0, 0.0, 0.0)
+        for i, taux in enumerate((-1.5e308, 1.5e308))
+    ]
+    path = tmp_path / "plot.svg"
+    write_trace_svg(str(path), rows, "span past the float range")
+    points = re.findall(r'points="([^"]*)"', path.read_text())
+    assert len(points) == 8
+    for coord in " ".join(points).replace(",", " ").split():
+        assert math.isfinite(float(coord)), coord
 
 
 def test_csv_floats_round_trip(tmp_path):

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microinject.algebra2d import Vec2
+from microinject.algebra2d import Vec2, mat_inv, mat_mul, mat_vec_mul
 from microinject.control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
@@ -18,8 +19,15 @@ from microinject.control import (
     required_torque,
     torque_controller,
 )
-from microinject.dynamics import ForcePair, MassParams, ZERO_FORCE, dynamics_residual
-from microinject.frames import FrameParams
+from microinject.dynamics import (
+    ForcePair,
+    MassParams,
+    ZERO_FORCE,
+    damping_matrix,
+    dynamics_residual,
+    mass_matrix,
+)
+from microinject.frames import FrameParams, transformation_matrix
 
 IDENTITY_FRAME = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
 SKEWED_FRAME = FrameParams(alpha=math.pi / 6, dx=1.0, dy=1.0, fx=2.0, fy=4.0)
@@ -229,6 +237,61 @@ class TestTorqueController:
         ) / gains.m
         scale = max(1.0, tau.vec.max_abs(), 30.0 * term_mag)
         assert (tau_scaled.vec - tau.vec).max_abs() <= 1e-12 * scale
+
+
+def _vec2_torque(variant, masses, frame, gains, desired, qdot, errors, fe, fed):
+    """The Vec2 torque laws that the float kernel replaced."""
+    c = desired.qd_ddot + (
+        errors.edot.scale(gains.b) + errors.e.scale(gains.k) - fe.vec
+    ).scale(1.0 / gains.m)
+    m_mat, b_mat = mass_matrix(masses), damping_matrix()
+    if variant in (ControllerVariant.SIM_PAPER, ControllerVariant.STAGE_CONSISTENT):
+        return mat_vec_mul(m_mat, c) + mat_vec_mul(b_mat, qdot) + fed.vec
+    t_mat = transformation_matrix(frame)
+    lead = mat_vec_mul(mat_mul(m_mat, t_mat), c) + mat_vec_mul(
+        mat_mul(mat_mul(b_mat, mat_inv(t_mat)), t_mat), qdot)
+    return lead + (fe.vec if variant is ControllerVariant.MC_PAPER else fed.vec)
+
+
+def test_float_kernels_match_vec2_formulas_bitwise():
+    # torque_controller, commanded_accel and force_control_residual evaluate
+    # float kernels; they must give the bits of the Vec2 expressions,
+    # signed zeros and non-finite components included
+    special = (0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+    rng = random.Random(5)
+
+    def draw():
+        return rng.choice(special) if rng.random() < 0.2 else rng.uniform(-5.0, 5.0)
+
+    def vec():
+        return Vec2(draw(), draw())
+
+    def bits(v):
+        return v.a0.hex(), v.a1.hex()
+
+    for i in range(1000):
+        masses = MassParams(*(rng.uniform(0.1, 3.0) for _ in range(3)))
+        frame = IDENTITY_FRAME if i % 3 == 0 else FrameParams(
+            rng.uniform(-3.0, 3.0), 1.0, 1.0, rng.uniform(0.2, 5.0),
+            rng.uniform(0.2, 5.0))
+        gains = ImpedanceParams(rng.uniform(0.2, 3.0), rng.uniform(1.0, 30.0),
+                                rng.uniform(1.0, 200.0))
+        desired = DesiredTrajectoryPoint(vec(), vec(), vec())
+        errors = ErrorState(vec(), vec(), vec())
+        qdot = vec()
+        fe, fed = ForcePair(draw(), draw()), ForcePair(draw(), draw())
+        for variant in ControllerVariant:
+            tau = torque_controller(variant, masses, frame, gains, desired, qdot,
+                                    errors, fe, fed)
+            want = _vec2_torque(variant, masses, frame, gains, desired, qdot,
+                                errors, fe, fed)
+            assert bits(tau.vec) == bits(want), (i, variant)
+        c = desired.qd_ddot + (errors.edot.scale(gains.b) + errors.e.scale(gains.k)
+                               - fe.vec).scale(1.0 / gains.m)
+        assert bits(commanded_accel(gains, desired, errors, fe)) == bits(c), i
+        residual = (errors.eddot.scale(gains.m) + errors.edot.scale(gains.b)
+                    + errors.e.scale(gains.k) - fe.vec)
+        assert bits(force_control_residual(gains, errors, fe)) == bits(residual), i
 
 
 class TestImplicationResidual:

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microinject.algebra2d import Vec2, diag, identity, mat_mul, mat_inv
+from microinject.algebra2d import Vec2, diag, identity, mat_mul, mat_inv, mat_vec_mul
 from microinject.dynamics import (
     ForcePair,
     MassParams,
@@ -20,6 +21,7 @@ from microinject.dynamics import (
     image_space_operators,
     integrate,
     mass_matrix,
+    rk4_step,
 )
 from microinject.frames import FrameParams
 
@@ -181,6 +183,58 @@ class TestIntegrate:
         exc = exc_info.value
         assert exc.last_index == len(exc.samples) - 1
         assert all(state.is_finite() for _t, state in exc.samples)
+
+
+def _vec2_rk4_step(minv, q, qdot, tau, fed, h):
+    """The Vec2 RK4 that the float kernel replaced."""
+    def accel(v):
+        return mat_vec_mul(minv, tau - fed - mat_vec_mul(damping_matrix(), v))
+
+    k1v = accel(qdot)
+    v2 = qdot + k1v.scale(0.5 * h)
+    k2v = accel(v2)
+    v3 = qdot + k2v.scale(0.5 * h)
+    k3v = accel(v3)
+    v4 = qdot + k3v.scale(h)
+    k4v = accel(v4)
+    return (
+        q + (qdot + v2.scale(2.0) + v3.scale(2.0) + v4).scale(h / 6.0),
+        qdot + (k1v + k2v.scale(2.0) + k3v.scale(2.0) + k4v).scale(h / 6.0),
+    )
+
+
+def test_rk4_step_matches_vec2_formula_bitwise():
+    # the float kernel forms every product with the zeros of M_inv and B, so
+    # signed zeros and non-finite components come out as in Vec2 algebra
+    special = (0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+    rng = random.Random(11)
+
+    def draw():
+        return rng.choice(special) if rng.random() < 0.25 else rng.uniform(-5.0, 5.0)
+
+    def bits(state):
+        return [(v.a0.hex(), v.a1.hex()) for v in state]
+
+    for _ in range(2000):
+        masses = MassParams(*(rng.uniform(0.1, 3.0) for _ in range(3)))
+        args = (mat_inv(mass_matrix(masses)), Vec2(draw(), draw()),
+                Vec2(draw(), draw()), Vec2(draw(), draw()), Vec2(draw(), draw()),
+                rng.choice((1e-3, 0.1, 0.5)))
+        assert bits(rk4_step(*args)) == bits(_vec2_rk4_step(*args)), args
+    # chains of steps too wide for RK4 grow until they overflow, possibly in
+    # a late substage only, as a diverging closed-loop run does
+    for _ in range(50):
+        masses = MassParams(*(rng.uniform(0.02, 0.2) for _ in range(3)))
+        minv = mat_inv(mass_matrix(masses))
+        tau, fed = Vec2(draw(), draw()), Vec2(draw(), draw())
+        state = (Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+                 Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+        for _ in range(400):
+            got = rk4_step(minv, *state, tau, fed, 2.0)
+            assert bits(got) == bits(_vec2_rk4_step(minv, *state, tau, fed, 2.0))
+            state = got
+            if not (got[0].is_finite() and got[1].is_finite()):
+                break
 
 
 class TestImageSpaceOperators:

@@ -1,25 +1,42 @@
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microinject.algebra2d import Vec2
-from microinject.control import ControllerVariant, ImpedanceParams
+from microinject.algebra2d import Vec2, mat_inv, mat_vec_mul
+from microinject.control import (
+    ControllerVariant,
+    DesiredTrajectoryPoint,
+    ErrorState,
+    ImpedanceParams,
+    force_control_residual,
+    impedance_accel,
+    torque_controller,
+)
 from microinject.dynamics import (
     ForcePair,
     MassParams,
     StageState,
     ZERO_FORCE,
     ZERO_TORQUE,
+    _sample_times,
+    damping_matrix,
     integrate,
     mass_matrix,
+    rk4_step,
 )
 from microinject.frames import FrameParams
 from microinject.sim import (
+    ComparisonReport,
     MembraneModel,
+    RunMetrics,
+    TraceRow,
     TrajectoryKind,
     TrajectorySpec,
+    VariantReport,
     compare_variants,
     membrane_force,
     run_closed_loop,
@@ -105,6 +122,41 @@ class TestSampleTrajectory:
             minus = sample_trajectory(spec, t - h_acc).qd
             fd_acc = (plus - d.qd.scale(2.0) + minus).scale(1.0 / (h_acc * h_acc))
             assert (fd_acc - d.qd_ddot).max_abs() < 1e-5
+
+
+def test_sample_trajectory_matches_vec2_formulas_bitwise():
+    # the float form the closed loop evaluates, against the Vec2 expressions
+    rng = random.Random(3)
+    for _ in range(300):
+        start = Vec2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        duration = rng.uniform(0.1, 5.0)
+        t = rng.choice((0.0, duration, rng.uniform(0.0, 2.0 * duration)))
+        end = Vec2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        quintic = TrajectorySpec(TrajectoryKind.QUINTIC, start, duration, end=end)
+        if t >= duration:
+            want = (end, Vec2(0.0, 0.0), Vec2(0.0, 0.0))
+        else:
+            sigma = t / duration
+            s = sigma * sigma * sigma * (10.0 - 15.0 * sigma + 6.0 * sigma * sigma)
+            sd = 30.0 * sigma * sigma * (1.0 - sigma) * (1.0 - sigma) / duration
+            sdd = (60.0 * sigma * (1.0 - sigma) * (1.0 - 2.0 * sigma)) / (
+                duration * duration)
+            delta = end - start
+            want = (start + delta.scale(s), delta.scale(sd), delta.scale(sdd))
+        amp = Vec2(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        frequency = rng.uniform(0.1, 5.0)
+        sinusoid = TrajectorySpec(TrajectoryKind.SINUSOID, start, duration,
+                                  amplitude=amp, frequency=frequency)
+        w = 2.0 * math.pi * frequency
+        for spec, (qd, qd_dot, qd_ddot) in (
+            (quintic, want),
+            (sinusoid, (start + amp.scale(math.sin(w * t)),
+                        amp.scale(w * math.cos(w * t)),
+                        amp.scale(-w * w * math.sin(w * t)))),
+        ):
+            d = sample_trajectory(spec, t)
+            assert _bits(d) == _bits(DesiredTrajectoryPoint(qd, qd_dot, qd_ddot)), (
+                spec, t)
 
 
 class TestMembraneForce:
@@ -282,3 +334,158 @@ class TestCompareVariants:
         ref = math.sqrt(sq / len(base_rows))
         assert ref > 0.0
         assert report.reports[0].torque_rms_vs_base == pytest.approx(ref, rel=1e-9)
+
+
+def _reference_closed_loop(variant, masses, frame, gains, spec, membrane, fed,
+                           t_end, dt):
+    """``run_closed_loop`` as the Vec2 code computed it, step by step, from
+    the public pieces."""
+    d0 = sample_trajectory(spec, 0.0)
+    q, qdot = d0.qd, d0.qd_dot
+    minv = mat_inv(mass_matrix(masses))
+    times = _sample_times(t_end, dt)
+    rows = []
+    sq_e0 = sq_e1 = sq_div = imp_max = 0.0
+    finite_rows = 0
+    diverged = False
+    for i, t in enumerate(times):
+        desired = sample_trajectory(spec, t)
+        fe = membrane_force(membrane, q, qdot)
+        e = desired.qd - q
+        edot = desired.qd_dot - qdot
+        errors = ErrorState(e, edot, impedance_accel(gains, e, edot, fe))
+        tau = torque_controller(variant, masses, frame, gains, desired, qdot,
+                                errors, fe, fed)
+        oracle = torque_controller(ControllerVariant.STAGE_CONSISTENT, masses,
+                                   frame, gains, desired, qdot, errors, fe, fed)
+        row = TraceRow(t, q.a0, q.a1, qdot.a0, qdot.a1, desired.qd.a0,
+                       desired.qd.a1, fe.fex, fe.fey, tau.taux, tau.tauy,
+                       oracle.taux, oracle.tauy)
+        rows.append(row)
+        if not row.is_finite():
+            diverged = True
+            break
+        qddot_real = mat_vec_mul(
+            minv, tau.vec - fed.vec - mat_vec_mul(damping_matrix(), qdot))
+        realized = ErrorState(e, edot, desired.qd_ddot - qddot_real)
+        imp_max = max(imp_max,
+                      force_control_residual(gains, realized, fe).max_abs())
+        sq_e0 += e.a0 * e.a0
+        sq_e1 += e.a1 * e.a1
+        gap = tau.vec - oracle.vec
+        sq_div += gap.a0 * gap.a0 + gap.a1 * gap.a1
+        finite_rows += 1
+        if i < len(times) - 1:
+            q, qdot = rk4_step(minv, q, qdot, tau.vec, fed.vec,
+                               times[i + 1] - t)
+    n = max(finite_rows, 1)
+    return rows, RunMetrics(
+        Vec2(math.sqrt(sq_e0 / n), math.sqrt(sq_e1 / n)), imp_max,
+        math.sqrt(sq_div / n), len(rows), diverged)
+
+
+def _reference_compare(base, others, masses, frame, gains, spec, membrane, fed,
+                       t_end, dt):
+    """``compare_variants`` on top of ``_reference_closed_loop``."""
+    scenario = (masses, frame, gains, spec, membrane, fed, t_end, dt)
+    base_rows, base_metrics = _reference_closed_loop(base, *scenario)
+    base_finite = [r for r in base_rows if r.is_finite()]
+    reports = []
+    for variant in others:
+        rows, metrics = _reference_closed_loop(variant, *scenario)
+        sq_tau = 0.0
+        for row in base_finite:
+            q, qdot = Vec2(row.x, row.y), Vec2(row.xdot, row.ydot)
+            desired = sample_trajectory(spec, row.t)
+            fe = membrane_force(membrane, q, qdot)
+            e, edot = desired.qd - q, desired.qd_dot - qdot
+            errors = ErrorState(e, edot, impedance_accel(gains, e, edot, fe))
+            tau = torque_controller(variant, masses, frame, gains, desired,
+                                    qdot, errors, fe, fed)
+            dx, dy = tau.taux - row.taux, tau.tauy - row.tauy
+            sq_tau += dx * dx + dy * dy
+        sq_track = 0.0
+        paired = 0
+        for rv, rb in zip(rows, base_rows):
+            if not (rv.is_finite() and rb.is_finite()):
+                break
+            dx, dy = rv.x - rb.x, rv.y - rb.y
+            sq_track += dx * dx + dy * dy
+            paired += 1
+        reports.append(VariantReport(
+            variant, metrics, math.sqrt(sq_tau / max(len(base_finite), 1)),
+            math.sqrt(sq_track / max(paired, 1))))
+    return ComparisonReport(base, base_metrics, tuple(reports))
+
+
+def _bits(value):
+    """Every float in a result, as float.hex, in field order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return repr(value)
+
+
+def _pin_scenarios():
+    """Seeded scenarios crossing the membrane: Quintic and Sinusoid, each on
+    an identity and a skewed frame, and one run that diverges."""
+    rng = random.Random(20260)
+    scenarios = []
+    for kind in TrajectoryKind:
+        for skewed in (False, True):
+            frame = (FrameParams(rng.uniform(-3.0, 3.0), 0.5, 0.5,
+                                 rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0))
+                     if skewed else IDENTITY_FRAME)
+            start = Vec2(rng.uniform(0.6, 0.9), rng.uniform(-0.5, 0.5))
+            if kind is TrajectoryKind.QUINTIC:
+                spec = TrajectorySpec(kind, start, 0.15, end=Vec2(
+                    rng.uniform(1.2, 1.6), rng.uniform(-0.5, 0.5)))
+            else:
+                spec = TrajectorySpec(kind, start, 1.0, amplitude=Vec2(
+                    rng.uniform(0.3, 0.5), rng.uniform(0.0, 0.3)),
+                    frequency=rng.uniform(1.0, 3.0))
+            scenarios.append((
+                MassParams(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
+                           rng.uniform(0.5, 2.0)),
+                frame,
+                ImpedanceParams(rng.uniform(0.5, 2.0), rng.uniform(5.0, 30.0),
+                                rng.uniform(50.0, 200.0)),
+                spec,
+                MembraneModel(rng.uniform(20.0, 80.0), rng.uniform(0.0, 3.0),
+                              1.0),
+                ForcePair(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+                0.25, 1e-3,
+            ))
+    scenarios.append((
+        MassParams(1.0, 1.0, 1.0), SKEWED_FRAME, ImpedanceParams(1.0, 0.1, 1e7),
+        TrajectorySpec(TrajectoryKind.QUINTIC, Vec2(0.0, 0.0), 1.0,
+                       end=Vec2(1.5, 0.0)),
+        CONTACT, ForcePair(0.5, 0.0), 50.0, 0.1,
+    ))
+    return scenarios
+
+
+def test_float_kernel_matches_vec2_reference_bitwise():
+    # the closed loop and compare_variants step in floats with operators
+    # built once per run; they must reproduce every bit of the Vec2 loop,
+    # signed zeros and the non-finite pattern of a diverging row included
+    variants = list(ControllerVariant)
+    scenarios = _pin_scenarios()
+    contact_runs = 0
+    for index, scenario in enumerate(scenarios):
+        for variant in variants:
+            rows, metrics = run_closed_loop(variant, *scenario)
+            ref_rows, ref_metrics = _reference_closed_loop(variant, *scenario)
+            assert _bits(rows) == _bits(ref_rows), (index, variant)
+            assert _bits(metrics) == _bits(ref_metrics), (index, variant)
+            contact_runs += any(row.fex > 0.0 for row in rows)
+        base = variants[index % len(variants)]
+        others = [v for v in variants if v is not base]
+        report = compare_variants(base, others, *scenario)
+        ref_report = _reference_compare(base, others, *scenario)
+        assert _bits(report) == _bits(ref_report), index
+    assert contact_runs >= 4 * (len(scenarios) - 1)
+    assert metrics.diverged and not rows[-1].is_finite()
