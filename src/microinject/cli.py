@@ -7,7 +7,8 @@ Subcommands: ``verify`` (randomized property suites), ``simulate``
 Exit codes: 0 success, 1 verification/numeric failure, 2 usage or config
 error.  Reports and artifact paths go to stdout; diagnostics go to stderr
 at the verbosity selected by the MICROINJECT_LOG environment variable
-(error, info or debug).
+(error, info or debug).  At info, ``verify`` logs the wall time of each
+suite it runs and ``simulate`` the variant it is running.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import logging
 import math
 import os
 import sys
+import time
 from typing import List, Optional
 
 from . import report
@@ -98,7 +100,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         print("microinject: --seed must be >= 0", file=sys.stderr)
         return 2
-    results = run_suite(args.suite, args.seed, args.trials)
+    # one suite at a time, so that each one's wall time can be logged
+    names = ([name for name in SUITE_NAMES if name != "all"]
+             if args.suite == "all" else [args.suite])
+    results = []
+    for name in names:
+        start = time.perf_counter()
+        results.extend(run_suite(name, args.seed, args.trials))
+        log.info("suite %s took %.3f s", name, time.perf_counter() - start)
     all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"

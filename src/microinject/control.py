@@ -34,10 +34,17 @@ different questions (oracle vs. published formulation).
 
 Each formula is evaluated in one place, a float kernel that binds its
 run-constant operators once: ``torque_kernel`` (L = M or M@T, N = B or
-(B@T_inv)@T, and the tail force), ``commanded_accel_kernel`` and
-``force_control_residual_kernel``.  ``torque_controller``,
-``commanded_accel`` and ``force_control_residual`` build the kernel and
-evaluate it once; the closed loop in ``sim`` builds it once per run.  The
+(B@T_inv)@T, and the tail force), ``commanded_accel_kernel``,
+``impedance_accel_kernel``, ``force_control_residual_kernel``,
+``required_torque_kernel`` (over ``dynamics.inverse_dynamics_kernel``) and
+``implication_residual_kernel``, which combines the force-control
+residual, the torque law and the required torque.  ``torque_controller``,
+``commanded_accel``, ``impedance_accel``, ``force_control_residual``,
+``required_torque`` and ``implication_residual`` build their kernel and
+evaluate it once.  The closed loop in ``sim`` builds ``torque_kernel``
+once per run; the ``implication`` and ``discrepancy`` verify suites build
+``implication_residual_kernel``, ``torque_kernel`` and
+``commanded_accel_kernel`` once per trial and evaluate them on floats.  The
 kernels perform the float operations of the ``Vec2`` algebra in the same
 order, products with structural zeros included, so they match the
 ``Vec2`` formulas bit for bit.
@@ -50,12 +57,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .algebra2d import Vec2, mat_inv, mat_mul, mat_vec_mul
+from .algebra2d import Vec2, mat_inv, mat_mul
 from .dynamics import (
     ForcePair,
     MassParams,
     Torque,
     damping_matrix,
+    inverse_dynamics_kernel,
     mass_matrix,
 )
 from .frames import FrameParams, transformation_matrix
@@ -119,12 +127,36 @@ def error_state(
     return ErrorState(desired.qd - q, desired.qd_dot - qdot, desired.qd_ddot - qddot)
 
 
+def impedance_accel_kernel(
+    gains: ImpedanceParams,
+) -> Callable[..., Tuple[float, float]]:
+    """The impedance law solved for the error acceleration, in floats, with
+    the gains bound once.
+
+    The returned ``eddot(e0, e1, ed0, ed1, fe0, fe1)`` gives
+    (fe - b*edot - k*e) * (1/m) per axis.
+    """
+    inv_m, b, k = 1.0 / gains.m, gains.b, gains.k
+
+    def eddot(
+        e0: float, e1: float, ed0: float, ed1: float, fe0: float, fe1: float,
+    ) -> Tuple[float, float]:
+        return (
+            inv_m * ((fe0 - b * ed0) - k * e0),
+            inv_m * ((fe1 - b * ed1) - k * e1),
+        )
+
+    return eddot
+
+
 def impedance_accel(
     gains: ImpedanceParams, e: Vec2, edot: Vec2, fe: ForcePair
 ) -> Vec2:
     """The impedance law solved for the error acceleration:
     eddot = (fe - b*edot - k*e) * (1/m)."""
-    return (fe.vec - edot.scale(gains.b) - e.scale(gains.k)).scale(1.0 / gains.m)
+    return Vec2(*impedance_accel_kernel(gains)(
+        e.a0, e.a1, edot.a0, edot.a1, fe.fex, fe.fey
+    ))
 
 
 def force_control_residual_kernel(
@@ -159,6 +191,24 @@ def force_control_residual(
     ))
 
 
+def required_torque_kernel(
+    masses: MassParams, fed: ForcePair,
+) -> Callable[..., Tuple[float, float]]:
+    """Dynamics inversion in floats, with M, B and fed bound once.
+
+    The returned ``required(a0, a1, v0, v1)`` gives M @ a + B @ v + fed, the
+    torque that realizes the acceleration a at velocity v.
+    """
+    lhs = inverse_dynamics_kernel(masses)
+    fed0, fed1 = fed.fex, fed.fey
+
+    def required(a0: float, a1: float, v0: float, v1: float) -> Tuple[float, float]:
+        l0, l1 = lhs(a0, a1, v0, v1)
+        return l0 + fed0, l1 + fed1
+
+    return required
+
+
 def required_torque(
     masses: MassParams, qddot: Vec2, qdot: Vec2, fed: ForcePair
 ) -> Torque:
@@ -167,12 +217,9 @@ def required_torque(
     tau = M @ qddot + B @ qdot + fed; feeding it back into the dynamics
     residual gives exactly zero up to rounding.
     """
-    tau = (
-        mat_vec_mul(mass_matrix(masses), qddot)
-        + mat_vec_mul(damping_matrix(), qdot)
-        + fed.vec
-    )
-    return Torque.from_vec(tau)
+    return Torque(*required_torque_kernel(masses, fed)(
+        qddot.a0, qddot.a1, qdot.a0, qdot.a1
+    ))
 
 
 def commanded_accel_kernel(
@@ -279,6 +326,55 @@ def torque_controller(
     ))
 
 
+def implication_residual_kernel(
+    variant: ControllerVariant,
+    masses: MassParams,
+    frame: FrameParams,
+    gains: ImpedanceParams,
+    fed: ForcePair,
+) -> Callable[..., Tuple[float, float]]:
+    """``implication_residual`` in floats, with its kernels bound once.
+
+    The returned ``residual(qd0, qd1, qdv0, qdv1, qdd0, qdd1, q0, q1, v0, v1,
+    a0, a1, fe0, fe1)`` takes the desired position, velocity and
+    acceleration, the actual ones and the contact force, and gives the
+    variant's torque minus the dynamics-inversion torque.  It raises
+    PreconditionViolated when the states break the impedance law.
+    """
+    fc_residual = force_control_residual_kernel(gains)
+    torque = torque_kernel(variant, masses, frame, gains, fed)
+    required = required_torque_kernel(masses, fed)
+    m, b, k = gains.m, gains.b, gains.k
+
+    def residual(
+        qd0: float, qd1: float, qdv0: float, qdv1: float,
+        qdd0: float, qdd1: float, q0: float, q1: float, v0: float, v1: float,
+        a0: float, a1: float, fe0: float, fe1: float,
+    ) -> Tuple[float, float]:
+        e0, e1 = qd0 - q0, qd1 - q1
+        ed0, ed1 = qdv0 - v0, qdv1 - v1
+        edd0, edd1 = qdd0 - a0, qdd1 - a1
+        f0, f1 = fc_residual(e0, e1, ed0, ed1, edd0, edd1, fe0, fe1)
+        fc_max = max(abs(f0), abs(f1))
+        scale = max(
+            1.0,
+            max(abs(fe0), abs(fe1)),
+            max(abs(m * edd0), abs(m * edd1)),
+            max(abs(b * ed0), abs(b * ed1)),
+            max(abs(k * e0), abs(k * e1)),
+        )
+        if fc_max > 1e-9 * scale:
+            raise PreconditionViolated(
+                f"impedance-law residual {fc_max:.3e} exceeds "
+                f"{1e-9 * scale:.3e}; implication check is not probative"
+            )
+        t0, t1 = torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
+        r0, r1 = required(a0, a1, v0, v1)
+        return t0 - r0, t1 - r1
+
+    return residual
+
+
 def implication_residual(
     variant: ControllerVariant,
     masses: MassParams,
@@ -296,25 +392,12 @@ def implication_residual(
     checked and PreconditionViolated raised otherwise, because the
     implication (impedance law + dynamics => torque law) only speaks about
     such states.  For STAGE_CONSISTENT the residual is zero up to rounding
-    whenever the precondition holds.
+    whenever the precondition holds.  Builds
+    ``implication_residual_kernel`` and evaluates it once.
     """
     q, qdot, qddot = actual
-    errors = error_state(desired, q, qdot, qddot)
-    fc_res = force_control_residual(gains, errors, fe)
-    scale = max(
-        1.0,
-        fe.vec.max_abs(),
-        errors.eddot.scale(gains.m).max_abs(),
-        errors.edot.scale(gains.b).max_abs(),
-        errors.e.scale(gains.k).max_abs(),
-    )
-    if fc_res.max_abs() > 1e-9 * scale:
-        raise PreconditionViolated(
-            f"impedance-law residual {fc_res.max_abs():.3e} exceeds "
-            f"{1e-9 * scale:.3e}; implication check is not probative"
-        )
-    tau_variant = torque_controller(
-        variant, masses, frame, gains, desired, qdot, errors, fe, fed
-    )
-    tau_required = required_torque(masses, qddot, qdot, fed)
-    return tau_variant.vec - tau_required.vec
+    qd, qd_dot, qd_ddot = desired.qd, desired.qd_dot, desired.qd_ddot
+    return Vec2(*implication_residual_kernel(variant, masses, frame, gains, fed)(
+        qd.a0, qd.a1, qd_dot.a0, qd_dot.a1, qd_ddot.a0, qd_ddot.a1,
+        q.a0, q.a1, qdot.a0, qdot.a1, qddot.a0, qddot.a1, fe.fex, fe.fey,
+    ))

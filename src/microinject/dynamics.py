@@ -7,9 +7,17 @@ components are treated as commensurable generalized forces, exactly as the
 model equation states them.
 
 With ``tau = fed = 0`` the system decouples into two first-order velocity
-decays and has the closed-form solution implemented by ``free_response``;
-the RK4 integrator, which holds the forcing constant, is checked against it
-by the test suite.
+decays and has the closed-form solution implemented by
+``free_response_kernel``; the RK4 integrator, which holds the forcing
+constant, is checked against it by the test suite and by ``verify``.
+
+Each formula is evaluated in one place, a float kernel bound once per
+parameter set: ``free_response_kernel`` (position, velocity and
+acceleration from one ``exp`` per axis), ``inverse_dynamics_kernel``
+(M @ a + B @ v), ``stage_accel_kernel`` and ``rk4_kernel``.
+``free_response``, ``free_response_accel`` and ``dynamics_residual`` wrap
+them and evaluate them once; the ``dynamics`` verify suite binds the first
+two once per trial.
 
 The RK4 step is evaluated in one place: ``rk4_kernel`` binds M_inv and B
 once and steps plain floats.  ``rk4_step`` and ``integrate`` wrap it, and
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from .algebra2d import Mat2, Vec2, diag, identity, mat_inv, mat_mul, mat_vec_mul
+from .algebra2d import Mat2, Vec2, diag, identity, mat_inv, mat_mul
 from .frames import FrameParams, transformation_matrix
 
 
@@ -101,10 +109,6 @@ class Torque:
     def vec(self) -> Vec2:
         return Vec2(self.taux, self.tauy)
 
-    @classmethod
-    def from_vec(cls, v: Vec2) -> "Torque":
-        return cls(v.a0, v.a1)
-
 
 ZERO_FORCE = ForcePair(0.0, 0.0)
 ZERO_TORQUE = Torque(0.0, 0.0)
@@ -123,14 +127,67 @@ def damping_matrix() -> Mat2:
 _B = damping_matrix()
 
 
+def inverse_dynamics_kernel(masses: MassParams) -> Callable[..., Tuple[float, float]]:
+    """The left side of the dynamics in floats, with M and B bound once.
+
+    The returned ``lhs(a0, a1, v0, v1)`` gives M @ a + B @ v for the
+    acceleration a and velocity v.  Every product of both matrices is
+    formed, the structural zeros included, in the order of ``mat_vec_mul``.
+    ``dynamics_residual`` and ``control.required_torque`` wrap it.
+    """
+    m_mat = mass_matrix(masses)
+    m00, m01, m10, m11 = m_mat.m00, m_mat.m01, m_mat.m10, m_mat.m11
+    b00, b01, b10, b11 = _B.m00, _B.m01, _B.m10, _B.m11
+
+    def lhs(a0: float, a1: float, v0: float, v1: float) -> Tuple[float, float]:
+        return (
+            (m00 * a0 + m01 * a1) + (b00 * v0 + b01 * v1),
+            (m10 * a0 + m11 * a1) + (b10 * v0 + b11 * v1),
+        )
+
+    return lhs
+
+
 def dynamics_residual(
     masses: MassParams, qddot: Vec2, qdot: Vec2, tau: Torque, fed: ForcePair
 ) -> Vec2:
     """M @ qddot + B @ qdot - (tau - fed); zero iff the dynamics hold."""
-    lhs = mat_vec_mul(mass_matrix(masses), qddot) + mat_vec_mul(
-        damping_matrix(), qdot
-    )
-    return lhs - (tau.vec - fed.vec)
+    l0, l1 = inverse_dynamics_kernel(masses)(qddot.a0, qddot.a1, qdot.a0, qdot.a1)
+    return Vec2(l0 - (tau.taux - fed.fex), l1 - (tau.tauy - fed.fey))
+
+
+def free_response_kernel(
+    masses: MassParams, x0: float, y0: float, xd0: float, yd0: float
+) -> Callable[[float], Tuple[float, float, float, float, float, float]]:
+    """The closed-form free response in floats, with its constants bound once.
+
+    The returned ``at(t)`` gives (x, y, xdot, ydot, xddot, yddot) at time t,
+    from one ``exp`` per axis shared by the three derivatives:
+
+        x(t) = (x0 + xd0*Mx) - xd0*Mx*exp(-t/Mx),  xdot(t) = xd0*exp(-t/Mx),
+        xddot(t) = -(xd0/Mx)*exp(-t/Mx),
+
+    with Mx = mx+my+mp, and the analogous y terms with My = my+mp.  It does
+    not check t; ``free_response`` and ``free_response_accel`` wrap it and
+    reject t < 0.
+    """
+    mx_tot = masses.total_x
+    my_tot = masses.total_y
+    x_inf, y_inf = x0 + xd0 * mx_tot, y0 + yd0 * my_tot
+    x_span, y_span = xd0 * mx_tot, yd0 * my_tot
+    x_acc, y_acc = -(xd0 / mx_tot), -(yd0 / my_tot)
+    exp = math.exp
+
+    def at(t: float) -> Tuple[float, float, float, float, float, float]:
+        ex = exp(-t / mx_tot)
+        ey = exp(-t / my_tot)
+        return (
+            x_inf - x_span * ex, y_inf - y_span * ey,
+            xd0 * ex, yd0 * ey,
+            x_acc * ex, y_acc * ey,
+        )
+
+    return at
 
 
 def free_response(
@@ -144,13 +201,8 @@ def free_response(
     """
     if not t >= 0.0:
         raise ValueError("t must be >= 0")
-    mx_tot = masses.total_x
-    my_tot = masses.total_y
-    ex = math.exp(-t / mx_tot)
-    ey = math.exp(-t / my_tot)
-    q = Vec2((x0 + xd0 * mx_tot) - xd0 * mx_tot * ex, (y0 + yd0 * my_tot) - yd0 * my_tot * ey)
-    qdot = Vec2(xd0 * ex, yd0 * ey)
-    return StageState(q, qdot)
+    x, y, xd, yd, _, _ = free_response_kernel(masses, x0, y0, xd0, yd0)(t)
+    return StageState(Vec2(x, y), Vec2(xd, yd))
 
 
 def free_response_accel(
@@ -160,12 +212,8 @@ def free_response_accel(
     (-(xd0/Mx)*exp(-t/Mx), -(yd0/My)*exp(-t/My))."""
     if not t >= 0.0:
         raise ValueError("t must be >= 0")
-    mx_tot = masses.total_x
-    my_tot = masses.total_y
-    return Vec2(
-        -(xd0 / mx_tot) * math.exp(-t / mx_tot),
-        -(yd0 / my_tot) * math.exp(-t / my_tot),
-    )
+    *_, xdd, ydd = free_response_kernel(masses, 0.0, 0.0, xd0, yd0)(t)
+    return Vec2(xdd, ydd)
 
 
 def _sample_times(t_end: float, dt: float) -> List[float]:

@@ -15,27 +15,43 @@ Suites:
                    torque law.
 * ``discrepancy``  quantified separation of the faulty torque-law variants
                    from the transform-weighted form.
+
+How the draws are made: ``frames`` and ``dynamics`` draw each input column
+for the whole ensemble in one call.  The control suites draw one row per
+trial, all of a trial's inputs in their scalar draw order (25 columns for
+``implication``, 26 with the scaling factor for ``discrepancy``), with one
+generator call per chunk of at most ``_CHUNK_ROWS`` rows; the values are
+those of one scalar ``rng.uniform`` call per input, in the same order.
+
+The ensembles evaluate the float kernels of ``dynamics`` and ``control`` on
+plain floats, bound once per trial: ``free_response_kernel`` and
+``inverse_dynamics_kernel`` in ``dynamics``, ``implication_residual_kernel``
+and ``required_torque_kernel`` in ``implication``, and ``torque_kernel``
+and ``commanded_accel_kernel`` in ``discrepancy``.  The ``Vec2`` functions
+wrap the same kernels, so each suite checks the code the rest of the
+package runs.  The RK4 checks call ``integrate``.
+
+Residuals are folded into their worst case with ``_fold``, which keeps a
+NaN: a property whose residual is NaN fails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra2d import Vec2, det, identity, mat_inv, mat_mul, mat_vec_mul, transpose
+from .algebra2d import Vec2, det, mat_inv, mat_mul, mat_vec_mul, transpose
 from .control import (
     ControllerVariant,
-    DesiredTrajectoryPoint,
-    ErrorState,
     ImpedanceParams,
-    commanded_accel,
-    impedance_accel,
-    implication_residual,
-    required_torque,
-    torque_controller,
+    commanded_accel_kernel,
+    impedance_accel_kernel,
+    implication_residual_kernel,
+    required_torque_kernel,
+    torque_kernel,
 )
 from .dynamics import (
     ForcePair,
@@ -43,11 +59,11 @@ from .dynamics import (
     StageState,
     ZERO_FORCE,
     ZERO_TORQUE,
-    dynamics_residual,
     free_response,
-    free_response_accel,
+    free_response_kernel,
     image_space_operators,
     integrate,
+    inverse_dynamics_kernel,
 )
 from .frames import (
     FrameParams,
@@ -68,6 +84,10 @@ _DEFAULT_TRIALS = {
     "implication": 10_000,
     "discrepancy": 10_000,
 }
+
+# Rows per generator call of the control suites; bounds the Python floats
+# held at once.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -92,10 +112,48 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _trials(suite: str, trials: Optional[int]) -> int:
+    if trials is None:
+        return _DEFAULT_TRIALS[suite]
+    if trials <= 0:
+        raise ValueError(f"trials must be > 0, got {trials}")
+    return trials
+
+
+def _draw_rows(
+    rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], n: int,
+) -> Iterator[List[float]]:
+    """``n`` rows of uniform draws, column j in [lo_j, hi_j) of ``bounds``.
+
+    One generator call per chunk of at most ``_CHUNK_ROWS`` rows.  numpy
+    fills a chunk in row-major order with lo + (hi - lo) * u, so the rows
+    hold the values of scalar ``rng.uniform(lo_j, hi_j)`` calls made column
+    by column, row by row.
+    """
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    for start in range(0, n, _CHUNK_ROWS):
+        shape = (min(_CHUNK_ROWS, n - start), len(bounds))
+        yield from rng.uniform(lo, hi, shape).tolist()
+
+
+def _fold(acc: float, *values: float, lowest: bool = False) -> float:
+    """The largest of ``acc`` and ``values`` (the smallest with ``lowest``),
+    except that a NaN among them is the result.
+
+    ``max`` and ``min`` keep their first argument when a later one is NaN,
+    so a NaN residual folded with them would vanish and its property pass.
+    """
+    for v in values:
+        if v != v or (v < acc if lowest else v > acc):
+            acc = v
+    return acc
+
+
 # --- frames ----------------------------------------------------------------
 
 def frames_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
-    n = trials or _DEFAULT_TRIALS["frames"]
+    n = _trials("frames", trials)
     rng = _rng(seed)
     alpha = rng.uniform(-math.pi, math.pi, n)
     dx = rng.uniform(1e-3, 10.0, n)
@@ -109,7 +167,6 @@ def frames_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult
     worst_rot = 0.0
     worst_inv = 0.0
     worst_round = 0.0
-    eye = identity()
     for i in range(n):
         p = FrameParams(float(alpha[i]), float(dx[i]), float(dy[i]),
                         float(fx[i]), float(fy[i]))
@@ -117,28 +174,28 @@ def frames_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult
 
         one = stage_to_image(p, s)
         two = camera_to_image(p, stage_to_camera(p, s))
-        worst_comp = max(worst_comp, abs(one.u - two.u), abs(one.v - two.v))
+        worst_comp = _fold(worst_comp, abs(one.u - two.u), abs(one.v - two.v))
 
         r = rotation_matrix(p.alpha)
         rtr = mat_mul(transpose(r), r)
-        worst_rot = max(
+        worst_rot = _fold(
             worst_rot,
             abs(rtr.m00 - 1.0), abs(rtr.m01), abs(rtr.m10), abs(rtr.m11 - 1.0),
             abs(det(r) - 1.0),
         )
 
         t = transformation_matrix(p)
-        worst_inv = max(worst_inv, abs(det(t) - p.fx * p.fy) / (p.fx * p.fy))
+        worst_inv = _fold(worst_inv, abs(det(t) - p.fx * p.fy) / (p.fx * p.fy))
         t_inv = mat_inv(t)
         prod = mat_mul(t, t_inv)
-        worst_inv = max(
+        worst_inv = _fold(
             worst_inv,
             abs(prod.m00 - 1.0), abs(prod.m01),
             abs(prod.m10), abs(prod.m11 - 1.0),
         )
 
         back = mat_vec_mul(t_inv, one.vec - image_offset(p))
-        worst_round = max(worst_round, abs(back.a0 - s.x), abs(back.a1 - s.y))
+        worst_round = _fold(worst_round, abs(back.a0 - s.x), abs(back.a1 - s.y))
 
     return [
         PropertyResult("frames.composition", worst_comp <= 1e-9, worst_comp,
@@ -161,14 +218,11 @@ def _max_error_vs_closed_form(
     x0, y0, xd0, yd0 = ics
     s0 = StageState(Vec2(x0, y0), Vec2(xd0, yd0))
     samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, t_end, dt)
+    closed_form = free_response_kernel(masses, x0, y0, xd0, yd0)
     worst = 0.0
     for t, state in samples:
-        ref = free_response(masses, x0, y0, xd0, yd0, t)
-        worst = max(
-            worst,
-            abs(state.q.a0 - ref.q.a0),
-            abs(state.q.a1 - ref.q.a1),
-        )
+        x, y, *_ = closed_form(t)
+        worst = _fold(worst, abs(state.q.a0 - x), abs(state.q.a1 - y))
     return worst
 
 
@@ -199,12 +253,12 @@ def _image_space_residual(h: float = 1e-3) -> float:
             -up2 + up1.scale(16.0) - u0.scale(30.0) + um1.scale(16.0) - um2
         ).scale(1.0 / (12.0 * step * step))
         res = mat_vec_mul(iner, uddot) + mat_vec_mul(pos_fin, udot)
-        worst = max(worst, res.max_abs())
+        worst = _fold(worst, abs(res.a0), abs(res.a1))
     return worst
 
 
 def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
-    n = trials or _DEFAULT_TRIALS["dynamics"]
+    n = _trials("dynamics", trials)
     rng = _rng(seed)
     m_draw = rng.uniform(0.1, 10.0, (n, 3))
     q_draw = rng.uniform(-10.0, 10.0, (n, 4))
@@ -212,23 +266,24 @@ def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResu
     worst_resid = 0.0
     worst_asym = 0.0
     for i in range(n):
-        masses = MassParams(*(float(v) for v in m_draw[i]))
-        x0, y0, xd0, yd0 = (float(v) for v in q_draw[i])
+        masses = MassParams(*m_draw[i].tolist())
+        x0, y0, xd0, yd0 = q_draw[i].tolist()
         scale = max(1.0, abs(xd0), abs(yd0))
         horizon = 10.0 * masses.total_x
+        closed_form = free_response_kernel(masses, x0, y0, xd0, yd0)
+        lhs = inverse_dynamics_kernel(masses)
         for j in range(100):
-            t = horizon * j / 99.0
-            state = free_response(masses, x0, y0, xd0, yd0, t)
-            accel = free_response_accel(masses, xd0, yd0, t)
-            res = dynamics_residual(masses, accel, state.qdot, ZERO_TORQUE,
-                                    ZERO_FORCE)
-            worst_resid = max(worst_resid, res.max_abs() / scale)
+            _, _, xd, yd, xdd, ydd = closed_form(horizon * j / 99.0)
+            # torque and force are zero, so M@qddot + B@qdot is the residual
+            r0, r1 = lhs(xdd, ydd, xd, yd)
+            worst_resid = _fold(worst_resid, abs(r0) / scale, abs(r1) / scale)
 
-        t_inf = 50.0 * max(masses.total_x, masses.total_y)
-        limit = Vec2(x0 + xd0 * masses.total_x, y0 + yd0 * masses.total_y)
-        final = free_response(masses, x0, y0, xd0, yd0, t_inf)
-        gap = (final.q - limit).max_abs() / max(1.0, limit.max_abs())
-        worst_asym = max(worst_asym, gap)
+        limit_x = x0 + xd0 * masses.total_x
+        limit_y = y0 + yd0 * masses.total_y
+        x, y, *_ = closed_form(50.0 * max(masses.total_x, masses.total_y))
+        limit_scale = max(1.0, max(abs(limit_x), abs(limit_y)))
+        worst_asym = _fold(worst_asym, abs(x - limit_x) / limit_scale,
+                           abs(y - limit_y) / limit_scale)
 
     rk4_err = _max_error_vs_closed_form(
         MassParams(1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0), 10.0, 1e-3
@@ -240,7 +295,7 @@ def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResu
         _max_error_vs_closed_form(order_masses, order_ics, 5.0, dt)
         for dt in (1e-2, 5e-3, 2.5e-3)
     ]
-    min_ratio = min(errs[0] / errs[1], errs[1] / errs[2])
+    min_ratio = _fold(errs[0] / errs[1], errs[1] / errs[2], lowest=True)
 
     image_resid = _image_space_residual()
 
@@ -264,67 +319,70 @@ def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResu
 
 # --- implication and discrepancy ---------------------------------------------
 
-def _draw_control_case(
-    rng: np.random.Generator,
-) -> Tuple[MassParams, ImpedanceParams, DesiredTrajectoryPoint,
-           Tuple[Vec2, Vec2, Vec2], ForcePair, ForcePair]:
-    """One random scenario whose actual states satisfy the impedance law
-    exactly: eddot is solved from the law and qddot = qd_ddot - eddot."""
-    masses = MassParams(*(float(v) for v in rng.uniform(0.1, 10.0, 3)))
-    gains = ImpedanceParams(
-        m=float(rng.uniform(0.1, 10.0)),
-        b=float(rng.uniform(0.1, 50.0)),
-        k=float(rng.uniform(0.1, 200.0)),
-    )
-    qd = Vec2(*(float(v) for v in rng.uniform(-5.0, 5.0, 2)))
-    qd_dot = Vec2(*(float(v) for v in rng.uniform(-5.0, 5.0, 2)))
-    qd_ddot = Vec2(*(float(v) for v in rng.uniform(-5.0, 5.0, 2)))
-    desired = DesiredTrajectoryPoint(qd, qd_dot, qd_ddot)
-    e = Vec2(*(float(v) for v in rng.uniform(-2.0, 2.0, 2)))
-    edot = Vec2(*(float(v) for v in rng.uniform(-2.0, 2.0, 2)))
-    fe = ForcePair(*(float(v) for v in rng.uniform(-10.0, 10.0, 2)))
-    fed = ForcePair(*(float(v) for v in rng.uniform(-10.0, 10.0, 2)))
-    eddot = impedance_accel(gains, e, edot, fe)
-    actual = (qd - e, qd_dot - edot, qd_ddot - eddot)
-    return masses, gains, desired, actual, fe, fed
+# Column bounds of one control-ensemble row, in draw order: masses (mx, my,
+# mp), gains (m, b, k), the desired qd, qd_dot and qd_ddot, the errors e and
+# edot, and the forces fe and fed.
+_CONTROL_CASE_BOUNDS = (
+    ((0.1, 10.0),) * 3
+    + ((0.1, 10.0), (0.1, 50.0), (0.1, 200.0))
+    + ((-5.0, 5.0),) * 6
+    + ((-2.0, 2.0),) * 4
+    + ((-10.0, 10.0),) * 4
+)
+# alpha, dx, dy, fx, fy of a random frame
+_FRAME_BOUNDS = ((-math.pi, math.pi), (0.1, 5.0), (0.1, 5.0), (0.1, 10.0),
+                 (0.1, 10.0))
+_FRAME_COLUMNS = slice(len(_CONTROL_CASE_BOUNDS),
+                       len(_CONTROL_CASE_BOUNDS) + len(_FRAME_BOUNDS))
+# the common factor of the gain-scaling check
+_LAMBDA_BOUNDS = ((0.1, 100.0),)
 
 
-def _draw_frame(rng: np.random.Generator) -> FrameParams:
-    return FrameParams(
-        alpha=float(rng.uniform(-math.pi, math.pi)),
-        dx=float(rng.uniform(0.1, 5.0)),
-        dy=float(rng.uniform(0.1, 5.0)),
-        fx=float(rng.uniform(0.1, 10.0)),
-        fy=float(rng.uniform(0.1, 10.0)),
-    )
+def _control_case(
+    row: List[float],
+) -> Tuple[MassParams, ImpedanceParams, Tuple[float, ...], float, float, ForcePair]:
+    """The scenario of one control row, whose actual states satisfy the
+    impedance law exactly: eddot is solved from the law and
+    qddot = qd_ddot - eddot.
+
+    Returns (masses, gains, states, fe0, fe1, fed), with ``states`` the
+    desired (qd, qd_dot, qd_ddot) and actual (q, qdot, qddot) components in
+    the argument order of ``implication_residual_kernel``.
+    """
+    masses = MassParams(row[0], row[1], row[2])
+    gains = ImpedanceParams(row[3], row[4], row[5])
+    qd0, qd1, qv0, qv1, qa0, qa1, e0, e1, ed0, ed1, fe0, fe1 = row[6:18]
+    edd0, edd1 = impedance_accel_kernel(gains)(e0, e1, ed0, ed1, fe0, fe1)
+    states = (qd0, qd1, qv0, qv1, qa0, qa1,
+              qd0 - e0, qd1 - e1, qv0 - ed0, qv1 - ed1, qa0 - edd0, qa1 - edd1)
+    return masses, gains, states, fe0, fe1, ForcePair(row[18], row[19])
 
 
-def _residual_scale(tau: Vec2) -> float:
-    return max(1.0, tau.max_abs())
+def _residual_scale(t0: float, t1: float) -> float:
+    return max(1.0, abs(t0), abs(t1))
 
 
 def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
-    n = trials or _DEFAULT_TRIALS["implication"]
-    rng = _rng(seed)
+    n = _trials("implication", trials)
     worst_stage = 0.0
     worst_ident = 0.0
     identity_frame = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
-    for _ in range(n):
-        masses, gains, desired, actual, fe, fed = _draw_control_case(rng)
-        frame = _draw_frame(rng)
-        res = implication_residual(
-            ControllerVariant.STAGE_CONSISTENT, masses, frame, gains,
-            desired, actual, fe, fed,
-        )
-        _, qdot, qddot = actual
-        tau = required_torque(masses, qddot, qdot, fed)
-        worst_stage = max(worst_stage, res.max_abs() / _residual_scale(tau.vec))
+    rows = _draw_rows(_rng(seed), _CONTROL_CASE_BOUNDS + _FRAME_BOUNDS, n)
+    for row in rows:
+        masses, gains, states, fe0, fe1, fed = _control_case(row)
+        frame = FrameParams(*row[_FRAME_COLUMNS])
+        *_, v0, v1, a0, a1 = states
+        scale = _residual_scale(*required_torque_kernel(masses, fed)(a0, a1, v0, v1))
 
-        res_i = implication_residual(
-            ControllerVariant.CORRECTED, masses, identity_frame, gains,
-            desired, actual, fe, fed,
-        )
-        worst_ident = max(worst_ident, res_i.max_abs() / _residual_scale(tau.vec))
+        r0, r1 = implication_residual_kernel(
+            ControllerVariant.STAGE_CONSISTENT, masses, frame, gains, fed,
+        )(*states, fe0, fe1)
+        worst_stage = _fold(worst_stage, abs(r0) / scale, abs(r1) / scale)
+
+        r0, r1 = implication_residual_kernel(
+            ControllerVariant.CORRECTED, masses, identity_frame, gains, fed,
+        )(*states, fe0, fe1)
+        worst_ident = _fold(worst_ident, abs(r0) / scale, abs(r1) / scale)
     return [
         PropertyResult("implication.stage_consistent", worst_stage <= 1e-9,
                        worst_stage, 1e-9, n,
@@ -336,10 +394,10 @@ def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
 
 
 def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
-    n = trials or _DEFAULT_TRIALS["discrepancy"]
-    rng = _rng(seed)
+    n = _trials("discrepancy", trials)
     skewed = FrameParams(alpha=math.pi / 6, dx=1.0, dy=1.0, fx=2.0, fy=4.0)
     identity_frame = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
+    corrected = ControllerVariant.CORRECTED
 
     min_gap = math.inf
     max_gap = 0.0
@@ -347,70 +405,57 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
     worst_subst = 0.0
     worst_scaling = 0.0
     all_separated = True
-    for _ in range(n):
-        masses, gains, desired, actual, fe, fed = _draw_control_case(rng)
-        q, qdot, _ = actual
-        errors = ErrorState(desired.qd - q, desired.qd_dot - qdot,
-                            Vec2(0.0, 0.0))
-        c = commanded_accel(gains, desired, errors, fe)
+    rows = _draw_rows(_rng(seed),
+                      _CONTROL_CASE_BOUNDS + _FRAME_BOUNDS + _LAMBDA_BOUNDS, n)
+    for row in rows:
+        masses, gains, states, fe0, fe1, fed = _control_case(row)
+        qd0, qd1, qv0, qv1, qa0, qa1, q0, q1, v0, v1, _, _ = states
+        # the errors as the controller sees them, from the actual states
+        e0, e1 = qd0 - q0, qd1 - q1
+        ed0, ed1 = qv0 - v0, qv1 - v1
+        law_args = (qa0, qa1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
+        c0, c1 = commanded_accel_kernel(gains)(*law_args[:8])
 
-        tau_sim = torque_controller(
-            ControllerVariant.SIM_PAPER, masses, skewed, gains, desired,
-            qdot, errors, fe, fed,
-        )
-        tau_corr = torque_controller(
-            ControllerVariant.CORRECTED, masses, skewed, gains, desired,
-            qdot, errors, fe, fed,
-        )
-        gap = (tau_sim.vec - tau_corr.vec).max_abs()
-        if c.max_abs() > 0.0:
-            min_gap = min(min_gap, gap)
-            max_gap = max(max_gap, gap)
+        s0, s1 = torque_kernel(ControllerVariant.SIM_PAPER, masses, skewed,
+                               gains, fed)(*law_args)
+        k0, k1 = torque_kernel(corrected, masses, skewed, gains, fed)(*law_args)
+        gap = _fold(abs(s0 - k0), abs(s1 - k1))
+        if c0 != 0.0 or c1 != 0.0:
+            min_gap = _fold(min_gap, gap, lowest=True)
+            max_gap = _fold(max_gap, gap)
             if gap <= 0.0:
                 all_separated = False
 
-        tau_sim_i = torque_controller(
-            ControllerVariant.SIM_PAPER, masses, identity_frame, gains,
-            desired, qdot, errors, fe, fed,
-        )
-        tau_corr_i = torque_controller(
-            ControllerVariant.CORRECTED, masses, identity_frame, gains,
-            desired, qdot, errors, fe, fed,
-        )
-        worst_collapse = max(
-            worst_collapse, (tau_sim_i.vec - tau_corr_i.vec).max_abs()
+        # the stage-space law reads no frame: SimPaper at the identity frame
+        # is (s0, s1)
+        i0, i1 = torque_kernel(corrected, masses, identity_frame, gains,
+                               fed)(*law_args)
+        worst_collapse = _fold(worst_collapse, abs(s0 - i0), abs(s1 - i1))
+
+        frame = FrameParams(*row[_FRAME_COLUMNS])
+        f0, f1 = torque_kernel(corrected, masses, frame, gains, fed)(*law_args)
+        m0, m1 = torque_kernel(ControllerVariant.MC_PAPER, masses, frame, gains,
+                               fed)(*law_args)
+        scale = _residual_scale(f0, f1)
+        worst_subst = _fold(
+            worst_subst,
+            abs((m0 - f0) - (fe0 - fed.fex)) / scale,
+            abs((m1 - f1) - (fe1 - fed.fey)) / scale,
         )
 
-        frame = _draw_frame(rng)
-        tau_corr_f = torque_controller(
-            ControllerVariant.CORRECTED, masses, frame, gains, desired,
-            qdot, errors, fe, fed,
-        )
-        tau_mc_f = torque_controller(
-            ControllerVariant.MC_PAPER, masses, frame, gains, desired,
-            qdot, errors, fe, fed,
-        )
-        subst = ((tau_mc_f.vec - tau_corr_f.vec) - (fe.vec - fed.vec)).max_abs()
-        worst_subst = max(
-            worst_subst, subst / _residual_scale(tau_corr_f.vec)
-        )
-
-        lam = float(rng.uniform(0.1, 100.0))
+        lam = row[-1]
         scaled_gains = ImpedanceParams(lam * gains.m, lam * gains.b, lam * gains.k)
-        scaled_fe = ForcePair(lam * fe.fex, lam * fe.fey)
-        tau_scaled = torque_controller(
-            ControllerVariant.CORRECTED, masses, frame, gains=scaled_gains,
-            desired=desired, qdot=qdot, errors=errors, fe=scaled_fe, fed=fed,
+        g0, g1 = torque_kernel(corrected, masses, frame, scaled_gains, fed)(
+            qa0, qa1, e0, e1, ed0, ed1, lam * fe0, lam * fe1, v0, v1,
         )
         term_mag = (
-            gains.b * errors.edot.max_abs()
-            + gains.k * errors.e.max_abs()
-            + fe.vec.max_abs()
+            gains.b * max(abs(ed0), abs(ed1))
+            + gains.k * max(abs(e0), abs(e1))
+            + max(abs(fe0), abs(fe1))
         ) / gains.m
-        scale = max(1.0, tau_corr_f.vec.max_abs(), 30.0 * term_mag)
-        worst_scaling = max(
-            worst_scaling, (tau_scaled.vec - tau_corr_f.vec).max_abs() / scale
-        )
+        scale = max(1.0, max(abs(f0), abs(f1)), 30.0 * term_mag)
+        worst_scaling = _fold(worst_scaling, abs(g0 - f0) / scale,
+                              abs(g1 - f1) / scale)
 
     if min_gap is math.inf:
         min_gap = 0.0
@@ -448,11 +493,15 @@ _SUITES: Dict[str, Callable[[int, Optional[int]], List[PropertyResult]]] = {
 
 
 def run_suite(name: str, seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
-    """Run one named suite (or 'all'); unknown names raise ValueError."""
+    """Run one named suite (or 'all', every suite in ``SUITE_NAMES`` order).
+
+    Unknown names and ``trials <= 0`` raise ValueError; ``trials=None``
+    runs each suite's default ensemble.
+    """
     if name == "all":
         results: List[PropertyResult] = []
-        for suite_name in ("frames", "dynamics", "implication", "discrepancy"):
-            results.extend(_SUITES[suite_name](seed, trials))
+        for suite in _SUITES.values():
+            results.extend(suite(seed, trials))
         return results
     if name not in _SUITES:
         raise ValueError(f"unknown suite '{name}' (valid: {', '.join(SUITE_NAMES)})")

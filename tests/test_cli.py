@@ -75,6 +75,21 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "frames", "--trials", "0")
         assert proc.returncode == 2
 
+    def test_info_log_times_each_suite_and_keeps_stdout(self):
+        args = ("verify", "--suite", "all", "--trials", "25", "--seed", "3")
+        quiet = run_cli(*args)
+        chatty = run_cli(*args, env_extra={"MICROINJECT_LOG": "info"})
+        assert quiet.returncode == chatty.returncode == 0
+        assert chatty.stdout == quiet.stdout
+        assert quiet.stderr == ""
+        timed = re.findall(r"^INFO suite (\w+) took \d+\.\d{3} s$",
+                           chatty.stderr, re.MULTILINE)
+        assert timed == ["frames", "dynamics", "implication", "discrepancy"]
+        one = run_cli("verify", "--suite", "dynamics", "--trials", "25",
+                      env_extra={"MICROINJECT_LOG": "info"})
+        assert re.findall(r"^INFO suite (\w+) took", one.stderr,
+                          re.MULTILINE) == ["dynamics"]
+
 
 ALL_VARIANTS = ("Corrected", "SimPaper", "McPaper", "StageConsistent")
 

@@ -15,6 +15,7 @@ from microinject.control import (
     commanded_accel,
     error_state,
     force_control_residual,
+    impedance_accel,
     implication_residual,
     required_torque,
     torque_controller,
@@ -292,6 +293,80 @@ def test_float_kernels_match_vec2_formulas_bitwise():
         residual = (errors.eddot.scale(gains.m) + errors.edot.scale(gains.b)
                     + errors.e.scale(gains.k) - fe.vec)
         assert bits(force_control_residual(gains, errors, fe)) == bits(residual), i
+        eddot = (fe.vec - errors.edot.scale(gains.b)
+                 - errors.e.scale(gains.k)).scale(1.0 / gains.m)
+        assert bits(impedance_accel(gains, errors.e, errors.edot, fe)) == bits(eddot), i
+        required = (mat_vec_mul(mass_matrix(masses), errors.eddot)
+                    + mat_vec_mul(damping_matrix(), qdot) + fed.vec)
+        assert bits(required_torque(masses, errors.eddot, qdot, fed).vec) == bits(
+            required), i
+
+
+def _vec2_implication_residual(variant, masses, frame, gains, desired, actual,
+                               fe, fed):
+    """The Vec2 implication check that the float kernel replaced."""
+    q, qdot, qddot = actual
+    errors = ErrorState(desired.qd - q, desired.qd_dot - qdot,
+                        desired.qd_ddot - qddot)
+    fc_res = (errors.eddot.scale(gains.m) + errors.edot.scale(gains.b)
+              + errors.e.scale(gains.k) - fe.vec)
+    scale = max(
+        1.0,
+        fe.vec.max_abs(),
+        errors.eddot.scale(gains.m).max_abs(),
+        errors.edot.scale(gains.b).max_abs(),
+        errors.e.scale(gains.k).max_abs(),
+    )
+    if fc_res.max_abs() > 1e-9 * scale:
+        raise PreconditionViolated(
+            f"impedance-law residual {fc_res.max_abs():.3e} exceeds "
+            f"{1e-9 * scale:.3e}; implication check is not probative"
+        )
+    tau = _vec2_torque(variant, masses, frame, gains, desired, qdot, errors, fe, fed)
+    required = (mat_vec_mul(mass_matrix(masses), qddot)
+                + mat_vec_mul(damping_matrix(), qdot) + fed.vec)
+    return tau - required
+
+
+def test_implication_residual_matches_vec2_formula_bitwise():
+    # half the cases satisfy the impedance law, so the residual is reached;
+    # the others mostly raise, and must raise with the same message
+    special = (0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+    rng = random.Random(23)
+
+    def draw():
+        return rng.choice(special) if rng.random() < 0.1 else rng.uniform(-5.0, 5.0)
+
+    def vec():
+        return Vec2(draw(), draw())
+
+    def outcome(fn, *args):
+        try:
+            res = fn(*args)
+        except PreconditionViolated as exc:
+            return "raised", str(exc)
+        return res.a0.hex(), res.a1.hex()
+
+    raised = 0
+    for i in range(2000):
+        masses = MassParams(*(rng.uniform(0.1, 3.0) for _ in range(3)))
+        frame = IDENTITY_FRAME if i % 3 == 0 else FrameParams(
+            rng.uniform(-3.0, 3.0), 1.0, 1.0, rng.uniform(0.2, 5.0),
+            rng.uniform(0.2, 5.0))
+        gains = ImpedanceParams(rng.uniform(0.2, 3.0), rng.uniform(1.0, 30.0),
+                                rng.uniform(1.0, 200.0))
+        desired = DesiredTrajectoryPoint(vec(), vec(), vec())
+        fe, fed = ForcePair(draw(), draw()), ForcePair(draw(), draw())
+        if i % 2 == 0:
+            actual = impedance_consistent_actual(gains, desired, vec(), vec(), fe)
+        else:
+            actual = (vec(), vec(), vec())
+        for variant in ControllerVariant:
+            args = (variant, masses, frame, gains, desired, actual, fe, fed)
+            got = outcome(implication_residual, *args)
+            assert got == outcome(_vec2_implication_residual, *args), (i, variant)
+            raised += got[0] == "raised"
+    assert 0 < raised < 2000 * len(ControllerVariant)
 
 
 class TestImplicationResidual:
@@ -343,8 +418,12 @@ class TestImplicationResidual:
         d = DesiredTrajectoryPoint(Vec2(0, 0), Vec2(0, 0), Vec2(0, 0))
         # states violating the impedance law: everything zero but fe nonzero
         actual = (Vec2(0, 0), Vec2(0, 0), Vec2(0, 0))
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated) as exc_info:
             implication_residual(
                 ControllerVariant.STAGE_CONSISTENT, masses, IDENTITY_FRAME,
                 gains, d, actual, ForcePair(5.0, 0.0), ZERO_FORCE,
             )
+        assert str(exc_info.value) == (
+            "impedance-law residual 5.000e+00 exceeds 5.000e-09; "
+            "implication check is not probative"
+        )

@@ -18,8 +18,10 @@ from microinject.dynamics import (
     dynamics_residual,
     free_response,
     free_response_accel,
+    free_response_kernel,
     image_space_operators,
     integrate,
+    inverse_dynamics_kernel,
     mass_matrix,
     rk4_step,
 )
@@ -109,6 +111,13 @@ class TestFreeResponse:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             free_response(MassParams(1, 1, 1), 0, 0, 0, 0, -0.1)
+
+    @pytest.mark.parametrize("t", [-0.1, -math.inf, math.nan])
+    def test_kernel_wrappers_reject_negative_or_nan_time(self, t):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            free_response(MassParams(1, 1, 1), 0, 0, 0, 0, t)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            free_response_accel(MassParams(1, 1, 1), 0, 0, t)
 
     @given(masses_st, ics_st)
     @settings(max_examples=150)
@@ -235,6 +244,70 @@ def test_rk4_step_matches_vec2_formula_bitwise():
             state = got
             if not (got[0].is_finite() and got[1].is_finite()):
                 break
+
+
+SPECIAL = (0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+
+
+def _bits(*values):
+    return [v.hex() for v in values]
+
+
+def _vec2_free_response(masses, x0, y0, xd0, yd0, t):
+    """The Vec2 closed form that free_response_kernel replaced: position and
+    velocity from one exp per axis, acceleration from its own exp."""
+    mx_tot = masses.total_x
+    my_tot = masses.total_y
+    ex = math.exp(-t / mx_tot)
+    ey = math.exp(-t / my_tot)
+    q = Vec2((x0 + xd0 * mx_tot) - xd0 * mx_tot * ex,
+             (y0 + yd0 * my_tot) - yd0 * my_tot * ey)
+    qdot = Vec2(xd0 * ex, yd0 * ey)
+    accel = Vec2(-(xd0 / mx_tot) * math.exp(-t / mx_tot),
+                 -(yd0 / my_tot) * math.exp(-t / my_tot))
+    return q, qdot, accel
+
+
+def test_free_response_kernel_matches_vec2_formula_bitwise():
+    rng = random.Random(13)
+    times = (0.0, -0.0, 0.5, 1e308, math.inf)
+
+    def draw():
+        return rng.choice(SPECIAL) if rng.random() < 0.25 else rng.uniform(-5.0, 5.0)
+
+    for _ in range(3000):
+        masses = MassParams(*(
+            rng.choice((1e-300, 1e308)) if rng.random() < 0.05
+            else rng.uniform(0.1, 3.0) for _ in range(3)))
+        ics = [draw() for _ in range(4)]
+        t = rng.choice(times) if rng.random() < 0.3 else rng.uniform(0.0, 20.0)
+        q, qdot, accel = _vec2_free_response(masses, *ics, t)
+        want = _bits(q.a0, q.a1, qdot.a0, qdot.a1, accel.a0, accel.a1)
+        assert _bits(*free_response_kernel(masses, *ics)(t)) == want, (masses, ics, t)
+        state = free_response(masses, *ics, t)
+        got = free_response_accel(masses, ics[2], ics[3], t)
+        assert _bits(state.q.a0, state.q.a1, state.qdot.a0, state.qdot.a1,
+                     got.a0, got.a1) == want
+
+
+def test_inverse_dynamics_kernel_matches_vec2_formula_bitwise():
+    # M@a + B@v with every product of both matrices formed, so signed zeros
+    # and non-finite components come out as in Vec2 algebra
+    rng = random.Random(17)
+
+    def draw():
+        return rng.choice(SPECIAL) if rng.random() < 0.25 else rng.uniform(-5.0, 5.0)
+
+    for _ in range(3000):
+        masses = MassParams(*(rng.uniform(0.1, 3.0) for _ in range(3)))
+        a, v, tau, fed = (Vec2(draw(), draw()) for _ in range(4))
+        lhs = mat_vec_mul(mass_matrix(masses), a) + mat_vec_mul(damping_matrix(), v)
+        got = inverse_dynamics_kernel(masses)(a.a0, a.a1, v.a0, v.a1)
+        assert _bits(*got) == _bits(lhs.a0, lhs.a1), (masses, a, v)
+        res = dynamics_residual(masses, a, v, Torque(tau.a0, tau.a1),
+                                ForcePair(fed.a0, fed.a1))
+        want = lhs - (tau - fed)
+        assert _bits(res.a0, res.a1) == _bits(want.a0, want.a1)
 
 
 class TestImageSpaceOperators:
