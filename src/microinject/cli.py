@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 verification/numeric failure, 2 usage or config
 error.  Reports and artifact paths go to stdout; diagnostics go to stderr
 at the verbosity selected by the MICROINJECT_LOG environment variable
 (error, info or debug).  At info, ``verify`` logs the wall time of each
-suite it runs and ``simulate`` the variant it is running.
+suite it runs, and ``simulate`` the variant it is running and then the
+wall time of its closed loop and of writing its trace files (CSV, and SVG
+with ``--svg``).
 """
 
 from __future__ import annotations
@@ -139,11 +141,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     variant_metrics = {}
     for variant in config.variants:
         log.info("running variant %s", variant.value)
+        start = time.perf_counter()
         rows, metrics = run_closed_loop(
             variant, config.masses, config.frame, config.impedance,
             config.trajectory, config.membrane, config.fed,
             config.t_end, config.dt,
         )
+        ran = time.perf_counter()
         trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
         report.write_trace_csv(trace_path, rows)
         print(trace_path)
@@ -152,6 +156,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             report.write_trace_svg(svg_path, rows, f"variant {variant.value}")
             print(svg_path)
         variant_metrics[variant.value] = report.metrics_to_dict(metrics)
+        log.info("variant %s: closed loop %.3f s, trace files %.3f s",
+                 variant.value, ran - start, time.perf_counter() - ran)
         if metrics.diverged:
             log.error("variant %s diverged after %d samples",
                       variant.value, metrics.samples)

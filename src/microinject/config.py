@@ -12,11 +12,22 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
-from .algebra2d import Vec2
-from .control import ControllerVariant, ImpedanceParams
+from .algebra2d import SingularMatrix, Vec2
+from .control import (
+    STAGE_SPACE_VARIANTS,
+    ControllerVariant,
+    ImpedanceParams,
+    frame_operators,
+)
 from .dynamics import ForcePair, MassParams
 from .frames import FrameParams
 from .sim import MembraneModel, TrajectoryKind, TrajectorySpec
+
+
+# The most steps (run.t_end / run.dt) a run may take.  A run keeps its time
+# grid and every trace row in memory, about 0.6 KB a step, so this bounds a
+# variant's run to well under 1 GB; the README scenario takes 5,000 steps.
+MAX_STEPS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -207,7 +218,31 @@ def _parse_run(node: Any) -> Tuple[float, float, Tuple[ControllerVariant, ...]]:
     _check_keys(node, ("t_end", "dt", "variants"), (), "run")
     t_end = _positive(_number(node, "t_end", "run"), "run.t_end")
     dt = _positive(_number(node, "dt", "run"), "run.dt")
+    if not t_end / dt <= MAX_STEPS:
+        raise InvariantError(
+            f"run.t_end / run.dt must be <= {MAX_STEPS} steps, "
+            f"got {t_end / dt:.6g}"
+        )
     return t_end, dt, _parse_variants(node["variants"])
+
+
+def _check_frame_invertible(
+    frame: FrameParams, variants: Tuple[ControllerVariant, ...],
+) -> None:
+    """The transform-weighted variants invert T; reject a frame whose T
+    fails the inversion cutoff before anything runs.  fx, fy > 0 alone
+    does not ensure it: fx = 1e7, fy = 1e-7 gives det T = 1 against a
+    cutoff of 100."""
+    weighted = [v.value for v in variants if v not in STAGE_SPACE_VARIANTS]
+    if not weighted:
+        return
+    try:
+        frame_operators(frame)
+    except SingularMatrix as exc:
+        raise InvariantError(
+            f"frame: the stage-to-image matrix T cannot be inverted ({exc}); "
+            f"variants {', '.join(weighted)} need its inverse"
+        ) from exc
 
 
 def _parse_seed(value: Any) -> int:
@@ -237,8 +272,9 @@ def parse_config(text: str) -> ScenarioConfig:
     _check_keys(root, _TOP_KEYS, (), "")
     fed = _vec2(root, "fed", "")
     t_end, dt, variants = _parse_run(root["run"])
-    return ScenarioConfig(
-        frame=_parse_frame(root["frame"]),
+    frame = _parse_frame(root["frame"])
+    config = ScenarioConfig(
+        frame=frame,
         masses=_parse_masses(root["masses"]),
         impedance=_parse_impedance(root["impedance"]),
         trajectory=_parse_trajectory(root["trajectory"]),
@@ -249,6 +285,8 @@ def parse_config(text: str) -> ScenarioConfig:
         variants=variants,
         seed=_parse_seed(root["seed"]),
     )
+    _check_frame_invertible(frame, variants)
+    return config
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -33,21 +33,37 @@ stage-frame error definition; both names are kept because they answer
 different questions (oracle vs. published formulation).
 
 Each formula is evaluated in one place, a float kernel that binds its
-run-constant operators once: ``torque_kernel`` (L = M or M@T, N = B or
+constant operators once: the torque law (L = M or M@T, N = B or
 (B@T_inv)@T, and the tail force), ``commanded_accel_kernel``,
 ``impedance_accel_kernel``, ``force_control_residual_kernel``,
 ``required_torque_kernel`` (over ``dynamics.inverse_dynamics_kernel``) and
-``implication_residual_kernel``, which combines the force-control
-residual, the torque law and the required torque.  ``torque_controller``,
+``implication_check``, which combines the force-control residual, a
+torque law and the required torque.  ``torque_controller``,
 ``commanded_accel``, ``impedance_accel``, ``force_control_residual``,
 ``required_torque`` and ``implication_residual`` build their kernel and
-evaluate it once.  The closed loop in ``sim`` builds ``torque_kernel``
-once per run; the ``implication`` and ``discrepancy`` verify suites build
-``implication_residual_kernel``, ``torque_kernel`` and
-``commanded_accel_kernel`` once per trial and evaluate them on floats.  The
-kernels perform the float operations of the ``Vec2`` algebra in the same
-order, products with structural zeros included, so they match the
-``Vec2`` formulas bit for bit.
+evaluate it once.  The kernels perform the float operations of the
+``Vec2`` algebra in the same order, products with structural zeros
+included, so they match the ``Vec2`` formulas bit for bit.
+
+The torque law binds at three levels, so that a caller can build each
+level once for as long as it holds:
+
+* the frame level, ``frame_operators(frame)`` = (T, N): the only place T
+  is inverted.  The stage-space variants never form T;
+* the masses level, ``torque_law(variant, M, frame_ops)``: L = M@T, or
+  L = M in stage space;
+* the gains/tail level, ``bind(gains, fed)`` from ``torque_law``:
+  ``commanded_accel_kernel(gains)`` and the tail, fed or fe.
+
+``torque_kernel`` binds all three at once; the closed loop in ``sim``
+calls it once per law and run, and ``compare_variants`` once per variant.
+The ``discrepancy`` verify suite builds the skewed and identity frames'
+operators once per ensemble; per trial it forms M once, builds the drawn
+frame's operators once and shares them between CORRECTED, MC_PAPER and
+the scaled-gain CORRECTED, whose gains level alone is bound again.  The
+``implication`` suite builds its identity frame's operators once per
+ensemble, and M, the required torque and ``implication_check`` once per
+trial, for the two laws it checks.
 """
 
 from __future__ import annotations
@@ -55,9 +71,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
-from .algebra2d import Vec2, mat_inv, mat_mul
+from .algebra2d import Mat2, Vec2, mat_inv, mat_mul
 from .dynamics import (
     ForcePair,
     MassParams,
@@ -67,6 +83,9 @@ from .dynamics import (
     mass_matrix,
 )
 from .frames import FrameParams, transformation_matrix
+
+
+_B = damping_matrix()
 
 
 class PreconditionViolated(ValueError):
@@ -192,14 +211,15 @@ def force_control_residual(
 
 
 def required_torque_kernel(
-    masses: MassParams, fed: ForcePair,
+    m_mat: Mat2, fed: ForcePair,
 ) -> Callable[..., Tuple[float, float]]:
-    """Dynamics inversion in floats, with M, B and fed bound once.
+    """Dynamics inversion in floats, with the mass matrix ``m_mat``, B and
+    fed bound once.
 
     The returned ``required(a0, a1, v0, v1)`` gives M @ a + B @ v + fed, the
     torque that realizes the acceleration a at velocity v.
     """
-    lhs = inverse_dynamics_kernel(masses)
+    lhs = inverse_dynamics_kernel(m_mat)
     fed0, fed1 = fed.fex, fed.fey
 
     def required(a0: float, a1: float, v0: float, v1: float) -> Tuple[float, float]:
@@ -217,7 +237,7 @@ def required_torque(
     tau = M @ qddot + B @ qdot + fed; feeding it back into the dynamics
     residual gives exactly zero up to rounding.
     """
-    return Torque(*required_torque_kernel(masses, fed)(
+    return Torque(*required_torque_kernel(mass_matrix(masses), fed)(
         qddot.a0, qddot.a1, qdot.a0, qdot.a1
     ))
 
@@ -254,6 +274,66 @@ def commanded_accel(
     ))
 
 
+def frame_operators(frame: FrameParams) -> Tuple[Mat2, Mat2]:
+    """The frame level of the transform-weighted torque laws: (T, N) with
+    T = transformation_matrix(frame) and N = (B@T_inv)@T.
+
+    The only place a torque law inverts T; raises SingularMatrix when T
+    fails ``mat_inv``'s scale-relative cutoff.  The stage-space variants
+    never call it.
+    """
+    t_mat = transformation_matrix(frame)
+    return t_mat, mat_mul(mat_mul(_B, mat_inv(t_mat)), t_mat)
+
+
+def torque_law(
+    variant: ControllerVariant,
+    m_mat: Mat2,
+    frame_ops: Optional[Tuple[Mat2, Mat2]],
+) -> Callable[[ImpedanceParams, ForcePair], Callable[..., Tuple[float, float]]]:
+    """The masses level of one torque-law variant: L = M and N = B in stage
+    space, L = M@T and N from ``frame_ops`` = (T, N) for the
+    transform-weighted variants.  The stage-space variants do not read
+    ``frame_ops``, which may be None for them.
+
+    Returns the gains/tail level ``bind(gains, fed)``, which binds
+    ``commanded_accel_kernel(gains)`` and the tail (fe for MC_PAPER, fed
+    otherwise) and returns ``torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1,
+    v0, v1)``: tau = L @ c + N @ qdot + tail at one state.  Every matrix
+    product is formed, the structural zeros included, in the order of
+    ``mat_vec_mul``.
+    """
+    if variant in STAGE_SPACE_VARIANTS:
+        l_mat, n_mat = m_mat, _B
+    else:
+        t_mat, n_mat = frame_ops
+        l_mat = mat_mul(m_mat, t_mat)
+    l00, l01, l10, l11 = l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11
+    n00, n01, n10, n11 = n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11
+    use_fe = variant is ControllerVariant.MC_PAPER
+
+    def bind(
+        gains: ImpedanceParams, fed: ForcePair,
+    ) -> Callable[..., Tuple[float, float]]:
+        commanded = commanded_accel_kernel(gains)
+        fed0, fed1 = fed.fex, fed.fey
+
+        def torque(
+            qdd0: float, qdd1: float, e0: float, e1: float, ed0: float,
+            ed1: float, fe0: float, fe1: float, v0: float, v1: float,
+        ) -> Tuple[float, float]:
+            c0, c1 = commanded(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1)
+            t0, t1 = (fe0, fe1) if use_fe else (fed0, fed1)
+            return (
+                ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + t0,
+                ((l10 * c0 + l11 * c1) + (n10 * v0 + n11 * v1)) + t1,
+            )
+
+        return torque
+
+    return bind
+
+
 def torque_kernel(
     variant: ControllerVariant,
     masses: MassParams,
@@ -261,41 +341,13 @@ def torque_kernel(
     gains: ImpedanceParams,
     fed: ForcePair,
 ) -> Callable[..., Tuple[float, float]]:
-    """One torque-law variant in floats, with its operators built once.
-
-    The law is tau = L @ c + N @ qdot + tail: L = M and N = B in stage
-    space, L = M@T and N = (B@T_inv)@T for the transform-weighted variants,
-    and the tail is fe for MC_PAPER, fed otherwise.  The returned
-    ``torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)`` evaluates it
-    at one state.  Every matrix product is formed, the structural zeros
-    included, in the order of ``mat_vec_mul``.
+    """One torque-law variant in floats, its three levels bound at once:
+    ``torque_law(variant, M, frame_operators(frame))(gains, fed)``, with no
+    frame operators for the stage-space variants, which never form T.
     """
-    m_mat = mass_matrix(masses)
-    b_mat = damping_matrix()
-    if variant in STAGE_SPACE_VARIANTS:
-        l_mat, n_mat = m_mat, b_mat
-    else:
-        t_mat = transformation_matrix(frame)
-        l_mat = mat_mul(m_mat, t_mat)
-        n_mat = mat_mul(mat_mul(b_mat, mat_inv(t_mat)), t_mat)
-    l00, l01, l10, l11 = l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11
-    n00, n01, n10, n11 = n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11
-    use_fe = variant is ControllerVariant.MC_PAPER
-    fed0, fed1 = fed.fex, fed.fey
-    commanded = commanded_accel_kernel(gains)
-
-    def torque(
-        qdd0: float, qdd1: float, e0: float, e1: float, ed0: float, ed1: float,
-        fe0: float, fe1: float, v0: float, v1: float,
-    ) -> Tuple[float, float]:
-        c0, c1 = commanded(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1)
-        t0, t1 = (fe0, fe1) if use_fe else (fed0, fed1)
-        return (
-            ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + t0,
-            ((l10 * c0 + l11 * c1) + (n10 * v0 + n11 * v1)) + t1,
-        )
-
-    return torque
+    frame_ops = (None if variant in STAGE_SPACE_VARIANTS
+                 else frame_operators(frame))
+    return torque_law(variant, mass_matrix(masses), frame_ops)(gains, fed)
 
 
 def torque_controller(
@@ -326,53 +378,55 @@ def torque_controller(
     ))
 
 
-def implication_residual_kernel(
-    variant: ControllerVariant,
-    masses: MassParams,
-    frame: FrameParams,
-    gains: ImpedanceParams,
-    fed: ForcePair,
-) -> Callable[..., Tuple[float, float]]:
-    """``implication_residual`` in floats, with its kernels bound once.
+def implication_check(
+    gains: ImpedanceParams, required: Callable[..., Tuple[float, float]],
+) -> Callable[[Callable[..., Tuple[float, float]]], Callable[..., Tuple[float, float]]]:
+    """The implication check in floats, with the force-control residual
+    and the required-torque kernel ``required`` (from
+    ``required_torque_kernel``) bound once.
 
-    The returned ``residual(qd0, qd1, qdv0, qdv1, qdd0, qdd1, q0, q1, v0, v1,
-    a0, a1, fe0, fe1)`` takes the desired position, velocity and
-    acceleration, the actual ones and the contact force, and gives the
-    variant's torque minus the dynamics-inversion torque.  It raises
-    PreconditionViolated when the states break the impedance law.
+    Returns ``residual_for(torque)``, which takes a kernel from
+    ``torque_law`` or ``torque_kernel`` and returns ``residual(qd0, qd1,
+    qdv0, qdv1, qdd0, qdd1, q0, q1, v0, v1, a0, a1, fe0, fe1)``: from the
+    desired position, velocity and acceleration, the actual ones and the
+    contact force, the torque minus the dynamics-inversion torque.  It
+    raises PreconditionViolated when the states break the impedance law.
     """
     fc_residual = force_control_residual_kernel(gains)
-    torque = torque_kernel(variant, masses, frame, gains, fed)
-    required = required_torque_kernel(masses, fed)
     m, b, k = gains.m, gains.b, gains.k
 
-    def residual(
-        qd0: float, qd1: float, qdv0: float, qdv1: float,
-        qdd0: float, qdd1: float, q0: float, q1: float, v0: float, v1: float,
-        a0: float, a1: float, fe0: float, fe1: float,
-    ) -> Tuple[float, float]:
-        e0, e1 = qd0 - q0, qd1 - q1
-        ed0, ed1 = qdv0 - v0, qdv1 - v1
-        edd0, edd1 = qdd0 - a0, qdd1 - a1
-        f0, f1 = fc_residual(e0, e1, ed0, ed1, edd0, edd1, fe0, fe1)
-        fc_max = max(abs(f0), abs(f1))
-        scale = max(
-            1.0,
-            max(abs(fe0), abs(fe1)),
-            max(abs(m * edd0), abs(m * edd1)),
-            max(abs(b * ed0), abs(b * ed1)),
-            max(abs(k * e0), abs(k * e1)),
-        )
-        if fc_max > 1e-9 * scale:
-            raise PreconditionViolated(
-                f"impedance-law residual {fc_max:.3e} exceeds "
-                f"{1e-9 * scale:.3e}; implication check is not probative"
+    def residual_for(
+        torque: Callable[..., Tuple[float, float]],
+    ) -> Callable[..., Tuple[float, float]]:
+        def residual(
+            qd0: float, qd1: float, qdv0: float, qdv1: float,
+            qdd0: float, qdd1: float, q0: float, q1: float, v0: float,
+            v1: float, a0: float, a1: float, fe0: float, fe1: float,
+        ) -> Tuple[float, float]:
+            e0, e1 = qd0 - q0, qd1 - q1
+            ed0, ed1 = qdv0 - v0, qdv1 - v1
+            edd0, edd1 = qdd0 - a0, qdd1 - a1
+            f0, f1 = fc_residual(e0, e1, ed0, ed1, edd0, edd1, fe0, fe1)
+            fc_max = max(abs(f0), abs(f1))
+            scale = max(
+                1.0,
+                max(abs(fe0), abs(fe1)),
+                max(abs(m * edd0), abs(m * edd1)),
+                max(abs(b * ed0), abs(b * ed1)),
+                max(abs(k * e0), abs(k * e1)),
             )
-        t0, t1 = torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
-        r0, r1 = required(a0, a1, v0, v1)
-        return t0 - r0, t1 - r1
+            if fc_max > 1e-9 * scale:
+                raise PreconditionViolated(
+                    f"impedance-law residual {fc_max:.3e} exceeds "
+                    f"{1e-9 * scale:.3e}; implication check is not probative"
+                )
+            t0, t1 = torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
+            r0, r1 = required(a0, a1, v0, v1)
+            return t0 - r0, t1 - r1
 
-    return residual
+        return residual
+
+    return residual_for
 
 
 def implication_residual(
@@ -392,12 +446,14 @@ def implication_residual(
     checked and PreconditionViolated raised otherwise, because the
     implication (impedance law + dynamics => torque law) only speaks about
     such states.  For STAGE_CONSISTENT the residual is zero up to rounding
-    whenever the precondition holds.  Builds
-    ``implication_residual_kernel`` and evaluates it once.
+    whenever the precondition holds.  Builds ``implication_check`` with
+    ``torque_kernel`` and evaluates it once.
     """
     q, qdot, qddot = actual
     qd, qd_dot, qd_ddot = desired.qd, desired.qd_dot, desired.qd_ddot
-    return Vec2(*implication_residual_kernel(variant, masses, frame, gains, fed)(
+    required = required_torque_kernel(mass_matrix(masses), fed)
+    torque = torque_kernel(variant, masses, frame, gains, fed)
+    return Vec2(*implication_check(gains, required)(torque)(
         qd.a0, qd.a1, qd_dot.a0, qd_dot.a1, qd_ddot.a0, qd_ddot.a1,
         q.a0, q.a1, qdot.a0, qdot.a1, qddot.a0, qddot.a1, fe.fex, fe.fey,
     ))

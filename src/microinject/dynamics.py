@@ -127,15 +127,15 @@ def damping_matrix() -> Mat2:
 _B = damping_matrix()
 
 
-def inverse_dynamics_kernel(masses: MassParams) -> Callable[..., Tuple[float, float]]:
-    """The left side of the dynamics in floats, with M and B bound once.
+def inverse_dynamics_kernel(m_mat: Mat2) -> Callable[..., Tuple[float, float]]:
+    """The left side of the dynamics in floats, with the mass matrix
+    ``m_mat`` (from ``mass_matrix``) and B bound once.
 
     The returned ``lhs(a0, a1, v0, v1)`` gives M @ a + B @ v for the
     acceleration a and velocity v.  Every product of both matrices is
     formed, the structural zeros included, in the order of ``mat_vec_mul``.
-    ``dynamics_residual`` and ``control.required_torque`` wrap it.
+    ``dynamics_residual`` and ``control.required_torque_kernel`` wrap it.
     """
-    m_mat = mass_matrix(masses)
     m00, m01, m10, m11 = m_mat.m00, m_mat.m01, m_mat.m10, m_mat.m11
     b00, b01, b10, b11 = _B.m00, _B.m01, _B.m10, _B.m11
 
@@ -152,7 +152,9 @@ def dynamics_residual(
     masses: MassParams, qddot: Vec2, qdot: Vec2, tau: Torque, fed: ForcePair
 ) -> Vec2:
     """M @ qddot + B @ qdot - (tau - fed); zero iff the dynamics hold."""
-    l0, l1 = inverse_dynamics_kernel(masses)(qddot.a0, qddot.a1, qdot.a0, qdot.a1)
+    l0, l1 = inverse_dynamics_kernel(mass_matrix(masses))(
+        qddot.a0, qddot.a1, qdot.a0, qdot.a1
+    )
     return Vec2(l0 - (tau.taux - fed.fex), l1 - (tau.tauy - fed.fey))
 
 

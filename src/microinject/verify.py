@@ -24,12 +24,18 @@ generator call per chunk of at most ``_CHUNK_ROWS`` rows; the values are
 those of one scalar ``rng.uniform`` call per input, in the same order.
 
 The ensembles evaluate the float kernels of ``dynamics`` and ``control`` on
-plain floats, bound once per trial: ``free_response_kernel`` and
-``inverse_dynamics_kernel`` in ``dynamics``, ``implication_residual_kernel``
-and ``required_torque_kernel`` in ``implication``, and ``torque_kernel``
-and ``commanded_accel_kernel`` in ``discrepancy``.  The ``Vec2`` functions
-wrap the same kernels, so each suite checks the code the rest of the
-package runs.  The RK4 checks call ``integrate``.
+plain floats.  ``dynamics`` binds ``free_response_kernel`` and
+``inverse_dynamics_kernel`` once per trial.  The control suites bind the
+torque laws at the levels of ``control`` (frame, masses, gains/tail):
+``implication`` builds its identity frame's ``frame_operators`` once per
+ensemble, and M, ``required_torque_kernel`` and ``implication_check``
+once per trial, which it applies to the STAGE_CONSISTENT and the
+identity-frame CORRECTED law.  ``discrepancy`` builds the skewed and
+identity frames' operators once per ensemble; per trial it forms M once
+and builds the drawn frame's operators once, shared by CORRECTED, MC_PAPER
+and the scaled-gain CORRECTED.  The
+``Vec2`` functions wrap the same kernels, so each suite checks the code
+the rest of the package runs.  The RK4 checks call ``integrate``.
 
 Residuals are folded into their worst case with ``_fold``, which keeps a
 NaN: a property whose residual is NaN fails.
@@ -48,10 +54,11 @@ from .control import (
     ControllerVariant,
     ImpedanceParams,
     commanded_accel_kernel,
+    frame_operators,
     impedance_accel_kernel,
-    implication_residual_kernel,
+    implication_check,
     required_torque_kernel,
-    torque_kernel,
+    torque_law,
 )
 from .dynamics import (
     ForcePair,
@@ -64,6 +71,7 @@ from .dynamics import (
     image_space_operators,
     integrate,
     inverse_dynamics_kernel,
+    mass_matrix,
 )
 from .frames import (
     FrameParams,
@@ -271,7 +279,7 @@ def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResu
         scale = max(1.0, abs(xd0), abs(yd0))
         horizon = 10.0 * masses.total_x
         closed_form = free_response_kernel(masses, x0, y0, xd0, yd0)
-        lhs = inverse_dynamics_kernel(masses)
+        lhs = inverse_dynamics_kernel(mass_matrix(masses))
         for j in range(100):
             _, _, xd, yd, xdd, ydd = closed_form(horizon * j / 99.0)
             # torque and force are zero, so M@qddot + B@qdot is the residual
@@ -347,7 +355,7 @@ def _control_case(
 
     Returns (masses, gains, states, fe0, fe1, fed), with ``states`` the
     desired (qd, qd_dot, qd_ddot) and actual (q, qdot, qddot) components in
-    the argument order of ``implication_residual_kernel``.
+    the argument order of the residual from ``implication_check``.
     """
     masses = MassParams(row[0], row[1], row[2])
     gains = ImpedanceParams(row[3], row[4], row[5])
@@ -366,21 +374,26 @@ def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
     n = _trials("implication", trials)
     worst_stage = 0.0
     worst_ident = 0.0
-    identity_frame = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
+    identity_ops = frame_operators(
+        FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0))
+    # the frame columns are drawn but not read: the stage-consistent law
+    # reads no frame, and dropping them would change every row's values
     rows = _draw_rows(_rng(seed), _CONTROL_CASE_BOUNDS + _FRAME_BOUNDS, n)
     for row in rows:
         masses, gains, states, fe0, fe1, fed = _control_case(row)
-        frame = FrameParams(*row[_FRAME_COLUMNS])
         *_, v0, v1, a0, a1 = states
-        scale = _residual_scale(*required_torque_kernel(masses, fed)(a0, a1, v0, v1))
+        m_mat = mass_matrix(masses)
+        required = required_torque_kernel(m_mat, fed)
+        scale = _residual_scale(*required(a0, a1, v0, v1))
+        residual_for = implication_check(gains, required)
 
-        r0, r1 = implication_residual_kernel(
-            ControllerVariant.STAGE_CONSISTENT, masses, frame, gains, fed,
+        r0, r1 = residual_for(torque_law(
+            ControllerVariant.STAGE_CONSISTENT, m_mat, None)(gains, fed),
         )(*states, fe0, fe1)
         worst_stage = _fold(worst_stage, abs(r0) / scale, abs(r1) / scale)
 
-        r0, r1 = implication_residual_kernel(
-            ControllerVariant.CORRECTED, masses, identity_frame, gains, fed,
+        r0, r1 = residual_for(torque_law(
+            ControllerVariant.CORRECTED, m_mat, identity_ops)(gains, fed),
         )(*states, fe0, fe1)
         worst_ident = _fold(worst_ident, abs(r0) / scale, abs(r1) / scale)
     return [
@@ -395,9 +408,11 @@ def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
 
 def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
     n = _trials("discrepancy", trials)
-    skewed = FrameParams(alpha=math.pi / 6, dx=1.0, dy=1.0, fx=2.0, fy=4.0)
-    identity_frame = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
     corrected = ControllerVariant.CORRECTED
+    skewed_ops = frame_operators(
+        FrameParams(alpha=math.pi / 6, dx=1.0, dy=1.0, fx=2.0, fy=4.0))
+    identity_ops = frame_operators(
+        FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0))
 
     min_gap = math.inf
     max_gap = 0.0
@@ -415,10 +430,11 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
         ed0, ed1 = qv0 - v0, qv1 - v1
         law_args = (qa0, qa1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
         c0, c1 = commanded_accel_kernel(gains)(*law_args[:8])
+        m_mat = mass_matrix(masses)
 
-        s0, s1 = torque_kernel(ControllerVariant.SIM_PAPER, masses, skewed,
-                               gains, fed)(*law_args)
-        k0, k1 = torque_kernel(corrected, masses, skewed, gains, fed)(*law_args)
+        s0, s1 = torque_law(ControllerVariant.SIM_PAPER, m_mat, None)(
+            gains, fed)(*law_args)
+        k0, k1 = torque_law(corrected, m_mat, skewed_ops)(gains, fed)(*law_args)
         gap = _fold(abs(s0 - k0), abs(s1 - k1))
         if c0 != 0.0 or c1 != 0.0:
             min_gap = _fold(min_gap, gap, lowest=True)
@@ -428,14 +444,14 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
 
         # the stage-space law reads no frame: SimPaper at the identity frame
         # is (s0, s1)
-        i0, i1 = torque_kernel(corrected, masses, identity_frame, gains,
-                               fed)(*law_args)
+        i0, i1 = torque_law(corrected, m_mat, identity_ops)(gains, fed)(*law_args)
         worst_collapse = _fold(worst_collapse, abs(s0 - i0), abs(s1 - i1))
 
-        frame = FrameParams(*row[_FRAME_COLUMNS])
-        f0, f1 = torque_kernel(corrected, masses, frame, gains, fed)(*law_args)
-        m0, m1 = torque_kernel(ControllerVariant.MC_PAPER, masses, frame, gains,
-                               fed)(*law_args)
+        frame_ops = frame_operators(FrameParams(*row[_FRAME_COLUMNS]))
+        corrected_law = torque_law(corrected, m_mat, frame_ops)
+        f0, f1 = corrected_law(gains, fed)(*law_args)
+        m0, m1 = torque_law(ControllerVariant.MC_PAPER, m_mat, frame_ops)(
+            gains, fed)(*law_args)
         scale = _residual_scale(f0, f1)
         worst_subst = _fold(
             worst_subst,
@@ -445,7 +461,7 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
 
         lam = row[-1]
         scaled_gains = ImpedanceParams(lam * gains.m, lam * gains.b, lam * gains.k)
-        g0, g1 = torque_kernel(corrected, masses, frame, scaled_gains, fed)(
+        g0, g1 = corrected_law(scaled_gains, fed)(
             qa0, qa1, e0, e1, ed0, ed1, lam * fe0, lam * fe1, v0, v1,
         )
         term_mag = (

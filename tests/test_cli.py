@@ -235,6 +235,55 @@ class TestSimulateCommand:
         assert result["rms_tracking_error"][0] is None
         assert (out / "trace_StageConsistent.csv").exists()
 
+    def test_info_log_times_each_variant_and_keeps_output(self, tmp_path):
+        config = write_config(
+            tmp_path / "scenario.json",
+            run={"t_end": 0.2, "dt": 0.001, "variants": list(ALL_VARIANTS)},
+        )
+        out = tmp_path / "out"
+        args = ("simulate", "--config", str(config), "--out", str(out), "--svg")
+        quiet = run_cli(*args)
+        chatty = run_cli(*args, env_extra={"MICROINJECT_LOG": "info"})
+        assert quiet.returncode == chatty.returncode == 0
+        assert quiet.stderr == ""
+        assert chatty.stdout == quiet.stdout
+        timed = re.findall(
+            r"^INFO variant (\w+): closed loop \d+\.\d{3} s, "
+            r"trace files \d+\.\d{3} s$",
+            chatty.stderr, re.MULTILINE)
+        assert timed == list(ALL_VARIANTS)
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+        }
+        assert digests == ALL_VARIANTS_SHA256
+
+    def test_frame_that_cannot_be_inverted_exits_2_before_writing(self, tmp_path):
+        # fx, fy > 0, but T fails the inversion cutoff that Corrected and
+        # McPaper go through; the stage-space variants never invert T
+        frame = {"alpha": 0.0, "dx": 1.0, "dy": 1.0, "fx": 1e7, "fy": 1e-7}
+        config = write_config(
+            tmp_path / "scenario.json", frame=frame,
+            run={"t_end": 0.05, "dt": 0.001, "variants": ["SimPaper", "Corrected"]},
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        proc = run_cli("simulate", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 2
+        assert "config error: frame:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert list(out.iterdir()) == []
+
+        config = write_config(
+            tmp_path / "scenario.json", frame=frame,
+            run={"t_end": 0.05, "dt": 0.001, "variants": ["SimPaper"]},
+        )
+        proc = run_cli("simulate", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.json", "trace_SimPaper.csv"]
+
     def test_log_env_var_controls_stderr(self, tmp_path):
         config = write_config(tmp_path / "scenario.json")
         out = tmp_path / "out"

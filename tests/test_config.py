@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from microinject.config import InvariantError, ParseError, parse_config
+from microinject.config import MAX_STEPS, InvariantError, ParseError, parse_config
 from microinject.control import ControllerVariant
 from microinject.sim import TrajectoryKind
 
@@ -165,6 +165,36 @@ class TestInvariantErrors:
         doc = base_config()
         doc["run"]["dt"] = 0.0
         with pytest.raises(InvariantError, match="run.dt must be > 0"):
+            parse_config(dumps(doc))
+
+    def test_step_cap(self):
+        doc = base_config()
+        doc["run"]["t_end"] = 1.0
+        doc["run"]["dt"] = 1.0 / MAX_STEPS
+        assert parse_config(dumps(doc)).dt == 1.0 / MAX_STEPS
+        for t_end, dt in ((1.0, 1e-9), (2.0, 1.0 / MAX_STEPS), (1e308, 1e-308)):
+            doc["run"]["t_end"] = t_end
+            doc["run"]["dt"] = dt
+            with pytest.raises(InvariantError,
+                               match=r"run\.t_end / run\.dt must be <="):
+                parse_config(dumps(doc))
+
+    @pytest.mark.parametrize("variants, rejected", [
+        (["Corrected"], True),
+        (["SimPaper", "McPaper"], True),
+        (["SimPaper", "StageConsistent"], False),
+    ])
+    def test_frame_must_be_invertible_for_transform_weighted_variants(
+        self, variants, rejected
+    ):
+        # fx, fy > 0 but T fails the inversion cutoff: det = 1 against 100
+        doc = base_config()
+        doc["frame"].update(alpha=0.0, fx=1e7, fy=1e-7)
+        doc["run"]["variants"] = variants
+        if not rejected:
+            assert parse_config(dumps(doc)).frame.fx == 1e7
+            return
+        with pytest.raises(InvariantError, match=r"^frame: .*cannot be inverted"):
             parse_config(dumps(doc))
 
     def test_empty_variants(self):

@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microinject.algebra2d import Vec2, mat_inv, mat_mul, mat_vec_mul
+from microinject.algebra2d import SingularMatrix, Vec2, mat_inv, mat_mul, mat_vec_mul
 from microinject.control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
     ErrorState,
     ImpedanceParams,
     PreconditionViolated,
+    STAGE_SPACE_VARIANTS,
     commanded_accel,
     error_state,
     force_control_residual,
+    frame_operators,
     impedance_accel,
     implication_residual,
     required_torque,
     torque_controller,
+    torque_kernel,
+    torque_law,
 )
 from microinject.dynamics import (
     ForcePair,
@@ -300,6 +304,81 @@ def test_float_kernels_match_vec2_formulas_bitwise():
                     + mat_vec_mul(damping_matrix(), qdot) + fed.vec)
         assert bits(required_torque(masses, errors.eddot, qdot, fed).vec) == bits(
             required), i
+
+
+def test_torque_law_levels_match_vec2_formulas_bitwise():
+    # the composed torque_kernel and builds hoisted as the verify suites make
+    # them: each frame's operators built once for every draw, M formed once
+    # per draw for all four laws, and one masses-level law bound to two sets
+    # of gains; all give the bits of the Vec2 laws
+    special = (0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+    rng = random.Random(13)
+
+    def draw():
+        return rng.choice(special) if rng.random() < 0.2 else rng.uniform(-5.0, 5.0)
+
+    def vec():
+        return Vec2(draw(), draw())
+
+    def bits(v):
+        return v.a0.hex(), v.a1.hex()
+
+    frames = [IDENTITY_FRAME, SKEWED_FRAME,
+              FrameParams(-0.0, 1.0, 1.0, 1.0, 1.0),
+              FrameParams(-0.0, 1.0, 1.0, 3.0, 0.5)] + [
+        FrameParams(rng.uniform(-3.0, 3.0), 1.0, 1.0, rng.uniform(0.2, 5.0),
+                    rng.uniform(0.2, 5.0)) for _ in range(4)]
+    frame_ops = [frame_operators(frame) for frame in frames]
+
+    def random_gains():
+        return ImpedanceParams(rng.uniform(0.2, 3.0), rng.uniform(1.0, 30.0),
+                               rng.uniform(1.0, 200.0))
+
+    for i in range(800):
+        frame, ops = frames[i % len(frames)], frame_ops[i % len(frames)]
+        masses = MassParams(*(rng.uniform(0.1, 3.0) for _ in range(3)))
+        m_mat = mass_matrix(masses)
+        gains, other_gains = random_gains(), random_gains()
+        desired = DesiredTrajectoryPoint(vec(), vec(), vec())
+        errors = ErrorState(vec(), vec(), vec())
+        qdot = vec()
+        fe, fed = ForcePair(draw(), draw()), ForcePair(draw(), draw())
+        args = (desired.qd_ddot.a0, desired.qd_ddot.a1, errors.e.a0,
+                errors.e.a1, errors.edot.a0, errors.edot.a1, fe.fex, fe.fey,
+                qdot.a0, qdot.a1)
+        for variant in ControllerVariant:
+            # a stage-space law reads no frame operators, given or not
+            laws = [torque_law(variant, m_mat, ops)]
+            if variant in STAGE_SPACE_VARIANTS:
+                laws.append(torque_law(variant, m_mat, None))
+            for g in (gains, other_gains):
+                want = bits(_vec2_torque(variant, masses, frame, g, desired,
+                                         qdot, errors, fe, fed))
+                composed = torque_kernel(variant, masses, frame, g, fed)(*args)
+                assert bits(Vec2(*composed)) == want, (i, variant)
+                for law in laws:
+                    assert bits(Vec2(*law(g, fed)(*args))) == want, (i, variant)
+
+
+def test_only_transform_weighted_laws_invert_the_frame():
+    # det T = fx*fy = 1 passes FrameParams, but T fails mat_inv's
+    # scale-relative cutoff; the stage-space laws never form T
+    frame = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1e7, fy=1e-7)
+    masses = MassParams(0.8, 1.1, 0.6)
+    gains = ImpedanceParams(0.9, 7.0, 40.0)
+    fed = ForcePair(0.5, 0.25)
+    args = (-0.4, 0.9, 0.1, -0.3, 0.2, 0.05, 1.5, -0.5, 0.8, -0.5)
+    with pytest.raises(SingularMatrix):
+        frame_operators(frame)
+    for variant in ControllerVariant:
+        if variant in STAGE_SPACE_VARIANTS:
+            tau = torque_kernel(variant, masses, frame, gains, fed)(*args)
+            assert tau == torque_kernel(variant, masses, SKEWED_FRAME, gains,
+                                        fed)(*args)
+            assert all(math.isfinite(t) for t in tau)
+        else:
+            with pytest.raises(SingularMatrix):
+                torque_kernel(variant, masses, frame, gains, fed)
 
 
 def _vec2_implication_residual(variant, masses, frame, gains, desired, actual,

@@ -302,7 +302,7 @@ def test_inverse_dynamics_kernel_matches_vec2_formula_bitwise():
         masses = MassParams(*(rng.uniform(0.1, 3.0) for _ in range(3)))
         a, v, tau, fed = (Vec2(draw(), draw()) for _ in range(4))
         lhs = mat_vec_mul(mass_matrix(masses), a) + mat_vec_mul(damping_matrix(), v)
-        got = inverse_dynamics_kernel(masses)(a.a0, a.a1, v.a0, v.a1)
+        got = inverse_dynamics_kernel(mass_matrix(masses))(a.a0, a.a1, v.a0, v.a1)
         assert _bits(*got) == _bits(lhs.a0, lhs.a1), (masses, a, v)
         res = dynamics_residual(masses, a, v, Torque(tau.a0, tau.a1),
                                 ForcePair(fed.a0, fed.a1))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from microinject import verify
+from microinject import control, verify
 from microinject.control import ControllerVariant
 
 # SHA-256 of the "name passed worst.hex() trials" lines of run_suite("all", 0)
@@ -82,21 +82,29 @@ def test_non_positive_trials_are_rejected(suite, trials):
 def nan_on_build(factory, build, variant=None, both=False):
     """Wrap a kernel factory so that the ``build``-th kernel it returns
     (counting only the builds for ``variant``, when given) gives NaN as its
-    second component, a NaN that ``max`` would drop, or as both."""
+    second component, a NaN that ``max`` would drop, or as both.
+
+    ``control.torque_law`` returns a binder of gains and fed, not a kernel;
+    for it, every kernel that the ``build``-th binder returns gives NaN.
+    """
     builds = itertools.count()
 
-    def patched(*args, **kwargs):
-        kernel = factory(*args, **kwargs)
-        if variant is not None and args[0] is not variant:
-            return kernel
-        if next(builds) != build:
-            return kernel
-
-        def nan_kernel(*values):
+    def nan_kernel(kernel):
+        def patched_kernel(*values):
             first, _ = kernel(*values)
             return (math.nan if both else first), math.nan
 
-        return nan_kernel
+        return patched_kernel
+
+    def patched(*args, **kwargs):
+        made = factory(*args, **kwargs)
+        if variant is not None and args[0] is not variant:
+            return made
+        if next(builds) != build:
+            return made
+        if factory is control.torque_law:
+            return lambda *binding: nan_kernel(made(*binding))
+        return nan_kernel(made)
 
     return patched
 
@@ -107,26 +115,26 @@ def nan_on_build(factory, build, variant=None, both=False):
         ("dynamics", [("inverse_dynamics_kernel", None, False)],
          {"dynamics.closed_form_residual"}),
         ("implication",
-         [("implication_residual_kernel", ControllerVariant.STAGE_CONSISTENT,
-           False)],
+         [("torque_law", ControllerVariant.STAGE_CONSISTENT, False)],
          {"implication.stage_consistent"}),
         ("implication",
-         [("implication_residual_kernel", ControllerVariant.CORRECTED, False)],
+         [("torque_law", ControllerVariant.CORRECTED, False)],
          {"implication.corrected_identity_frame"}),
-        ("discrepancy", [("torque_kernel", ControllerVariant.SIM_PAPER, False)],
+        ("discrepancy", [("torque_law", ControllerVariant.SIM_PAPER, False)],
          {"discrepancy.missing_transform_gap",
           "discrepancy.identity_frame_collapse"}),
         # a NaN commanded acceleration must not exclude the trial's gap
         ("discrepancy", [("commanded_accel_kernel", None, True),
-                         ("torque_kernel", ControllerVariant.SIM_PAPER, True)],
+                         ("torque_law", ControllerVariant.SIM_PAPER, True)],
          {"discrepancy.missing_transform_gap",
           "discrepancy.identity_frame_collapse"}),
-        ("discrepancy", [("torque_kernel", ControllerVariant.MC_PAPER, False)],
+        ("discrepancy", [("torque_law", ControllerVariant.MC_PAPER, False)],
          {"discrepancy.force_substitution_identity"}),
     ],
 )
 def test_nan_residual_fails_its_property(monkeypatch, suite, patches, failing):
-    # the NaN comes from the fourth trial, after finite residuals
+    # the NaN comes from the fourth trial, after finite residuals; each
+    # patched build runs once per trial
     for kernel, variant, both in patches:
         monkeypatch.setattr(verify, kernel,
                             nan_on_build(getattr(verify, kernel), 3, variant, both))
