@@ -24,7 +24,7 @@ import time
 from typing import List, Optional
 
 from . import report
-from .config import ScenarioConfig, load_config
+from .config import MAX_STEPS, ScenarioConfig, load_config
 from .dynamics import (
     MassParams,
     NonFiniteState,
@@ -181,6 +181,11 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
             raise ValueError("dt must be > 0")
         if not args.t_end >= 0.0:
             raise ValueError("t-end must be >= 0")
+        if not args.t_end / args.dt <= MAX_STEPS:
+            raise ValueError(
+                f"t-end / dt must be <= {MAX_STEPS} steps, "
+                f"got {args.t_end / args.dt:.6g}"
+            )
         for name in ("x0", "y0", "xd0", "yd0"):
             if not math.isfinite(getattr(args, name)):
                 raise ValueError(f"{name} must be finite")

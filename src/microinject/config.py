@@ -25,7 +25,7 @@ from .sim import MembraneModel, TrajectoryKind, TrajectorySpec
 
 
 # The most steps (run.t_end / run.dt) a run may take.  A run keeps its time
-# grid and every trace row in memory, about 0.6 KB a step, so this bounds a
+# grid and every trace row in memory, about 0.5 KB a step, so this bounds a
 # variant's run to well under 1 GB; the README scenario takes 5,000 steps.
 MAX_STEPS = 1_000_000
 

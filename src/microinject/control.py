@@ -54,16 +54,6 @@ level once for as long as it holds:
   L = M in stage space;
 * the gains/tail level, ``bind(gains, fed)`` from ``torque_law``:
   ``commanded_accel_kernel(gains)`` and the tail, fed or fe.
-
-``torque_kernel`` binds all three at once; the closed loop in ``sim``
-calls it once per law and run, and ``compare_variants`` once per variant.
-The ``discrepancy`` verify suite builds the skewed and identity frames'
-operators once per ensemble; per trial it forms M once, builds the drawn
-frame's operators once and shares them between CORRECTED, MC_PAPER and
-the scaled-gain CORRECTED, whose gains level alone is bound again.  The
-``implication`` suite builds its identity frame's operators once per
-ensemble, and M, the required torque and ``implication_check`` once per
-trial, for the two laws it checks.
 """
 
 from __future__ import annotations

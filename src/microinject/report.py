@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .sim import RunMetrics, TraceRow
 
-TRACE_HEADER = "t,x,y,xdot,ydot,xd,yd,fex,fey,taux,tauy,taux_oracle,tauy_oracle"
+TRACE_HEADER = ",".join(TraceRow._fields)
 FREE_RESPONSE_HEADER = "t,x_closed,y_closed,x_rk4,y_rk4,err_x,err_y"
 
 
@@ -22,21 +22,15 @@ def fmt(value: float) -> str:
 
 
 def write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
+    """One line per row, each value rendered as ``fmt`` renders it."""
+    line = ",".join(["%.17g"] * len(header.split(","))) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-
-
-def trace_row_values(row: TraceRow) -> Tuple[float, ...]:
-    return (
-        row.t, row.x, row.y, row.xdot, row.ydot, row.xd, row.yd,
-        row.fex, row.fey, row.taux, row.tauy, row.taux_oracle, row.tauy_oracle,
-    )
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_trace_csv(path: str, rows: Sequence[TraceRow]) -> None:
-    write_csv(path, TRACE_HEADER, (trace_row_values(r) for r in rows))
+    write_csv(path, TRACE_HEADER, rows)
 
 
 def metrics_to_dict(metrics: RunMetrics) -> Dict[str, object]:

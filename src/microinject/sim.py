@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra2d import Vec2, mat_inv
 from .control import (
@@ -122,9 +122,12 @@ class RunMetrics:
     diverged: bool = False
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One sample of a closed-loop run; field order matches the CSV schema."""
+class TraceRow(NamedTuple):
+    """One sample of a closed-loop run.
+
+    The field order is the trace CSV schema: ``report`` takes its header
+    from ``_fields`` and writes each row's values in this order.
+    """
 
     t: float
     x: float
@@ -141,14 +144,7 @@ class TraceRow:
     tauy_oracle: float
 
     def is_finite(self) -> bool:
-        # a chain of calls, not all() over a generator: every step checks a row
-        f = math.isfinite
-        return (
-            f(self.t) and f(self.x) and f(self.y) and f(self.xdot)
-            and f(self.ydot) and f(self.xd) and f(self.yd) and f(self.fex)
-            and f(self.fey) and f(self.taux) and f(self.tauy)
-            and f(self.taux_oracle) and f(self.tauy_oracle)
-        )
+        return all(map(math.isfinite, self))
 
 
 def _trajectory_kernel(spec: TrajectorySpec) -> Callable[[float], Tuple[float, ...]]:

@@ -84,8 +84,6 @@ from .frames import (
     transformation_matrix,
 )
 
-SUITE_NAMES = ("frames", "dynamics", "implication", "discrepancy", "all")
-
 _DEFAULT_TRIALS = {
     "frames": 10_000,
     "dynamics": 1_000,
@@ -506,6 +504,8 @@ _SUITES: Dict[str, Callable[[int, Optional[int]], List[PropertyResult]]] = {
     "implication": implication_suite,
     "discrepancy": discrepancy_suite,
 }
+
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, seed: int, trials: Optional[int] = None) -> List[PropertyResult]:

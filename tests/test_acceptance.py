@@ -44,7 +44,7 @@ from microinject.frames import (
     stage_to_image,
     transformation_matrix,
 )
-from microinject.report import trace_row_values, write_trace_csv
+from microinject.report import write_trace_csv
 from microinject.sim import (
     MembraneModel,
     TrajectoryKind,
@@ -281,8 +281,7 @@ def test_criterion_6_missing_transform_discrepancy():
     rows_corr, _ = run_closed_loop(ControllerVariant.CORRECTED, *shared)
     rows_sim, _ = run_closed_loop(ControllerVariant.SIM_PAPER, *shared)
     bitwise_equal = len(rows_corr) == len(rows_sim) and all(
-        tuple("%.17g" % v for v in trace_row_values(a))
-        == tuple("%.17g" % v for v in trace_row_values(b))
+        tuple("%.17g" % v for v in a) == tuple("%.17g" % v for v in b)
         for a, b in zip(rows_corr, rows_sim)
     )
     ok = separated and checked > 0 and bitwise_equal

@@ -351,6 +351,75 @@ class TestFreeResponseCommand:
         assert proc.returncode == 1
         assert "diverged" in proc.stderr
 
+    @staticmethod
+    def _run_with_integrate_stubbed(monkeypatch, tmp_path, t_end, dt):
+        # in-process, with the integrator replaced by a recorder, so that a
+        # huge step count costs nothing if the cap lets it through
+        from microinject import cli
+
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return []
+
+        monkeypatch.setattr(cli, "integrate", record)
+        out = tmp_path / "x.csv"
+        code = cli.main([
+            "free-response", "--mx", "1", "--my", "1", "--mp", "1",
+            "--x0", "0", "--y0", "0", "--xd0", "1", "--yd0", "0",
+            "--t-end", t_end, "--dt", dt, "--out", str(out),
+        ])
+        return code, calls, out
+
+    def test_step_count_over_cap_exits_2_before_integrating(
+        self, tmp_path, monkeypatch, capsys,
+    ):
+        code, calls, out = self._run_with_integrate_stubbed(
+            monkeypatch, tmp_path, "1", "1e-9")
+        assert code == 2
+        assert calls == []
+        assert not out.exists()
+        assert "invalid parameters" in capsys.readouterr().err
+
+    def test_step_count_at_cap_reaches_integrate(self, tmp_path, monkeypatch):
+        from microinject.config import MAX_STEPS
+
+        code, calls, _ = self._run_with_integrate_stubbed(
+            monkeypatch, tmp_path, str(MAX_STEPS), "1")
+        assert code == 0
+        assert len(calls) == 1
+
+
+def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
+    # one line format per file must write what fmt writes value by value,
+    # for a diverged trace's flagged last row and for a free-response row
+    from microinject.report import (
+        FREE_RESPONSE_HEADER, fmt, write_csv, write_trace_csv,
+    )
+    from microinject.sim import TraceRow
+
+    special = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+               1.7976931348623157e308)
+    trace_row = TraceRow(0.25, *special, *special)
+    free_row = (1e-3, *special)
+
+    trace_path = tmp_path / "trace.csv"
+    write_trace_csv(str(trace_path), [trace_row])
+    assert trace_path.read_bytes() == (
+        TRACE_HEADER + "\n" + ",".join(fmt(v) for v in trace_row) + "\n"
+    ).encode()
+
+    free_path = tmp_path / "free.csv"
+    write_csv(str(free_path), FREE_RESPONSE_HEADER, [free_row])
+    expected_line = ",".join(fmt(v) for v in free_row)
+    assert expected_line == (
+        "0.001,nan,inf,-inf,-0,4.9406564584124654e-324,1.7976931348623157e+308"
+    )
+    assert free_path.read_bytes() == (
+        FREE_HEADER + "\n" + expected_line + "\n"
+    ).encode()
+
 
 def test_svg_of_rows_spanning_past_float_range_has_only_finite_coordinates(
     tmp_path,
