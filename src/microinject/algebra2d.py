@@ -1,9 +1,13 @@
 """Exact-width linear algebra kernel: 2-vectors and 2x2 matrices.
 
-Plain-float frozen dataclasses rather than numpy arrays: every quantity in
-this package is exactly two-dimensional, the hot loops are scalar either
-way, and bit-reproducible simulation traces require full control over
-evaluation order.
+Frozen dataclasses of named entries rather than 2-vector and 2x2 numpy
+arrays: every quantity in this package is exactly two-dimensional, and
+bit-reproducible simulation traces require full control over evaluation
+order.  An entry is a float, or a float64 array holding one lane per trial
+of a verify ensemble.  The operations are elementwise ``+ - * /``, which
+numpy rounds lane by lane as Python rounds floats; ``lane_max`` and
+``mat_inv``'s cutoff keep the per-lane meaning of ``max`` and of the scalar
+check.
 """
 
 from __future__ import annotations
@@ -11,9 +15,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class SingularMatrix(ValueError):
     """Raised when a matrix determinant falls below the invertibility cutoff."""
+
+
+def lane_max(first, *rest):
+    """``max(first, *rest)``, lane by lane for float64 arrays.
+
+    A later value replaces the running one only where it is greater, as
+    ``max`` does, so a NaN after the first value is dropped and a NaN first
+    value is kept.  On floats this is ``max``; an array among the values
+    folds as ``np.where(value > acc, value, acc)``.
+    """
+    acc = first
+    for value in rest:
+        greater = value > acc
+        if isinstance(greater, np.ndarray):
+            acc = np.where(greater, value, acc)
+        elif greater:
+            acc = value
+    return acc
 
 
 @dataclass(frozen=True)
@@ -52,7 +76,7 @@ class Mat2:
     m11: float
 
     def max_abs(self) -> float:
-        return max(abs(self.m00), abs(self.m01), abs(self.m10), abs(self.m11))
+        return lane_max(abs(self.m00), abs(self.m01), abs(self.m10), abs(self.m11))
 
 
 def identity() -> Mat2:
@@ -92,18 +116,26 @@ def singularity_threshold(m: Mat2) -> float:
     Relative to the squared max-entry norm so that well-conditioned matrices
     with large entries are not misclassified as singular.
     """
-    return 1e-12 * max(1.0, m.max_abs() ** 2)
+    return 1e-12 * lane_max(1.0, m.max_abs() ** 2)
 
 
 def mat_inv(m: Mat2) -> Mat2:
     """Inverse via adjugate over determinant.
 
     Raises SingularMatrix when |det| does not exceed the scale-relative
-    cutoff; callers must treat the corresponding transformation as
-    non-invertible.
+    cutoff, for lanes when any lane fails it (naming the first); callers
+    must treat the corresponding transformation as non-invertible.
     """
     d = det(m)
-    if not abs(d) > singularity_threshold(m):
+    invertible = abs(d) > singularity_threshold(m)
+    if isinstance(invertible, np.ndarray):
+        if not invertible.all():
+            lane = int(invertible.argmin())
+            raise SingularMatrix(
+                f"matrix is singular within tolerance in lane {lane} "
+                f"(|det|={abs(d[lane]):.3e})"
+            )
+    elif not invertible:
         raise SingularMatrix(
             f"matrix is singular within tolerance (|det|={abs(d):.3e})"
         )

@@ -37,19 +37,28 @@ constant operators once: the torque law (L = M or M@T, N = B or
 (B@T_inv)@T, and the tail force), ``commanded_accel_kernel``,
 ``impedance_accel_kernel``, ``force_control_residual_kernel``,
 ``required_torque_kernel`` (over ``dynamics.inverse_dynamics_kernel``) and
-``implication_check``, which combines the force-control residual, a
-torque law and the required torque.  ``torque_controller``,
-``commanded_accel``, ``impedance_accel``, ``force_control_residual``,
-``required_torque`` and ``implication_residual`` build their kernel and
-evaluate it once.  The kernels perform the float operations of the
-``Vec2`` algebra in the same order, products with structural zeros
-included, so they match the ``Vec2`` formulas bit for bit.
+``implication_check``, which tests the impedance-law precondition once per
+state and then combines a torque law with the required torque.
+``torque_controller``, ``commanded_accel``, ``impedance_accel``,
+``force_control_residual``, ``required_torque`` and
+``implication_residual`` build their kernel and evaluate it once.  The
+kernels perform the float operations of the ``Vec2`` algebra in the same
+order, products with structural zeros included, so they match the
+``Vec2`` formulas bit for bit.
+
+The kernels are number-generic over floats and float64 arrays: every
+operation is elementwise ``+ - * /`` or ``abs``, and every ``max`` is
+``algebra2d.lane_max``, so given parameters and states whose entries are
+arrays, one lane per trial, they give each lane the bits they give its
+floats.  The ``verify`` control suites run them that way, a chunk of
+trials per call.
 
 The torque law binds at three levels, so that a caller can build each
 level once for as long as it holds:
 
-* the frame level, ``frame_operators(frame)`` = (T, N): the only place T
-  is inverted.  The stage-space variants never form T;
+* the frame level, ``frame_operators(frame)`` = (T, N), over
+  ``transform_operators(T)``, the only place T is inverted.  The
+  stage-space variants never form T;
 * the masses level, ``torque_law(variant, M, frame_ops)``: L = M@T, or
   L = M in stage space;
 * the gains/tail level, ``bind(gains, fed)`` from ``torque_law``:
@@ -63,7 +72,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .algebra2d import Mat2, Vec2, mat_inv, mat_mul
+import numpy as np
+
+from .algebra2d import Mat2, Vec2, lane_max, mat_inv, mat_mul
 from .dynamics import (
     ForcePair,
     MassParams,
@@ -80,7 +91,15 @@ _B = damping_matrix()
 
 class PreconditionViolated(ValueError):
     """The supplied states do not satisfy the impedance law; the result
-    of an implication check would not be probative."""
+    of an implication check would not be probative.
+
+    ``lane`` is the first violating lane when the states are float64
+    lanes, and None for float states.
+    """
+
+    def __init__(self, message: str, lane: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.lane = lane
 
 
 @dataclass(frozen=True)
@@ -264,16 +283,20 @@ def commanded_accel(
     ))
 
 
-def frame_operators(frame: FrameParams) -> Tuple[Mat2, Mat2]:
-    """The frame level of the transform-weighted torque laws: (T, N) with
-    T = transformation_matrix(frame) and N = (B@T_inv)@T.
+def transform_operators(t_mat: Mat2) -> Tuple[Mat2, Mat2]:
+    """The frame level of the transform-weighted torque laws from the
+    stage-to-image matrix T: (T, N) with N = (B@T_inv)@T.
 
     The only place a torque law inverts T; raises SingularMatrix when T
     fails ``mat_inv``'s scale-relative cutoff.  The stage-space variants
     never call it.
     """
-    t_mat = transformation_matrix(frame)
     return t_mat, mat_mul(mat_mul(_B, mat_inv(t_mat)), t_mat)
+
+
+def frame_operators(frame: FrameParams) -> Tuple[Mat2, Mat2]:
+    """``transform_operators`` of T = transformation_matrix(frame)."""
+    return transform_operators(transformation_matrix(frame))
 
 
 def torque_law(
@@ -370,53 +393,66 @@ def torque_controller(
 
 def implication_check(
     gains: ImpedanceParams, required: Callable[..., Tuple[float, float]],
-) -> Callable[[Callable[..., Tuple[float, float]]], Callable[..., Tuple[float, float]]]:
-    """The implication check in floats, with the force-control residual
-    and the required-torque kernel ``required`` (from
-    ``required_torque_kernel``) bound once.
+) -> Callable[..., Callable[[Callable[..., Tuple[float, float]]], Tuple[float, float]]]:
+    """The implication check, with the force-control residual and the
+    required-torque kernel ``required`` (from ``required_torque_kernel``)
+    bound once.
 
-    Returns ``residual_for(torque)``, which takes a kernel from
-    ``torque_law`` or ``torque_kernel`` and returns ``residual(qd0, qd1,
-    qdv0, qdv1, qdd0, qdd1, q0, q1, v0, v1, a0, a1, fe0, fe1)``: from the
-    desired position, velocity and acceleration, the actual ones and the
-    contact force, the torque minus the dynamics-inversion torque.  It
-    raises PreconditionViolated when the states break the impedance law.
+    Returns ``check(qd0, qd1, qdv0, qdv1, qdd0, qdd1, q0, q1, v0, v1, a0,
+    a1, fe0, fe1)``, which takes the desired position, velocity and
+    acceleration, the actual ones and the contact force.  It raises
+    PreconditionViolated when the states break the impedance law, naming
+    the first violating lane of float64 lanes.  Otherwise it returns
+    ``residual_of(torque)``, which takes a kernel from ``torque_law`` or
+    ``torque_kernel`` and gives the torque minus the dynamics-inversion
+    torque at those states, so the precondition is tested once for any
+    number of laws.
     """
     fc_residual = force_control_residual_kernel(gains)
     m, b, k = gains.m, gains.b, gains.k
 
-    def residual_for(
-        torque: Callable[..., Tuple[float, float]],
-    ) -> Callable[..., Tuple[float, float]]:
-        def residual(
-            qd0: float, qd1: float, qdv0: float, qdv1: float,
-            qdd0: float, qdd1: float, q0: float, q1: float, v0: float,
-            v1: float, a0: float, a1: float, fe0: float, fe1: float,
-        ) -> Tuple[float, float]:
-            e0, e1 = qd0 - q0, qd1 - q1
-            ed0, ed1 = qdv0 - v0, qdv1 - v1
-            edd0, edd1 = qdd0 - a0, qdd1 - a1
-            f0, f1 = fc_residual(e0, e1, ed0, ed1, edd0, edd1, fe0, fe1)
-            fc_max = max(abs(f0), abs(f1))
-            scale = max(
-                1.0,
-                max(abs(fe0), abs(fe1)),
-                max(abs(m * edd0), abs(m * edd1)),
-                max(abs(b * ed0), abs(b * ed1)),
-                max(abs(k * e0), abs(k * e1)),
-            )
-            if fc_max > 1e-9 * scale:
+    def check(
+        qd0: float, qd1: float, qdv0: float, qdv1: float,
+        qdd0: float, qdd1: float, q0: float, q1: float, v0: float,
+        v1: float, a0: float, a1: float, fe0: float, fe1: float,
+    ) -> Callable[[Callable[..., Tuple[float, float]]], Tuple[float, float]]:
+        e0, e1 = qd0 - q0, qd1 - q1
+        ed0, ed1 = qdv0 - v0, qdv1 - v1
+        edd0, edd1 = qdd0 - a0, qdd1 - a1
+        f0, f1 = fc_residual(e0, e1, ed0, ed1, edd0, edd1, fe0, fe1)
+        fc_max = lane_max(abs(f0), abs(f1))
+        bound = 1e-9 * lane_max(
+            1.0,
+            lane_max(abs(fe0), abs(fe1)),
+            lane_max(abs(m * edd0), abs(m * edd1)),
+            lane_max(abs(b * ed0), abs(b * ed1)),
+            lane_max(abs(k * e0), abs(k * e1)),
+        )
+        violated = fc_max > bound
+        if isinstance(violated, np.ndarray):
+            if violated.any():
+                lane = int(violated.argmax())
                 raise PreconditionViolated(
-                    f"impedance-law residual {fc_max:.3e} exceeds "
-                    f"{1e-9 * scale:.3e}; implication check is not probative"
+                    f"impedance-law residual {fc_max[lane]:.3e} exceeds "
+                    f"{bound[lane]:.3e} in lane {lane}; implication check "
+                    "is not probative", lane,
                 )
+        elif violated:
+            raise PreconditionViolated(
+                f"impedance-law residual {fc_max:.3e} exceeds "
+                f"{bound:.3e}; implication check is not probative"
+            )
+        r0, r1 = required(a0, a1, v0, v1)
+
+        def residual_of(
+            torque: Callable[..., Tuple[float, float]],
+        ) -> Tuple[float, float]:
             t0, t1 = torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
-            r0, r1 = required(a0, a1, v0, v1)
             return t0 - r0, t1 - r1
 
-        return residual
+        return residual_of
 
-    return residual_for
+    return check
 
 
 def implication_residual(
@@ -436,14 +472,14 @@ def implication_residual(
     checked and PreconditionViolated raised otherwise, because the
     implication (impedance law + dynamics => torque law) only speaks about
     such states.  For STAGE_CONSISTENT the residual is zero up to rounding
-    whenever the precondition holds.  Builds ``implication_check`` with
-    ``torque_kernel`` and evaluates it once.
+    whenever the precondition holds.  Builds ``implication_check`` and
+    ``torque_kernel`` and evaluates them once.
     """
     q, qdot, qddot = actual
     qd, qd_dot, qd_ddot = desired.qd, desired.qd_dot, desired.qd_ddot
     required = required_torque_kernel(mass_matrix(masses), fed)
     torque = torque_kernel(variant, masses, frame, gains, fed)
-    return Vec2(*implication_check(gains, required)(torque)(
+    return Vec2(*implication_check(gains, required)(
         qd.a0, qd.a1, qd_dot.a0, qd_dot.a1, qd_ddot.a0, qd_ddot.a1,
         q.a0, q.a1, qdot.a0, qdot.a1, qddot.a0, qddot.a1, fe.fex, fe.fey,
-    ))
+    )(torque))

@@ -17,7 +17,9 @@ acceleration from one ``exp`` per axis), ``inverse_dynamics_kernel``
 (M @ a + B @ v), ``stage_accel_kernel`` and ``rk4_kernel``.
 ``free_response``, ``free_response_accel`` and ``dynamics_residual`` wrap
 them and evaluate them once; the ``dynamics`` verify suite binds the first
-two once per trial.
+two once per trial.  ``mass_matrix`` and ``inverse_dynamics_kernel`` are
+elementwise ``+ - *``, so the control verify suites run them on float64
+lanes, one per trial.
 
 The RK4 step is evaluated in one place: ``rk4_kernel`` binds M_inv and B
 once and steps plain floats.  ``rk4_step`` and ``integrate`` wrap it, and

@@ -94,11 +94,20 @@ def rotation_matrix(alpha: float) -> Mat2:
     return Mat2(ca, sa, -sa, ca)
 
 
+def scaled_rotation(fx: float, fy: float, ca: float, sa: float) -> Mat2:
+    """diag(fx, fy) @ [[ca, sa], [-sa, ca]]: the stage-to-image matrix of a
+    frame whose alpha has cosine ``ca`` and sine ``sa``.
+
+    ``transformation_matrix`` passes ``math.cos``/``math.sin`` of one alpha.
+    Float64 lanes of frames pass the per-lane ``math`` values, because
+    numpy's cos and sin need not round as libm does.
+    """
+    return Mat2(fx * ca, fx * sa, -fy * sa, fy * ca)
+
+
 def transformation_matrix(p: FrameParams) -> Mat2:
     """Stage-to-image matrix diag(fx, fy) @ rotation; det = fx*fy."""
-    ca = math.cos(p.alpha)
-    sa = math.sin(p.alpha)
-    return Mat2(p.fx * ca, p.fx * sa, -p.fy * sa, p.fy * ca)
+    return scaled_rotation(p.fx, p.fy, math.cos(p.alpha), math.sin(p.alpha))
 
 
 def image_offset(p: FrameParams) -> Vec2:

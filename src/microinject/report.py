@@ -120,10 +120,14 @@ def _panel_polylines(
 
 
 def write_trace_svg(path: str, rows: Sequence[TraceRow], title: str) -> None:
-    """Two stacked panels (positions, torques) at a fixed 800x480 viewport."""
-    finite = [r for r in rows if r.is_finite()]
+    """Two stacked panels (positions, torques) at a fixed 800x480 viewport.
+
+    ``rows`` are those of ``run_closed_loop``, so only the last row can be
+    non-finite (a diverged run's flagged row); it is not plotted.
+    """
+    finite = rows[:-1] if rows and not rows[-1].is_finite() else rows
     stride = max(1, len(finite) // 800)
-    sampled = finite[::stride]
+    sampled = list(finite[::stride])
     if finite and sampled[-1] is not finite[-1]:
         sampled.append(finite[-1])
     ts = [r.t for r in sampled]

@@ -381,7 +381,8 @@ def compare_variants(
     base_rows, base_metrics = run_closed_loop(
         base, masses, frame, gains, spec, membrane, fed, t_end, dt
     )
-    base_finite = [r for r in base_rows if r.is_finite()]
+    # only a run's last row can be non-finite: a diverged run's flagged row
+    base_finite = base_rows[:-1] if base_metrics.diverged else base_rows
     inputs = _inputs_kernel(spec, membrane)
     reports = []
     for variant in others:
@@ -404,11 +405,9 @@ def compare_variants(
 
         sq_track = 0.0
         paired = 0
-        # only a run's last row can be non-finite, so pairing with the
-        # finite base rows stops where either run stops being finite
-        for rv, rb in zip(rows, base_finite):
-            if not rv.is_finite():
-                break
+        # pairing stops where either run stops being finite
+        finite = rows[:-1] if metrics.diverged else rows
+        for rv, rb in zip(finite, base_finite):
             dx = rv.x - rb.x
             dy = rv.y - rb.y
             sq_track += dx * dx + dy * dy

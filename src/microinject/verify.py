@@ -23,42 +23,58 @@ trial, all of a trial's inputs in their scalar draw order (25 columns for
 generator call per chunk of at most ``_CHUNK_ROWS`` rows; the values are
 those of one scalar ``rng.uniform`` call per input, in the same order.
 
-The ensembles evaluate the float kernels of ``dynamics`` and ``control`` on
-plain floats.  ``dynamics`` binds ``free_response_kernel`` and
-``inverse_dynamics_kernel`` once per trial.  The control suites bind the
-torque laws at the levels of ``control`` (frame, masses, gains/tail):
-``implication`` builds its identity frame's ``frame_operators`` once per
-ensemble, and M, ``required_torque_kernel`` and ``implication_check``
-once per trial, which it applies to the STAGE_CONSISTENT and the
-identity-frame CORRECTED law.  ``discrepancy`` builds the skewed and
-identity frames' operators once per ensemble; per trial it forms M once
-and builds the drawn frame's operators once, shared by CORRECTED, MC_PAPER
-and the scaled-gain CORRECTED.  The
-``Vec2`` functions wrap the same kernels, so each suite checks the code
-the rest of the package runs.  The RK4 checks call ``integrate``.
+``frames`` and ``dynamics`` evaluate trial by trial on floats;
+``dynamics`` binds ``free_response_kernel`` and ``inverse_dynamics_kernel``
+once per trial.  The control suites evaluate a chunk at a time, on the
+chunk's float64 columns, one lane per trial: the kernels of ``control``
+and ``dynamics`` are number-generic, so each call gives every lane the bits
+it gives that trial's floats.  ``implication`` builds its identity frame's
+``frame_operators`` once per ensemble; per chunk it forms M, the required
+torque and ``implication_check`` once, tests the impedance-law
+precondition once per trial, and applies the check to the STAGE_CONSISTENT
+and the identity-frame CORRECTED law.  ``discrepancy`` builds the skewed
+and identity frames' operators once per ensemble; per chunk it forms M and
+the drawn frames' operators once (T from per-lane ``math.cos`` and
+``math.sin``), shared by CORRECTED, MC_PAPER and the scaled-gain
+CORRECTED.  The ``Vec2`` functions wrap the same kernels, so each suite
+checks the code the rest of the package runs.  The RK4 checks call
+``integrate``.
 
-Residuals are folded into their worst case with ``_fold``, which keeps a
-NaN: a property whose residual is NaN fails.
+Residuals are folded into their worst case with ``_fold``, and the lanes
+of a chunk with ``_fold_lanes``, which gives what ``_fold`` gives trial by
+trial.  Both keep a NaN: a property whose residual is NaN fails.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra2d import Vec2, det, mat_inv, mat_mul, mat_vec_mul, transpose
+from .algebra2d import (
+    Mat2,
+    Vec2,
+    det,
+    lane_max,
+    mat_inv,
+    mat_mul,
+    mat_vec_mul,
+    transpose,
+)
 from .control import (
     ControllerVariant,
     ImpedanceParams,
+    PreconditionViolated,
     commanded_accel_kernel,
     frame_operators,
     impedance_accel_kernel,
     implication_check,
     required_torque_kernel,
     torque_law,
+    transform_operators,
 )
 from .dynamics import (
     ForcePair,
@@ -79,6 +95,7 @@ from .frames import (
     camera_to_image,
     image_offset,
     rotation_matrix,
+    scaled_rotation,
     stage_to_camera,
     stage_to_image,
     transformation_matrix,
@@ -91,8 +108,8 @@ _DEFAULT_TRIALS = {
     "discrepancy": 10_000,
 }
 
-# Rows per generator call of the control suites; bounds the Python floats
-# held at once.
+# Rows per generator call of the control suites, and lanes per kernel call;
+# bounds the arrays held at once.
 _CHUNK_ROWS = 1024
 
 
@@ -128,19 +145,20 @@ def _trials(suite: str, trials: Optional[int]) -> int:
 
 def _draw_rows(
     rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], n: int,
-) -> Iterator[List[float]]:
-    """``n`` rows of uniform draws, column j in [lo_j, hi_j) of ``bounds``.
+) -> Iterator[np.ndarray]:
+    """``n`` rows of uniform draws, column j in [lo_j, hi_j) of ``bounds``,
+    in chunks of at most ``_CHUNK_ROWS`` rows, each yielded as its columns:
+    a float64 array of shape (len(bounds), rows).
 
-    One generator call per chunk of at most ``_CHUNK_ROWS`` rows.  numpy
-    fills a chunk in row-major order with lo + (hi - lo) * u, so the rows
-    hold the values of scalar ``rng.uniform(lo_j, hi_j)`` calls made column
-    by column, row by row.
+    One generator call per chunk.  numpy fills a chunk in row-major order
+    with lo + (hi - lo) * u, so the rows hold the values of scalar
+    ``rng.uniform(lo_j, hi_j)`` calls made column by column, row by row.
     """
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     for start in range(0, n, _CHUNK_ROWS):
         shape = (min(_CHUNK_ROWS, n - start), len(bounds))
-        yield from rng.uniform(lo, hi, shape).tolist()
+        yield np.ascontiguousarray(rng.uniform(lo, hi, shape).T)
 
 
 def _fold(acc: float, *values: float, lowest: bool = False) -> float:
@@ -154,6 +172,37 @@ def _fold(acc: float, *values: float, lowest: bool = False) -> float:
         if v != v or (v < acc if lowest else v > acc):
             acc = v
     return acc
+
+
+def _fold_lanes(acc: float, *columns: np.ndarray, lowest: bool = False) -> float:
+    """``_fold`` of ``acc`` with every lane of ``columns``, as a per-trial
+    loop folds them.
+
+    Such a fold ends at a NaN when one is folded, and otherwise at the
+    largest value (the smallest with ``lowest``) when it beats ``acc``.
+    numpy's max and min return NaN when a lane is NaN, so folding each
+    column's extreme gives the same result.
+    """
+    for column in columns:
+        if column.size:
+            extreme = column.min() if lowest else column.max()
+            acc = _fold(acc, float(extreme), lowest=lowest)
+    return acc
+
+
+def _lanes(params: type, *columns: np.ndarray):
+    """An instance of the frozen dataclass ``params`` whose fields hold the
+    float64 ``columns``, one lane per trial.
+
+    Its ``__post_init__`` checks one float per field and is not run: the
+    bounds of every column drawn into these types, and the products of
+    such columns that scale the gains, keep each lane finite and > 0,
+    inside the range it checks.
+    """
+    instance = object.__new__(params)
+    for field, column in zip(dataclasses.fields(params), columns):
+        object.__setattr__(instance, field.name, column)
+    return instance
 
 
 # --- frames ----------------------------------------------------------------
@@ -344,28 +393,63 @@ _FRAME_COLUMNS = slice(len(_CONTROL_CASE_BOUNDS),
 _LAMBDA_BOUNDS = ((0.1, 100.0),)
 
 
-def _control_case(
-    row: List[float],
-) -> Tuple[MassParams, ImpedanceParams, Tuple[float, ...], float, float, ForcePair]:
-    """The scenario of one control row, whose actual states satisfy the
-    impedance law exactly: eddot is solved from the law and
-    qddot = qd_ddot - eddot.
+def _control_lanes(
+    columns: np.ndarray,
+) -> Tuple[MassParams, ImpedanceParams, Tuple[np.ndarray, ...], np.ndarray,
+           np.ndarray, ForcePair]:
+    """The scenarios of a chunk of control rows, one lane per trial, whose
+    actual states satisfy the impedance law exactly: eddot is solved from
+    the law and qddot = qd_ddot - eddot.
 
     Returns (masses, gains, states, fe0, fe1, fed), with ``states`` the
     desired (qd, qd_dot, qd_ddot) and actual (q, qdot, qddot) components in
-    the argument order of the residual from ``implication_check``.
+    the argument order of the ``check`` from ``implication_check``.
     """
-    masses = MassParams(row[0], row[1], row[2])
-    gains = ImpedanceParams(row[3], row[4], row[5])
-    qd0, qd1, qv0, qv1, qa0, qa1, e0, e1, ed0, ed1, fe0, fe1 = row[6:18]
+    (mx, my, mp, m, b, k, qd0, qd1, qv0, qv1, qa0, qa1, e0, e1, ed0, ed1,
+     fe0, fe1, fed0, fed1) = columns[:len(_CONTROL_CASE_BOUNDS)]
+    gains = _lanes(ImpedanceParams, m, b, k)
     edd0, edd1 = impedance_accel_kernel(gains)(e0, e1, ed0, ed1, fe0, fe1)
     states = (qd0, qd1, qv0, qv1, qa0, qa1,
               qd0 - e0, qd1 - e1, qv0 - ed0, qv1 - ed1, qa0 - edd0, qa1 - edd1)
-    return masses, gains, states, fe0, fe1, ForcePair(row[18], row[19])
+    return (_lanes(MassParams, mx, my, mp), gains, states, fe0, fe1,
+            ForcePair(fed0, fed1))
 
 
-def _residual_scale(t0: float, t1: float) -> float:
-    return max(1.0, abs(t0), abs(t1))
+def _drawn_frame_operators(columns: np.ndarray) -> Tuple[Mat2, Mat2]:
+    """``frame_operators`` of the frames drawn into a chunk, one lane per
+    trial, with T formed from the per-lane ``math.cos`` and ``math.sin`` of
+    alpha as ``transformation_matrix`` forms it."""
+    alpha, _, _, fx, fy = columns[_FRAME_COLUMNS]
+    cos = np.fromiter(map(math.cos, alpha), float, alpha.size)
+    sin = np.fromiter(map(math.sin, alpha), float, alpha.size)
+    return transform_operators(scaled_rotation(fx, fy, cos, sin))
+
+
+def _implication_residuals(
+    columns: np.ndarray, identity_ops: Tuple[Mat2, Mat2],
+) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray],
+           np.ndarray]:
+    """The implication residuals of a chunk of control rows, one lane per
+    trial: the STAGE_CONSISTENT residual, the CORRECTED one at the identity
+    frame (``identity_ops``) and the scale max(1, ||tau||_inf) of the
+    dynamics-inversion torque.
+
+    Raises PreconditionViolated, naming the first violating lane, when a
+    lane's states break the impedance law.
+    """
+    masses, gains, states, fe0, fe1, fed = _control_lanes(columns)
+    *_, v0, v1, a0, a1 = states
+    m_mat = mass_matrix(masses)
+    required = required_torque_kernel(m_mat, fed)
+    t0, t1 = required(a0, a1, v0, v1)
+    residual_of = implication_check(gains, required)(*states, fe0, fe1)
+    return (
+        residual_of(torque_law(
+            ControllerVariant.STAGE_CONSISTENT, m_mat, None)(gains, fed)),
+        residual_of(torque_law(
+            ControllerVariant.CORRECTED, m_mat, identity_ops)(gains, fed)),
+        lane_max(1.0, abs(t0), abs(t1)),
+    )
 
 
 def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
@@ -374,26 +458,21 @@ def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
     worst_ident = 0.0
     identity_ops = frame_operators(
         FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0))
+    start = 0
     # the frame columns are drawn but not read: the stage-consistent law
     # reads no frame, and dropping them would change every row's values
-    rows = _draw_rows(_rng(seed), _CONTROL_CASE_BOUNDS + _FRAME_BOUNDS, n)
-    for row in rows:
-        masses, gains, states, fe0, fe1, fed = _control_case(row)
-        *_, v0, v1, a0, a1 = states
-        m_mat = mass_matrix(masses)
-        required = required_torque_kernel(m_mat, fed)
-        scale = _residual_scale(*required(a0, a1, v0, v1))
-        residual_for = implication_check(gains, required)
-
-        r0, r1 = residual_for(torque_law(
-            ControllerVariant.STAGE_CONSISTENT, m_mat, None)(gains, fed),
-        )(*states, fe0, fe1)
-        worst_stage = _fold(worst_stage, abs(r0) / scale, abs(r1) / scale)
-
-        r0, r1 = residual_for(torque_law(
-            ControllerVariant.CORRECTED, m_mat, identity_ops)(gains, fed),
-        )(*states, fe0, fe1)
-        worst_ident = _fold(worst_ident, abs(r0) / scale, abs(r1) / scale)
+    chunks = _draw_rows(_rng(seed), _CONTROL_CASE_BOUNDS + _FRAME_BOUNDS, n)
+    for columns in chunks:
+        try:
+            stage, ident, scale = _implication_residuals(columns, identity_ops)
+        except PreconditionViolated as exc:
+            trial = start + exc.lane
+            raise PreconditionViolated(f"trial {trial}: {exc}", trial) from exc
+        worst_stage = _fold_lanes(worst_stage, abs(stage[0]) / scale,
+                                  abs(stage[1]) / scale)
+        worst_ident = _fold_lanes(worst_ident, abs(ident[0]) / scale,
+                                  abs(ident[1]) / scale)
+        start += scale.size
     return [
         PropertyResult("implication.stage_consistent", worst_stage <= 1e-9,
                        worst_stage, 1e-9, n,
@@ -418,10 +497,10 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
     worst_subst = 0.0
     worst_scaling = 0.0
     all_separated = True
-    rows = _draw_rows(_rng(seed),
-                      _CONTROL_CASE_BOUNDS + _FRAME_BOUNDS + _LAMBDA_BOUNDS, n)
-    for row in rows:
-        masses, gains, states, fe0, fe1, fed = _control_case(row)
+    chunks = _draw_rows(_rng(seed),
+                        _CONTROL_CASE_BOUNDS + _FRAME_BOUNDS + _LAMBDA_BOUNDS, n)
+    for columns in chunks:
+        masses, gains, states, fe0, fe1, fed = _control_lanes(columns)
         qd0, qd1, qv0, qv1, qa0, qa1, q0, q1, v0, v1, _, _ = states
         # the errors as the controller sees them, from the actual states
         e0, e1 = qd0 - q0, qd1 - q1
@@ -433,43 +512,47 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
         s0, s1 = torque_law(ControllerVariant.SIM_PAPER, m_mat, None)(
             gains, fed)(*law_args)
         k0, k1 = torque_law(corrected, m_mat, skewed_ops)(gains, fed)(*law_args)
-        gap = _fold(abs(s0 - k0), abs(s1 - k1))
-        if c0 != 0.0 or c1 != 0.0:
-            min_gap = _fold(min_gap, gap, lowest=True)
-            max_gap = _fold(max_gap, gap)
-            if gap <= 0.0:
-                all_separated = False
+        d0, d1 = abs(s0 - k0), abs(s1 - k1)
+        # _fold(d0, d1) lane by lane
+        gap = np.where(np.isnan(d1) | (d1 > d0), d1, d0)
+        # a NaN commanded acceleration is != 0.0, so its trial is checked
+        gap = gap[(c0 != 0.0) | (c1 != 0.0)]
+        min_gap = _fold_lanes(min_gap, gap, lowest=True)
+        max_gap = _fold_lanes(max_gap, gap)
+        if (gap <= 0.0).any():
+            all_separated = False
 
         # the stage-space law reads no frame: SimPaper at the identity frame
         # is (s0, s1)
         i0, i1 = torque_law(corrected, m_mat, identity_ops)(gains, fed)(*law_args)
-        worst_collapse = _fold(worst_collapse, abs(s0 - i0), abs(s1 - i1))
+        worst_collapse = _fold_lanes(worst_collapse, abs(s0 - i0), abs(s1 - i1))
 
-        frame_ops = frame_operators(FrameParams(*row[_FRAME_COLUMNS]))
+        frame_ops = _drawn_frame_operators(columns)
         corrected_law = torque_law(corrected, m_mat, frame_ops)
         f0, f1 = corrected_law(gains, fed)(*law_args)
         m0, m1 = torque_law(ControllerVariant.MC_PAPER, m_mat, frame_ops)(
             gains, fed)(*law_args)
-        scale = _residual_scale(f0, f1)
-        worst_subst = _fold(
+        scale = lane_max(1.0, abs(f0), abs(f1))
+        worst_subst = _fold_lanes(
             worst_subst,
             abs((m0 - f0) - (fe0 - fed.fex)) / scale,
             abs((m1 - f1) - (fe1 - fed.fey)) / scale,
         )
 
-        lam = row[-1]
-        scaled_gains = ImpedanceParams(lam * gains.m, lam * gains.b, lam * gains.k)
+        lam = columns[-1]
+        scaled_gains = _lanes(ImpedanceParams,
+                              lam * gains.m, lam * gains.b, lam * gains.k)
         g0, g1 = corrected_law(scaled_gains, fed)(
             qa0, qa1, e0, e1, ed0, ed1, lam * fe0, lam * fe1, v0, v1,
         )
         term_mag = (
-            gains.b * max(abs(ed0), abs(ed1))
-            + gains.k * max(abs(e0), abs(e1))
-            + max(abs(fe0), abs(fe1))
+            gains.b * lane_max(abs(ed0), abs(ed1))
+            + gains.k * lane_max(abs(e0), abs(e1))
+            + lane_max(abs(fe0), abs(fe1))
         ) / gains.m
-        scale = max(1.0, max(abs(f0), abs(f1)), 30.0 * term_mag)
-        worst_scaling = _fold(worst_scaling, abs(g0 - f0) / scale,
-                              abs(g1 - f1) / scale)
+        scale = lane_max(1.0, lane_max(abs(f0), abs(f1)), 30.0 * term_mag)
+        worst_scaling = _fold_lanes(worst_scaling, abs(g0 - f0) / scale,
+                                    abs(g1 - f1) / scale)
 
     if min_gap is math.inf:
         min_gap = 0.0

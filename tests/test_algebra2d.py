@@ -12,6 +12,7 @@ from microinject.algebra2d import (
     det,
     diag,
     identity,
+    lane_max,
     mat_inv,
     mat_mul,
     mat_vec_mul,
@@ -182,3 +183,37 @@ def test_vec2_arithmetic():
     assert a.is_finite()
     assert not Vec2(float("nan"), 0.0).is_finite()
     assert not Vec2(0.0, float("inf")).is_finite()
+
+
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan, 1e308)
+
+
+def test_lane_max_is_max_on_floats_and_lane_by_lane_on_arrays():
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        lanes = rng.choice(SPECIAL, size=(int(rng.integers(2, 5)), 6))
+        per_lane = [[float(v) for v in lanes[:, lane]] for lane in range(6)]
+        for values in per_lane:
+            assert lane_max(*values) is max(*values)
+        assert [float(v).hex() for v in lane_max(*lanes)] == [
+            max(values).hex() for values in per_lane]
+        # a float first value, as in lane_max(1.0, ...)
+        assert [float(v).hex() for v in lane_max(1.0, *lanes)] == [
+            max(1.0, *values).hex() for values in per_lane]
+
+
+def test_mat_inv_on_lanes_matches_each_lane_and_checks_every_lane():
+    rng = np.random.default_rng(4)
+    entries = rng.uniform(-10.0, 10.0, (4, 50))
+    lanes = mat_inv(Mat2(*entries))
+    for lane in range(entries.shape[1]):
+        want = mat_inv(Mat2(*(float(e[lane]) for e in entries)))
+        got = (lanes.m00[lane], lanes.m01[lane], lanes.m10[lane], lanes.m11[lane])
+        assert [float(v).hex() for v in got] == [
+            want.m00.hex(), want.m01.hex(), want.m10.hex(), want.m11.hex()]
+
+    # lanes 7 and 9 fail the cutoff; the first is named
+    entries[:, 7] = (1.0, 2.0, 2.0, 4.0)
+    entries[:, 9] = 0.0
+    with pytest.raises(SingularMatrix, match=r"in lane 7 \(\|det\|=0\.000e\+00\)"):
+        mat_inv(Mat2(*entries))

@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 from microinject import control, verify
-from microinject.control import ControllerVariant
+from microinject.algebra2d import Vec2
+from microinject.control import (
+    ControllerVariant,
+    DesiredTrajectoryPoint,
+    ErrorState,
+    ImpedanceParams,
+    PreconditionViolated,
+    implication_residual,
+    torque_controller,
+)
+from microinject.dynamics import ForcePair, MassParams, mass_matrix
+from microinject.frames import FrameParams
 
 # SHA-256 of the "name passed worst.hex() trials" lines of run_suite("all", 0)
 # at default trials: the verify_all digest in perfbench/pins.json.
@@ -18,6 +29,14 @@ SEED_0_WITH_DETAIL_SHA256 = (
     "135e90efcedf5f307b90b7adc19271bb21fa3062ecb126394a953e6f087abd64")
 SEED_7_TRIALS_37_WITH_DETAIL_SHA256 = (
     "9d74ae19c1f6f415a74f21d36e257fa00571bce31540ac645d53a4e2d1dc4774")
+# The same lines of each control suite at seed 3 with 2500 trials, three
+# chunks of draws, taken from the per-trial suites the lanes replaced.
+SEED_3_TRIALS_2500_WITH_DETAIL_SHA256 = {
+    "implication":
+        "a4c7d797da2b964881d77ea382d31a36a1fbb9b4798f9a2ab98034524fe67fcf",
+    "discrepancy":
+        "35501740f6445c23f4c34a59e2f6d6b2471835052cdbfcd72f60a7166edae252",
+}
 
 
 def digest(results, with_detail):
@@ -40,6 +59,14 @@ def test_small_ensemble_on_another_seed_reproduces_pinned_results():
     assert digest(results, with_detail=True) == SEED_7_TRIALS_37_WITH_DETAIL_SHA256
 
 
+@pytest.mark.parametrize("suite", sorted(SEED_3_TRIALS_2500_WITH_DETAIL_SHA256))
+def test_control_suites_over_three_chunks_reproduce_pinned_results(suite):
+    assert 2 * verify._CHUNK_ROWS < 2500 < 3 * verify._CHUNK_ROWS
+    results = verify.run_suite(suite, 3, 2500)
+    assert (digest(results, with_detail=True)
+            == SEED_3_TRIALS_2500_WITH_DETAIL_SHA256[suite])
+
+
 class RecordingGenerator:
     """Delegates to a numpy Generator and records the size of each draw."""
 
@@ -60,16 +87,19 @@ def test_chunked_rows_equal_sequential_scalar_draws():
     assert n % verify._CHUNK_ROWS != 0
 
     recorder = RecordingGenerator(3)
-    rows = list(verify._draw_rows(recorder, bounds, n))
+    chunks = list(verify._draw_rows(recorder, bounds, n))
     assert recorder.sizes == [(verify._CHUNK_ROWS, 26), (verify._CHUNK_ROWS, 26),
                               (5, 26)]
+    assert [c.shape for c in chunks] == [(26, verify._CHUNK_ROWS),
+                                         (26, verify._CHUNK_ROWS), (26, 5)]
+    assert all(c.dtype == np.float64 for c in chunks)
 
     scalar = np.random.Generator(np.random.PCG64(3))
-    assert len(rows) == n
-    for row in rows:
-        want = [float(scalar.uniform(lo, hi)) for lo, hi in bounds]
-        assert [v.hex() for v in row] == [v.hex() for v in want]
-        assert all(type(v) is float for v in row)
+    for columns in chunks:
+        for trial in range(columns.shape[1]):
+            want = [float(scalar.uniform(lo, hi)) for lo, hi in bounds]
+            got = [float(column[trial]) for column in columns]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
@@ -79,20 +109,32 @@ def test_non_positive_trials_are_rejected(suite, trials):
         verify.run_suite(suite, 0, trials)
 
 
-def nan_on_build(factory, build, variant=None, both=False):
-    """Wrap a kernel factory so that the ``build``-th kernel it returns
-    (counting only the builds for ``variant``, when given) gives NaN as its
-    second component, a NaN that ``max`` would drop, or as both.
+def nan_in_trial(factory, trial, variant=None, both=False):
+    """Wrap a kernel factory so that its kernels give NaN for trial
+    ``trial`` as their second component, a NaN that ``max`` would drop, or
+    as both.
 
-    ``control.torque_law`` returns a binder of gains and fed, not a kernel;
-    for it, every kernel that the ``build``-th binder returns gives NaN.
+    A per-trial suite builds a kernel once per trial, and a lane suite once
+    per chunk of ``_CHUNK_ROWS`` trials, one lane each; the builds are
+    counted, only those for ``variant`` when given.  ``control.torque_law``
+    returns a binder of gains and fed, not a kernel; for it, every kernel
+    that the binder returns gives NaN.
     """
     builds = itertools.count()
 
-    def nan_kernel(kernel):
+    def nan_kernel(kernel, build):
         def patched_kernel(*values):
-            first, _ = kernel(*values)
-            return (math.nan if both else first), math.nan
+            first, second = kernel(*values)
+            if not isinstance(second, np.ndarray):
+                if build == trial:
+                    first, second = (math.nan if both else first), math.nan
+            elif build == trial // verify._CHUNK_ROWS:
+                lane = trial % verify._CHUNK_ROWS
+                first, second = first.copy(), second.copy()
+                second[lane] = math.nan
+                if both:
+                    first[lane] = math.nan
+            return first, second
 
         return patched_kernel
 
@@ -100,13 +142,27 @@ def nan_on_build(factory, build, variant=None, both=False):
         made = factory(*args, **kwargs)
         if variant is not None and args[0] is not variant:
             return made
-        if next(builds) != build:
-            return made
+        build = next(builds)
         if factory is control.torque_law:
-            return lambda *binding: nan_kernel(made(*binding))
-        return nan_kernel(made)
+            return lambda *binding: nan_kernel(made(*binding), build)
+        return nan_kernel(made, build)
 
     return patched
+
+
+def run_with_nan(monkeypatch, suite, patches, trial, trials):
+    """Run ``suite`` with a NaN put into trial ``trial`` by each patch, and
+    return the names of the failed properties after checking that each
+    failed with a NaN worst case."""
+    for kernel, variant, both in patches:
+        monkeypatch.setattr(verify, kernel, nan_in_trial(
+            getattr(verify, kernel), trial, variant, both))
+    results = verify.run_suite(suite, 0, trials)
+    failed = {r.name for r in results if not r.passed}
+    for r in results:
+        if r.name in failed:
+            assert math.isnan(r.worst), r
+    return failed
 
 
 @pytest.mark.parametrize(
@@ -133,17 +189,131 @@ def nan_on_build(factory, build, variant=None, both=False):
     ],
 )
 def test_nan_residual_fails_its_property(monkeypatch, suite, patches, failing):
-    # the NaN comes from the fourth trial, after finite residuals; each
-    # patched build runs once per trial
-    for kernel, variant, both in patches:
-        monkeypatch.setattr(verify, kernel,
-                            nan_on_build(getattr(verify, kernel), 3, variant, both))
-    results = verify.run_suite(suite, 0, 20)
-    failed = {r.name for r in results if not r.passed}
-    assert failed == failing
-    for r in results:
-        if r.name in failing:
-            assert math.isnan(r.worst), r
+    # the NaN comes from the fourth trial, after finite residuals: lane 3
+    # of the first chunk in the control suites
+    assert run_with_nan(monkeypatch, suite, patches, 3, 20) == failing
+
+
+@pytest.mark.parametrize(
+    "suite, patches, failing",
+    [
+        ("implication",
+         [("torque_law", ControllerVariant.STAGE_CONSISTENT, False)],
+         {"implication.stage_consistent"}),
+        ("discrepancy", [("torque_law", ControllerVariant.SIM_PAPER, False)],
+         {"discrepancy.missing_transform_gap",
+          "discrepancy.identity_frame_collapse"}),
+    ],
+)
+def test_nan_in_second_chunk_fails_its_property(monkeypatch, suite, patches,
+                                                failing):
+    # a finite first chunk, then the NaN in lane 3 of the second
+    trial = verify._CHUNK_ROWS + 3
+    assert run_with_nan(monkeypatch, suite, patches, trial,
+                        verify._CHUNK_ROWS + 20) == failing
+
+
+def test_precondition_violation_names_the_first_violating_trial(monkeypatch):
+    broken = (verify._CHUNK_ROWS + 5, verify._CHUNK_ROWS + 9)
+    original = verify.impedance_accel_kernel
+    builds = itertools.count()
+
+    def breaking_kernel(gains):
+        kernel = original(gains)
+        build = next(builds)
+
+        def eddot(*values):
+            edd0, edd1 = kernel(*values)
+            edd0 = edd0.copy()
+            for trial in broken:
+                if trial // verify._CHUNK_ROWS == build:
+                    edd0[trial % verify._CHUNK_ROWS] += 1.0
+            return edd0, edd1
+
+        return eddot
+
+    monkeypatch.setattr(verify, "impedance_accel_kernel", breaking_kernel)
+    with pytest.raises(PreconditionViolated,
+                       match=rf"^trial {broken[0]}: impedance-law residual "
+                             r"\S+ exceeds \S+ in lane 5;") as exc_info:
+        verify.run_suite("implication", 0, verify._CHUNK_ROWS + 20)
+    assert exc_info.value.lane == broken[0]
+    assert next(builds) == 2
+
+
+def _lane(values, trial):
+    return [float(v[trial]) for v in values]
+
+
+def test_lanes_match_the_scalar_api_trial_by_trial():
+    # two full chunks and a partial one of seeded discrepancy draws
+    bounds = (verify._CONTROL_CASE_BOUNDS + verify._FRAME_BOUNDS
+              + verify._LAMBDA_BOUNDS)
+    n = 2 * verify._CHUNK_ROWS + 37
+    identity = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
+    identity_ops = control.frame_operators(identity)
+    checked = 0
+    for columns in verify._draw_rows(verify._rng(11), bounds, n):
+        stage, ident, _ = verify._implication_residuals(columns, identity_ops)
+        masses, gains, states, fe0, fe1, fed = verify._control_lanes(columns)
+        qd0, qd1, qv0, qv1, qa0, qa1, q0, q1, v0, v1, a0, a1 = states
+        e0, e1, ed0, ed1 = qd0 - q0, qd1 - q1, qv0 - v0, qv1 - v1
+        m_mat = mass_matrix(masses)
+        frame_ops = verify._drawn_frame_operators(columns)
+        torques = {
+            variant: control.torque_law(variant, m_mat, frame_ops)(gains, fed)(
+                qa0, qa1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
+            for variant in ControllerVariant
+        }
+        for trial in range(columns.shape[1]):
+            row = _lane(columns, trial)
+            s_masses = MassParams(*row[0:3])
+            s_gains = ImpedanceParams(*row[3:6])
+            s_fed = ForcePair(*row[18:20])
+            s_fe = ForcePair(row[16], row[17])
+            frame = FrameParams(*row[verify._FRAME_COLUMNS])
+            (sqd0, sqd1, sqv0, sqv1, sqa0, sqa1, sq0, sq1, sv0, sv1, sa0,
+             sa1) = _lane(states, trial)
+            desired = DesiredTrajectoryPoint(
+                Vec2(sqd0, sqd1), Vec2(sqv0, sqv1), Vec2(sqa0, sqa1))
+            actual = (Vec2(sq0, sq1), Vec2(sv0, sv1), Vec2(sa0, sa1))
+            for lanes, variant, at in (
+                (stage, ControllerVariant.STAGE_CONSISTENT, frame),
+                (ident, ControllerVariant.CORRECTED, identity),
+            ):
+                want = implication_residual(variant, s_masses, at, s_gains,
+                                            desired, actual, s_fe, s_fed)
+                assert ([v.hex() for v in _lane(lanes, trial)]
+                        == [want.a0.hex(), want.a1.hex()]), (trial, variant)
+
+            errors = ErrorState(Vec2(sqd0 - sq0, sqd1 - sq1),
+                                Vec2(sqv0 - sv0, sqv1 - sv1), Vec2(0.0, 0.0))
+            for variant, lanes in torques.items():
+                want = torque_controller(variant, s_masses, frame, s_gains,
+                                         desired, Vec2(sv0, sv1), errors,
+                                         s_fe, s_fed)
+                assert ([v.hex() for v in _lane(lanes, trial)]
+                        == [want.taux.hex(), want.tauy.hex()]), (trial, variant)
+            checked += 1
+    assert checked == n
+
+
+def test_fold_lanes_folds_as_the_trial_loop_does():
+    rng = np.random.default_rng(5)
+    for case in range(200):
+        size = int(rng.integers(0, 9))
+        columns = [rng.uniform(0.0, 2.0, size) for _ in range(int(rng.integers(1, 4)))]
+        for column in columns:
+            column[rng.random(size) < 0.1] = math.nan
+        for acc in (0.0, 1.0, math.inf, math.nan):
+            for lowest in (False, True):
+                want = acc
+                for trial in range(size):
+                    want = verify._fold(want, *(float(c[trial]) for c in columns),
+                                        lowest=lowest)
+                got = verify._fold_lanes(acc, *columns, lowest=lowest)
+                assert type(got) is float
+                assert got.hex() == want.hex(), (case, acc, lowest)
 
 
 def test_fold_keeps_nan_from_either_side():
