@@ -12,15 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
-from .algebra2d import SingularMatrix, Vec2
-from .control import (
-    STAGE_SPACE_VARIANTS,
-    ControllerVariant,
-    ImpedanceParams,
-    frame_operators,
-)
+from .algebra2d import SingularMatrix, Vec2, mat_inv
+from .control import STAGE_SPACE_VARIANTS, ControllerVariant, ImpedanceParams
 from .dynamics import ForcePair, MassParams
-from .frames import FrameParams
+from .frames import FrameParams, transformation_matrix
 from .sim import MembraneModel, TrajectoryKind, TrajectorySpec
 
 
@@ -237,7 +232,7 @@ def _check_frame_invertible(
     if not weighted:
         return
     try:
-        frame_operators(frame)
+        mat_inv(transformation_matrix(frame))
     except SingularMatrix as exc:
         raise InvariantError(
             f"frame: the stage-to-image matrix T cannot be inverted ({exc}); "

@@ -33,36 +33,26 @@ stage-frame error definition; both names are kept because they answer
 different questions (oracle vs. published formulation).
 
 Each formula is evaluated in one place, a float kernel that binds its
-constant operators once: the torque law (L = M or M@T, N = B or
-(B@T_inv)@T, and the tail force), ``commanded_accel_kernel``,
-``impedance_accel_kernel``, ``force_control_residual_kernel``,
-``required_torque_kernel`` (over ``dynamics.inverse_dynamics_kernel``) and
-``implication_check``, which tests the impedance-law precondition once per
-state and then combines a torque law with the required torque.
-``torque_controller``, ``commanded_accel``, ``impedance_accel``,
-``force_control_residual``, ``required_torque`` and
-``implication_residual`` build their kernel and evaluate it once.  The
-kernels perform the float operations of the ``Vec2`` algebra in the same
-order, products with structural zeros included, so they match the
-``Vec2`` formulas bit for bit.
+constant operators once: ``torque_kernel`` (L = M or M@T, N = B or
+(B@T_inv)@T, the commanded acceleration and the tail force),
+``commanded_accel_kernel``, ``impedance_accel_kernel``,
+``force_control_residual_kernel`` and ``required_torque_kernel`` (over
+``dynamics.inverse_dynamics_kernel``).  ``implication_check`` tests the
+impedance-law precondition once per state and then combines any number of
+torque kernels with the required torque.  ``torque_controller``,
+``commanded_accel``, ``impedance_accel``, ``force_control_residual``,
+``required_torque`` and ``implication_residual`` build their kernel and
+evaluate it once.  The kernels perform the float operations of the
+``Vec2`` algebra in the same order, products with structural zeros
+included, so they match the ``Vec2`` formulas bit for bit.
 
 The kernels are number-generic over floats and float64 arrays: every
-operation is elementwise ``+ - * /`` or ``abs``, and every ``max`` is
-``algebra2d.lane_max``, so given parameters and states whose entries are
-arrays, one lane per trial, they give each lane the bits they give its
+operation is elementwise ``+ - * /`` or ``abs``, every ``max`` is
+``algebra2d.lane_max``, and T comes from ``frames.transformation_matrix``,
+which takes frames of lanes; so given parameters and states whose entries
+are arrays, one lane per trial, they give each lane the bits they give its
 floats.  The ``verify`` control suites run them that way, a chunk of
 trials per call.
-
-The torque law binds at three levels, so that a caller can build each
-level once for as long as it holds:
-
-* the frame level, ``frame_operators(frame)`` = (T, N), over
-  ``transform_operators(T)``, the only place T is inverted.  The
-  stage-space variants never form T;
-* the masses level, ``torque_law(variant, M, frame_ops)``: L = M@T, or
-  L = M in stage space;
-* the gains/tail level, ``bind(gains, fed)`` from ``torque_law``:
-  ``commanded_accel_kernel(gains)`` and the tail, fed or fe.
 """
 
 from __future__ import annotations
@@ -283,70 +273,6 @@ def commanded_accel(
     ))
 
 
-def transform_operators(t_mat: Mat2) -> Tuple[Mat2, Mat2]:
-    """The frame level of the transform-weighted torque laws from the
-    stage-to-image matrix T: (T, N) with N = (B@T_inv)@T.
-
-    The only place a torque law inverts T; raises SingularMatrix when T
-    fails ``mat_inv``'s scale-relative cutoff.  The stage-space variants
-    never call it.
-    """
-    return t_mat, mat_mul(mat_mul(_B, mat_inv(t_mat)), t_mat)
-
-
-def frame_operators(frame: FrameParams) -> Tuple[Mat2, Mat2]:
-    """``transform_operators`` of T = transformation_matrix(frame)."""
-    return transform_operators(transformation_matrix(frame))
-
-
-def torque_law(
-    variant: ControllerVariant,
-    m_mat: Mat2,
-    frame_ops: Optional[Tuple[Mat2, Mat2]],
-) -> Callable[[ImpedanceParams, ForcePair], Callable[..., Tuple[float, float]]]:
-    """The masses level of one torque-law variant: L = M and N = B in stage
-    space, L = M@T and N from ``frame_ops`` = (T, N) for the
-    transform-weighted variants.  The stage-space variants do not read
-    ``frame_ops``, which may be None for them.
-
-    Returns the gains/tail level ``bind(gains, fed)``, which binds
-    ``commanded_accel_kernel(gains)`` and the tail (fe for MC_PAPER, fed
-    otherwise) and returns ``torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1,
-    v0, v1)``: tau = L @ c + N @ qdot + tail at one state.  Every matrix
-    product is formed, the structural zeros included, in the order of
-    ``mat_vec_mul``.
-    """
-    if variant in STAGE_SPACE_VARIANTS:
-        l_mat, n_mat = m_mat, _B
-    else:
-        t_mat, n_mat = frame_ops
-        l_mat = mat_mul(m_mat, t_mat)
-    l00, l01, l10, l11 = l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11
-    n00, n01, n10, n11 = n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11
-    use_fe = variant is ControllerVariant.MC_PAPER
-
-    def bind(
-        gains: ImpedanceParams, fed: ForcePair,
-    ) -> Callable[..., Tuple[float, float]]:
-        commanded = commanded_accel_kernel(gains)
-        fed0, fed1 = fed.fex, fed.fey
-
-        def torque(
-            qdd0: float, qdd1: float, e0: float, e1: float, ed0: float,
-            ed1: float, fe0: float, fe1: float, v0: float, v1: float,
-        ) -> Tuple[float, float]:
-            c0, c1 = commanded(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1)
-            t0, t1 = (fe0, fe1) if use_fe else (fed0, fed1)
-            return (
-                ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + t0,
-                ((l10 * c0 + l11 * c1) + (n10 * v0 + n11 * v1)) + t1,
-            )
-
-        return torque
-
-    return bind
-
-
 def torque_kernel(
     variant: ControllerVariant,
     masses: MassParams,
@@ -354,13 +280,43 @@ def torque_kernel(
     gains: ImpedanceParams,
     fed: ForcePair,
 ) -> Callable[..., Tuple[float, float]]:
-    """One torque-law variant in floats, its three levels bound at once:
-    ``torque_law(variant, M, frame_operators(frame))(gains, fed)``, with no
-    frame operators for the stage-space variants, which never form T.
+    """One torque-law variant in floats, with its operators bound once:
+    L = M and N = B in stage space; L = M@T and N = (B@T_inv)@T, with
+    T = transformation_matrix(frame), for the transform-weighted variants,
+    which raise SingularMatrix when T fails ``mat_inv``'s scale-relative
+    cutoff.  The stage-space variants never form T.
+
+    The returned ``torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)``
+    gives tau = L @ c + N @ qdot + tail at one state, with c from
+    ``commanded_accel_kernel(gains)`` and the tail fe for MC_PAPER, fed
+    otherwise.  Every matrix product is formed, the structural zeros
+    included, in the order of ``mat_vec_mul``.
     """
-    frame_ops = (None if variant in STAGE_SPACE_VARIANTS
-                 else frame_operators(frame))
-    return torque_law(variant, mass_matrix(masses), frame_ops)(gains, fed)
+    m_mat = mass_matrix(masses)
+    if variant in STAGE_SPACE_VARIANTS:
+        l_mat, n_mat = m_mat, _B
+    else:
+        t_mat = transformation_matrix(frame)
+        l_mat = mat_mul(m_mat, t_mat)
+        n_mat = mat_mul(mat_mul(_B, mat_inv(t_mat)), t_mat)
+    l00, l01, l10, l11 = l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11
+    n00, n01, n10, n11 = n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11
+    use_fe = variant is ControllerVariant.MC_PAPER
+    commanded = commanded_accel_kernel(gains)
+    fed0, fed1 = fed.fex, fed.fey
+
+    def torque(
+        qdd0: float, qdd1: float, e0: float, e1: float, ed0: float,
+        ed1: float, fe0: float, fe1: float, v0: float, v1: float,
+    ) -> Tuple[float, float]:
+        c0, c1 = commanded(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1)
+        t0, t1 = (fe0, fe1) if use_fe else (fed0, fed1)
+        return (
+            ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + t0,
+            ((l10 * c0 + l11 * c1) + (n10 * v0 + n11 * v1)) + t1,
+        )
+
+    return torque
 
 
 def torque_controller(
@@ -393,66 +349,57 @@ def torque_controller(
 
 def implication_check(
     gains: ImpedanceParams, required: Callable[..., Tuple[float, float]],
-) -> Callable[..., Callable[[Callable[..., Tuple[float, float]]], Tuple[float, float]]]:
-    """The implication check, with the force-control residual and the
-    required-torque kernel ``required`` (from ``required_torque_kernel``)
-    bound once.
+    qd0: float, qd1: float, qdv0: float, qdv1: float, qdd0: float,
+    qdd1: float, q0: float, q1: float, v0: float, v1: float, a0: float,
+    a1: float, fe0: float, fe1: float,
+) -> Callable[[Callable[..., Tuple[float, float]]], Tuple[float, float]]:
+    """The implication check at one state: the desired position, velocity
+    and acceleration, the actual ones and the contact force, with the
+    required-torque kernel ``required`` (from ``required_torque_kernel``).
 
-    Returns ``check(qd0, qd1, qdv0, qdv1, qdd0, qdd1, q0, q1, v0, v1, a0,
-    a1, fe0, fe1)``, which takes the desired position, velocity and
-    acceleration, the actual ones and the contact force.  It raises
-    PreconditionViolated when the states break the impedance law, naming
-    the first violating lane of float64 lanes.  Otherwise it returns
-    ``residual_of(torque)``, which takes a kernel from ``torque_law`` or
-    ``torque_kernel`` and gives the torque minus the dynamics-inversion
-    torque at those states, so the precondition is tested once for any
-    number of laws.
+    Raises PreconditionViolated when the state breaks the impedance law,
+    naming the first violating lane of float64 lanes.  Otherwise returns
+    ``residual_of(torque)``, which takes a kernel from ``torque_kernel``
+    and gives the torque minus the dynamics-inversion torque at that state,
+    so the precondition is tested once for any number of laws.
     """
     fc_residual = force_control_residual_kernel(gains)
     m, b, k = gains.m, gains.b, gains.k
-
-    def check(
-        qd0: float, qd1: float, qdv0: float, qdv1: float,
-        qdd0: float, qdd1: float, q0: float, q1: float, v0: float,
-        v1: float, a0: float, a1: float, fe0: float, fe1: float,
-    ) -> Callable[[Callable[..., Tuple[float, float]]], Tuple[float, float]]:
-        e0, e1 = qd0 - q0, qd1 - q1
-        ed0, ed1 = qdv0 - v0, qdv1 - v1
-        edd0, edd1 = qdd0 - a0, qdd1 - a1
-        f0, f1 = fc_residual(e0, e1, ed0, ed1, edd0, edd1, fe0, fe1)
-        fc_max = lane_max(abs(f0), abs(f1))
-        bound = 1e-9 * lane_max(
-            1.0,
-            lane_max(abs(fe0), abs(fe1)),
-            lane_max(abs(m * edd0), abs(m * edd1)),
-            lane_max(abs(b * ed0), abs(b * ed1)),
-            lane_max(abs(k * e0), abs(k * e1)),
-        )
-        violated = fc_max > bound
-        if isinstance(violated, np.ndarray):
-            if violated.any():
-                lane = int(violated.argmax())
-                raise PreconditionViolated(
-                    f"impedance-law residual {fc_max[lane]:.3e} exceeds "
-                    f"{bound[lane]:.3e} in lane {lane}; implication check "
-                    "is not probative", lane,
-                )
-        elif violated:
+    e0, e1 = qd0 - q0, qd1 - q1
+    ed0, ed1 = qdv0 - v0, qdv1 - v1
+    edd0, edd1 = qdd0 - a0, qdd1 - a1
+    f0, f1 = fc_residual(e0, e1, ed0, ed1, edd0, edd1, fe0, fe1)
+    fc_max = lane_max(abs(f0), abs(f1))
+    bound = 1e-9 * lane_max(
+        1.0,
+        lane_max(abs(fe0), abs(fe1)),
+        lane_max(abs(m * edd0), abs(m * edd1)),
+        lane_max(abs(b * ed0), abs(b * ed1)),
+        lane_max(abs(k * e0), abs(k * e1)),
+    )
+    violated = fc_max > bound
+    if isinstance(violated, np.ndarray):
+        if violated.any():
+            lane = int(violated.argmax())
             raise PreconditionViolated(
-                f"impedance-law residual {fc_max:.3e} exceeds "
-                f"{bound:.3e}; implication check is not probative"
+                f"impedance-law residual {fc_max[lane]:.3e} exceeds "
+                f"{bound[lane]:.3e} in lane {lane}; implication check "
+                "is not probative", lane,
             )
-        r0, r1 = required(a0, a1, v0, v1)
+    elif violated:
+        raise PreconditionViolated(
+            f"impedance-law residual {fc_max:.3e} exceeds "
+            f"{bound:.3e}; implication check is not probative"
+        )
+    r0, r1 = required(a0, a1, v0, v1)
 
-        def residual_of(
-            torque: Callable[..., Tuple[float, float]],
-        ) -> Tuple[float, float]:
-            t0, t1 = torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
-            return t0 - r0, t1 - r1
+    def residual_of(
+        torque: Callable[..., Tuple[float, float]],
+    ) -> Tuple[float, float]:
+        t0, t1 = torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
+        return t0 - r0, t1 - r1
 
-        return residual_of
-
-    return check
+    return residual_of
 
 
 def implication_residual(
@@ -472,14 +419,15 @@ def implication_residual(
     checked and PreconditionViolated raised otherwise, because the
     implication (impedance law + dynamics => torque law) only speaks about
     such states.  For STAGE_CONSISTENT the residual is zero up to rounding
-    whenever the precondition holds.  Builds ``implication_check`` and
-    ``torque_kernel`` and evaluates them once.
+    whenever the precondition holds.  Builds ``torque_kernel`` and
+    evaluates it and ``implication_check`` once.
     """
     q, qdot, qddot = actual
     qd, qd_dot, qd_ddot = desired.qd, desired.qd_dot, desired.qd_ddot
     required = required_torque_kernel(mass_matrix(masses), fed)
     torque = torque_kernel(variant, masses, frame, gains, fed)
-    return Vec2(*implication_check(gains, required)(
-        qd.a0, qd.a1, qd_dot.a0, qd_dot.a1, qd_ddot.a0, qd_ddot.a1,
-        q.a0, q.a1, qdot.a0, qdot.a1, qddot.a0, qddot.a1, fe.fex, fe.fey,
+    return Vec2(*implication_check(
+        gains, required, qd.a0, qd.a1, qd_dot.a0, qd_dot.a1, qd_ddot.a0,
+        qd_ddot.a1, q.a0, q.a1, qdot.a0, qdot.a1, qddot.a0, qddot.a1,
+        fe.fex, fe.fey,
     )(torque))

@@ -12,13 +12,22 @@ Three planar frames:
 
 The rotation convention follows the stage-to-camera map
 ``[[cos a, sin a], [-sin a, cos a]]`` (the transpose of the usual
-counter-clockwise matrix); it is applied verbatim everywhere.
+counter-clockwise matrix); ``rotation_matrix`` is its one implementation.
+
+The maps take a frame of floats, or one whose fields are float64 arrays,
+one lane per frame (``verify`` builds such frames for its ensembles), with
+coordinates of either kind.  Every operation is elementwise ``+ - *``, and
+the cosine and sine of alpha come from ``math`` lane by lane, because
+numpy's need not round as libm does; so each lane gets the bits of that
+frame's float evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra2d import Mat2, Vec2, mat_vec_mul
 
@@ -87,27 +96,25 @@ class ImageCoord:
         return Vec2(self.u, self.v)
 
 
+def _cos_sin(alpha):
+    """``math.cos`` and ``math.sin`` of alpha, lane by lane for a float64
+    array."""
+    if isinstance(alpha, np.ndarray):
+        return (np.fromiter(map(math.cos, alpha), float, alpha.size),
+                np.fromiter(map(math.sin, alpha), float, alpha.size))
+    return math.cos(alpha), math.sin(alpha)
+
+
 def rotation_matrix(alpha: float) -> Mat2:
     """Stage-to-camera rotation; orthogonal with determinant 1."""
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
+    ca, sa = _cos_sin(alpha)
     return Mat2(ca, sa, -sa, ca)
-
-
-def scaled_rotation(fx: float, fy: float, ca: float, sa: float) -> Mat2:
-    """diag(fx, fy) @ [[ca, sa], [-sa, ca]]: the stage-to-image matrix of a
-    frame whose alpha has cosine ``ca`` and sine ``sa``.
-
-    ``transformation_matrix`` passes ``math.cos``/``math.sin`` of one alpha.
-    Float64 lanes of frames pass the per-lane ``math`` values, because
-    numpy's cos and sin need not round as libm does.
-    """
-    return Mat2(fx * ca, fx * sa, -fy * sa, fy * ca)
 
 
 def transformation_matrix(p: FrameParams) -> Mat2:
     """Stage-to-image matrix diag(fx, fy) @ rotation; det = fx*fy."""
-    return scaled_rotation(p.fx, p.fy, math.cos(p.alpha), math.sin(p.alpha))
+    r = rotation_matrix(p.alpha)
+    return Mat2(p.fx * r.m00, p.fx * r.m01, p.fy * r.m10, p.fy * r.m11)
 
 
 def image_offset(p: FrameParams) -> Vec2:
@@ -117,12 +124,8 @@ def image_offset(p: FrameParams) -> Vec2:
 
 def stage_to_camera(p: FrameParams, s: StageCoord) -> CameraCoord:
     """Rotate by alpha, then translate by (dx, dy)."""
-    ca = math.cos(p.alpha)
-    sa = math.sin(p.alpha)
-    return CameraCoord(
-        s.x * ca + s.y * sa + p.dx,
-        -s.x * sa + s.y * ca + p.dy,
-    )
+    rotated = mat_vec_mul(rotation_matrix(p.alpha), s.vec)
+    return CameraCoord(rotated.a0 + p.dx, rotated.a1 + p.dy)
 
 
 def camera_to_image(p: FrameParams, c: CameraCoord) -> ImageCoord:

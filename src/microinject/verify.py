@@ -23,22 +23,20 @@ trial, all of a trial's inputs in their scalar draw order (25 columns for
 generator call per chunk of at most ``_CHUNK_ROWS`` rows; the values are
 those of one scalar ``rng.uniform`` call per input, in the same order.
 
-``frames`` and ``dynamics`` evaluate trial by trial on floats;
-``dynamics`` binds ``free_response_kernel`` and ``inverse_dynamics_kernel``
-once per trial.  The control suites evaluate a chunk at a time, on the
-chunk's float64 columns, one lane per trial: the kernels of ``control``
-and ``dynamics`` are number-generic, so each call gives every lane the bits
-it gives that trial's floats.  ``implication`` builds its identity frame's
-``frame_operators`` once per ensemble; per chunk it forms M, the required
-torque and ``implication_check`` once, tests the impedance-law
-precondition once per trial, and applies the check to the STAGE_CONSISTENT
-and the identity-frame CORRECTED law.  ``discrepancy`` builds the skewed
-and identity frames' operators once per ensemble; per chunk it forms M and
-the drawn frames' operators once (T from per-lane ``math.cos`` and
-``math.sin``), shared by CORRECTED, MC_PAPER and the scaled-gain
-CORRECTED.  The ``Vec2`` functions wrap the same kernels, so each suite
-checks the code the rest of the package runs.  The RK4 checks call
-``integrate``.
+``frames``, ``implication`` and ``discrepancy`` evaluate a chunk of at
+most ``_CHUNK_ROWS`` trials at a time, on float64 columns, one lane per
+trial.  The maps of ``frames`` and the kernels of ``control`` and
+``dynamics`` are number-generic, so each call gives every lane the bits it
+gives that trial's floats; ``_lanes`` builds the parameter objects that
+hold the lanes.  ``frames`` applies the public frame maps to slices of its
+columns.  Per chunk, ``implication`` forms the required torque and tests
+the impedance-law precondition once, then applies the check to the
+STAGE_CONSISTENT and the identity-frame CORRECTED ``torque_kernel``;
+``discrepancy`` evaluates ``torque_kernel`` at the skewed, the identity and
+the drawn frames.  ``dynamics`` evaluates trial by trial on floats, and
+binds ``free_response_kernel`` and ``inverse_dynamics_kernel`` once per
+trial.  The ``Vec2`` functions wrap the same kernels, so each suite checks
+the code the rest of the package runs.  The RK4 checks call ``integrate``.
 
 Residuals are folded into their worst case with ``_fold``, and the lanes
 of a chunk with ``_fold_lanes``, which gives what ``_fold`` gives trial by
@@ -55,7 +53,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra2d import (
-    Mat2,
     Vec2,
     det,
     lane_max,
@@ -69,12 +66,10 @@ from .control import (
     ImpedanceParams,
     PreconditionViolated,
     commanded_accel_kernel,
-    frame_operators,
     impedance_accel_kernel,
     implication_check,
     required_torque_kernel,
-    torque_law,
-    transform_operators,
+    torque_kernel,
 )
 from .dynamics import (
     ForcePair,
@@ -95,7 +90,6 @@ from .frames import (
     camera_to_image,
     image_offset,
     rotation_matrix,
-    scaled_rotation,
     stage_to_camera,
     stage_to_image,
     transformation_matrix,
@@ -108,8 +102,8 @@ _DEFAULT_TRIALS = {
     "discrepancy": 10_000,
 }
 
-# Rows per generator call of the control suites, and lanes per kernel call;
-# bounds the arrays held at once.
+# Rows per generator call of the control suites, and lanes per kernel call
+# of the lane suites; bounds the arrays held at once.
 _CHUNK_ROWS = 1024
 
 
@@ -196,8 +190,8 @@ def _lanes(params: type, *columns: np.ndarray):
 
     Its ``__post_init__`` checks one float per field and is not run: the
     bounds of every column drawn into these types, and the products of
-    such columns that scale the gains, keep each lane finite and > 0,
-    inside the range it checks.
+    such columns that scale the gains, keep each lane finite and > 0, and
+    every drawn alpha finite, inside the range it checks.
     """
     instance = object.__new__(params)
     for field, column in zip(dataclasses.fields(params), columns):
@@ -207,50 +201,53 @@ def _lanes(params: type, *columns: np.ndarray):
 
 # --- frames ----------------------------------------------------------------
 
+# alpha, dx, dy, fx, fy of a frame and the x, y of a stage point, each
+# drawn as one column for the whole ensemble
+_FRAMES_SUITE_BOUNDS = ((-math.pi, math.pi), (1e-3, 10.0), (1e-3, 10.0),
+                        (0.1, 10.0), (0.1, 10.0), (-1e3, 1e3), (-1e3, 1e3))
+
+
 def frames_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
     n = _trials("frames", trials)
     rng = _rng(seed)
-    alpha = rng.uniform(-math.pi, math.pi, n)
-    dx = rng.uniform(1e-3, 10.0, n)
-    dy = rng.uniform(1e-3, 10.0, n)
-    fx = rng.uniform(0.1, 10.0, n)
-    fy = rng.uniform(0.1, 10.0, n)
-    sx = rng.uniform(-1e3, 1e3, n)
-    sy = rng.uniform(-1e3, 1e3, n)
+    columns = [rng.uniform(lo, hi, n) for lo, hi in _FRAMES_SUITE_BOUNDS]
 
     worst_comp = 0.0
     worst_rot = 0.0
     worst_inv = 0.0
     worst_round = 0.0
-    for i in range(n):
-        p = FrameParams(float(alpha[i]), float(dx[i]), float(dy[i]),
-                        float(fx[i]), float(fy[i]))
-        s = StageCoord(float(sx[i]), float(sy[i]))
+    for start in range(0, n, _CHUNK_ROWS):
+        alpha, dx, dy, fx, fy, sx, sy = (
+            column[start:start + _CHUNK_ROWS] for column in columns)
+        p = _lanes(FrameParams, alpha, dx, dy, fx, fy)
+        s = StageCoord(sx, sy)
 
         one = stage_to_image(p, s)
         two = camera_to_image(p, stage_to_camera(p, s))
-        worst_comp = _fold(worst_comp, abs(one.u - two.u), abs(one.v - two.v))
+        worst_comp = _fold_lanes(worst_comp, abs(one.u - two.u),
+                                 abs(one.v - two.v))
 
-        r = rotation_matrix(p.alpha)
+        r = rotation_matrix(alpha)
         rtr = mat_mul(transpose(r), r)
-        worst_rot = _fold(
+        worst_rot = _fold_lanes(
             worst_rot,
             abs(rtr.m00 - 1.0), abs(rtr.m01), abs(rtr.m10), abs(rtr.m11 - 1.0),
             abs(det(r) - 1.0),
         )
 
         t = transformation_matrix(p)
-        worst_inv = _fold(worst_inv, abs(det(t) - p.fx * p.fy) / (p.fx * p.fy))
         t_inv = mat_inv(t)
         prod = mat_mul(t, t_inv)
-        worst_inv = _fold(
+        worst_inv = _fold_lanes(
             worst_inv,
+            abs(det(t) - fx * fy) / (fx * fy),
             abs(prod.m00 - 1.0), abs(prod.m01),
             abs(prod.m10), abs(prod.m11 - 1.0),
         )
 
         back = mat_vec_mul(t_inv, one.vec - image_offset(p))
-        worst_round = _fold(worst_round, abs(back.a0 - s.x), abs(back.a1 - s.y))
+        worst_round = _fold_lanes(worst_round, abs(back.a0 - sx),
+                                  abs(back.a1 - sy))
 
     return [
         PropertyResult("frames.composition", worst_comp <= 1e-9, worst_comp,
@@ -391,6 +388,10 @@ _FRAME_COLUMNS = slice(len(_CONTROL_CASE_BOUNDS),
                        len(_CONTROL_CASE_BOUNDS) + len(_FRAME_BOUNDS))
 # the common factor of the gain-scaling check
 _LAMBDA_BOUNDS = ((0.1, 100.0),)
+# the frames at which the transform-weighted law must collapse onto the
+# stage-space one, and must depart from it
+_IDENTITY_FRAME = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
+_SKEWED_FRAME = FrameParams(alpha=math.pi / 6, dx=1.0, dy=1.0, fx=2.0, fy=4.0)
 
 
 def _control_lanes(
@@ -415,39 +416,28 @@ def _control_lanes(
             ForcePair(fed0, fed1))
 
 
-def _drawn_frame_operators(columns: np.ndarray) -> Tuple[Mat2, Mat2]:
-    """``frame_operators`` of the frames drawn into a chunk, one lane per
-    trial, with T formed from the per-lane ``math.cos`` and ``math.sin`` of
-    alpha as ``transformation_matrix`` forms it."""
-    alpha, _, _, fx, fy = columns[_FRAME_COLUMNS]
-    cos = np.fromiter(map(math.cos, alpha), float, alpha.size)
-    sin = np.fromiter(map(math.sin, alpha), float, alpha.size)
-    return transform_operators(scaled_rotation(fx, fy, cos, sin))
-
-
 def _implication_residuals(
-    columns: np.ndarray, identity_ops: Tuple[Mat2, Mat2],
+    columns: np.ndarray,
 ) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray],
            np.ndarray]:
     """The implication residuals of a chunk of control rows, one lane per
     trial: the STAGE_CONSISTENT residual, the CORRECTED one at the identity
-    frame (``identity_ops``) and the scale max(1, ||tau||_inf) of the
-    dynamics-inversion torque.
+    frame and the scale max(1, ||tau||_inf) of the dynamics-inversion
+    torque.
 
     Raises PreconditionViolated, naming the first violating lane, when a
     lane's states break the impedance law.
     """
     masses, gains, states, fe0, fe1, fed = _control_lanes(columns)
     *_, v0, v1, a0, a1 = states
-    m_mat = mass_matrix(masses)
-    required = required_torque_kernel(m_mat, fed)
+    required = required_torque_kernel(mass_matrix(masses), fed)
     t0, t1 = required(a0, a1, v0, v1)
-    residual_of = implication_check(gains, required)(*states, fe0, fe1)
+    residual_of = implication_check(gains, required, *states, fe0, fe1)
     return (
-        residual_of(torque_law(
-            ControllerVariant.STAGE_CONSISTENT, m_mat, None)(gains, fed)),
-        residual_of(torque_law(
-            ControllerVariant.CORRECTED, m_mat, identity_ops)(gains, fed)),
+        residual_of(torque_kernel(ControllerVariant.STAGE_CONSISTENT, masses,
+                                  _IDENTITY_FRAME, gains, fed)),
+        residual_of(torque_kernel(ControllerVariant.CORRECTED, masses,
+                                  _IDENTITY_FRAME, gains, fed)),
         lane_max(1.0, abs(t0), abs(t1)),
     )
 
@@ -456,15 +446,13 @@ def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
     n = _trials("implication", trials)
     worst_stage = 0.0
     worst_ident = 0.0
-    identity_ops = frame_operators(
-        FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0))
     start = 0
     # the frame columns are drawn but not read: the stage-consistent law
     # reads no frame, and dropping them would change every row's values
     chunks = _draw_rows(_rng(seed), _CONTROL_CASE_BOUNDS + _FRAME_BOUNDS, n)
     for columns in chunks:
         try:
-            stage, ident, scale = _implication_residuals(columns, identity_ops)
+            stage, ident, scale = _implication_residuals(columns)
         except PreconditionViolated as exc:
             trial = start + exc.lane
             raise PreconditionViolated(f"trial {trial}: {exc}", trial) from exc
@@ -486,10 +474,6 @@ def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
 def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:
     n = _trials("discrepancy", trials)
     corrected = ControllerVariant.CORRECTED
-    skewed_ops = frame_operators(
-        FrameParams(alpha=math.pi / 6, dx=1.0, dy=1.0, fx=2.0, fy=4.0))
-    identity_ops = frame_operators(
-        FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0))
 
     min_gap = math.inf
     max_gap = 0.0
@@ -507,11 +491,11 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
         ed0, ed1 = qv0 - v0, qv1 - v1
         law_args = (qa0, qa1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
         c0, c1 = commanded_accel_kernel(gains)(*law_args[:8])
-        m_mat = mass_matrix(masses)
 
-        s0, s1 = torque_law(ControllerVariant.SIM_PAPER, m_mat, None)(
-            gains, fed)(*law_args)
-        k0, k1 = torque_law(corrected, m_mat, skewed_ops)(gains, fed)(*law_args)
+        s0, s1 = torque_kernel(ControllerVariant.SIM_PAPER, masses,
+                               _SKEWED_FRAME, gains, fed)(*law_args)
+        k0, k1 = torque_kernel(corrected, masses, _SKEWED_FRAME, gains,
+                               fed)(*law_args)
         d0, d1 = abs(s0 - k0), abs(s1 - k1)
         # _fold(d0, d1) lane by lane
         gap = np.where(np.isnan(d1) | (d1 > d0), d1, d0)
@@ -524,14 +508,14 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
 
         # the stage-space law reads no frame: SimPaper at the identity frame
         # is (s0, s1)
-        i0, i1 = torque_law(corrected, m_mat, identity_ops)(gains, fed)(*law_args)
+        i0, i1 = torque_kernel(corrected, masses, _IDENTITY_FRAME, gains,
+                               fed)(*law_args)
         worst_collapse = _fold_lanes(worst_collapse, abs(s0 - i0), abs(s1 - i1))
 
-        frame_ops = _drawn_frame_operators(columns)
-        corrected_law = torque_law(corrected, m_mat, frame_ops)
-        f0, f1 = corrected_law(gains, fed)(*law_args)
-        m0, m1 = torque_law(ControllerVariant.MC_PAPER, m_mat, frame_ops)(
-            gains, fed)(*law_args)
+        frame = _lanes(FrameParams, *columns[_FRAME_COLUMNS])
+        f0, f1 = torque_kernel(corrected, masses, frame, gains, fed)(*law_args)
+        m0, m1 = torque_kernel(ControllerVariant.MC_PAPER, masses, frame,
+                               gains, fed)(*law_args)
         scale = lane_max(1.0, abs(f0), abs(f1))
         worst_subst = _fold_lanes(
             worst_subst,
@@ -542,7 +526,7 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
         lam = columns[-1]
         scaled_gains = _lanes(ImpedanceParams,
                               lam * gains.m, lam * gains.b, lam * gains.k)
-        g0, g1 = corrected_law(scaled_gains, fed)(
+        g0, g1 = torque_kernel(corrected, masses, frame, scaled_gains, fed)(
             qa0, qa1, e0, e1, ed0, ed1, lam * fe0, lam * fe1, v0, v1,
         )
         term_mag = (

@@ -313,6 +313,20 @@ class TestFreeResponseCommand:
         max_err = float(proc.stdout.split("max_error")[1].strip())
         assert max_err <= 1e-6
 
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # the closed-form reference is bound once per run; every byte of
+        # the CSV must stay what the per-sample evaluation wrote
+        out = tmp_path / "free.csv"
+        proc = run_cli(
+            "free-response", "--mx", "1", "--my", "2", "--mp", "0.5",
+            "--x0", "0.3", "--y0", "-0.2", "--xd0", "1.5", "--yd0", "-0.7",
+            "--t-end", "2.0", "--dt", "0.01", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0a6033e323dc949513d3c21381887e72f85fcb1b2fbc2799830ddb8d4eccef6b")
+        assert proc.stdout.endswith("max_error 1.3469225734752399e-12\n")
+
     def test_rest_initial_conditions_give_zero_error(self, tmp_path):
         out = tmp_path / "free.csv"
         proc = run_cli(

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microinject import verify
 from microinject.algebra2d import SingularMatrix, Vec2, mat_inv, mat_mul, mat_vec_mul
 from microinject.control import (
     ControllerVariant,
@@ -16,13 +18,11 @@ from microinject.control import (
     commanded_accel,
     error_state,
     force_control_residual,
-    frame_operators,
     impedance_accel,
     implication_residual,
     required_torque,
     torque_controller,
     torque_kernel,
-    torque_law,
 )
 from microinject.dynamics import (
     ForcePair,
@@ -306,11 +306,9 @@ def test_float_kernels_match_vec2_formulas_bitwise():
             required), i
 
 
-def test_torque_law_levels_match_vec2_formulas_bitwise():
-    # the composed torque_kernel and builds hoisted as the verify suites make
-    # them: each frame's operators built once for every draw, M formed once
-    # per draw for all four laws, and one masses-level law bound to two sets
-    # of gains; all give the bits of the Vec2 laws
+def test_torque_kernel_matches_vec2_formulas_bitwise():
+    # torque_kernel built per draw at eight frames, each with two sets of
+    # gains, and once on a chunk of lanes; all give the bits of the Vec2 laws
     special = (0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
     rng = random.Random(13)
 
@@ -328,16 +326,14 @@ def test_torque_law_levels_match_vec2_formulas_bitwise():
               FrameParams(-0.0, 1.0, 1.0, 3.0, 0.5)] + [
         FrameParams(rng.uniform(-3.0, 3.0), 1.0, 1.0, rng.uniform(0.2, 5.0),
                     rng.uniform(0.2, 5.0)) for _ in range(4)]
-    frame_ops = [frame_operators(frame) for frame in frames]
 
     def random_gains():
         return ImpedanceParams(rng.uniform(0.2, 3.0), rng.uniform(1.0, 30.0),
                                rng.uniform(1.0, 200.0))
 
     for i in range(800):
-        frame, ops = frames[i % len(frames)], frame_ops[i % len(frames)]
+        frame = frames[i % len(frames)]
         masses = MassParams(*(rng.uniform(0.1, 3.0) for _ in range(3)))
-        m_mat = mass_matrix(masses)
         gains, other_gains = random_gains(), random_gains()
         desired = DesiredTrajectoryPoint(vec(), vec(), vec())
         errors = ErrorState(vec(), vec(), vec())
@@ -347,17 +343,56 @@ def test_torque_law_levels_match_vec2_formulas_bitwise():
                 errors.e.a1, errors.edot.a0, errors.edot.a1, fe.fex, fe.fey,
                 qdot.a0, qdot.a1)
         for variant in ControllerVariant:
-            # a stage-space law reads no frame operators, given or not
-            laws = [torque_law(variant, m_mat, ops)]
-            if variant in STAGE_SPACE_VARIANTS:
-                laws.append(torque_law(variant, m_mat, None))
             for g in (gains, other_gains):
                 want = bits(_vec2_torque(variant, masses, frame, g, desired,
                                          qdot, errors, fe, fed))
-                composed = torque_kernel(variant, masses, frame, g, fed)(*args)
-                assert bits(Vec2(*composed)) == want, (i, variant)
-                for law in laws:
-                    assert bits(Vec2(*law(g, fed)(*args))) == want, (i, variant)
+                got = torque_kernel(variant, masses, frame, g, fed)(*args)
+                assert bits(Vec2(*got)) == want, (i, variant)
+
+    # one chunk of lanes, every input a float64 array; alpha takes +-0.0
+    # and +-pi in the first lanes
+    lanes = verify._CHUNK_ROWS
+    np_rng = np.random.default_rng(13)
+
+    def lane_draws():
+        values = np_rng.uniform(-5.0, 5.0, lanes)
+        pick = np_rng.random(lanes) < 0.2
+        values[pick] = np_rng.choice(special, int(pick.sum()))
+        return values
+
+    alpha = np_rng.uniform(-3.0, 3.0, lanes)
+    alpha[:4] = (0.0, -0.0, math.pi, -math.pi)
+    ones = np.ones(lanes)
+    frame = verify._lanes(FrameParams, alpha, ones, ones,
+                          *np_rng.uniform(0.2, 5.0, (2, lanes)))
+    masses = verify._lanes(MassParams, *np_rng.uniform(0.1, 3.0, (3, lanes)))
+    gain_sets = [
+        verify._lanes(ImpedanceParams, np_rng.uniform(0.2, 3.0, lanes),
+                      np_rng.uniform(1.0, 30.0, lanes),
+                      np_rng.uniform(1.0, 200.0, lanes))
+        for _ in range(2)]
+    args = [lane_draws() for _ in range(10)]
+    fed = ForcePair(lane_draws(), lane_draws())
+    for variant in ControllerVariant:
+        for g in gain_sets:
+            with np.errstate(all="ignore"):
+                got = torque_kernel(variant, masses, frame, g, fed)(*args)
+            for lane in range(lanes):
+                def at(*columns):
+                    return [float(column[lane]) for column in columns]
+
+                qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1 = at(*args)
+                zero = Vec2(0.0, 0.0)
+                want = _vec2_torque(
+                    variant, MassParams(*at(masses.mx, masses.my, masses.mp)),
+                    FrameParams(*at(alpha, ones, ones, frame.fx, frame.fy)),
+                    ImpedanceParams(*at(g.m, g.b, g.k)),
+                    DesiredTrajectoryPoint(zero, zero, Vec2(qdd0, qdd1)),
+                    Vec2(v0, v1),
+                    ErrorState(Vec2(e0, e1), Vec2(ed0, ed1), zero),
+                    ForcePair(fe0, fe1), ForcePair(*at(fed.fex, fed.fey)),
+                )
+                assert bits(Vec2(*at(*got))) == bits(want), (lane, variant)
 
 
 def test_only_transform_weighted_laws_invert_the_frame():
@@ -369,7 +404,7 @@ def test_only_transform_weighted_laws_invert_the_frame():
     fed = ForcePair(0.5, 0.25)
     args = (-0.4, 0.9, 0.1, -0.3, 0.2, 0.05, 1.5, -0.5, 0.8, -0.5)
     with pytest.raises(SingularMatrix):
-        frame_operators(frame)
+        mat_inv(transformation_matrix(frame))
     for variant in ControllerVariant:
         if variant in STAGE_SPACE_VARIANTS:
             tau = torque_kernel(variant, masses, frame, gains, fed)(*args)

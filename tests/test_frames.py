@@ -1,9 +1,13 @@
 import math
+import random
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microinject import verify
 from microinject.algebra2d import Mat2, det, diag, identity, mat_inv, mat_mul, mat_vec_mul, transpose
 from microinject.frames import (
     CameraCoord,
@@ -182,3 +186,68 @@ class TestStageToImage:
         )
         assert abs(back.a0 - s.x) <= 1e-9
         assert abs(back.a1 - s.y) <= 1e-9
+
+
+def _frame_lanes():
+    """Two full chunks and a partial one of the frames suite's draws, then
+    alpha = +-0.0, +-pi and 1e-300."""
+    rng = verify._rng(3)
+    n = 2 * verify._CHUNK_ROWS + 37
+    columns = np.array([rng.uniform(lo, hi, n)
+                        for lo, hi in verify._FRAMES_SUITE_BOUNDS])
+    extra = np.array([(a, 0.5, 2.0, 3.0, 0.25, -7.5, 1e3)
+                      for a in (0.0, -0.0, math.pi, -math.pi, 1e-300)]).T
+    return np.concatenate([columns, extra], axis=1)
+
+
+def test_lane_frames_match_float_maps_bitwise():
+    def bits(*values):
+        return [float(v).hex() for v in values]
+
+    columns = _frame_lanes()
+    for start in range(0, columns.shape[1], verify._CHUNK_ROWS):
+        chunk = columns[:, start:start + verify._CHUNK_ROWS]
+        alpha, dx, dy, fx, fy, sx, sy = chunk
+        p = verify._lanes(FrameParams, alpha, dx, dy, fx, fy)
+        lanes = {
+            "transformation_matrix": transformation_matrix(p),
+            "rotation_matrix": rotation_matrix(alpha),
+            "stage_to_camera": stage_to_camera(p, StageCoord(sx, sy)),
+            "stage_to_image": stage_to_image(p, StageCoord(sx, sy)),
+            "camera_to_image": camera_to_image(p, CameraCoord(sx, sy)),
+            "image_offset": image_offset(p),
+        }
+        for lane in range(chunk.shape[1]):
+            a, *rest, x, y = (float(v) for v in chunk[:, lane])
+            q = FrameParams(a, *rest)
+            floats = {
+                "transformation_matrix": transformation_matrix(q),
+                "rotation_matrix": rotation_matrix(a),
+                "stage_to_camera": stage_to_camera(q, StageCoord(x, y)),
+                "stage_to_image": stage_to_image(q, StageCoord(x, y)),
+                "camera_to_image": camera_to_image(q, CameraCoord(x, y)),
+                "image_offset": image_offset(q),
+            }
+            for name, want in floats.items():
+                got = lanes[name]
+                assert (bits(*(v[lane] for v in astuple(got)))
+                        == bits(*astuple(want))), (start + lane, name)
+
+
+def test_stage_to_camera_is_the_inline_rotation_formula_bitwise():
+    # stage_to_camera applies rotation_matrix; it must give the bits of the
+    # rotation written out, signed zeros and extreme coordinates included
+    rng = random.Random(17)
+    alphas = (0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300)
+    coords = (0.0, -0.0, 1e308, -1e308, 5e-324, 1.0)
+    for i in range(5000):
+        a = rng.choice(alphas) if i % 4 == 0 else rng.uniform(-math.pi, math.pi)
+        x, y = (rng.choice(coords) if rng.random() < 0.25
+                else rng.uniform(-1e3, 1e3) for _ in range(2))
+        p = FrameParams(a, rng.uniform(1e-3, 10.0), rng.uniform(1e-3, 10.0),
+                        1.0, 1.0)
+        ca, sa = math.cos(a), math.sin(a)
+        got = stage_to_camera(p, StageCoord(x, y))
+        want = (x * ca + y * sa + p.dx, -x * sa + y * ca + p.dy)
+        assert ([got.xc.hex(), got.yc.hex()]
+                == [want[0].hex(), want[1].hex()]), (a, x, y)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from microinject import control, verify
-from microinject.algebra2d import Vec2
+from microinject.algebra2d import Mat2, Vec2
 from microinject.control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
@@ -16,7 +16,7 @@ from microinject.control import (
     implication_residual,
     torque_controller,
 )
-from microinject.dynamics import ForcePair, MassParams, mass_matrix
+from microinject.dynamics import ForcePair, MassParams
 from microinject.frames import FrameParams
 
 # SHA-256 of the "name passed worst.hex() trials" lines of run_suite("all", 0)
@@ -29,9 +29,13 @@ SEED_0_WITH_DETAIL_SHA256 = (
     "135e90efcedf5f307b90b7adc19271bb21fa3062ecb126394a953e6f087abd64")
 SEED_7_TRIALS_37_WITH_DETAIL_SHA256 = (
     "9d74ae19c1f6f415a74f21d36e257fa00571bce31540ac645d53a4e2d1dc4774")
-# The same lines of each control suite at seed 3 with 2500 trials, three
-# chunks of draws, taken from the per-trial suites the lanes replaced.
+# The same lines of each lane suite at seed 3 with 2500 trials, three
+# chunks of lanes, taken from the per-trial suites the lanes replaced.  The
+# frames worst values are quantized to ulps and repeat across seeds, so
+# tests/test_frames.py checks the lane maps bitwise against the float ones.
 SEED_3_TRIALS_2500_WITH_DETAIL_SHA256 = {
+    "frames":
+        "2f55e9065b125d8c540568d5020f874583759ff1393d3f61108c588538f54a6b",
     "implication":
         "a4c7d797da2b964881d77ea382d31a36a1fbb9b4798f9a2ab98034524fe67fcf",
     "discrepancy":
@@ -110,42 +114,37 @@ def test_non_positive_trials_are_rejected(suite, trials):
 
 
 def nan_in_trial(factory, trial, variant=None, both=False):
-    """Wrap a kernel factory so that its kernels give NaN for trial
-    ``trial`` as their second component, a NaN that ``max`` would drop, or
-    as both.
+    """Wrap a factory of kernels, or of matrices, so that what it makes
+    gives NaN for trial ``trial`` as its second component, a NaN that
+    ``max`` would drop, or as both; of a matrix, the second row's entries.
 
-    A per-trial suite builds a kernel once per trial, and a lane suite once
-    per chunk of ``_CHUNK_ROWS`` trials, one lane each; the builds are
-    counted, only those for ``variant`` when given.  ``control.torque_law``
-    returns a binder of gains and fed, not a kernel; for it, every kernel
-    that the binder returns gives NaN.
+    A per-trial suite builds once per trial, and a lane suite once per
+    chunk of ``_CHUNK_ROWS`` trials, one lane each; the builds are counted,
+    only those for ``variant`` when given.
     """
     builds = itertools.count()
 
-    def nan_kernel(kernel, build):
-        def patched_kernel(*values):
-            first, second = kernel(*values)
-            if not isinstance(second, np.ndarray):
-                if build == trial:
-                    first, second = (math.nan if both else first), math.nan
-            elif build == trial // verify._CHUNK_ROWS:
-                lane = trial % verify._CHUNK_ROWS
-                first, second = first.copy(), second.copy()
-                second[lane] = math.nan
-                if both:
-                    first[lane] = math.nan
-            return first, second
-
-        return patched_kernel
+    def with_nan(first, second, build):
+        if not isinstance(second, np.ndarray):
+            if build == trial:
+                first, second = (math.nan if both else first), math.nan
+        elif build == trial // verify._CHUNK_ROWS:
+            lane = trial % verify._CHUNK_ROWS
+            first, second = first.copy(), second.copy()
+            second[lane] = math.nan
+            if both:
+                first[lane] = math.nan
+        return first, second
 
     def patched(*args, **kwargs):
         made = factory(*args, **kwargs)
         if variant is not None and args[0] is not variant:
             return made
         build = next(builds)
-        if factory is control.torque_law:
-            return lambda *binding: nan_kernel(made(*binding), build)
-        return nan_kernel(made, build)
+        if isinstance(made, Mat2):
+            return Mat2(made.m00, made.m01,
+                        *with_nan(made.m10, made.m11, build))
+        return lambda *values: with_nan(*made(*values), build)
 
     return patched
 
@@ -171,26 +170,28 @@ def run_with_nan(monkeypatch, suite, patches, trial, trials):
         ("dynamics", [("inverse_dynamics_kernel", None, False)],
          {"dynamics.closed_form_residual"}),
         ("implication",
-         [("torque_law", ControllerVariant.STAGE_CONSISTENT, False)],
+         [("torque_kernel", ControllerVariant.STAGE_CONSISTENT, False)],
          {"implication.stage_consistent"}),
         ("implication",
-         [("torque_law", ControllerVariant.CORRECTED, False)],
+         [("torque_kernel", ControllerVariant.CORRECTED, False)],
          {"implication.corrected_identity_frame"}),
-        ("discrepancy", [("torque_law", ControllerVariant.SIM_PAPER, False)],
+        ("discrepancy", [("torque_kernel", ControllerVariant.SIM_PAPER, False)],
          {"discrepancy.missing_transform_gap",
           "discrepancy.identity_frame_collapse"}),
         # a NaN commanded acceleration must not exclude the trial's gap
         ("discrepancy", [("commanded_accel_kernel", None, True),
-                         ("torque_law", ControllerVariant.SIM_PAPER, True)],
+                         ("torque_kernel", ControllerVariant.SIM_PAPER, True)],
          {"discrepancy.missing_transform_gap",
           "discrepancy.identity_frame_collapse"}),
-        ("discrepancy", [("torque_law", ControllerVariant.MC_PAPER, False)],
+        ("discrepancy", [("torque_kernel", ControllerVariant.MC_PAPER, False)],
          {"discrepancy.force_substitution_identity"}),
+        ("frames", [("mat_inv", None, False)],
+         {"frames.transform_invertibility", "frames.round_trip"}),
     ],
 )
 def test_nan_residual_fails_its_property(monkeypatch, suite, patches, failing):
     # the NaN comes from the fourth trial, after finite residuals: lane 3
-    # of the first chunk in the control suites
+    # of the first chunk in the lane suites
     assert run_with_nan(monkeypatch, suite, patches, 3, 20) == failing
 
 
@@ -198,11 +199,13 @@ def test_nan_residual_fails_its_property(monkeypatch, suite, patches, failing):
     "suite, patches, failing",
     [
         ("implication",
-         [("torque_law", ControllerVariant.STAGE_CONSISTENT, False)],
+         [("torque_kernel", ControllerVariant.STAGE_CONSISTENT, False)],
          {"implication.stage_consistent"}),
-        ("discrepancy", [("torque_law", ControllerVariant.SIM_PAPER, False)],
+        ("discrepancy", [("torque_kernel", ControllerVariant.SIM_PAPER, False)],
          {"discrepancy.missing_transform_gap",
           "discrepancy.identity_frame_collapse"}),
+        ("frames", [("mat_inv", None, False)],
+         {"frames.transform_invertibility", "frames.round_trip"}),
     ],
 )
 def test_nan_in_second_chunk_fails_its_property(monkeypatch, suite, patches,
@@ -211,6 +214,23 @@ def test_nan_in_second_chunk_fails_its_property(monkeypatch, suite, patches,
     trial = verify._CHUNK_ROWS + 3
     assert run_with_nan(monkeypatch, suite, patches, trial,
                         verify._CHUNK_ROWS + 20) == failing
+
+
+def test_frames_suite_folds_every_trial(monkeypatch):
+    # the frames worst values repeat across seeds, so the pinned digests
+    # would not notice a chunk that skips a trial
+    sizes = []
+    fold_lanes = verify._fold_lanes
+
+    def recording(acc, *columns, lowest=False):
+        sizes.extend(column.size for column in columns)
+        return fold_lanes(acc, *columns, lowest=lowest)
+
+    monkeypatch.setattr(verify, "_fold_lanes", recording)
+    verify.run_suite("frames", 0, 2 * verify._CHUNK_ROWS + 37)
+    # 2 composition, 5 orthogonality, 5 invertibility and 2 round-trip
+    # residual columns per chunk
+    assert sizes == [verify._CHUNK_ROWS] * 28 + [37] * 14
 
 
 def test_precondition_violation_names_the_first_violating_trial(monkeypatch):
@@ -251,17 +271,15 @@ def test_lanes_match_the_scalar_api_trial_by_trial():
               + verify._LAMBDA_BOUNDS)
     n = 2 * verify._CHUNK_ROWS + 37
     identity = FrameParams(alpha=0.0, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
-    identity_ops = control.frame_operators(identity)
     checked = 0
     for columns in verify._draw_rows(verify._rng(11), bounds, n):
-        stage, ident, _ = verify._implication_residuals(columns, identity_ops)
+        stage, ident, _ = verify._implication_residuals(columns)
         masses, gains, states, fe0, fe1, fed = verify._control_lanes(columns)
         qd0, qd1, qv0, qv1, qa0, qa1, q0, q1, v0, v1, a0, a1 = states
         e0, e1, ed0, ed1 = qd0 - q0, qd1 - q1, qv0 - v0, qv1 - v1
-        m_mat = mass_matrix(masses)
-        frame_ops = verify._drawn_frame_operators(columns)
+        frame = verify._lanes(FrameParams, *columns[verify._FRAME_COLUMNS])
         torques = {
-            variant: control.torque_law(variant, m_mat, frame_ops)(gains, fed)(
+            variant: control.torque_kernel(variant, masses, frame, gains, fed)(
                 qa0, qa1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
             for variant in ControllerVariant
         }
@@ -271,14 +289,14 @@ def test_lanes_match_the_scalar_api_trial_by_trial():
             s_gains = ImpedanceParams(*row[3:6])
             s_fed = ForcePair(*row[18:20])
             s_fe = ForcePair(row[16], row[17])
-            frame = FrameParams(*row[verify._FRAME_COLUMNS])
+            s_frame = FrameParams(*row[verify._FRAME_COLUMNS])
             (sqd0, sqd1, sqv0, sqv1, sqa0, sqa1, sq0, sq1, sv0, sv1, sa0,
              sa1) = _lane(states, trial)
             desired = DesiredTrajectoryPoint(
                 Vec2(sqd0, sqd1), Vec2(sqv0, sqv1), Vec2(sqa0, sqa1))
             actual = (Vec2(sq0, sq1), Vec2(sv0, sv1), Vec2(sa0, sa1))
             for lanes, variant, at in (
-                (stage, ControllerVariant.STAGE_CONSISTENT, frame),
+                (stage, ControllerVariant.STAGE_CONSISTENT, s_frame),
                 (ident, ControllerVariant.CORRECTED, identity),
             ):
                 want = implication_residual(variant, s_masses, at, s_gains,
@@ -289,7 +307,7 @@ def test_lanes_match_the_scalar_api_trial_by_trial():
             errors = ErrorState(Vec2(sqd0 - sq0, sqd1 - sq1),
                                 Vec2(sqv0 - sv0, sqv1 - sv1), Vec2(0.0, 0.0))
             for variant, lanes in torques.items():
-                want = torque_controller(variant, s_masses, frame, s_gains,
+                want = torque_controller(variant, s_masses, s_frame, s_gains,
                                          desired, Vec2(sv0, sv1), errors,
                                          s_fe, s_fed)
                 assert ([v.hex() for v in _lane(lanes, trial)]
