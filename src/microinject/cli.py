@@ -36,7 +36,7 @@ from .dynamics import (
 )
 from .algebra2d import Vec2
 from .sim import run_closed_loop
-from .verify import SUITE_NAMES, run_suite
+from .verify import MAX_TRIALS, SUITE_NAMES, run_suite
 
 log = logging.getLogger("microinject")
 
@@ -98,6 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.trials is not None and args.trials <= 0:
         print("microinject: --trials must be > 0", file=sys.stderr)
+        return 2
+    if args.trials is not None and args.trials > MAX_TRIALS:
+        print(f"microinject: --trials must be <= {MAX_TRIALS}, got {args.trials}",
+              file=sys.stderr)
         return 2
     if args.seed < 0:
         print("microinject: --seed must be >= 0", file=sys.stderr)

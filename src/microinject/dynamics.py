@@ -16,10 +16,11 @@ parameter set: ``free_response_kernel`` (position, velocity and
 acceleration from one ``exp`` per axis), ``inverse_dynamics_kernel``
 (M @ a + B @ v), ``stage_accel_kernel`` and ``rk4_kernel``.
 ``free_response``, ``free_response_accel`` and ``dynamics_residual`` wrap
-them and evaluate them once; the ``dynamics`` verify suite binds the first
-two once per trial.  ``mass_matrix`` and ``inverse_dynamics_kernel`` are
-elementwise ``+ - *``, so the control verify suites run them on float64
-lanes, one per trial.
+them and evaluate them once.  ``mass_matrix``, ``inverse_dynamics_kernel``
+and ``free_response_kernel`` are elementwise ``+ - * /`` and ``exp``, with
+``exp`` from ``math`` lane by lane, so the verify suites run them on
+float64 lanes, one per trial or per sample time, each lane with the bits
+of its float evaluation.
 
 The RK4 step is evaluated in one place: ``rk4_kernel`` binds M_inv and B
 once and steps plain floats.  ``rk4_step`` and ``integrate`` wrap it, and
@@ -34,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
+
+import numpy as np
 
 from .algebra2d import Mat2, Vec2, diag, identity, mat_inv, mat_mul
 from .frames import FrameParams, transformation_matrix
@@ -160,10 +163,17 @@ def dynamics_residual(
     return Vec2(l0 - (tau.taux - fed.fex), l1 - (tau.tauy - fed.fey))
 
 
+def _exp(v):
+    """``math.exp`` of v, lane by lane for a float64 array."""
+    if isinstance(v, np.ndarray):
+        return np.fromiter(map(math.exp, v), float, v.size)
+    return math.exp(v)
+
+
 def free_response_kernel(
     masses: MassParams, x0: float, y0: float, xd0: float, yd0: float
 ) -> Callable[[float], Tuple[float, float, float, float, float, float]]:
-    """The closed-form free response in floats, with its constants bound once.
+    """The closed-form free response, with its constants bound once.
 
     The returned ``at(t)`` gives (x, y, xdot, ydot, xddot, yddot) at time t,
     from one ``exp`` per axis shared by the three derivatives:
@@ -171,20 +181,22 @@ def free_response_kernel(
         x(t) = (x0 + xd0*Mx) - xd0*Mx*exp(-t/Mx),  xdot(t) = xd0*exp(-t/Mx),
         xddot(t) = -(xd0/Mx)*exp(-t/Mx),
 
-    with Mx = mx+my+mp, and the analogous y terms with My = my+mp.  It does
-    not check t; ``free_response`` and ``free_response_accel`` wrap it and
-    reject t < 0.
+    with Mx = mx+my+mp, and the analogous y terms with My = my+mp.  The
+    masses, initial conditions and t may be floats or float64 lanes
+    (``verify._lanes(MassParams, ...)``); ``exp`` is ``math.exp`` lane by
+    lane, because numpy's need not round as libm does, so each lane gets
+    the bits of its float evaluation.  It does not check t;
+    ``free_response`` and ``free_response_accel`` wrap it and reject t < 0.
     """
     mx_tot = masses.total_x
     my_tot = masses.total_y
     x_inf, y_inf = x0 + xd0 * mx_tot, y0 + yd0 * my_tot
     x_span, y_span = xd0 * mx_tot, yd0 * my_tot
     x_acc, y_acc = -(xd0 / mx_tot), -(yd0 / my_tot)
-    exp = math.exp
 
     def at(t: float) -> Tuple[float, float, float, float, float, float]:
-        ex = exp(-t / mx_tot)
-        ey = exp(-t / my_tot)
+        ex = _exp(-t / mx_tot)
+        ey = _exp(-t / my_tot)
         return (
             x_inf - x_span * ex, y_inf - y_span * ey,
             xd0 * ex, yd0 * ey,

@@ -23,20 +23,22 @@ trial, all of a trial's inputs in their scalar draw order (25 columns for
 generator call per chunk of at most ``_CHUNK_ROWS`` rows; the values are
 those of one scalar ``rng.uniform`` call per input, in the same order.
 
-``frames``, ``implication`` and ``discrepancy`` evaluate a chunk of at
-most ``_CHUNK_ROWS`` trials at a time, on float64 columns, one lane per
-trial.  The maps of ``frames`` and the kernels of ``control`` and
-``dynamics`` are number-generic, so each call gives every lane the bits it
-gives that trial's floats; ``_lanes`` builds the parameter objects that
-hold the lanes.  ``frames`` applies the public frame maps to slices of its
-columns.  Per chunk, ``implication`` forms the required torque and tests
-the impedance-law precondition once, then applies the check to the
+Every suite evaluates a chunk of at most ``_CHUNK_ROWS`` trials at a
+time, on float64 columns, one lane per trial.  The maps of ``frames`` and
+the kernels of ``control`` and ``dynamics`` are number-generic, so each
+call gives every lane the bits it gives that trial's floats; ``_lanes``
+builds the parameter objects that hold the lanes.  ``frames`` applies the
+public frame maps to slices of its columns.  ``dynamics`` binds
+``free_response_kernel`` and ``inverse_dynamics_kernel`` once per slice of
+its columns and evaluates every lane at one of the 100 sample times at a
+time.  Per chunk, ``implication`` forms the required torque and tests the
+impedance-law precondition once, then applies the check to the
 STAGE_CONSISTENT and the identity-frame CORRECTED ``torque_kernel``;
 ``discrepancy`` evaluates ``torque_kernel`` at the skewed, the identity and
-the drawn frames.  ``dynamics`` evaluates trial by trial on floats, and
-binds ``free_response_kernel`` and ``inverse_dynamics_kernel`` once per
-trial.  The ``Vec2`` functions wrap the same kernels, so each suite checks
-the code the rest of the package runs.  The RK4 checks call ``integrate``.
+the drawn frames.  The ``Vec2`` functions wrap the same kernels, so each
+suite checks the code the rest of the package runs.  The RK4 checks call
+``integrate`` and compare every sample it returns with one lane call of
+``free_response_kernel``.
 
 Residuals are folded into their worst case with ``_fold``, and the lanes
 of a chunk with ``_fold_lanes``, which gives what ``_fold`` gives trial by
@@ -101,6 +103,11 @@ _DEFAULT_TRIALS = {
     "implication": 10_000,
     "discrepancy": 10_000,
 }
+
+# The most trials the command line runs per suite.  ``frames`` and
+# ``dynamics`` draw 7 float64 columns for the whole ensemble up front, 56
+# bytes a trial, so this keeps the largest draw near 56 MB.
+MAX_TRIALS = 1_000_000
 
 # Rows per generator call of the control suites, and lanes per kernel call
 # of the lane suites; bounds the arrays held at once.
@@ -270,12 +277,15 @@ def _max_error_vs_closed_form(
     x0, y0, xd0, yd0 = ics
     s0 = StageState(Vec2(x0, y0), Vec2(xd0, yd0))
     samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, t_end, dt)
-    closed_form = free_response_kernel(masses, x0, y0, xd0, yd0)
-    worst = 0.0
-    for t, state in samples:
-        x, y, *_ = closed_form(t)
-        worst = _fold(worst, abs(state.q.a0 - x), abs(state.q.a1 - y))
-    return worst
+    # one lane per sample time; the samples are dropped before the closed
+    # form runs, so its lanes do not add to the trajectory at the memory peak
+    n = len(samples)
+    times = np.fromiter((t for t, _ in samples), float, n)
+    xs = np.fromiter((state.q.a0 for _, state in samples), float, n)
+    ys = np.fromiter((state.q.a1 for _, state in samples), float, n)
+    del samples
+    x, y, *_ = free_response_kernel(masses, x0, y0, xd0, yd0)(times)
+    return _fold_lanes(0.0, abs(xs - x), abs(ys - y))
 
 
 def _image_space_residual(h: float = 1e-3) -> float:
@@ -317,25 +327,28 @@ def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResu
 
     worst_resid = 0.0
     worst_asym = 0.0
-    for i in range(n):
-        masses = MassParams(*m_draw[i].tolist())
-        x0, y0, xd0, yd0 = q_draw[i].tolist()
-        scale = max(1.0, abs(xd0), abs(yd0))
+    for start in range(0, n, _CHUNK_ROWS):
+        masses = _lanes(MassParams, *m_draw[start:start + _CHUNK_ROWS].T)
+        x0, y0, xd0, yd0 = q_draw[start:start + _CHUNK_ROWS].T
+        scale = lane_max(1.0, abs(xd0), abs(yd0))
         horizon = 10.0 * masses.total_x
         closed_form = free_response_kernel(masses, x0, y0, xd0, yd0)
         lhs = inverse_dynamics_kernel(mass_matrix(masses))
+        # one sample time of every lane at a time, which keeps the
+        # temporaries at the size of one chunk
         for j in range(100):
             _, _, xd, yd, xdd, ydd = closed_form(horizon * j / 99.0)
             # torque and force are zero, so M@qddot + B@qdot is the residual
             r0, r1 = lhs(xdd, ydd, xd, yd)
-            worst_resid = _fold(worst_resid, abs(r0) / scale, abs(r1) / scale)
+            worst_resid = _fold_lanes(worst_resid, abs(r0) / scale,
+                                      abs(r1) / scale)
 
         limit_x = x0 + xd0 * masses.total_x
         limit_y = y0 + yd0 * masses.total_y
-        x, y, *_ = closed_form(50.0 * max(masses.total_x, masses.total_y))
-        limit_scale = max(1.0, max(abs(limit_x), abs(limit_y)))
-        worst_asym = _fold(worst_asym, abs(x - limit_x) / limit_scale,
-                           abs(y - limit_y) / limit_scale)
+        x, y, *_ = closed_form(50.0 * lane_max(masses.total_x, masses.total_y))
+        limit_scale = lane_max(1.0, lane_max(abs(limit_x), abs(limit_y)))
+        worst_asym = _fold_lanes(worst_asym, abs(x - limit_x) / limit_scale,
+                                 abs(y - limit_y) / limit_scale)
 
     rk4_err = _max_error_vs_closed_form(
         MassParams(1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0), 10.0, 1e-3

@@ -75,6 +75,39 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "frames", "--trials", "0")
         assert proc.returncode == 2
 
+    @staticmethod
+    def _run_with_suites_stubbed(monkeypatch, suite, trials):
+        from microinject import cli
+
+        calls = []
+
+        def record(name, seed, n):
+            calls.append((name, seed, n))
+            return []
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        return cli.main(["verify", "--suite", suite, "--trials", trials]), calls
+
+    @pytest.mark.parametrize("suite", ["frames", "all"])
+    def test_trials_over_cap_exits_2_before_any_suite_runs(
+        self, monkeypatch, capsys, suite,
+    ):
+        from microinject.verify import MAX_TRIALS
+
+        code, calls = self._run_with_suites_stubbed(
+            monkeypatch, suite, str(MAX_TRIALS + 1))
+        assert code == 2
+        assert calls == []
+        assert f"--trials must be <= {MAX_TRIALS}" in capsys.readouterr().err
+
+    def test_trials_at_cap_reaches_the_suite(self, monkeypatch):
+        from microinject.verify import MAX_TRIALS
+
+        code, calls = self._run_with_suites_stubbed(
+            monkeypatch, "frames", str(MAX_TRIALS))
+        assert code == 0
+        assert calls == [("frames", 0, MAX_TRIALS)]
+
     def test_info_log_times_each_suite_and_keeps_stdout(self):
         args = ("verify", "--suite", "all", "--trials", "25", "--seed", "3")
         quiet = run_cli(*args)

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microinject import verify
 from microinject.algebra2d import Vec2, diag, identity, mat_mul, mat_inv, mat_vec_mul
 from microinject.dynamics import (
     ForcePair,
@@ -288,6 +290,48 @@ def test_free_response_kernel_matches_vec2_formula_bitwise():
         got = free_response_accel(masses, ics[2], ics[3], t)
         assert _bits(state.q.a0, state.q.a1, state.qdot.a0, state.qdot.a1,
                      got.a0, got.a1) == want
+
+
+def test_free_response_kernel_on_lanes_matches_float_calls_bitwise():
+    # lanes of masses, initial conditions and times, as the dynamics suite
+    # passes them, and float masses with lanes of times, as its RK4 checks do
+    rng = np.random.default_rng(19)
+    n = 2000
+    masses = rng.uniform(0.1, 10.0, (3, n))
+    masses[:, :8] = [[0.1, 10.0, 0.1, 10.0, 0.1, 10.0, 0.1, 10.0],
+                     [0.1, 10.0, 10.0, 0.1, 0.1, 10.0, 10.0, 0.1],
+                     [0.1, 10.0, 0.1, 0.1, 10.0, 10.0, 0.1, 10.0]]
+    ics = rng.uniform(-10.0, 10.0, (4, n))
+    special = np.array([0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf,
+                        -math.inf, math.nan])
+    picked = rng.random((4, n)) < 0.25
+    ics[picked] = rng.choice(special, picked.sum())
+    ics[2:, 8:12] = [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]]
+    # t = 0.0, and t far enough out that exp(-t/M) underflows to 0
+    times = rng.uniform(0.0, 300.0, n)
+    times[rng.random(n) < 0.1] = 0.0
+    times[rng.random(n) < 0.1] = 1e5
+    assert math.exp(-1e5 / (3 * 10.0)) == 0.0
+
+    lanes = verify._lanes(MassParams, *masses)
+    with np.errstate(all="ignore"):
+        kernel = free_response_kernel(lanes, *ics)
+    for t in (times, 0.0, 1e5, 7.25):
+        with np.errstate(all="ignore"):
+            got = kernel(t)
+        assert all(type(v) is np.ndarray and v.shape == (n,) for v in got)
+        for lane in range(n):
+            floats = [float(v[lane]) for v in (*masses, *ics)]
+            at = t if isinstance(t, float) else float(t[lane])
+            want = free_response_kernel(MassParams(*floats[:3]), *floats[3:])(at)
+            assert _bits(*(float(v[lane]) for v in got)) == _bits(*want), (
+                lane, floats, at)
+
+    unit = MassParams(1.0, 0.5, 0.25)
+    got = free_response_kernel(unit, 0.5, -0.0, 2.0, -0.0)(times)
+    for lane in range(n):
+        want = free_response_kernel(unit, 0.5, -0.0, 2.0, -0.0)(float(times[lane]))
+        assert _bits(*(float(v[lane]) for v in got)) == _bits(*want), lane
 
 
 def test_inverse_dynamics_kernel_matches_vec2_formula_bitwise():

@@ -40,6 +40,8 @@ SEED_3_TRIALS_2500_WITH_DETAIL_SHA256 = {
         "a4c7d797da2b964881d77ea382d31a36a1fbb9b4798f9a2ab98034524fe67fcf",
     "discrepancy":
         "35501740f6445c23f4c34a59e2f6d6b2471835052cdbfcd72f60a7166edae252",
+    "dynamics":
+        "88537b10c3391a1a4981593a2036dec47ad0cd80bb76454be5e436730abd11f5",
 }
 
 
@@ -206,6 +208,8 @@ def test_nan_residual_fails_its_property(monkeypatch, suite, patches, failing):
           "discrepancy.identity_frame_collapse"}),
         ("frames", [("mat_inv", None, False)],
          {"frames.transform_invertibility", "frames.round_trip"}),
+        ("dynamics", [("inverse_dynamics_kernel", None, False)],
+         {"dynamics.closed_form_residual"}),
     ],
 )
 def test_nan_in_second_chunk_fails_its_property(monkeypatch, suite, patches,
@@ -231,6 +235,39 @@ def test_frames_suite_folds_every_trial(monkeypatch):
     # 2 composition, 5 orthogonality, 5 invertibility and 2 round-trip
     # residual columns per chunk
     assert sizes == [verify._CHUNK_ROWS] * 28 + [37] * 14
+
+
+def test_dynamics_suite_folds_every_trial(monkeypatch):
+    # the seed-0 asymptotic gap is exactly 0.0, so the pinned digests would
+    # not notice a chunk that skips a trial
+    sizes = []
+    fold_lanes = verify._fold_lanes
+
+    def recording(acc, *columns, lowest=False):
+        sizes.extend(column.size for column in columns)
+        return fold_lanes(acc, *columns, lowest=lowest)
+
+    monkeypatch.setattr(verify, "_fold_lanes", recording)
+    verify.run_suite("dynamics", 0, 2 * verify._CHUNK_ROWS + 37)
+    # per chunk, 2 residual columns at each of 100 sample times and 2
+    # asymptotic-gap columns; then 2 columns of every sample of each of the
+    # 4 integrations (t_end/dt = 10/1e-3, then 5/1e-2, 5/5e-3, 5/2.5e-3)
+    assert sizes == ([verify._CHUNK_ROWS] * 404 + [37] * 202
+                     + [10001] * 2 + [501] * 2 + [1001] * 2 + [2001] * 2)
+
+
+def _raise_if_called(*args, **kwargs):
+    raise AssertionError("numpy transcendental called")
+
+
+def test_suites_take_no_numpy_transcendentals(monkeypatch):
+    # numpy's exp, cos and sin need not round as libm does, yet agree with
+    # it on every draw tried on some hosts, so no value-based test catches
+    # a switch to them
+    want = digest(verify.run_suite("all", 0, 50), with_detail=True)
+    for name in ("exp", "cos", "sin"):
+        monkeypatch.setattr(np, name, _raise_if_called)
+    assert digest(verify.run_suite("all", 0, 50), with_detail=True) == want
 
 
 def test_precondition_violation_names_the_first_violating_trial(monkeypatch):
