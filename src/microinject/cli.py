@@ -11,6 +11,12 @@ at the verbosity selected by the MICROINJECT_LOG environment variable
 suite it runs, and ``simulate`` the variant it is running and then the
 wall time of its closed loop and of writing its trace files (CSV, and SVG
 with ``--svg``).
+
+``simulate`` runs each distinct torque law (``control.torque_law_of``)
+once.  A variant whose law has already run reuses that run, which is what
+running it again would give bit for bit: its metrics are the run's, its CSV
+is a byte copy of the first variant's, and its SVG is the run's panels
+under its own title.  An info line names the variant whose run it reuses.
 """
 
 from __future__ import annotations
@@ -19,12 +25,14 @@ import argparse
 import logging
 import math
 import os
+import shutil
 import sys
 import time
 from typing import List, Optional
 
 from . import report
 from .config import MAX_STEPS, ScenarioConfig, load_config
+from .control import torque_law_of
 from .dynamics import (
     MassParams,
     NonFiniteState,
@@ -143,21 +151,42 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     any_diverged = False
     variant_metrics = {}
+    # per torque law: the variant that ran it, its metrics and its SVG
+    # panels (None without --svg); no rows are kept
+    runs = {}
     for variant in config.variants:
         log.info("running variant %s", variant.value)
         start = time.perf_counter()
-        rows, metrics = run_closed_loop(
-            variant, config.masses, config.frame, config.impedance,
-            config.trajectory, config.membrane, config.fed,
-            config.t_end, config.dt,
-        )
-        ran = time.perf_counter()
+        law = torque_law_of(variant)
         trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
-        report.write_trace_csv(trace_path, rows)
+        svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
+        title = f"variant {variant.value}"
+        if law in runs:
+            source, metrics, panels = runs[law]
+            log.info("variant %s reuses the closed loop of variant %s",
+                     variant.value, source.value)
+            ran = time.perf_counter()
+            if variant is not source:
+                shutil.copyfile(os.path.join(
+                    args.out, f"trace_{source.value}.csv"), trace_path)
+                if args.svg:
+                    report.write_trace_panels(svg_path, panels, title)
+        else:
+            rows, metrics = run_closed_loop(
+                variant, config.masses, config.frame, config.impedance,
+                config.trajectory, config.membrane, config.fed,
+                config.t_end, config.dt,
+            )
+            ran = time.perf_counter()
+            report.write_trace_csv(trace_path, rows)
+            panels = None
+            if args.svg:
+                panels = report.write_trace_svg(svg_path, rows, title)
+            # the next closed loop builds its own rows
+            del rows
+            runs[law] = (variant, metrics, panels)
         print(trace_path)
         if args.svg:
-            svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
-            report.write_trace_svg(svg_path, rows, f"variant {variant.value}")
             print(svg_path)
         variant_metrics[variant.value] = report.metrics_to_dict(metrics)
         log.info("variant %s: closed loop %.3f s, trace files %.3f s",

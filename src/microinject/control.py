@@ -138,6 +138,19 @@ STAGE_SPACE_VARIANTS = frozenset(
 )
 
 
+def torque_law_of(variant: ControllerVariant) -> ControllerVariant:
+    """The variant that stands for ``variant``'s torque law.
+
+    Both stage-space variants map to STAGE_CONSISTENT: ``torque_kernel``
+    builds the same operators and tail for them, so their torques, and
+    their closed loops, are identical bit for bit.  Every other variant is
+    its own law.  Variants with one law need to be run only once.
+    """
+    if variant in STAGE_SPACE_VARIANTS:
+        return ControllerVariant.STAGE_CONSISTENT
+    return variant
+
+
 def error_state(
     desired: DesiredTrajectoryPoint, q: Vec2, qdot: Vec2, qddot: Vec2
 ) -> ErrorState:

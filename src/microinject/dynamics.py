@@ -351,14 +351,14 @@ def integrate(
     times = _sample_times(t_end, dt)
     samples: List[Tuple[float, StageState]] = [(0.0, s0)]
     x, y, vx, vy = s0.q.a0, s0.q.a1, s0.qdot.a0, s0.qdot.a1
+    isfinite = math.isfinite
     for i in range(len(times) - 1):
         x, y, vx, vy = step(f0, f1, x, y, vx, vy, times[i + 1] - times[i])
-        state = StageState(Vec2(x, y), Vec2(vx, vy))
-        if not state.is_finite():
+        if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
             raise NonFiniteState(
                 f"state became non-finite at t={times[i + 1]!r}", samples
             )
-        samples.append((times[i + 1], state))
+        samples.append((times[i + 1], StageState(Vec2(x, y), Vec2(vx, vy))))
     return samples
 
 

@@ -119,8 +119,9 @@ def _panel_polylines(
     return parts
 
 
-def write_trace_svg(path: str, rows: Sequence[TraceRow], title: str) -> None:
-    """Two stacked panels (positions, torques) at a fixed 800x480 viewport.
+def render_trace_panels(rows: Sequence[TraceRow]) -> str:
+    """The two stacked panels (positions, torques) of a trace chart, as the
+    SVG elements that ``write_trace_panels`` puts under the title.
 
     ``rows`` are those of ``run_closed_loop``, so only the last row can be
     non-finite (a diverged run's flagged row); it is not plotted.
@@ -152,17 +153,29 @@ def write_trace_svg(path: str, rows: Sequence[TraceRow], title: str) -> None:
         ],
         ts, _PANEL_MARGIN, 2 * _PANEL_MARGIN + panel_h, panel_w, panel_h,
     )
-    body = "\n".join(
-        [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
-            f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-            f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-            f'<text x="{_PANEL_MARGIN}" y="24" font-size="14" fill="#000">'
-            f"{title}</text>",
-        ]
-        + top
-        + bottom
-        + ["</svg>"]
-    )
+    return "\n".join(top + bottom)
+
+
+def write_trace_panels(path: str, panels: str, title: str) -> None:
+    """A chart of ``render_trace_panels`` output under ``title``, at a
+    fixed 800x480 viewport; one rendering serves any number of titles."""
+    body = "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
+        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<text x="{_PANEL_MARGIN}" y="24" font-size="14" fill="#000">'
+        f"{title}</text>",
+        panels,
+        "</svg>",
+    ])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(body + "\n")
+
+
+def write_trace_svg(path: str, rows: Sequence[TraceRow], title: str) -> str:
+    """Two stacked panels (positions, torques) at a fixed 800x480 viewport:
+    ``render_trace_panels`` then ``write_trace_panels``.  Returns the
+    panels, so that other titles over the same rows need no rendering."""
+    panels = render_trace_panels(rows)
+    write_trace_panels(path, panels, title)
+    return panels

@@ -9,7 +9,8 @@ traces.
 The loop steps in plain floats.  Once per run it builds the float kernels
 of the trajectory, the contact model, the variant's torque law, the
 oracle law, the impedance residual and the dynamics; ``compare_variants``
-re-evaluates each law along the base run with the same kernels.
+runs each distinct torque law (``control.torque_law_of``) once and
+re-evaluates every other law along the base run with the same kernels.
 ``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
 contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
 algebra, so traces are bit-identical to the ``Vec2`` formulas.
@@ -24,12 +25,12 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra2d import Vec2, mat_inv
 from .control import (
-    STAGE_SPACE_VARIANTS,
     ControllerVariant,
     DesiredTrajectoryPoint,
     ImpedanceParams,
     force_control_residual_kernel,
     torque_kernel,
+    torque_law_of,
 )
 from .dynamics import (
     ForcePair,
@@ -279,9 +280,11 @@ def run_closed_loop(
         raise ValueError("t_end must be > 0")
     inputs = _inputs_kernel(spec, membrane)
     torque = torque_kernel(variant, masses, frame, gains, fed)
-    # a stage-space variant's torque is the oracle's, bit for bit
-    oracle = None if variant in STAGE_SPACE_VARIANTS else torque_kernel(
-        ControllerVariant.STAGE_CONSISTENT, masses, frame, gains, fed
+    # the oracle is STAGE_CONSISTENT's law; a variant with that law gives
+    # the oracle's torque bit for bit
+    oracle_law = ControllerVariant.STAGE_CONSISTENT
+    oracle = None if torque_law_of(variant) is oracle_law else torque_kernel(
+        oracle_law, masses, frame, gains, fed
     )
     residual = force_control_residual_kernel(gains)
     minv = mat_inv(mass_matrix(masses))
@@ -377,42 +380,62 @@ def compare_variants(
     compares the evolved positions of the two runs at equal times.
     Divergence in one variant is flagged in its metrics and does not abort
     the others.
+
+    Each distinct torque law (``torque_law_of``) runs once: a variant with
+    the base's law reports the base metrics with zero gaps, and a repeated
+    law reuses the report of its first variant, which is what running it
+    again would give bit for bit.  The re-evaluation walks the base run
+    once, evaluating the inputs once per row for all the other laws.
     """
     base_rows, base_metrics = run_closed_loop(
         base, masses, frame, gains, spec, membrane, fed, t_end, dt
     )
     # only a run's last row can be non-finite: a diverged run's flagged row
     base_finite = base_rows[:-1] if base_metrics.diverged else base_rows
+    base_law = torque_law_of(base)
+    laws = list(dict.fromkeys(
+        law for law in map(torque_law_of, others) if law is not base_law
+    ))
+    torques = [torque_kernel(law, masses, frame, gains, fed) for law in laws]
     inputs = _inputs_kernel(spec, membrane)
+    sq_tau = [0.0] * len(laws)
+    # one walk of the base run: the inputs once per row, every law on them
+    for row in base_finite if laws else ():
+        xdot, ydot = row.xdot, row.ydot
+        _, _, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(
+            row.t, row.x, row.y, xdot, ydot
+        )
+        taux, tauy = row.taux, row.tauy
+        for k, torque in enumerate(torques):
+            tau0, tau1 = torque(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0, xdot, ydot)
+            dx = tau0 - taux
+            dy = tau1 - tauy
+            sq_tau[k] += dx * dx + dy * dy
+    n = max(len(base_finite), 1)
+    torque_rms = {law: math.sqrt(sq / n) for law, sq in zip(laws, sq_tau)}
+
+    first_of_law = {base_law: (base_metrics, 0.0, 0.0)}
     reports = []
     for variant in others:
-        rows, metrics = run_closed_loop(
-            variant, masses, frame, gains, spec, membrane, fed, t_end, dt
-        )
-
-        torque = torque_kernel(variant, masses, frame, gains, fed)
-        sq_tau = 0.0
-        for row in base_finite:
-            xdot, ydot = row.xdot, row.ydot
-            _, _, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(
-                row.t, row.x, row.y, xdot, ydot
+        law = torque_law_of(variant)
+        if law not in first_of_law:
+            rows, metrics = run_closed_loop(
+                variant, masses, frame, gains, spec, membrane, fed, t_end, dt
             )
-            tau0, tau1 = torque(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0, xdot, ydot)
-            dx = tau0 - row.taux
-            dy = tau1 - row.tauy
-            sq_tau += dx * dx + dy * dy
-        torque_rms = math.sqrt(sq_tau / max(len(base_finite), 1))
-
-        sq_track = 0.0
-        paired = 0
-        # pairing stops where either run stops being finite
-        finite = rows[:-1] if metrics.diverged else rows
-        for rv, rb in zip(finite, base_finite):
-            dx = rv.x - rb.x
-            dy = rv.y - rb.y
-            sq_track += dx * dx + dy * dy
-            paired += 1
-        tracking_rms = math.sqrt(sq_track / max(paired, 1))
-
-        reports.append(VariantReport(variant, metrics, torque_rms, tracking_rms))
+            sq_track = 0.0
+            paired = 0
+            # pairing stops where either run stops being finite
+            finite = rows[:-1] if metrics.diverged else rows
+            for rv, rb in zip(finite, base_finite):
+                dx = rv.x - rb.x
+                dy = rv.y - rb.y
+                sq_track += dx * dx + dy * dy
+                paired += 1
+            # drop this run's rows before the next run builds its own
+            del rows, finite
+            first_of_law[law] = (
+                metrics, torque_rms[law], math.sqrt(sq_track / max(paired, 1))
+            )
+        reports.append(VariantReport(variant, *first_of_law[law]))
     return ComparisonReport(base, base_metrics, tuple(reports))
+

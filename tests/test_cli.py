@@ -285,11 +285,62 @@ class TestSimulateCommand:
             r"trace files \d+\.\d{3} s$",
             chatty.stderr, re.MULTILINE)
         assert timed == list(ALL_VARIANTS)
+        reused = re.findall(
+            r"^INFO variant (\w+) reuses the closed loop of variant (\w+)$",
+            chatty.stderr, re.MULTILINE)
+        assert reused == [("StageConsistent", "SimPaper")]
         digests = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in out.iterdir()
         }
         assert digests == ALL_VARIANTS_SHA256
+
+    def test_variants_sharing_a_law_share_one_run(self, tmp_path):
+        # SimPaper and StageConsistent have one torque law: the second
+        # variant of that law reuses the first one's run and files
+        shared = ["SimPaper", "StageConsistent", "SimPaper"]
+        runs = {}
+        for label, variants in (("shared", shared), ("alone", ["StageConsistent"])):
+            config = write_config(
+                tmp_path / f"{label}.json",
+                run={"t_end": 0.2, "dt": 0.001, "variants": variants},
+            )
+            out = tmp_path / label
+            proc = run_cli("simulate", "--config", str(config), "--out",
+                           str(out), "--svg",
+                           env_extra={"MICROINJECT_LOG": "info"})
+            assert proc.returncode == 0, proc.stderr
+            runs[label] = proc, out
+        proc, out = runs["shared"]
+        printed = [Path(line).name for line in proc.stdout.splitlines()]
+        assert printed == [
+            "trace_SimPaper.csv", "plot_SimPaper.svg",
+            "trace_StageConsistent.csv", "plot_StageConsistent.svg",
+            "trace_SimPaper.csv", "plot_SimPaper.svg", "metrics.json"]
+        timed = re.findall(r"^INFO variant (\w+): closed loop \d+\.\d{3} s, "
+                           r"trace files \d+\.\d{3} s$",
+                           proc.stderr, re.MULTILINE)
+        assert timed == shared
+        reused = re.findall(
+            r"^INFO variant (\w+) reuses the closed loop of variant (\w+)$",
+            proc.stderr, re.MULTILINE)
+        assert reused == [("StageConsistent", "SimPaper"),
+                          ("SimPaper", "SimPaper")]
+        assert ((out / "trace_SimPaper.csv").read_bytes()
+                == (out / "trace_StageConsistent.csv").read_bytes())
+        sim_svg = (out / "plot_SimPaper.svg").read_text()
+        stage_svg = (out / "plot_StageConsistent.svg").read_text()
+        assert sim_svg != stage_svg
+        assert (sim_svg.replace(">variant SimPaper<", ">variant StageConsistent<")
+                == stage_svg)
+        metrics = json.loads((out / "metrics.json").read_text())["variants"]
+        assert metrics["SimPaper"] == metrics["StageConsistent"]
+        # the reusing variant's files are those of a run of its own
+        _, alone = runs["alone"]
+        for name in ("trace_StageConsistent.csv", "plot_StageConsistent.svg"):
+            assert (out / name).read_bytes() == (alone / name).read_bytes()
+        assert (json.loads((alone / "metrics.json").read_text())["variants"]
+                ["StageConsistent"] == metrics["StageConsistent"])
 
     def test_frame_that_cannot_be_inverted_exits_2_before_writing(self, tmp_path):
         # fx, fy > 0, but T fails the inversion cutoff that Corrected and

@@ -195,6 +195,22 @@ class TestIntegrate:
         assert exc.last_index == len(exc.samples) - 1
         assert all(state.is_finite() for _t, state in exc.samples)
 
+    @pytest.mark.parametrize("tau, t_bad", [
+        (Torque(1e308, 0.0), 2.0),           # x overflows on the second step
+        (Torque(0.0, -1e308), 1.0),          # y alone overflows
+        (Torque(0.0, float("nan")), 1.0),    # NaN in y alone
+    ])
+    def test_divergence_names_the_step_and_keeps_the_prefix(self, tau, t_bad):
+        masses = MassParams(1.0, 1.0, 1.0)
+        s0 = StageState(Vec2(0, 0), Vec2(0, 0))
+        with pytest.raises(NonFiniteState) as exc_info:
+            integrate(masses, s0, tau, ZERO_FORCE, 10.0, 1.0)
+        exc = exc_info.value
+        assert str(exc) == f"state became non-finite at t={t_bad!r}"
+        # the prefix is exactly the run that stops before the bad step
+        assert exc.samples == integrate(
+            masses, s0, tau, ZERO_FORCE, t_bad - 1.0, 1.0)
+
 
 def _vec2_rk4_step(minv, q, qdot, tau, fed, h):
     """The Vec2 RK4 that the float kernel replaced."""

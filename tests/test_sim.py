@@ -489,3 +489,42 @@ def test_float_kernel_matches_vec2_reference_bitwise():
         assert _bits(report) == _bits(ref_report), index
     assert contact_runs >= 4 * (len(scenarios) - 1)
     assert metrics.diverged and not rows[-1].is_finite()
+
+
+_C, _S, _M, _SC = (ControllerVariant.CORRECTED, ControllerVariant.SIM_PAPER,
+                   ControllerVariant.MC_PAPER, ControllerVariant.STAGE_CONSISTENT)
+
+
+@pytest.mark.parametrize("base, others, scenario_index", [
+    (_SC, [_C, _M, _C, _S, _M], 3),   # duplicates in others
+    (_M, [_M, _C, _M], 3),            # the base repeated in others
+    (_C, [_S, _M, _SC, _S], 1),       # two stage-space variants, not the base's law
+    (_SC, [_S, _C, _SC, _C], 4),      # a diverging scenario
+], ids=["duplicates", "base-repeated", "stage-space-pair", "diverging"])
+def test_compare_variants_with_shared_laws_matches_reference_bitwise(
+    base, others, scenario_index
+):
+    # a variant whose torque law already ran reuses that run; the report
+    # must be the one a run per variant gives, bit for bit
+    scenario = _pin_scenarios()[scenario_index]
+    report = compare_variants(base, others, *scenario)
+    ref_report = _reference_compare(base, others, *scenario)
+    assert _bits(report) == _bits(ref_report)
+    assert [r.variant for r in report.reports] == others
+
+
+def test_compare_variants_runs_each_torque_law_once(monkeypatch):
+    import microinject.sim as sim
+
+    ran = []
+
+    def recording_run(variant, *args):
+        ran.append(variant)
+        return run_closed_loop(variant, *args)
+
+    monkeypatch.setattr(sim, "run_closed_loop", recording_run)
+    scenario = _pin_scenarios()[3]
+    report = sim.compare_variants(_C, [_S, _SC, _M], *scenario)
+    # SimPaper and StageConsistent share one law, so one of them runs
+    assert ran == [_C, _S, _M]
+    assert report.reports[0].metrics is report.reports[1].metrics
