@@ -13,10 +13,11 @@ Usage:
 import argparse
 import math
 import os
+import shutil
 import sys
 
 from microinject.algebra2d import Vec2
-from microinject.control import ControllerVariant, ImpedanceParams
+from microinject.control import ControllerVariant, ImpedanceParams, torque_law_of
 from microinject.dynamics import ForcePair, MassParams
 from microinject.frames import FrameParams
 from microinject.report import write_trace_csv
@@ -76,11 +77,22 @@ def main() -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
+        # one closed loop per torque law: a variant whose law has already
+        # run gets a byte copy of that run's CSV, which is what running it
+        # again would write
+        written = {}
         for variant in ControllerVariant:
-            rows, _ = run_closed_loop(variant, masses, SKEWED, gains, spec,
-                                      membrane, fed, args.t_end, args.dt)
             path = os.path.join(args.out, f"study_{variant.value}.csv")
-            write_trace_csv(path, rows)
+            law = torque_law_of(variant)
+            if law in written:
+                shutil.copyfile(written[law], path)
+            else:
+                rows, _ = run_closed_loop(variant, masses, SKEWED, gains, spec,
+                                          membrane, fed, args.t_end, args.dt)
+                write_trace_csv(path, rows)
+                # the next closed loop builds its own rows
+                del rows
+                written[law] = path
             print(f"wrote {path}")
     return 0
 

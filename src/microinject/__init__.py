@@ -4,7 +4,7 @@ Covers the stage/camera/image coordinate frames, the 2-DOF motion-stage
 dynamics with a closed-form free response and an RK4 integrator, impedance
 force control, four side-by-side formulations of the image-based torque
 controller, a deterministic closed-loop scenario engine and randomized
-verification suites.
+verification suites.  numpy is loaded only with the verification suites.
 """
 
 from .algebra2d import (
@@ -74,6 +74,17 @@ from .sim import (
     run_closed_loop,
     sample_trajectory,
 )
-from .verify import PropertyResult, SUITE_NAMES, run_suite
 
 __version__ = "0.1.0"
+
+# ``verify`` imports numpy, which nothing else here needs, so its exports
+# are looked up on first use (PEP 562).
+_VERIFY_EXPORTS = ("PropertyResult", "SUITE_NAMES", "run_suite")
+
+
+def __getattr__(name):
+    if name in _VERIFY_EXPORTS:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

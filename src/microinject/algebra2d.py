@@ -8,18 +8,32 @@ of a verify ensemble.  The operations are elementwise ``+ - * /``, which
 numpy rounds lane by lane as Python rounds floats; ``lane_max`` and
 ``mat_inv``'s cutoff keep the per-lane meaning of ``max`` and of the scalar
 check.
+
+Only ``verify`` (the lane suites) imports numpy at module level.  The
+modules it runs through, this one included, tell lanes from floats with
+``_is_lanes`` and import numpy only inside a lane branch, so ``simulate``
+and ``free-response`` never load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class SingularMatrix(ValueError):
     """Raised when a matrix determinant falls below the invertibility cutoff."""
+
+
+def _is_lanes(x) -> bool:
+    """Whether x is a numpy array of lanes rather than a float.
+
+    numpy is looked up in ``sys.modules`` at call time: if it was never
+    imported, no array can exist, and this costs no numpy import.
+    """
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 
 def lane_max(first, *rest):
@@ -33,7 +47,9 @@ def lane_max(first, *rest):
     acc = first
     for value in rest:
         greater = value > acc
-        if isinstance(greater, np.ndarray):
+        if _is_lanes(greater):
+            import numpy as np
+
             acc = np.where(greater, value, acc)
         elif greater:
             acc = value
@@ -128,7 +144,7 @@ def mat_inv(m: Mat2) -> Mat2:
     """
     d = det(m)
     invertible = abs(d) > singularity_threshold(m)
-    if isinstance(invertible, np.ndarray):
+    if _is_lanes(invertible):
         if not invertible.all():
             lane = int(invertible.argmin())
             raise SingularMatrix(

@@ -17,6 +17,9 @@ once.  A variant whose law has already run reuses that run, which is what
 running it again would give bit for bit: its metrics are the run's, its CSV
 is a byte copy of the first variant's, and its SVG is the run's panels
 under its own title.  An info line names the variant whose run it reuses.
+
+Only ``verify`` imports numpy, for its lanes, so ``simulate`` and
+``free-response`` run without loading it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import time
 from typing import List, Optional
 
 from . import report
-from .config import MAX_STEPS, ScenarioConfig, load_config
+from .config import MAX_STEPS, MAX_TRIALS, SUITE_NAMES, ScenarioConfig, load_config
 from .control import torque_law_of
 from .dynamics import (
     MassParams,
@@ -44,7 +47,6 @@ from .dynamics import (
 )
 from .algebra2d import Vec2
 from .sim import run_closed_loop
-from .verify import MAX_TRIALS, SUITE_NAMES, run_suite
 
 log = logging.getLogger("microinject")
 
@@ -101,6 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p_free.add_argument(name, type=float, required=True)
     p_free.add_argument("--out", required=True)
     return parser
+
+
+def run_suite(name: str, seed: int, trials: Optional[int] = None) -> list:
+    """``verify.run_suite``; ``verify``, and with it numpy, is imported only
+    when a suite runs."""
+    from .verify import run_suite as run
+
+    return run(name, seed, trials)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -24,6 +24,16 @@ from .sim import MembraneModel, TrajectoryKind, TrajectorySpec
 # variant's run to well under 1 GB; the README scenario takes 5,000 steps.
 MAX_STEPS = 1_000_000
 
+# The suites of ``verify --suite``, in ``verify._SUITES`` order, and "all".
+# Defined here, apart from ``verify`` and numpy, because the command line
+# needs them to build its parser.
+SUITE_NAMES = ("frames", "dynamics", "implication", "discrepancy", "all")
+
+# The most trials the command line runs per suite.  ``frames`` and
+# ``dynamics`` draw 7 float64 columns for the whole ensemble up front, 56
+# bytes a trial, so this keeps the largest draw near 56 MB.
+MAX_TRIALS = 1_000_000
+
 
 class ParseError(ValueError):
     """Structural problem: invalid JSON, unknown/missing key, wrong type."""

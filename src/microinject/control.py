@@ -62,9 +62,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
-from .algebra2d import Mat2, Vec2, lane_max, mat_inv, mat_mul
+from .algebra2d import Mat2, Vec2, _is_lanes, lane_max, mat_inv, mat_mul
 from .dynamics import (
     ForcePair,
     MassParams,
@@ -391,7 +389,7 @@ def implication_check(
         lane_max(abs(k * e0), abs(k * e1)),
     )
     violated = fc_max > bound
-    if isinstance(violated, np.ndarray):
+    if _is_lanes(violated):
         if violated.any():
             lane = int(violated.argmax())
             raise PreconditionViolated(

@@ -36,9 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-import numpy as np
-
-from .algebra2d import Mat2, Vec2, diag, identity, mat_inv, mat_mul
+from .algebra2d import Mat2, Vec2, _is_lanes, diag, identity, mat_inv, mat_mul
 from .frames import FrameParams, transformation_matrix
 
 
@@ -165,7 +163,9 @@ def dynamics_residual(
 
 def _exp(v):
     """``math.exp`` of v, lane by lane for a float64 array."""
-    if isinstance(v, np.ndarray):
+    if _is_lanes(v):
+        import numpy as np
+
         return np.fromiter(map(math.exp, v), float, v.size)
     return math.exp(v)
 

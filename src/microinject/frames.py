@@ -27,9 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra2d import Mat2, Vec2, mat_vec_mul
+from .algebra2d import Mat2, Vec2, _is_lanes, mat_vec_mul
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,9 @@ class ImageCoord:
 def _cos_sin(alpha):
     """``math.cos`` and ``math.sin`` of alpha, lane by lane for a float64
     array."""
-    if isinstance(alpha, np.ndarray):
+    if _is_lanes(alpha):
+        import numpy as np
+
         return (np.fromiter(map(math.cos, alpha), float, alpha.size),
                 np.fromiter(map(math.sin, alpha), float, alpha.size))
     return math.cos(alpha), math.sin(alpha)

@@ -63,6 +63,7 @@ from .algebra2d import (
     mat_vec_mul,
     transpose,
 )
+from .config import MAX_TRIALS, SUITE_NAMES  # noqa: F401  (re-exported)
 from .control import (
     ControllerVariant,
     ImpedanceParams,
@@ -103,11 +104,6 @@ _DEFAULT_TRIALS = {
     "implication": 10_000,
     "discrepancy": 10_000,
 }
-
-# The most trials the command line runs per suite.  ``frames`` and
-# ``dynamics`` draw 7 float64 columns for the whole ensemble up front, 56
-# bytes a trial, so this keeps the largest draw near 56 MB.
-MAX_TRIALS = 1_000_000
 
 # Rows per generator call of the control suites, and lanes per kernel call
 # of the lane suites; bounds the arrays held at once.
@@ -584,8 +580,6 @@ _SUITES: Dict[str, Callable[[int, Optional[int]], List[PropertyResult]]] = {
     "implication": implication_suite,
     "discrepancy": discrepancy_suite,
 }
-
-SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, seed: int, trials: Optional[int] = None) -> List[PropertyResult]:

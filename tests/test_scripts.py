@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts under scripts/."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,10 +29,23 @@ def test_rk4_convergence_reports_fourth_order():
     assert 3.5 <= order <= 4.5
 
 
+# SHA-256 of the study CSVs at --t-end 0.2, as written when the script ran
+# every variant's closed loop; SimPaper shares StageConsistent's torque law.
+STUDY_SHA256 = {
+    "Corrected": "1c2540255868d90192b8d9f52140760b578c19a1a055bebb88f680b513fb2865",
+    "McPaper": "d6bd68c8fee5c25f3faa145dcbb758e0c534c6e22011f00cf0f6e8053856c105",
+    "StageConsistent":
+        "da466c2b5f88e034452d96a35974b9cb32bd73f58b08e6981c0d23e6c6de81c8",
+}
+
+
 def test_discrepancy_study_writes_every_variant_trace(tmp_path):
     proc = run_script("discrepancy_study.py", "--t-end", "0.2",
                       "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "== skewed frame" in proc.stdout
-    for variant in ("Corrected", "SimPaper", "McPaper", "StageConsistent"):
-        assert (tmp_path / f"study_{variant}.csv").exists()
+    csv = {variant: (tmp_path / f"study_{variant}.csv").read_bytes()
+           for variant in ("Corrected", "SimPaper", "McPaper", "StageConsistent")}
+    assert csv["SimPaper"] == csv["StageConsistent"]
+    assert {variant: hashlib.sha256(csv[variant]).hexdigest()
+            for variant in STUDY_SHA256} == STUDY_SHA256
