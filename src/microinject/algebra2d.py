@@ -9,10 +9,14 @@ numpy rounds lane by lane as Python rounds floats; ``lane_max`` and
 ``mat_inv``'s cutoff keep the per-lane meaning of ``max`` and of the scalar
 check.
 
-Only ``verify`` (the lane suites) imports numpy at module level.  The
-modules it runs through, this one included, tell lanes from floats with
-``_is_lanes`` and import numpy only inside a lane branch, so ``simulate``
-and ``free-response`` never load it.
+Only ``verify`` (the lane suites) imports numpy at module level, and only
+this module imports it elsewhere, inside its lane branches.  The modules
+``verify`` runs through tell lanes from floats with ``_is_lanes`` and take
+a lane-wise ``math`` function from ``lane_map``, so ``simulate`` and
+``free-response`` never load numpy.
+
+``check_fields`` is the one check of the parameter types' numeric rules
+(finite, > 0, >= 0); each type's ``__post_init__`` names its fields' rules.
 """
 
 from __future__ import annotations
@@ -34,6 +38,33 @@ def _is_lanes(x) -> bool:
     """
     np = sys.modules.get("numpy")
     return np is not None and isinstance(x, np.ndarray)
+
+
+def lane_map(f, x):
+    """``f(x)`` for a float; for a float64 array, ``f`` of each lane.
+
+    Takes a ``math`` function, so each lane gets the bits of its float
+    evaluation: numpy's transcendentals need not round as libm does.
+    """
+    if _is_lanes(x):
+        import numpy as np
+
+        return np.fromiter(map(f, x), float, x.size)
+    return f(x)
+
+
+def check_fields(params, rule: str, *names: str) -> None:
+    """Raise ValueError for the first of ``names`` whose value on ``params``
+    breaks ``rule``: "finite", "> 0" or ">= 0", the last two also requiring
+    a finite value.  The message starts with the field name
+    (``"dx must be > 0"``), so a caller can put the field's path in front.
+    """
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if rule == "> 0" and not value > 0.0 or rule == ">= 0" and not value >= 0.0:
+            raise ValueError(f"{name} must be {rule}")
 
 
 def lane_max(first, *rest):

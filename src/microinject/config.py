@@ -3,13 +3,20 @@
 Unknown keys are rejected so that typos in physics parameters surface
 immediately instead of silently falling back to defaults (there are none:
 every field is required).
+
+This module checks the JSON rules: mappings, unknown and missing keys,
+number types and finiteness, the trajectory keys that depend on its kind,
+and the ``run`` section, ``seed`` and frame invertibility.  Each numeric
+rule of a parameter (``masses.mx`` > 0, ``membrane.damping`` >= 0, ...)
+is checked once, by its type's ``__post_init__``; a ``ValueError`` from a
+type is re-raised as an ``InvariantError`` with the section in front.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from .algebra2d import SingularMatrix, Vec2, mat_inv
@@ -87,18 +94,6 @@ def _number(node: Mapping[str, Any], key: str, path: str) -> float:
     return value
 
 
-def _positive(value: float, where: str) -> float:
-    if not value > 0.0:
-        raise InvariantError(f"{where} must be > 0")
-    return value
-
-
-def _non_negative(value: float, where: str) -> float:
-    if not value >= 0.0:
-        raise InvariantError(f"{where} must be >= 0")
-    return value
-
-
 def _vec2(node: Mapping[str, Any], key: str, path: str) -> Vec2:
     where = f"{path}.{key}" if path else key
     value = node[key]
@@ -114,35 +109,21 @@ def _vec2(node: Mapping[str, Any], key: str, path: str) -> Vec2:
     return out
 
 
-def _parse_frame(node: Any) -> FrameParams:
-    node = _require_mapping(node, "frame")
-    _check_keys(node, ("alpha", "dx", "dy", "fx", "fy"), (), "frame")
-    alpha = _number(node, "alpha", "frame")
-    dx = _positive(_number(node, "dx", "frame"), "frame.dx")
-    dy = _positive(_number(node, "dy", "frame"), "frame.dy")
-    fx = _positive(_number(node, "fx", "frame"), "frame.fx")
-    fy = _positive(_number(node, "fy", "frame"), "frame.fy")
-    return FrameParams(alpha=alpha, dx=dx, dy=dy, fx=fx, fy=fy)
+def _build(params: Any, path: str, **values: Any) -> Any:
+    """``params(**values)``, with a ValueError from the type's rules
+    re-raised as an InvariantError that puts ``path`` in front."""
+    try:
+        return params(**values)
+    except ValueError as exc:
+        raise InvariantError(f"{path}.{exc}") from exc
 
 
-def _parse_masses(node: Any) -> MassParams:
-    node = _require_mapping(node, "masses")
-    _check_keys(node, ("mx", "my", "mp"), (), "masses")
-    return MassParams(
-        mx=_positive(_number(node, "mx", "masses"), "masses.mx"),
-        my=_positive(_number(node, "my", "masses"), "masses.my"),
-        mp=_positive(_number(node, "mp", "masses"), "masses.mp"),
-    )
-
-
-def _parse_impedance(node: Any) -> ImpedanceParams:
-    node = _require_mapping(node, "impedance")
-    _check_keys(node, ("m", "b", "k"), (), "impedance")
-    return ImpedanceParams(
-        m=_positive(_number(node, "m", "impedance"), "impedance.m"),
-        b=_positive(_number(node, "b", "impedance"), "impedance.b"),
-        k=_positive(_number(node, "k", "impedance"), "impedance.k"),
-    )
+def _parse_params(node: Any, path: str, params: Any) -> Any:
+    """A section whose keys are the fields of ``params``, each a number."""
+    node = _require_mapping(node, path)
+    names = [field.name for field in fields(params)]
+    _check_keys(node, names, (), path)
+    return _build(params, path, **{name: _number(node, name, path) for name in names})
 
 
 def _parse_trajectory(node: Any) -> TrajectorySpec:
@@ -159,7 +140,7 @@ def _parse_trajectory(node: Any) -> TrajectorySpec:
         )
     kind = TrajectoryKind(kind_raw)
     start = _vec2(node, "start", "trajectory")
-    duration = _positive(_number(node, "duration", "trajectory"), "trajectory.duration")
+    duration = _number(node, "duration", "trajectory")
     if kind is TrajectoryKind.QUINTIC:
         if "end" not in node:
             raise ParseError("missing key 'trajectory.end'")
@@ -168,35 +149,19 @@ def _parse_trajectory(node: Any) -> TrajectorySpec:
                 raise ParseError(
                     f"trajectory.{forbidden} is only valid for kind 'Sinusoid'"
                 )
-        return TrajectorySpec(
-            kind=kind, start=start, duration=duration,
-            end=_vec2(node, "end", "trajectory"),
+        return _build(
+            TrajectorySpec, "trajectory", kind=kind, start=start,
+            duration=duration, end=_vec2(node, "end", "trajectory"),
         )
     for required in ("amplitude", "frequency"):
         if required not in node:
             raise ParseError(f"missing key 'trajectory.{required}'")
     if "end" in node:
         raise ParseError("trajectory.end is only valid for kind 'Quintic'")
-    return TrajectorySpec(
-        kind=kind, start=start, duration=duration,
-        amplitude=_vec2(node, "amplitude", "trajectory"),
-        frequency=_positive(
-            _number(node, "frequency", "trajectory"), "trajectory.frequency"
-        ),
-    )
-
-
-def _parse_membrane(node: Any) -> MembraneModel:
-    node = _require_mapping(node, "membrane")
-    _check_keys(node, ("stiffness", "damping", "contact_x"), (), "membrane")
-    return MembraneModel(
-        stiffness=_non_negative(
-            _number(node, "stiffness", "membrane"), "membrane.stiffness"
-        ),
-        damping=_non_negative(
-            _number(node, "damping", "membrane"), "membrane.damping"
-        ),
-        contact_x=_number(node, "contact_x", "membrane"),
+    return _build(
+        TrajectorySpec, "trajectory", kind=kind, start=start,
+        duration=duration, amplitude=_vec2(node, "amplitude", "trajectory"),
+        frequency=_number(node, "frequency", "trajectory"),
     )
 
 
@@ -221,8 +186,10 @@ def _parse_variants(value: Any) -> Tuple[ControllerVariant, ...]:
 def _parse_run(node: Any) -> Tuple[float, float, Tuple[ControllerVariant, ...]]:
     node = _require_mapping(node, "run")
     _check_keys(node, ("t_end", "dt", "variants"), (), "run")
-    t_end = _positive(_number(node, "t_end", "run"), "run.t_end")
-    dt = _positive(_number(node, "dt", "run"), "run.dt")
+    t_end, dt = _number(node, "t_end", "run"), _number(node, "dt", "run")
+    for key, value in (("t_end", t_end), ("dt", dt)):
+        if not value > 0.0:
+            raise InvariantError(f"run.{key} must be > 0")
     if not t_end / dt <= MAX_STEPS:
         raise InvariantError(
             f"run.t_end / run.dt must be <= {MAX_STEPS} steps, "
@@ -277,13 +244,13 @@ def parse_config(text: str) -> ScenarioConfig:
     _check_keys(root, _TOP_KEYS, (), "")
     fed = _vec2(root, "fed", "")
     t_end, dt, variants = _parse_run(root["run"])
-    frame = _parse_frame(root["frame"])
+    frame = _parse_params(root["frame"], "frame", FrameParams)
     config = ScenarioConfig(
         frame=frame,
-        masses=_parse_masses(root["masses"]),
-        impedance=_parse_impedance(root["impedance"]),
+        masses=_parse_params(root["masses"], "masses", MassParams),
+        impedance=_parse_params(root["impedance"], "impedance", ImpedanceParams),
         trajectory=_parse_trajectory(root["trajectory"]),
-        membrane=_parse_membrane(root["membrane"]),
+        membrane=_parse_params(root["membrane"], "membrane", MembraneModel),
         fed=ForcePair(fed.a0, fed.a1),
         t_end=t_end,
         dt=dt,

@@ -58,11 +58,12 @@ trials per call.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .algebra2d import Mat2, Vec2, _is_lanes, lane_max, mat_inv, mat_mul
+from .algebra2d import (
+    Mat2, Vec2, _is_lanes, check_fields, lane_max, mat_inv, mat_mul,
+)
 from .dynamics import (
     ForcePair,
     MassParams,
@@ -99,10 +100,7 @@ class ImpedanceParams:
     k: float
 
     def __post_init__(self) -> None:
-        for name in ("m", "b", "k"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0")
+        check_fields(self, "> 0", "m", "b", "k")
 
 
 @dataclass(frozen=True)

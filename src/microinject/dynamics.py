@@ -36,7 +36,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from .algebra2d import Mat2, Vec2, _is_lanes, diag, identity, mat_inv, mat_mul
+from .algebra2d import (
+    Mat2, Vec2, check_fields, diag, identity, lane_map, mat_inv, mat_mul,
+)
 from .frames import FrameParams, transformation_matrix
 
 
@@ -62,10 +64,7 @@ class MassParams:
     mp: float
 
     def __post_init__(self) -> None:
-        for name in ("mx", "my", "mp"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0")
+        check_fields(self, "> 0", "mx", "my", "mp")
 
     @property
     def total_x(self) -> float:
@@ -161,15 +160,6 @@ def dynamics_residual(
     return Vec2(l0 - (tau.taux - fed.fex), l1 - (tau.tauy - fed.fey))
 
 
-def _exp(v):
-    """``math.exp`` of v, lane by lane for a float64 array."""
-    if _is_lanes(v):
-        import numpy as np
-
-        return np.fromiter(map(math.exp, v), float, v.size)
-    return math.exp(v)
-
-
 def free_response_kernel(
     masses: MassParams, x0: float, y0: float, xd0: float, yd0: float
 ) -> Callable[[float], Tuple[float, float, float, float, float, float]]:
@@ -195,8 +185,8 @@ def free_response_kernel(
     x_acc, y_acc = -(xd0 / mx_tot), -(yd0 / my_tot)
 
     def at(t: float) -> Tuple[float, float, float, float, float, float]:
-        ex = _exp(-t / mx_tot)
-        ey = _exp(-t / my_tot)
+        ex = lane_map(math.exp, -t / mx_tot)
+        ey = lane_map(math.exp, -t / my_tot)
         return (
             x_inf - x_span * ex, y_inf - y_span * ey,
             xd0 * ex, yd0 * ey,

@@ -17,9 +17,9 @@ counter-clockwise matrix); ``rotation_matrix`` is its one implementation.
 The maps take a frame of floats, or one whose fields are float64 arrays,
 one lane per frame (``verify`` builds such frames for its ensembles), with
 coordinates of either kind.  Every operation is elementwise ``+ - *``, and
-the cosine and sine of alpha come from ``math`` lane by lane, because
-numpy's need not round as libm does; so each lane gets the bits of that
-frame's float evaluation.
+the cosine and sine of alpha come from ``math`` lane by lane
+(``algebra2d.lane_map``), so each lane gets the bits of that frame's float
+evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra2d import Mat2, Vec2, _is_lanes, mat_vec_mul
+from .algebra2d import Mat2, Vec2, check_fields, lane_map, mat_vec_mul
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,8 @@ class FrameParams:
     fy: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        for name in ("dx", "dy", "fx", "fy"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0")
+        check_fields(self, "finite", "alpha")
+        check_fields(self, "> 0", "dx", "dy", "fx", "fy")
 
 
 @dataclass(frozen=True)
@@ -94,20 +90,9 @@ class ImageCoord:
         return Vec2(self.u, self.v)
 
 
-def _cos_sin(alpha):
-    """``math.cos`` and ``math.sin`` of alpha, lane by lane for a float64
-    array."""
-    if _is_lanes(alpha):
-        import numpy as np
-
-        return (np.fromiter(map(math.cos, alpha), float, alpha.size),
-                np.fromiter(map(math.sin, alpha), float, alpha.size))
-    return math.cos(alpha), math.sin(alpha)
-
-
 def rotation_matrix(alpha: float) -> Mat2:
     """Stage-to-camera rotation; orthogonal with determinant 1."""
-    ca, sa = _cos_sin(alpha)
+    ca, sa = lane_map(math.cos, alpha), lane_map(math.sin, alpha)
     return Mat2(ca, sa, -sa, ca)
 
 

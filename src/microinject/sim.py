@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra2d import Vec2, mat_inv
+from .algebra2d import Vec2, check_fields, mat_inv
 from .control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
@@ -66,8 +66,7 @@ class TrajectorySpec:
     frequency: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ValueError("duration must be finite and > 0")
+        check_fields(self, "> 0", "duration")
         if self.kind is TrajectoryKind.QUINTIC:
             if self.end is None:
                 raise ValueError("quintic trajectory requires 'end'")
@@ -78,8 +77,7 @@ class TrajectorySpec:
                 raise ValueError("sinusoid trajectory requires 'amplitude' and 'frequency'")
             if self.end is not None:
                 raise ValueError("end is only valid for Quintic")
-            if not (math.isfinite(self.frequency) and self.frequency > 0.0):
-                raise ValueError("frequency must be finite and > 0")
+            check_fields(self, "> 0", "frequency")
 
 
 @dataclass(frozen=True)
@@ -95,12 +93,8 @@ class MembraneModel:
     contact_x: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.stiffness) and self.stiffness >= 0.0):
-            raise ValueError("stiffness must be finite and >= 0")
-        if not (math.isfinite(self.damping) and self.damping >= 0.0):
-            raise ValueError("damping must be finite and >= 0")
-        if not math.isfinite(self.contact_x):
-            raise ValueError("contact_x must be finite")
+        check_fields(self, ">= 0", "stiffness", "damping")
+        check_fields(self, "finite", "contact_x")
 
 
 @dataclass(frozen=True)

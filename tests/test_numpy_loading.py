@@ -152,3 +152,17 @@ def test_package_exports_verify_names_on_first_use():
 
 def test_suite_names_follow_the_suites_table():
     assert verify.SUITE_NAMES == (*verify._SUITES, "all")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py"))
+     if p.name not in ("algebra2d.py", "verify.py")],
+    ids=lambda p: p.name)
+def test_only_algebra2d_and_verify_import_numpy_at_any_depth(path):
+    # the lane branches that need numpy live in algebra2d (lane_map,
+    # lane_max); every other kernel goes through them
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, (ast.Import, ast.ImportFrom)) and _imports_numpy(n)]
+    assert found == [], f"{path.name} imports numpy at line(s) {found}"

@@ -1,0 +1,119 @@
+"""Each numeric rule of a parameter type is checked once, by the type.
+
+Built directly, a type raises ``ValueError("<field> must be ...")``; read
+from a config, the same rule raises ``InvariantError`` with the section
+path in front.  ``run`` has no type, so config checks its rules itself.
+"""
+
+import dataclasses
+import json
+import math
+
+import pytest
+
+from microinject.config import InvariantError, ParseError, parse_config
+from microinject.control import ImpedanceParams
+from microinject.dynamics import MassParams
+from microinject.frames import FrameParams
+from microinject.sim import MembraneModel, TrajectorySpec
+
+QUINTIC = {
+    "frame": {"alpha": 0.5, "dx": 0.5, "dy": 0.5, "fx": 2.0, "fy": 4.0},
+    "masses": {"mx": 1.0, "my": 1.0, "mp": 1.0},
+    "impedance": {"m": 1.0, "b": 20.0, "k": 100.0},
+    "trajectory": {"kind": "Quintic", "start": [0.0, 0.0], "end": [1.5, 0.5],
+                   "duration": 3.0},
+    "membrane": {"stiffness": 50.0, "damping": 2.0, "contact_x": 1.0},
+    "fed": [0.5, 0.0],
+    "run": {"t_end": 5.0, "dt": 0.001, "variants": ["Corrected"]},
+    "seed": 0,
+}
+SINUSOID = {**QUINTIC, "trajectory": {
+    "kind": "Sinusoid", "start": [0.0, 0.0], "duration": 4.0,
+    "amplitude": [0.5, 0.2], "frequency": 0.5,
+}}
+
+# (section, type, field, rule) for every numeric field of the five types
+TYPED_RULES = [
+    ("frame", FrameParams, "alpha", "finite"),
+    *[("frame", FrameParams, f, "> 0") for f in ("dx", "dy", "fx", "fy")],
+    *[("masses", MassParams, f, "> 0") for f in ("mx", "my", "mp")],
+    *[("impedance", ImpedanceParams, f, "> 0") for f in ("m", "b", "k")],
+    ("trajectory", TrajectorySpec, "duration", "> 0"),
+    ("trajectory", TrajectorySpec, "frequency", "> 0"),
+    ("membrane", MembraneModel, "stiffness", ">= 0"),
+    ("membrane", MembraneModel, "damping", ">= 0"),
+    ("membrane", MembraneModel, "contact_x", "finite"),
+]
+RUN_RULES = [("run", None, "t_end", "> 0"), ("run", None, "dt", "> 0")]
+
+# values that break each rule, and the part of the message they give
+BREAKING = {
+    "finite": [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite")],
+    "> 0": [(0.0, "> 0"), (-0.0, "> 0"), (-1.0, "> 0"), (math.nan, "finite"),
+            (math.inf, "finite")],
+    ">= 0": [(-1.0, ">= 0"), (-5e-324, ">= 0"), (math.nan, "finite"),
+             (math.inf, "finite")],
+}
+CASES = [
+    pytest.param(section, params, field, value, message,
+                 id=f"{section}.{field}={value!r}")
+    for section, params, field, rule in TYPED_RULES + RUN_RULES
+    for value, message in BREAKING[rule]
+]
+
+
+def base_for(field):
+    return SINUSOID if field == "frequency" else QUINTIC
+
+
+def test_the_table_covers_every_numeric_field_of_the_five_types():
+    typed = {(params, f) for _, params, f, _ in TYPED_RULES}
+    for params in (FrameParams, MassParams, ImpedanceParams, TrajectorySpec,
+                   MembraneModel):
+        numeric = {f.name for f in dataclasses.fields(params)
+                   if "float" in str(f.type)}
+        assert numeric == {f for p, f in typed if p is params}, params
+
+
+@pytest.mark.parametrize("section, params, field, value, message", CASES)
+def test_a_config_names_the_section_and_field(section, params, field, value,
+                                              message):
+    doc = json.loads(json.dumps(base_for(field)))
+    doc[section][field] = value
+    with pytest.raises(InvariantError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value) == f"{section}.{field} must be {message}"
+
+
+@pytest.mark.parametrize("section, params, field, value, message",
+                         [c for c in CASES if c.values[1] is not None])
+def test_direct_construction_names_the_field(section, params, field, value,
+                                             message):
+    valid = getattr(parse_config(json.dumps(base_for(field))), section)
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(valid, **{field: value})
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{field} must be {message}"
+
+
+@pytest.mark.parametrize("rule, accepted", [("> 0", 5e-324), (">= 0", 0.0),
+                                            (">= 0", -0.0), ("finite", -1e308)])
+def test_boundary_values_are_accepted(rule, accepted):
+    for section, params, field, field_rule in TYPED_RULES:
+        if field_rule != rule:
+            continue
+        valid = getattr(parse_config(json.dumps(base_for(field))), section)
+        assert getattr(dataclasses.replace(valid, **{field: accepted}),
+                       field) == accepted
+
+
+def test_a_non_number_is_reported_before_a_bad_value_in_one_section():
+    # the types check values once every field of the section is read
+    doc = json.loads(json.dumps(QUINTIC))
+    doc["masses"].update(mx=-1, my="a")
+    with pytest.raises(ParseError, match=r"^masses\.my must be a number$"):
+        parse_config(json.dumps(doc))
+    doc["masses"]["my"] = 1.0
+    with pytest.raises(InvariantError, match=r"^masses\.mx must be > 0$"):
+        parse_config(json.dumps(doc))
