@@ -5,6 +5,10 @@ Halves the step width repeatedly and prints the max position error and the
 observed order (log2 of consecutive error ratios); the integrator should
 sit at order 4 until rounding noise takes over.
 
+Errors come from ``verify.max_error_vs_closed_form``, as in the
+``dynamics.rk4_order`` property.  Runs are capped at ``dynamics.MAX_STEPS``
+steps, so --halvings 12 and above stops with a ValueError at the defaults.
+
 Usage:
     python scripts/rk4_convergence.py [--halvings 6]
 """
@@ -13,27 +17,8 @@ import argparse
 import math
 import sys
 
-from microinject.algebra2d import Vec2
-from microinject.dynamics import (
-    MassParams,
-    StageState,
-    ZERO_FORCE,
-    ZERO_TORQUE,
-    free_response_kernel,
-    integrate,
-)
-
-
-def max_error(masses, ics, t_end, dt):
-    x0, y0, xd0, yd0 = ics
-    s0 = StageState(Vec2(x0, y0), Vec2(xd0, yd0))
-    samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, t_end, dt)
-    closed_form = free_response_kernel(masses, x0, y0, xd0, yd0)
-    worst = 0.0
-    for t, state in samples:
-        x, y, *_ = closed_form(t)
-        worst = max(worst, abs(state.q.a0 - x), abs(state.q.a1 - y))
-    return worst
+from microinject.dynamics import MassParams
+from microinject.verify import max_error_vs_closed_form
 
 
 def main() -> int:
@@ -49,7 +34,7 @@ def main() -> int:
     previous = None
     dt = args.dt0
     for _ in range(args.halvings):
-        err = max_error(masses, ics, args.t_end, dt)
+        err = max_error_vs_closed_form(masses, ics, args.t_end, dt)
         if previous is None:
             print(f"{dt:>12.3e} {err:>14.6e} {'-':>8} {'-':>7}")
         else:

@@ -18,6 +18,9 @@ running it again would give bit for bit: its metrics are the run's, its CSV
 is a byte copy of the first variant's, and its SVG is the run's panels
 under its own title.  An info line names the variant whose run it reuses.
 
+``free-response`` checks the masses, the step grid (``check_steps``) and
+the initial conditions before it integrates, and exits 2 if one fails.
+
 Only ``verify`` imports numpy, for its lanes, so ``simulate`` and
 ``free-response`` run without loading it.
 """
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import shutil
 import sys
@@ -34,7 +36,7 @@ import time
 from typing import List, Optional
 
 from . import report
-from .config import MAX_STEPS, MAX_TRIALS, SUITE_NAMES, ScenarioConfig, load_config
+from .config import MAX_TRIALS, SUITE_NAMES, ScenarioConfig, load_config
 from .control import torque_law_of
 from .dynamics import (
     MassParams,
@@ -42,10 +44,11 @@ from .dynamics import (
     StageState,
     ZERO_FORCE,
     ZERO_TORQUE,
+    check_steps,
     free_response_kernel,
     integrate,
 )
-from .algebra2d import Vec2
+from .algebra2d import Vec2, check_fields
 from .sim import run_closed_loop
 
 log = logging.getLogger("microinject")
@@ -220,18 +223,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_free_response(args: argparse.Namespace) -> int:
     try:
         masses = MassParams(args.mx, args.my, args.mp)
-        if not args.dt > 0.0:
-            raise ValueError("dt must be > 0")
-        if not args.t_end >= 0.0:
-            raise ValueError("t-end must be >= 0")
-        if not args.t_end / args.dt <= MAX_STEPS:
-            raise ValueError(
-                f"t-end / dt must be <= {MAX_STEPS} steps, "
-                f"got {args.t_end / args.dt:.6g}"
-            )
-        for name in ("x0", "y0", "xd0", "yd0"):
-            if not math.isfinite(getattr(args, name)):
-                raise ValueError(f"{name} must be finite")
+        check_steps(args.t_end, args.dt, "t-end")
+        check_fields(args, "finite", "x0", "y0", "xd0", "yd0")
     except ValueError as exc:
         print(f"microinject: invalid parameters: {exc}", file=sys.stderr)
         return 2

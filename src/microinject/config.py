@@ -10,6 +10,9 @@ and the ``run`` section, ``seed`` and frame invertibility.  Each numeric
 rule of a parameter (``masses.mx`` > 0, ``membrane.damping`` >= 0, ...)
 is checked once, by its type's ``__post_init__``; a ``ValueError`` from a
 type is re-raised as an ``InvariantError`` with the section in front.
+``run`` adds ``run.t_end`` > 0 to the step grid of ``dynamics.check_steps``.
+The trajectory's kind-dependent keys are ``ParseError``s about the
+document here, and ``TrajectorySpec`` checks them again for direct use.
 """
 
 from __future__ import annotations
@@ -21,15 +24,12 @@ from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from .algebra2d import SingularMatrix, Vec2, mat_inv
 from .control import STAGE_SPACE_VARIANTS, ControllerVariant, ImpedanceParams
-from .dynamics import ForcePair, MassParams
+from .dynamics import (  # noqa: F401  (MAX_STEPS is re-exported)
+    MAX_STEPS, ForcePair, MassParams, check_steps,
+)
 from .frames import FrameParams, transformation_matrix
 from .sim import MembraneModel, TrajectoryKind, TrajectorySpec
 
-
-# The most steps (run.t_end / run.dt) a run may take.  A run keeps its time
-# grid and every trace row in memory, about 0.5 KB a step, so this bounds a
-# variant's run to well under 1 GB; the README scenario takes 5,000 steps.
-MAX_STEPS = 1_000_000
 
 # The suites of ``verify --suite``, in ``verify._SUITES`` order, and "all".
 # Defined here, apart from ``verify`` and numpy, because the command line
@@ -187,14 +187,12 @@ def _parse_run(node: Any) -> Tuple[float, float, Tuple[ControllerVariant, ...]]:
     node = _require_mapping(node, "run")
     _check_keys(node, ("t_end", "dt", "variants"), (), "run")
     t_end, dt = _number(node, "t_end", "run"), _number(node, "dt", "run")
-    for key, value in (("t_end", t_end), ("dt", dt)):
-        if not value > 0.0:
-            raise InvariantError(f"run.{key} must be > 0")
-    if not t_end / dt <= MAX_STEPS:
-        raise InvariantError(
-            f"run.t_end / run.dt must be <= {MAX_STEPS} steps, "
-            f"got {t_end / dt:.6g}"
-        )
+    if not t_end > 0.0:
+        raise InvariantError("run.t_end must be > 0")
+    try:
+        check_steps(t_end, dt, "run.t_end", "run.dt")
+    except ValueError as exc:
+        raise InvariantError(str(exc)) from exc
     return t_end, dt, _parse_variants(node["variants"])
 
 

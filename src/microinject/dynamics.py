@@ -28,6 +28,9 @@ the closed loop in ``sim`` calls it directly.  It performs the float
 operations of the ``Vec2`` algebra in the same order, products with the
 structural zeros of M_inv and B included, so its results are those of the
 ``Vec2`` formulas bit for bit, signed zeros and NaN/inf patterns included.
+
+A run's time grid is checked once, by ``check_steps``, which
+``_sample_times`` calls before it builds the grid.
 """
 
 from __future__ import annotations
@@ -222,9 +225,32 @@ def free_response_accel(
     return Vec2(xdd, ydd)
 
 
+# The most steps (t_end / dt) a run may take.  A run keeps its time grid and
+# every sample or trace row in memory, about 0.5 KB a step, so this bounds a
+# run to well under 1 GB; the README scenario takes 5,000 steps.
+MAX_STEPS = 1_000_000
+
+
+def check_steps(
+    t_end: float, dt: float, t_name: str = "t_end", dt_name: str = "dt"
+) -> None:
+    """Raise ValueError unless dt > 0, t_end >= 0 and t_end / dt <=
+    ``MAX_STEPS`` (NaN and inf fail); the messages use the caller's names."""
+    if not dt > 0.0:
+        raise ValueError(f"{dt_name} must be > 0")
+    if not t_end >= 0.0:
+        raise ValueError(f"{t_name} must be >= 0")
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(
+            f"{t_name} / {dt_name} must be <= {MAX_STEPS} steps, "
+            f"got {t_end / dt:.6g}"
+        )
+
+
 def _sample_times(t_end: float, dt: float) -> List[float]:
     # full steps of width dt, then a final partial step landing exactly on
     # t_end; times are k*dt (not accumulated) to avoid drift
+    check_steps(t_end, dt)
     n = int(math.floor(t_end / dt))
     if (n + 1) * dt <= t_end:
         n += 1
@@ -320,7 +346,7 @@ def integrate(
     t_end : float
         End time (>= 0); a final partial step lands exactly on it.
     dt : float
-        Step width (> 0).
+        Step width (> 0), at most ``MAX_STEPS`` steps to ``t_end``.
 
     Returns
     -------
@@ -328,17 +354,15 @@ def integrate(
 
     Raises
     ------
+    ValueError
+        If the grid breaks ``check_steps``, before anything is allocated.
     NonFiniteState
         If any state component becomes NaN or infinite; the exception
         carries the finite prefix of the trajectory.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
-    if not t_end >= 0.0:
-        raise ValueError("t_end must be >= 0")
+    times = _sample_times(t_end, dt)
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
     f0, f1 = tau.taux - fed.fex, tau.tauy - fed.fey
-    times = _sample_times(t_end, dt)
     samples: List[Tuple[float, StageState]] = [(0.0, s0)]
     x, y, vx, vy = s0.q.a0, s0.q.a1, s0.qdot.a0, s0.qdot.a1
     isfinite = math.isfinite

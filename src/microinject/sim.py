@@ -69,14 +69,16 @@ class TrajectorySpec:
         check_fields(self, "> 0", "duration")
         if self.kind is TrajectoryKind.QUINTIC:
             if self.end is None:
-                raise ValueError("quintic trajectory requires 'end'")
-            if self.amplitude is not None or self.frequency is not None:
-                raise ValueError("amplitude/frequency are only valid for Sinusoid")
+                raise ValueError("end is required for kind 'Quintic'")
+            for name in ("amplitude", "frequency"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} is only valid for kind 'Sinusoid'")
         else:
-            if self.amplitude is None or self.frequency is None:
-                raise ValueError("sinusoid trajectory requires 'amplitude' and 'frequency'")
+            for name in ("amplitude", "frequency"):
+                if getattr(self, name) is None:
+                    raise ValueError(f"{name} is required for kind 'Sinusoid'")
             if self.end is not None:
-                raise ValueError("end is only valid for Quintic")
+                raise ValueError("end is only valid for kind 'Quintic'")
             check_fields(self, "> 0", "frequency")
 
 
@@ -266,12 +268,11 @@ def run_closed_loop(
 
     On divergence the offending row is recorded as the flagged final row,
     metrics cover the finite prefix, and ``diverged`` is set instead of
-    raising.
+    raising.  A bad ``t_end`` or ``dt`` raises ValueError before the run.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
     if not t_end > 0.0:
         raise ValueError("t_end must be > 0")
+    times = _sample_times(t_end, dt)
     inputs = _inputs_kernel(spec, membrane)
     torque = torque_kernel(variant, masses, frame, gains, fed)
     # the oracle is STAGE_CONSISTENT's law; a variant with that law gives
@@ -286,7 +287,6 @@ def run_closed_loop(
     step = rk4_kernel(minv)
     fed0, fed1 = fed.fex, fed.fey
     x, y, xdot, ydot = _trajectory_kernel(spec)(0.0)[:4]
-    times = _sample_times(t_end, dt)
     last = len(times) - 1
 
     rows: List[TraceRow] = []

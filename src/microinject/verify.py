@@ -128,6 +128,12 @@ class PropertyResult:
     detail: str = ""
 
 
+def _at_most(name: str, worst: float, bound: float, trials: int,
+             detail: str = "") -> PropertyResult:
+    """A property that passes when ``worst <= bound`` (a NaN fails)."""
+    return PropertyResult(name, worst <= bound, worst, bound, trials, detail)
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -253,23 +259,21 @@ def frames_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult
                                   abs(back.a1 - sy))
 
     return [
-        PropertyResult("frames.composition", worst_comp <= 1e-9, worst_comp,
-                       1e-9, n),
-        PropertyResult("frames.rotation_orthogonality", worst_rot <= 1e-12,
-                       worst_rot, 1e-12, n),
-        PropertyResult("frames.transform_invertibility", worst_inv <= 1e-12,
-                       worst_inv, 1e-12, n),
-        PropertyResult("frames.round_trip", worst_round <= 1e-9, worst_round,
-                       1e-9, n),
+        _at_most("frames.composition", worst_comp, 1e-9, n),
+        _at_most("frames.rotation_orthogonality", worst_rot, 1e-12, n),
+        _at_most("frames.transform_invertibility", worst_inv, 1e-12, n),
+        _at_most("frames.round_trip", worst_round, 1e-9, n),
     ]
 
 
 # --- dynamics ----------------------------------------------------------------
 
-def _max_error_vs_closed_form(
+def max_error_vs_closed_form(
     masses: MassParams, ics: Tuple[float, float, float, float],
     t_end: float, dt: float,
 ) -> float:
+    """The worst position error of the torque-free ``integrate`` run from
+    ``ics`` = (x0, y0, xd0, yd0) against the closed form."""
     x0, y0, xd0, yd0 = ics
     s0 = StageState(Vec2(x0, y0), Vec2(xd0, yd0))
     samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, t_end, dt)
@@ -346,14 +350,14 @@ def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResu
         worst_asym = _fold_lanes(worst_asym, abs(x - limit_x) / limit_scale,
                                  abs(y - limit_y) / limit_scale)
 
-    rk4_err = _max_error_vs_closed_form(
+    rk4_err = max_error_vs_closed_form(
         MassParams(1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0), 10.0, 1e-3
     )
 
     order_masses = MassParams(0.2, 0.2, 0.1)
     order_ics = (0.0, 0.0, 2.0, 2.0)
     errs = [
-        _max_error_vs_closed_form(order_masses, order_ics, 5.0, dt)
+        max_error_vs_closed_form(order_masses, order_ics, 5.0, dt)
         for dt in (1e-2, 5e-3, 2.5e-3)
     ]
     min_ratio = _fold(errs[0] / errs[1], errs[1] / errs[2], lowest=True)
@@ -361,20 +365,16 @@ def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResu
     image_resid = _image_space_residual()
 
     return [
-        PropertyResult("dynamics.closed_form_residual",
-                       worst_resid <= 1e-10, worst_resid, 1e-10, n,
-                       detail="residual scaled by max(1,|xd0|,|yd0|)"),
-        PropertyResult("dynamics.rk4_matches_closed_form",
-                       rk4_err <= 1e-6, rk4_err, 1e-6, 1,
-                       detail="unit masses, dt=1e-3, t in [0,10]"),
+        _at_most("dynamics.closed_form_residual", worst_resid, 1e-10, n,
+                 detail="residual scaled by max(1,|xd0|,|yd0|)"),
+        _at_most("dynamics.rk4_matches_closed_form", rk4_err, 1e-6, 1,
+                 detail="unit masses, dt=1e-3, t in [0,10]"),
         PropertyResult("dynamics.rk4_order", min_ratio >= 8.0, min_ratio, 8.0,
                        1, detail="min error ratio per dt halving, must be >= 8"),
-        PropertyResult("dynamics.image_space_residual",
-                       image_resid <= 1e-6, image_resid, 1e-6, 1,
-                       detail="4th-order central differences on the pixel signal"),
-        PropertyResult("dynamics.asymptotic_positions",
-                       worst_asym <= 1e-8, worst_asym, 1e-8, n,
-                       detail="relative gap to (x0+xd0*Mx, y0+yd0*My)"),
+        _at_most("dynamics.image_space_residual", image_resid, 1e-6, 1,
+                 detail="4th-order central differences on the pixel signal"),
+        _at_most("dynamics.asymptotic_positions", worst_asym, 1e-8, n,
+                 detail="relative gap to (x0+xd0*Mx, y0+yd0*My)"),
     ]
 
 
@@ -471,12 +471,10 @@ def implication_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
                                   abs(ident[1]) / scale)
         start += scale.size
     return [
-        PropertyResult("implication.stage_consistent", worst_stage <= 1e-9,
-                       worst_stage, 1e-9, n,
-                       detail="residual scaled by max(1,||tau||_inf)"),
-        PropertyResult("implication.corrected_identity_frame",
-                       worst_ident <= 1e-9, worst_ident, 1e-9, n,
-                       detail="transform-weighted law at fx=fy=1, alpha=0"),
+        _at_most("implication.stage_consistent", worst_stage, 1e-9, n,
+                 detail="residual scaled by max(1,||tau||_inf)"),
+        _at_most("implication.corrected_identity_frame", worst_ident, 1e-9, n,
+                 detail="transform-weighted law at fx=fy=1, alpha=0"),
     ]
 
 
@@ -556,21 +554,13 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
             detail=f"gap range [{min_gap:.3e}, {max_gap:.3e}] at alpha=pi/6, "
                    "fx=2, fy=4; must stay > 0",
         ),
-        PropertyResult(
-            "discrepancy.identity_frame_collapse", worst_collapse == 0.0,
-            worst_collapse, 0.0, n,
-            detail="bit-exact agreement required at fx=fy=1, alpha=0",
-        ),
-        PropertyResult(
-            "discrepancy.force_substitution_identity", worst_subst <= 1e-12,
-            worst_subst, 1e-12, n,
-            detail="(McPaper - Corrected) - (fe - fed), scaled",
-        ),
-        PropertyResult(
-            "discrepancy.gain_scaling_invariance", worst_scaling <= 1e-12,
-            worst_scaling, 1e-12, n,
-            detail="common positive factor on (m, b, k, fe)",
-        ),
+        # worst_collapse is >= 0 or NaN, so <= 0.0 is == 0.0
+        _at_most("discrepancy.identity_frame_collapse", worst_collapse, 0.0, n,
+                 detail="bit-exact agreement required at fx=fy=1, alpha=0"),
+        _at_most("discrepancy.force_substitution_identity", worst_subst, 1e-12,
+                 n, detail="(McPaper - Corrected) - (fe - fed), scaled"),
+        _at_most("discrepancy.gain_scaling_invariance", worst_scaling, 1e-12,
+                 n, detail="common positive factor on (m, b, k, fe)"),
     ]
 
 

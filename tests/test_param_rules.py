@@ -2,7 +2,8 @@
 
 Built directly, a type raises ``ValueError("<field> must be ...")``; read
 from a config, the same rule raises ``InvariantError`` with the section
-path in front.  ``run`` has no type, so config checks its rules itself.
+path in front.  ``run`` has no type: config checks ``run.t_end`` > 0 and
+``dynamics.check_steps`` the step grid.
 """
 
 import dataclasses
@@ -117,3 +118,27 @@ def test_a_non_number_is_reported_before_a_bad_value_in_one_section():
     doc["masses"]["my"] = 1.0
     with pytest.raises(InvariantError, match=r"^masses\.mx must be > 0$"):
         parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    ("QUINTIC", {}, "end is required for kind 'Quintic'"),
+    ("QUINTIC", {"end": (1, 1), "amplitude": (1, 1)},
+     "amplitude is only valid for kind 'Sinusoid'"),
+    ("QUINTIC", {"end": (1, 1), "frequency": 1.0},
+     "frequency is only valid for kind 'Sinusoid'"),
+    ("SINUSOID", {"frequency": 1.0}, "amplitude is required for kind 'Sinusoid'"),
+    ("SINUSOID", {"amplitude": (1, 1)}, "frequency is required for kind 'Sinusoid'"),
+    ("SINUSOID", {"amplitude": (1, 1), "frequency": 1.0, "end": (1, 1)},
+     "end is only valid for kind 'Quintic'"),
+])
+def test_direct_construction_names_a_kind_dependent_field(kind, fields, message):
+    # config rejects the same documents first, with ParseErrors about keys
+    from microinject.algebra2d import Vec2
+    from microinject.sim import TrajectoryKind
+
+    values = {name: value if name == "frequency" else Vec2(*value)
+              for name, value in fields.items()}
+    with pytest.raises(ValueError) as info:
+        TrajectorySpec(TrajectoryKind[kind], Vec2(0.0, 0.0), 1.0, **values)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
