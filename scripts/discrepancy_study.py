@@ -17,7 +17,7 @@ import shutil
 import sys
 
 from microinject.algebra2d import Vec2
-from microinject.control import ControllerVariant, ImpedanceParams, torque_law_of
+from microinject.control import ControllerVariant, ImpedanceParams
 from microinject.dynamics import ForcePair, MassParams
 from microinject.frames import FrameParams
 from microinject.report import write_trace_csv
@@ -26,7 +26,7 @@ from microinject.sim import (
     TrajectoryKind,
     TrajectorySpec,
     compare_variants,
-    run_closed_loop,
+    run_variants,
 )
 
 SKEWED = FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0)
@@ -77,22 +77,19 @@ def main() -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        # one closed loop per torque law: a variant whose law has already
-        # run gets a byte copy of that run's CSV, which is what running it
-        # again would write
-        written = {}
-        for variant in ControllerVariant:
+        # a variant that reuses a run gets a byte copy of that run's CSV
+        for variant, source, _, rows in run_variants(
+            ControllerVariant, masses, SKEWED, gains, spec, membrane, fed,
+            args.t_end, args.dt,
+        ):
             path = os.path.join(args.out, f"study_{variant.value}.csv")
-            law = torque_law_of(variant)
-            if law in written:
-                shutil.copyfile(written[law], path)
+            if rows is None:
+                shutil.copyfile(
+                    os.path.join(args.out, f"study_{source.value}.csv"), path)
             else:
-                rows, _ = run_closed_loop(variant, masses, SKEWED, gains, spec,
-                                          membrane, fed, args.t_end, args.dt)
                 write_trace_csv(path, rows)
                 # the next closed loop builds its own rows
                 del rows
-                written[law] = path
             print(f"wrote {path}")
     return 0
 

@@ -4,22 +4,26 @@ Subcommands: ``verify`` (randomized property suites), ``simulate``
 (closed-loop scenario runs from a JSON config) and ``free-response``
 (closed-form vs. integrated torque-free motion).
 
-Exit codes: 0 success, 1 verification/numeric failure, 2 usage or config
-error.  Reports and artifact paths go to stdout; diagnostics go to stderr
-at the verbosity selected by the MICROINJECT_LOG environment variable
-(error, info or debug).  At info, ``verify`` logs the wall time of each
+Exit codes: 0 success, 1 verification/numeric failure, 2 usage, config
+or output error.  Reports and artifact paths go to stdout; diagnostics go
+to stderr at the verbosity selected by the MICROINJECT_LOG environment
+variable (error, info or debug).  At info, ``verify`` logs the wall time of each
 suite it runs, and ``simulate`` the variant it is running and then the
 wall time of its closed loop and of writing its trace files (CSV, and SVG
 with ``--svg``).
 
-``simulate`` runs each distinct torque law (``control.torque_law_of``)
-once.  A variant whose law has already run reuses that run, which is what
-running it again would give bit for bit: its metrics are the run's, its CSV
-is a byte copy of the first variant's, and its SVG is the run's panels
-under its own title.  An info line names the variant whose run it reuses.
+``simulate`` takes its closed loops from ``sim.run_variants``.  A variant
+that reuses a run gets that run's metrics, a byte copy of its CSV, and its
+SVG panels under the variant's own title.  An info line names the variant
+whose run it reuses.
 
-``free-response`` checks the masses, the step grid (``check_steps``) and
-the initial conditions before it integrates, and exits 2 if one fails.
+``free-response`` takes a negative value in any spelling that ``float()``
+reads (``-1e-5``, ``-inf``).  It checks the masses, the step grid
+(``check_steps``) and the initial conditions before it integrates, and
+exits 2 if one fails.
+
+An output file (CSV, SVG or ``metrics.json``) that cannot be written
+exits 2 with ``cannot write <path>: <reason>``.
 
 Only ``verify`` imports numpy, for its lanes, so ``simulate`` and
 ``free-response`` run without loading it.
@@ -30,14 +34,14 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import shutil
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from . import report
 from .config import MAX_TRIALS, SUITE_NAMES, ScenarioConfig, load_config
-from .control import torque_law_of
 from .dynamics import (
     MassParams,
     NonFiniteState,
@@ -49,13 +53,25 @@ from .dynamics import (
     integrate,
 )
 from .algebra2d import Vec2, check_fields
-from .sim import run_closed_loop
+from .sim import run_variants
 
 log = logging.getLogger("microinject")
 
 FREE_RESPONSE_MAX_ERROR = 1e-5
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+
+class _CannotWrite(Exception):
+    """An output file could not be written; ``main`` exits 2 with it."""
+
+
+def _write(path: str, write: Callable[..., Any], *args: object) -> Any:
+    """``write(path, *args)``, with an OSError raised as ``_CannotWrite``
+    naming ``path``."""
+    try:
+        return write(path, *args)
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _configure_logging() -> None:
@@ -105,6 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
                  "--t-end", "--dt"):
         p_free.add_argument(name, type=float, required=True)
     p_free.add_argument("--out", required=True)
+    # argparse reads a token that starts with "-" as an option unless it
+    # matches this; the default takes only plain negative decimals, so
+    # "--x0 -1e-5" or "--mx -inf" would lose their value
+    p_free._negative_number_matcher = re.compile(
+        r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     return parser
 
 
@@ -164,40 +185,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     any_diverged = False
     variant_metrics = {}
-    # per torque law: the variant that ran it, its metrics and its SVG
-    # panels (None without --svg); no rows are kept
-    runs = {}
+    panels = {}  # each run's SVG panels, by the variant that ran, with --svg
+    runs = run_variants(
+        config.variants, config.masses, config.frame, config.impedance,
+        config.trajectory, config.membrane, config.fed, config.t_end,
+        config.dt,
+    )
     for variant in config.variants:
         log.info("running variant %s", variant.value)
         start = time.perf_counter()
-        law = torque_law_of(variant)
+        _, source, metrics, rows = next(runs)
+        ran = time.perf_counter()
         trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
         svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
         title = f"variant {variant.value}"
-        if law in runs:
-            source, metrics, panels = runs[law]
+        if rows is None:
             log.info("variant %s reuses the closed loop of variant %s",
                      variant.value, source.value)
-            ran = time.perf_counter()
             if variant is not source:
-                shutil.copyfile(os.path.join(
-                    args.out, f"trace_{source.value}.csv"), trace_path)
+                copied = os.path.join(args.out, f"trace_{source.value}.csv")
+                _write(trace_path, lambda path: shutil.copyfile(copied, path))
                 if args.svg:
-                    report.write_trace_panels(svg_path, panels, title)
+                    _write(svg_path, report.write_trace_panels, panels[source],
+                           title)
         else:
-            rows, metrics = run_closed_loop(
-                variant, config.masses, config.frame, config.impedance,
-                config.trajectory, config.membrane, config.fed,
-                config.t_end, config.dt,
-            )
-            ran = time.perf_counter()
-            report.write_trace_csv(trace_path, rows)
-            panels = None
+            _write(trace_path, report.write_trace_csv, rows)
             if args.svg:
-                panels = report.write_trace_svg(svg_path, rows, title)
+                panels[source] = _write(svg_path, report.write_trace_svg, rows,
+                                        title)
             # the next closed loop builds its own rows
             del rows
-            runs[law] = (variant, metrics, panels)
         print(trace_path)
         if args.svg:
             print(svg_path)
@@ -210,7 +227,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             any_diverged = True
 
     metrics_path = os.path.join(args.out, "metrics.json")
-    report.write_metrics_json(metrics_path, {
+    _write(metrics_path, report.write_metrics_json, {
         "dt": config.dt,
         "t_end": config.t_end,
         "seed": config.seed,
@@ -247,7 +264,7 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
         err_y = abs(state.q.a1 - y)
         max_err = max(max_err, err_x, err_y)
         rows.append((t, x, y, state.q.a0, state.q.a1, err_x, err_y))
-    report.write_csv(args.out, report.FREE_RESPONSE_HEADER, rows)
+    _write(args.out, report.write_csv, report.FREE_RESPONSE_HEADER, rows)
     print(args.out)
     print(f"max_error {report.fmt(max_err)}")
     return 0 if max_err <= FREE_RESPONSE_MAX_ERROR else 1
@@ -259,9 +276,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify":
         return _cmd_verify(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    return _cmd_free_response(args)
+    try:
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        return _cmd_free_response(args)
+    except _CannotWrite as exc:
+        print(f"microinject: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ traces.
 
 The loop steps in plain floats.  Once per run it builds the float kernels
 of the trajectory, the contact model, the variant's torque law, the
-oracle law, the impedance residual and the dynamics; ``compare_variants``
-runs each distinct torque law (``control.torque_law_of``) once and
+oracle law, the impedance residual and the dynamics.  ``run_variants``
+decides which closed loops run for a list of variants; ``compare_variants``
+and the ``simulate`` command take their runs from it.  ``compare_variants``
 re-evaluates every other law along the base run with the same kernels.
 ``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
 contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
@@ -21,7 +22,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .algebra2d import Vec2, check_fields, mat_inv
 from .control import (
@@ -336,6 +339,44 @@ def run_closed_loop(
     return rows, metrics
 
 
+def run_variants(
+    variants: Iterable[ControllerVariant],
+    masses: MassParams,
+    frame: FrameParams,
+    gains: ImpedanceParams,
+    spec: TrajectorySpec,
+    membrane: MembraneModel,
+    fed: ForcePair,
+    t_end: float,
+    dt: float,
+) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics,
+                    Optional[List[TraceRow]]]]:
+    """Run each distinct torque law (``torque_law_of``) of ``variants`` once.
+
+    Yields ``(variant, source, metrics, rows)`` per variant, in order.  The
+    first variant of a law runs in closed loop: ``source`` is the variant
+    itself and ``rows`` its trace.  A later variant of that law, a repeated
+    one included, reuses that run, which is what running it again would
+    give bit for bit: ``source`` is the variant that ran, ``metrics`` that
+    run's object and ``rows`` None.
+
+    The generator keeps no rows past a yield, so a consumer that drops
+    ``rows`` before asking for the next variant holds one trace at a time.
+    """
+    ran = {}
+    for variant in variants:
+        law = torque_law_of(variant)
+        if law in ran:
+            yield (variant, *ran[law], None)
+            continue
+        rows, metrics = run_closed_loop(
+            variant, masses, frame, gains, spec, membrane, fed, t_end, dt
+        )
+        ran[law] = (variant, metrics)
+        yield variant, variant, metrics, rows
+        del rows
+
+
 @dataclass(frozen=True)
 class VariantReport:
     """One variant's closed-loop metrics and its gaps to the base run."""
@@ -375,26 +416,42 @@ def compare_variants(
     Divergence in one variant is flagged in its metrics and does not abort
     the others.
 
-    Each distinct torque law (``torque_law_of``) runs once: a variant with
-    the base's law reports the base metrics with zero gaps, and a repeated
-    law reuses the report of its first variant, which is what running it
-    again would give bit for bit.  The re-evaluation walks the base run
-    once, evaluating the inputs once per row for all the other laws.
+    The runs come from ``run_variants``, and a variant that reuses a run
+    reports that run's metrics and gaps; one with the base's law has zero
+    gaps.  The re-evaluation walks the base run once, evaluating the
+    inputs once per row for all the other laws.
     """
-    base_rows, base_metrics = run_closed_loop(
-        base, masses, frame, gains, spec, membrane, fed, t_end, dt
+    runs = run_variants(
+        [base, *others], masses, frame, gains, spec, membrane, fed, t_end, dt
     )
+    _, _, base_metrics, base_rows = next(runs)
     # only a run's last row can be non-finite: a diverged run's flagged row
     base_finite = base_rows[:-1] if base_metrics.diverged else base_rows
-    base_law = torque_law_of(base)
-    laws = list(dict.fromkeys(
-        law for law in map(torque_law_of, others) if law is not base_law
-    ))
-    torques = [torque_kernel(law, masses, frame, gains, fed) for law in laws]
+    # gaps by the variant whose run a report takes
+    tracking_rms = {base: 0.0}
+    reported = []
+    for variant, source, metrics, rows in runs:
+        if rows is not None:
+            # pairing stops where either run stops being finite
+            finite = rows[:-1] if metrics.diverged else rows
+            sq_track = 0.0
+            for rv, rb in zip(finite, base_finite):
+                dx = rv.x - rb.x
+                dy = rv.y - rb.y
+                sq_track += dx * dx + dy * dy
+            paired = max(min(len(finite), len(base_finite)), 1)
+            tracking_rms[source] = math.sqrt(sq_track / paired)
+            # drop this run's rows before the next run builds its own
+            del rows, finite
+        reported.append((variant, source, metrics))
+
+    sources = [source for source in tracking_rms if source is not base]
+    torques = [torque_kernel(source, masses, frame, gains, fed)
+               for source in sources]
     inputs = _inputs_kernel(spec, membrane)
-    sq_tau = [0.0] * len(laws)
+    sq_tau = [0.0] * len(sources)
     # one walk of the base run: the inputs once per row, every law on them
-    for row in base_finite if laws else ():
+    for row in base_finite if sources else ():
         xdot, ydot = row.xdot, row.ydot
         _, _, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(
             row.t, row.x, row.y, xdot, ydot
@@ -406,30 +463,10 @@ def compare_variants(
             dy = tau1 - tauy
             sq_tau[k] += dx * dx + dy * dy
     n = max(len(base_finite), 1)
-    torque_rms = {law: math.sqrt(sq / n) for law, sq in zip(laws, sq_tau)}
-
-    first_of_law = {base_law: (base_metrics, 0.0, 0.0)}
-    reports = []
-    for variant in others:
-        law = torque_law_of(variant)
-        if law not in first_of_law:
-            rows, metrics = run_closed_loop(
-                variant, masses, frame, gains, spec, membrane, fed, t_end, dt
-            )
-            sq_track = 0.0
-            paired = 0
-            # pairing stops where either run stops being finite
-            finite = rows[:-1] if metrics.diverged else rows
-            for rv, rb in zip(finite, base_finite):
-                dx = rv.x - rb.x
-                dy = rv.y - rb.y
-                sq_track += dx * dx + dy * dy
-                paired += 1
-            # drop this run's rows before the next run builds its own
-            del rows, finite
-            first_of_law[law] = (
-                metrics, torque_rms[law], math.sqrt(sq_track / max(paired, 1))
-            )
-        reports.append(VariantReport(variant, *first_of_law[law]))
-    return ComparisonReport(base, base_metrics, tuple(reports))
-
+    torque_rms = {base: 0.0, **{
+        source: math.sqrt(sq / n) for source, sq in zip(sources, sq_tau)}}
+    reports = tuple(
+        VariantReport(variant, metrics, torque_rms[source], tracking_rms[source])
+        for variant, source, metrics in reported
+    )
+    return ComparisonReport(base, base_metrics, reports)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -550,3 +551,58 @@ def test_csv_floats_round_trip(tmp_path):
         for token in line.split(","):
             value = float(token)
             assert "%.17g" % value == token
+
+
+# every free-response flag but --x0 and --out
+FREE_RESPONSE_ARGS = ["free-response", "--mx", "1", "--my", "1", "--mp", "1",
+                      "--y0", "0", "--xd0", "1", "--yd0", "0", "--t-end", "1.0",
+                      "--dt", "0.01"]
+
+
+def test_free_response_takes_a_negative_value_with_an_exponent(
+    tmp_path, capsys,
+):
+    from microinject import cli
+
+    out = tmp_path / "free.csv"
+    assert cli.main([*FREE_RESPONSE_ARGS, "--x0", "-1e-5",
+                     "--out", str(out)]) == 0
+    # the integrated column starts at x0 itself
+    first = out.read_text().split("\n")[1].split(",")
+    assert float(first[3]) == -1e-5
+    assert capsys.readouterr().err == ""
+
+
+def test_free_response_that_cannot_write_its_csv_exits_2(tmp_path, capsys):
+    from microinject import cli
+
+    out = tmp_path / "free.csv"
+    out.mkdir()
+    assert cli.main([*FREE_RESPONSE_ARGS, "--x0", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"microinject: cannot write {out}: {os.strerror(errno.EISDIR)}\n")
+
+
+@pytest.mark.parametrize("blocked", [
+    "trace_Corrected.csv",   # a run's CSV
+    "plot_Corrected.svg",    # a run's chart
+    "trace_SimPaper.csv",    # the copy for a variant that reuses a run
+    "plot_SimPaper.svg",     # the re-titled chart of that variant
+    "metrics.json",
+])
+def test_simulate_that_cannot_write_a_file_exits_2(blocked, tmp_path, capsys):
+    from microinject import cli
+
+    config = write_config(tmp_path / "scenario.json", run={
+        "t_end": 0.05, "dt": 0.001,
+        "variants": ["StageConsistent", "Corrected", "SimPaper"]})
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = cli.main(["simulate", "--config", str(config), "--out", str(out),
+                     "--svg"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"microinject: cannot write {out / blocked}: "
+        f"{os.strerror(errno.EISDIR)}\n")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -528,3 +529,59 @@ def test_compare_variants_runs_each_torque_law_once(monkeypatch):
     # SimPaper and StageConsistent share one law, so one of them runs
     assert ran == [_C, _S, _M]
     assert report.reports[0].metrics is report.reports[1].metrics
+
+
+_SHARED = [_S, _C, _SC, _S, _M, _C]
+
+
+def test_run_variants_runs_each_torque_law_once_and_reuses_its_run(
+    monkeypatch,
+):
+    import microinject.sim as sim
+
+    ran = []
+
+    def recording_run(variant, *args):
+        ran.append(variant)
+        return run_closed_loop(variant, *args)
+
+    monkeypatch.setattr(sim, "run_closed_loop", recording_run)
+    scenario = _pin_scenarios()[3]
+    yielded = list(sim.run_variants(_SHARED, *scenario))
+    assert ran == [_S, _C, _M]
+    assert [variant for variant, _, _, _ in yielded] == _SHARED
+    assert [source for _, source, _, _ in yielded] == [_S, _C, _S, _S, _M, _C]
+    assert [rows is None for _, _, _, rows in yielded] == [
+        False, False, True, True, False, True]
+    ran_metrics = {}
+    for variant, source, metrics, rows in yielded:
+        if rows is None:
+            assert metrics is ran_metrics[source]
+            continue
+        assert source is variant
+        ran_metrics[variant] = metrics
+        ref_rows, ref_metrics = run_closed_loop(variant, *scenario)
+        assert _bits(rows) == _bits(ref_rows)
+        assert _bits(metrics) == _bits(ref_metrics)
+
+
+class _Rows(list):
+    """A trace that a weak reference can watch."""
+
+
+def test_run_variants_keeps_no_rows_once_the_consumer_drops_them(monkeypatch):
+    import microinject.sim as sim
+
+    dropped = []
+
+    def stub_run(variant, *args):
+        # every earlier trace is gone before the next run builds its own
+        assert [ref() for ref in dropped] == [None] * len(dropped)
+        rows = _Rows()
+        dropped.append(weakref.ref(rows))
+        return rows, RunMetrics(Vec2(0.0, 0.0), 0.0, 0.0, 0)
+
+    monkeypatch.setattr(sim, "run_closed_loop", stub_run)
+    for _, _, _, rows in sim.run_variants(_SHARED, *_pin_scenarios()[3]):
+        del rows
+    assert len(dropped) == 3

@@ -122,6 +122,10 @@ FREE_RESPONSE = {"--mx": "1", "--my": "1", "--mp": "1", "--x0": "0",
     ("--t-end", "inf", "t-end / dt must be <= 1000000 steps, got inf"),
     ("--x0", "inf", "x0 must be finite"),
     ("--yd0", "nan", "yd0 must be finite"),
+    # negative spellings that argparse alone would take for options
+    ("--mx", "-inf", "mx must be finite"),
+    ("--x0", "-Infinity", "x0 must be finite"),
+    ("--t-end", "-1e0", "t-end must be >= 0"),
 ])
 def test_free_response_single_error_messages(flag, value, message, tmp_path,
                                              monkeypatch, capsys):
