@@ -40,6 +40,12 @@ def main() -> int:
     parser.add_argument("--out", default=None,
                         help="optional directory for per-variant trace CSVs")
     args = parser.parse_args()
+    if args.out:
+        # before any run, so a bad directory costs no computation
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog}: cannot create output dir: {exc}\n")
 
     masses = MassParams(mx=1.0, my=1.0, mp=1.0)
     gains = ImpedanceParams(m=1.0, b=20.0, k=100.0)
@@ -76,7 +82,6 @@ def main() -> int:
                   f"{rep.tracking_rms_vs_base:>18.3e}")
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         # a variant that reuses a run gets a byte copy of that run's CSV
         for variant, source, _, rows in run_variants(
             ControllerVariant, masses, SKEWED, gains, spec, membrane, fed,

@@ -33,12 +33,14 @@ stage-frame error definition; both names are kept because they answer
 different questions (oracle vs. published formulation).
 
 Each formula is evaluated in one place, a float kernel that binds its
-constant operators once: ``torque_kernel`` (L = M or M@T, N = B or
-(B@T_inv)@T, the commanded acceleration and the tail force),
-``commanded_accel_kernel``, ``impedance_accel_kernel``,
+constant operators once: ``commanded_accel_kernel`` (c, with the gains),
+``torque_kernel`` (L = M or M@T, N = B or (B@T_inv)@T and the tail force,
+applied to a given c), ``impedance_accel_kernel``,
 ``force_control_residual_kernel`` and ``required_torque_kernel`` (over
-``dynamics.inverse_dynamics_kernel``).  ``implication_check`` tests the
-impedance-law precondition once per state and then combines any number of
+``dynamics.inverse_dynamics_kernel``).  The torque laws act on c and bind
+no gains, so a caller solves c once per state and passes it to every law
+it evaluates there.  ``implication_check`` tests the impedance-law
+precondition and solves c once per state, and then combines any number of
 torque kernels with the required torque.  ``torque_controller``,
 ``commanded_accel``, ``impedance_accel``, ``force_control_residual``,
 ``required_torque`` and ``implication_residual`` build their kernel and
@@ -286,7 +288,6 @@ def torque_kernel(
     variant: ControllerVariant,
     masses: MassParams,
     frame: FrameParams,
-    gains: ImpedanceParams,
     fed: ForcePair,
 ) -> Callable[..., Tuple[float, float]]:
     """One torque-law variant in floats, with its operators bound once:
@@ -295,11 +296,13 @@ def torque_kernel(
     which raise SingularMatrix when T fails ``mat_inv``'s scale-relative
     cutoff.  The stage-space variants never form T.
 
-    The returned ``torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)``
-    gives tau = L @ c + N @ qdot + tail at one state, with c from
-    ``commanded_accel_kernel(gains)`` and the tail fe for MC_PAPER, fed
-    otherwise.  Every matrix product is formed, the structural zeros
-    included, in the order of ``mat_vec_mul``.
+    The returned ``torque(c0, c1, fe0, fe1, v0, v1)`` gives
+    tau = L @ c + N @ qdot + tail at one state, with the commanded
+    acceleration c from ``commanded_accel_kernel(gains)`` and the tail fe
+    for MC_PAPER, fed otherwise.  The gains enter only through c, so a
+    caller solves c once per state for every law it evaluates there.
+    Every matrix product is formed, the structural zeros included, in the
+    order of ``mat_vec_mul``.
     """
     m_mat = mass_matrix(masses)
     if variant in STAGE_SPACE_VARIANTS:
@@ -311,14 +314,11 @@ def torque_kernel(
     l00, l01, l10, l11 = l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11
     n00, n01, n10, n11 = n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11
     use_fe = variant is ControllerVariant.MC_PAPER
-    commanded = commanded_accel_kernel(gains)
     fed0, fed1 = fed.fex, fed.fey
 
     def torque(
-        qdd0: float, qdd1: float, e0: float, e1: float, ed0: float,
-        ed1: float, fe0: float, fe1: float, v0: float, v1: float,
+        c0: float, c1: float, fe0: float, fe1: float, v0: float, v1: float,
     ) -> Tuple[float, float]:
-        c0, c1 = commanded(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1)
         t0, t1 = (fe0, fe1) if use_fe else (fed0, fed1)
         return (
             ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + t0,
@@ -347,12 +347,14 @@ def torque_controller(
     so MC_PAPER minus CORRECTED is exactly fe - fed, and at the identity
     transform (fx = fy = 1, alpha = 0) all evaluation collapses bit-for-bit
     onto the stage-space form.  Builds ``torque_kernel`` and evaluates it
-    once.
+    once on c from ``commanded_accel_kernel``.
     """
     qdd, e, edot = desired.qd_ddot, errors.e, errors.edot
-    return Torque(*torque_kernel(variant, masses, frame, gains, fed)(
-        qdd.a0, qdd.a1, e.a0, e.a1, edot.a0, edot.a1,
-        fe.fex, fe.fey, qdot.a0, qdot.a1,
+    c0, c1 = commanded_accel_kernel(gains)(
+        qdd.a0, qdd.a1, e.a0, e.a1, edot.a0, edot.a1, fe.fex, fe.fey
+    )
+    return Torque(*torque_kernel(variant, masses, frame, fed)(
+        c0, c1, fe.fex, fe.fey, qdot.a0, qdot.a1
     ))
 
 
@@ -370,7 +372,8 @@ def implication_check(
     naming the first violating lane of float64 lanes.  Otherwise returns
     ``residual_of(torque)``, which takes a kernel from ``torque_kernel``
     and gives the torque minus the dynamics-inversion torque at that state,
-    so the precondition is tested once for any number of laws.
+    so the precondition is tested, and the commanded acceleration solved,
+    once for any number of laws.
     """
     fc_residual = force_control_residual_kernel(gains)
     m, b, k = gains.m, gains.b, gains.k
@@ -401,11 +404,14 @@ def implication_check(
             f"{bound:.3e}; implication check is not probative"
         )
     r0, r1 = required(a0, a1, v0, v1)
+    c0, c1 = commanded_accel_kernel(gains)(
+        qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1
+    )
 
     def residual_of(
         torque: Callable[..., Tuple[float, float]],
     ) -> Tuple[float, float]:
-        t0, t1 = torque(qdd0, qdd1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
+        t0, t1 = torque(c0, c1, fe0, fe1, v0, v1)
         return t0 - r0, t1 - r1
 
     return residual_of
@@ -434,7 +440,7 @@ def implication_residual(
     q, qdot, qddot = actual
     qd, qd_dot, qd_ddot = desired.qd, desired.qd_dot, desired.qd_ddot
     required = required_torque_kernel(mass_matrix(masses), fed)
-    torque = torque_kernel(variant, masses, frame, gains, fed)
+    torque = torque_kernel(variant, masses, frame, fed)
     return Vec2(*implication_check(
         gains, required, qd.a0, qd.a1, qd_dot.a0, qd_dot.a1, qd_ddot.a0,
         qd_ddot.a1, q.a0, q.a1, qdot.a0, qdot.a1, qddot.a0, qddot.a1,

@@ -14,7 +14,7 @@ constant, is checked against it by the test suite and by ``verify``.
 Each formula is evaluated in one place, a float kernel bound once per
 parameter set: ``free_response_kernel`` (position, velocity and
 acceleration from one ``exp`` per axis), ``inverse_dynamics_kernel``
-(M @ a + B @ v), ``stage_accel_kernel`` and ``rk4_kernel``.
+(M @ a + B @ v) and ``rk4_kernel``.
 ``free_response``, ``free_response_accel`` and ``dynamics_residual`` wrap
 them and evaluate them once.  ``mass_matrix``, ``inverse_dynamics_kernel``
 and ``free_response_kernel`` are elementwise ``+ - * /`` and ``exp``, with
@@ -23,11 +23,15 @@ float64 lanes, one per trial or per sample time, each lane with the bits
 of its float evaluation.
 
 The RK4 step is evaluated in one place: ``rk4_kernel`` binds M_inv and B
-once and steps plain floats.  ``rk4_step`` and ``integrate`` wrap it, and
-the closed loop in ``sim`` calls it directly.  It performs the float
-operations of the ``Vec2`` algebra in the same order, products with the
-structural zeros of M_inv and B included, so its results are those of the
-``Vec2`` formulas bit for bit, signed zeros and NaN/inf patterns included.
+once and takes a step of plain floats in one call, its four stage
+accelerations M_inv @ (f - B @ v) written inline.  It also hands back its
+first stage, the acceleration at the state it starts from, which the
+closed loop in ``sim`` scores instead of solving the dynamics a second
+time.  ``rk4_step`` and ``integrate`` wrap it, and the closed loop calls it
+directly.  It performs the float operations of the ``Vec2`` algebra in the
+same order, products with the structural zeros of M_inv and B included, so
+its results are those of the ``Vec2`` formulas bit for bit, signed zeros
+and NaN/inf patterns included.
 
 A run's time grid is checked once, by ``check_steps``, which
 ``_sample_times`` calls before it builds the grid.
@@ -260,52 +264,49 @@ def _sample_times(t_end: float, dt: float) -> List[float]:
     return times
 
 
-def stage_accel_kernel(minv: Mat2) -> Callable[..., Tuple[float, float]]:
-    """The dynamics solved for qddot, in floats, with M_inv and B bound once.
+def rk4_kernel(minv: Mat2) -> Callable[..., Tuple[float, ...]]:
+    """One classical Runge-Kutta step in floats, with M_inv and B bound once.
 
-    The returned ``accel(f0, f1, v0, v1)`` gives M_inv @ (f - B @ v) for the
-    net forcing f = tau - fed and velocity v.  Every product of both
-    matrices is formed, the structural zeros included, in the order of
-    ``mat_vec_mul``, so a non-finite component spreads as it does there.
+    The returned ``step(f0, f1, x, y, vx, vy, h)`` advances the state
+    (x, y, vx, vy) by h under the net forcing f = tau - fed, held constant
+    across the substages, and gives (x, y, vx, vy, ax, ay): the new state
+    and the acceleration M_inv @ (f - B @ v) at the state it started from,
+    its first stage, which does not depend on h.  Each stage acceleration
+    is evaluated inline, every product of both matrices formed, the
+    structural zeros included, in the order of ``mat_vec_mul``, so a
+    non-finite component spreads as it does there.  It is the one RK4 and
+    the one stage acceleration of the package: ``rk4_step``, ``integrate``
+    and the closed loop all call it.
     """
     m00, m01, m10, m11 = minv.m00, minv.m01, minv.m10, minv.m11
     b00, b01, b10, b11 = _B.m00, _B.m01, _B.m10, _B.m11
 
-    def accel(f0: float, f1: float, v0: float, v1: float) -> Tuple[float, float]:
-        r0 = f0 - (b00 * v0 + b01 * v1)
-        r1 = f1 - (b10 * v0 + b11 * v1)
-        return m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
-
-    return accel
-
-
-def rk4_kernel(minv: Mat2) -> Callable[..., Tuple[float, float, float, float]]:
-    """One classical Runge-Kutta step in floats, with M_inv bound once.
-
-    The returned ``step(f0, f1, x, y, vx, vy, h)`` advances the state
-    (x, y, vx, vy) by h under the net forcing f = tau - fed, held constant
-    across the substages.  It is the one RK4 of the package: ``rk4_step``,
-    ``integrate`` and the closed loop all call it.
-    """
-    accel = stage_accel_kernel(minv)
-
     def step(
         f0: float, f1: float, x: float, y: float, vx: float, vy: float, h: float
-    ) -> Tuple[float, float, float, float]:
+    ) -> Tuple[float, ...]:
         half = 0.5 * h
-        k1x, k1y = accel(f0, f1, vx, vy)
+        r0 = f0 - (b00 * vx + b01 * vy)
+        r1 = f1 - (b10 * vx + b11 * vy)
+        k1x, k1y = m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
         v2x, v2y = vx + half * k1x, vy + half * k1y
-        k2x, k2y = accel(f0, f1, v2x, v2y)
+        r0 = f0 - (b00 * v2x + b01 * v2y)
+        r1 = f1 - (b10 * v2x + b11 * v2y)
+        k2x, k2y = m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
         v3x, v3y = vx + half * k2x, vy + half * k2y
-        k3x, k3y = accel(f0, f1, v3x, v3y)
+        r0 = f0 - (b00 * v3x + b01 * v3y)
+        r1 = f1 - (b10 * v3x + b11 * v3y)
+        k3x, k3y = m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
         v4x, v4y = vx + h * k3x, vy + h * k3y
-        k4x, k4y = accel(f0, f1, v4x, v4y)
+        r0 = f0 - (b00 * v4x + b01 * v4y)
+        r1 = f1 - (b10 * v4x + b11 * v4y)
+        k4x, k4y = m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
         w = h / 6.0
         return (
             x + w * (((vx + 2.0 * v2x) + 2.0 * v3x) + v4x),
             y + w * (((vy + 2.0 * v2y) + 2.0 * v3y) + v4y),
             vx + w * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x),
             vy + w * (((k1y + 2.0 * k2y) + 2.0 * k3y) + k4y),
+            k1x, k1y,
         )
 
     return step
@@ -319,7 +320,7 @@ def rk4_step(
     The forcing (tau_vec, fed_vec) is held constant across the substages;
     damping is the identity matrix acting on the substage velocities.
     """
-    x, y, vx, vy = rk4_kernel(minv)(
+    x, y, vx, vy, _, _ = rk4_kernel(minv)(
         tau_vec.a0 - fed_vec.a0, tau_vec.a1 - fed_vec.a1,
         q.a0, q.a1, qdot.a0, qdot.a1, h,
     )
@@ -367,7 +368,7 @@ def integrate(
     x, y, vx, vy = s0.q.a0, s0.q.a1, s0.qdot.a0, s0.qdot.a1
     isfinite = math.isfinite
     for i in range(len(times) - 1):
-        x, y, vx, vy = step(f0, f1, x, y, vx, vy, times[i + 1] - times[i])
+        x, y, vx, vy, _, _ = step(f0, f1, x, y, vx, vy, times[i + 1] - times[i])
         if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
             raise NonFiniteState(
                 f"state became non-finite at t={times[i + 1]!r}", samples

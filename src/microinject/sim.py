@@ -7,11 +7,14 @@ constant across each RK4 step.  Identical inputs produce bit-identical
 traces.
 
 The loop steps in plain floats.  Once per run it builds the float kernels
-of the trajectory, the contact model, the variant's torque law, the
-oracle law, the impedance residual and the dynamics.  ``run_variants``
-decides which closed loops run for a list of variants; ``compare_variants``
-and the ``simulate`` command take their runs from it.  ``compare_variants``
-re-evaluates every other law along the base run with the same kernels.
+of the trajectory, the contact model, the commanded acceleration, the
+variant's torque law, the oracle law, the impedance residual and the RK4
+step.  Per state it solves the commanded acceleration once for both laws
+and takes the RK4 step in one call, which also gives the acceleration the
+impedance law is scored on.  ``run_variants`` decides which closed loops
+run for a list of variants; ``compare_variants`` and the ``simulate``
+command take their runs from it.  ``compare_variants`` re-evaluates every
+other law along the base run with the same kernels, one c per row.
 ``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
 contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
 algebra, so traces are bit-identical to the ``Vec2`` formulas.
@@ -31,6 +34,7 @@ from .control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
     ImpedanceParams,
+    commanded_accel_kernel,
     force_control_residual_kernel,
     torque_kernel,
     torque_law_of,
@@ -41,7 +45,6 @@ from .dynamics import (
     _sample_times,
     mass_matrix,
     rk4_kernel,
-    stage_accel_kernel,
 )
 from .frames import FrameParams
 
@@ -262,35 +265,40 @@ def run_closed_loop(
 
     The stage starts on the trajectory: q(0) = qd(0), qdot(0) = qd_dot(0).
     Each step samples the desired point, measures the membrane contact
-    force, forms the stage-frame errors e and edot, evaluates the variant's
-    torque and the stage-consistent oracle torque at the same state,
-    records a trace row, scores the impedance law on the acceleration the
-    torque realizes, and advances the dynamics one RK4 step with the
-    variant's torque held constant.  The operators of both laws and of the
-    dynamics are built once per run and the step runs in floats.
+    force, forms the stage-frame errors e and edot, solves the commanded
+    acceleration c once, evaluates the variant's torque and the
+    stage-consistent oracle torque on it, and records a trace row.  Then
+    one call of the RK4 step advances the dynamics with the variant's
+    torque held constant and hands back the acceleration that torque
+    realizes at the state, on which the impedance law is scored; the final
+    row takes a zero-width step for it.  The operators of both laws and of
+    the dynamics are built once per run and the step runs in floats.
 
-    On divergence the offending row is recorded as the flagged final row,
-    metrics cover the finite prefix, and ``diverged`` is set instead of
-    raising.  A bad ``t_end`` or ``dt`` raises ValueError before the run.
+    A row is tested for divergence by the sum of its fields, and field by
+    field only when that sum is not finite, since finite fields can
+    overflow when summed.  On divergence the offending row is recorded as
+    the flagged final row, metrics cover the finite prefix, and
+    ``diverged`` is set instead of raising.  A bad ``t_end`` or ``dt``
+    raises ValueError before the run.
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be > 0")
     times = _sample_times(t_end, dt)
     inputs = _inputs_kernel(spec, membrane)
-    torque = torque_kernel(variant, masses, frame, gains, fed)
+    commanded = commanded_accel_kernel(gains)
+    torque = torque_kernel(variant, masses, frame, fed)
     # the oracle is STAGE_CONSISTENT's law; a variant with that law gives
     # the oracle's torque bit for bit
     oracle_law = ControllerVariant.STAGE_CONSISTENT
     oracle = None if torque_law_of(variant) is oracle_law else torque_kernel(
-        oracle_law, masses, frame, gains, fed
+        oracle_law, masses, frame, fed
     )
     residual = force_control_residual_kernel(gains)
-    minv = mat_inv(mass_matrix(masses))
-    accel = stage_accel_kernel(minv)
-    step = rk4_kernel(minv)
+    step = rk4_kernel(mat_inv(mass_matrix(masses)))
     fed0, fed1 = fed.fex, fed.fey
     x, y, xdot, ydot = _trajectory_kernel(spec)(0.0)[:4]
     last = len(times) - 1
+    isfinite = math.isfinite
 
     rows: List[TraceRow] = []
     sq_e0 = 0.0
@@ -302,31 +310,35 @@ def run_closed_loop(
 
     for i, t in enumerate(times):
         qd0, qd1, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(t, x, y, xdot, ydot)
-        tau0, tau1 = torque(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0, xdot, ydot)
+        c0, c1 = commanded(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0)
+        tau0, tau1 = torque(c0, c1, fex, 0.0, xdot, ydot)
         if oracle is None:
             or0, or1 = tau0, tau1
         else:
-            or0, or1 = oracle(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0, xdot, ydot)
+            or0, or1 = oracle(c0, c1, fex, 0.0, xdot, ydot)
         row = TraceRow(
             t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1
         )
         rows.append(row)
-        if not row.is_finite():
+        if not isfinite(sum(row)) and not row.is_finite():
             diverged = True
             break
 
         f0, f1 = tau0 - fed0, tau1 - fed1
-        a0, a1 = accel(f0, f1, xdot, ydot)
+        h = times[i + 1] - t if i < last else 0.0
+        x, y, xdot, ydot, a0, a1 = step(f0, f1, x, y, xdot, ydot, h)
         r0, r1 = residual(e0, e1, ed0, ed1, qa0 - a0, qa1 - a1, fex, 0.0)
-        imp_max = max(imp_max, max(abs(r0), abs(r1)))
+        # max(imp_max, max(abs(r0), abs(r1))), NaN handling included
+        r0, r1 = abs(r0), abs(r1)
+        if r1 > r0:
+            r0 = r1
+        if r0 > imp_max:
+            imp_max = r0
         sq_e0 += e0 * e0
         sq_e1 += e1 * e1
         g0, g1 = tau0 - or0, tau1 - or1
         sq_div += g0 * g0 + g1 * g1
         finite_rows += 1
-
-        if i < last:
-            x, y, xdot, ydot = step(f0, f1, x, y, xdot, ydot, times[i + 1] - t)
 
     n = max(finite_rows, 1)
     metrics = RunMetrics(
@@ -419,7 +431,7 @@ def compare_variants(
     The runs come from ``run_variants``, and a variant that reuses a run
     reports that run's metrics and gaps; one with the base's law has zero
     gaps.  The re-evaluation walks the base run once, evaluating the
-    inputs once per row for all the other laws.
+    inputs and solving c once per row for all the other laws.
     """
     runs = run_variants(
         [base, *others], masses, frame, gains, spec, membrane, fed, t_end, dt
@@ -446,19 +458,21 @@ def compare_variants(
         reported.append((variant, source, metrics))
 
     sources = [source for source in tracking_rms if source is not base]
-    torques = [torque_kernel(source, masses, frame, gains, fed)
-               for source in sources]
+    torques = [torque_kernel(source, masses, frame, fed) for source in sources]
     inputs = _inputs_kernel(spec, membrane)
+    commanded = commanded_accel_kernel(gains)
     sq_tau = [0.0] * len(sources)
-    # one walk of the base run: the inputs once per row, every law on them
+    # one walk of the base run: the inputs and c once per row, every law
+    # on them
     for row in base_finite if sources else ():
         xdot, ydot = row.xdot, row.ydot
         _, _, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(
             row.t, row.x, row.y, xdot, ydot
         )
+        c0, c1 = commanded(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0)
         taux, tauy = row.taux, row.tauy
         for k, torque in enumerate(torques):
-            tau0, tau1 = torque(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0, xdot, ydot)
+            tau0, tau1 = torque(c0, c1, fex, 0.0, xdot, ydot)
             dx = tau0 - taux
             dy = tau1 - tauy
             sq_tau[k] += dx * dx + dy * dy

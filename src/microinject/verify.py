@@ -32,11 +32,13 @@ public frame maps to slices of its columns.  ``dynamics`` binds
 ``free_response_kernel`` and ``inverse_dynamics_kernel`` once per slice of
 its columns and evaluates every lane at one of the 100 sample times at a
 time.  Per chunk, ``implication`` forms the required torque and tests the
-impedance-law precondition once, then applies the check to the
-STAGE_CONSISTENT and the identity-frame CORRECTED ``torque_kernel``;
-``discrepancy`` evaluates ``torque_kernel`` at the skewed, the identity and
-the drawn frames.  The ``Vec2`` functions wrap the same kernels, so each
-suite checks the code the rest of the package runs.  The RK4 checks call
+impedance-law precondition and solves the commanded acceleration once,
+then applies the check to the STAGE_CONSISTENT and the identity-frame
+CORRECTED ``torque_kernel``; ``discrepancy`` solves c once with the drawn
+gains and once with the scaled ones, and evaluates ``torque_kernel`` on it
+at the skewed, the identity and the drawn frames, building each law once.
+The ``Vec2`` functions wrap the same kernels, so each suite checks the
+code the rest of the package runs.  The RK4 checks call
 ``integrate`` and compare every sample it returns with one lane call of
 ``free_response_kernel``.
 
@@ -444,9 +446,9 @@ def _implication_residuals(
     residual_of = implication_check(gains, required, *states, fe0, fe1)
     return (
         residual_of(torque_kernel(ControllerVariant.STAGE_CONSISTENT, masses,
-                                  _IDENTITY_FRAME, gains, fed)),
+                                  _IDENTITY_FRAME, fed)),
         residual_of(torque_kernel(ControllerVariant.CORRECTED, masses,
-                                  _IDENTITY_FRAME, gains, fed)),
+                                  _IDENTITY_FRAME, fed)),
         lane_max(1.0, abs(t0), abs(t1)),
     )
 
@@ -496,12 +498,13 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
         # the errors as the controller sees them, from the actual states
         e0, e1 = qd0 - q0, qd1 - q1
         ed0, ed1 = qv0 - v0, qv1 - v1
-        law_args = (qa0, qa1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
-        c0, c1 = commanded_accel_kernel(gains)(*law_args[:8])
+        c0, c1 = commanded_accel_kernel(gains)(qa0, qa1, e0, e1, ed0, ed1,
+                                               fe0, fe1)
+        law_args = (c0, c1, fe0, fe1, v0, v1)
 
         s0, s1 = torque_kernel(ControllerVariant.SIM_PAPER, masses,
-                               _SKEWED_FRAME, gains, fed)(*law_args)
-        k0, k1 = torque_kernel(corrected, masses, _SKEWED_FRAME, gains,
+                               _SKEWED_FRAME, fed)(*law_args)
+        k0, k1 = torque_kernel(corrected, masses, _SKEWED_FRAME,
                                fed)(*law_args)
         d0, d1 = abs(s0 - k0), abs(s1 - k1)
         # _fold(d0, d1) lane by lane
@@ -515,14 +518,15 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
 
         # the stage-space law reads no frame: SimPaper at the identity frame
         # is (s0, s1)
-        i0, i1 = torque_kernel(corrected, masses, _IDENTITY_FRAME, gains,
+        i0, i1 = torque_kernel(corrected, masses, _IDENTITY_FRAME,
                                fed)(*law_args)
         worst_collapse = _fold_lanes(worst_collapse, abs(s0 - i0), abs(s1 - i1))
 
         frame = _lanes(FrameParams, *columns[_FRAME_COLUMNS])
-        f0, f1 = torque_kernel(corrected, masses, frame, gains, fed)(*law_args)
+        corrected_at_frame = torque_kernel(corrected, masses, frame, fed)
+        f0, f1 = corrected_at_frame(*law_args)
         m0, m1 = torque_kernel(ControllerVariant.MC_PAPER, masses, frame,
-                               gains, fed)(*law_args)
+                               fed)(*law_args)
         scale = lane_max(1.0, abs(f0), abs(f1))
         worst_subst = _fold_lanes(
             worst_subst,
@@ -530,12 +534,15 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
             abs((m1 - f1) - (fe1 - fed.fey)) / scale,
         )
 
+        # the same law on c solved with the scaled gains and force
         lam = columns[-1]
         scaled_gains = _lanes(ImpedanceParams,
                               lam * gains.m, lam * gains.b, lam * gains.k)
-        g0, g1 = torque_kernel(corrected, masses, frame, scaled_gains, fed)(
-            qa0, qa1, e0, e1, ed0, ed1, lam * fe0, lam * fe1, v0, v1,
+        sfe0, sfe1 = lam * fe0, lam * fe1
+        sc0, sc1 = commanded_accel_kernel(scaled_gains)(
+            qa0, qa1, e0, e1, ed0, ed1, sfe0, sfe1,
         )
+        g0, g1 = corrected_at_frame(sc0, sc1, sfe0, sfe1, v0, v1)
         term_mag = (
             gains.b * lane_max(abs(ed0), abs(ed1))
             + gains.k * lane_max(abs(e0), abs(e1))

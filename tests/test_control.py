@@ -16,6 +16,7 @@ from microinject.control import (
     PreconditionViolated,
     STAGE_SPACE_VARIANTS,
     commanded_accel,
+    commanded_accel_kernel,
     error_state,
     force_control_residual,
     impedance_accel,
@@ -307,8 +308,9 @@ def test_float_kernels_match_vec2_formulas_bitwise():
 
 
 def test_torque_kernel_matches_vec2_formulas_bitwise():
-    # torque_kernel built per draw at eight frames, each with two sets of
-    # gains, and once on a chunk of lanes; all give the bits of the Vec2 laws
+    # torque_kernel built per draw at eight frames, each on c from two sets
+    # of gains, and once on a chunk of lanes; all give the bits of the Vec2
+    # laws
     special = (0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
     rng = random.Random(13)
 
@@ -346,7 +348,8 @@ def test_torque_kernel_matches_vec2_formulas_bitwise():
             for g in (gains, other_gains):
                 want = bits(_vec2_torque(variant, masses, frame, g, desired,
                                          qdot, errors, fe, fed))
-                got = torque_kernel(variant, masses, frame, g, fed)(*args)
+                c = commanded_accel_kernel(g)(*args[:8])
+                got = torque_kernel(variant, masses, frame, fed)(*c, *args[6:])
                 assert bits(Vec2(*got)) == want, (i, variant)
 
     # one chunk of lanes, every input a float64 array; alpha takes +-0.0
@@ -376,7 +379,8 @@ def test_torque_kernel_matches_vec2_formulas_bitwise():
     for variant in ControllerVariant:
         for g in gain_sets:
             with np.errstate(all="ignore"):
-                got = torque_kernel(variant, masses, frame, g, fed)(*args)
+                c = commanded_accel_kernel(g)(*args[:8])
+                got = torque_kernel(variant, masses, frame, fed)(*c, *args[6:])
             for lane in range(lanes):
                 def at(*columns):
                     return [float(column[lane]) for column in columns]
@@ -402,18 +406,19 @@ def test_only_transform_weighted_laws_invert_the_frame():
     masses = MassParams(0.8, 1.1, 0.6)
     gains = ImpedanceParams(0.9, 7.0, 40.0)
     fed = ForcePair(0.5, 0.25)
-    args = (-0.4, 0.9, 0.1, -0.3, 0.2, 0.05, 1.5, -0.5, 0.8, -0.5)
+    state = (-0.4, 0.9, 0.1, -0.3, 0.2, 0.05, 1.5, -0.5, 0.8, -0.5)
+    args = (*commanded_accel_kernel(gains)(*state[:8]), *state[6:])
     with pytest.raises(SingularMatrix):
         mat_inv(transformation_matrix(frame))
     for variant in ControllerVariant:
         if variant in STAGE_SPACE_VARIANTS:
-            tau = torque_kernel(variant, masses, frame, gains, fed)(*args)
-            assert tau == torque_kernel(variant, masses, SKEWED_FRAME, gains,
+            tau = torque_kernel(variant, masses, frame, fed)(*args)
+            assert tau == torque_kernel(variant, masses, SKEWED_FRAME,
                                         fed)(*args)
             assert all(math.isfinite(t) for t in tau)
         else:
             with pytest.raises(SingularMatrix):
-                torque_kernel(variant, masses, frame, gains, fed)
+                torque_kernel(variant, masses, frame, fed)
 
 
 def _vec2_implication_residual(variant, masses, frame, gains, desired, actual,

@@ -49,3 +49,17 @@ def test_discrepancy_study_writes_every_variant_trace(tmp_path):
     assert csv["SimPaper"] == csv["StageConsistent"]
     assert {variant: hashlib.sha256(csv[variant]).hexdigest()
             for variant in STUDY_SHA256} == STUDY_SHA256
+
+
+def test_discrepancy_study_rejects_an_out_path_that_is_a_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    proc = run_script("discrepancy_study.py", "--t-end", "0.1",
+                      "--out", str(taken))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "discrepancy_study.py: cannot create output dir: ")
+    assert "Traceback" not in proc.stderr
+    # it stops before computing anything
+    assert proc.stdout == ""
+    assert taken.read_text() == "not a directory"

@@ -492,6 +492,26 @@ def test_float_kernel_matches_vec2_reference_bitwise():
     assert metrics.diverged and not rows[-1].is_finite()
 
 
+def test_rows_whose_sum_overflows_are_not_divergence():
+    # fed = 1e308 puts four torques near 1e308 into every row, so each
+    # finite row sums to inf; only the field-by-field check may flag a row.
+    # McPaper closes its law with fe instead, and the state overflows.
+    scenario = (MassParams(1.0, 1.0, 1.0), SKEWED_FRAME,
+                ImpedanceParams(1.0, 20.0, 100.0), QUINTIC, CONTACT,
+                ForcePair(1e308, 1e308), 0.2, 1e-3)
+    for variant in ControllerVariant:
+        rows, metrics = run_closed_loop(variant, *scenario)
+        ref_rows, ref_metrics = _reference_closed_loop(variant, *scenario)
+        assert _bits(rows) == _bits(ref_rows), variant
+        assert _bits(metrics) == _bits(ref_metrics), variant
+        if variant is ControllerVariant.MC_PAPER:
+            assert metrics.diverged and not rows[-1].is_finite()
+        else:
+            assert not metrics.diverged and metrics.samples == 201
+            assert all(row.is_finite() for row in rows)
+            assert not any(math.isfinite(sum(row)) for row in rows)
+
+
 _C, _S, _M, _SC = (ControllerVariant.CORRECTED, ControllerVariant.SIM_PAPER,
                    ControllerVariant.MC_PAPER, ControllerVariant.STAGE_CONSISTENT)
 

@@ -122,7 +122,9 @@ def nan_in_trial(factory, trial, variant=None, both=False):
 
     A per-trial suite builds once per trial, and a lane suite once per
     chunk of ``_CHUNK_ROWS`` trials, one lane each; the builds are counted,
-    only those for ``variant`` when given.
+    only those for ``variant`` when given.  ``discrepancy`` builds
+    ``commanded_accel_kernel`` twice per chunk, for the drawn gains and
+    then the scaled ones, so build 0 is the first chunk's drawn-gains c.
     """
     builds = itertools.count()
 
@@ -180,11 +182,15 @@ def run_with_nan(monkeypatch, suite, patches, trial, trials):
         ("discrepancy", [("torque_kernel", ControllerVariant.SIM_PAPER, False)],
          {"discrepancy.missing_transform_gap",
           "discrepancy.identity_frame_collapse"}),
-        # a NaN commanded acceleration must not exclude the trial's gap
+        # a NaN commanded acceleration must not exclude the trial's gap;
+        # every law acts on that c, so the NaN reaches the force and
+        # gain-scaling checks too (the scaled gains solve their own c)
         ("discrepancy", [("commanded_accel_kernel", None, True),
                          ("torque_kernel", ControllerVariant.SIM_PAPER, True)],
          {"discrepancy.missing_transform_gap",
-          "discrepancy.identity_frame_collapse"}),
+          "discrepancy.identity_frame_collapse",
+          "discrepancy.force_substitution_identity",
+          "discrepancy.gain_scaling_invariance"}),
         ("discrepancy", [("torque_kernel", ControllerVariant.MC_PAPER, False)],
          {"discrepancy.force_substitution_identity"}),
         ("frames", [("mat_inv", None, False)],
@@ -315,9 +321,11 @@ def test_lanes_match_the_scalar_api_trial_by_trial():
         qd0, qd1, qv0, qv1, qa0, qa1, q0, q1, v0, v1, a0, a1 = states
         e0, e1, ed0, ed1 = qd0 - q0, qd1 - q1, qv0 - v0, qv1 - v1
         frame = verify._lanes(FrameParams, *columns[verify._FRAME_COLUMNS])
+        c0, c1 = control.commanded_accel_kernel(gains)(
+            qa0, qa1, e0, e1, ed0, ed1, fe0, fe1)
         torques = {
-            variant: control.torque_kernel(variant, masses, frame, gains, fed)(
-                qa0, qa1, e0, e1, ed0, ed1, fe0, fe1, v0, v1)
+            variant: control.torque_kernel(variant, masses, frame, fed)(
+                c0, c1, fe0, fe1, v0, v1)
             for variant in ControllerVariant
         }
         for trial in range(columns.shape[1]):
