@@ -6,8 +6,11 @@ observed order (log2 of consecutive error ratios); the integrator should
 sit at order 4 until rounding noise takes over.
 
 Errors come from ``verify.max_error_vs_closed_form``, as in the
-``dynamics.rk4_order`` property.  Runs are capped at ``dynamics.MAX_STEPS``
-steps, so --halvings 12 and above stops with a ValueError at the defaults.
+``dynamics.rk4_order`` property.  Every halving's grid is checked with
+``dynamics.check_steps`` before the first run.  A bad grid (a step width
+that is not > 0, or more than ``dynamics.MAX_STEPS`` steps, as --halvings
+12 and above gives at the defaults) or --halvings < 1 exits 2 with a
+message on stderr and prints nothing.
 
 Usage:
     python scripts/rk4_convergence.py [--halvings 6]
@@ -17,7 +20,7 @@ import argparse
 import math
 import sys
 
-from microinject.dynamics import MassParams
+from microinject.dynamics import MassParams, check_steps
 from microinject.verify import max_error_vs_closed_form
 
 
@@ -27,6 +30,18 @@ def main() -> int:
     parser.add_argument("--dt0", type=float, default=1e-2)
     parser.add_argument("--t-end", type=float, default=5.0)
     args = parser.parse_args()
+    if args.halvings < 1:
+        parser.exit(2, f"{parser.prog}: --halvings must be >= 1\n")
+    # before any run, so a bad grid costs no computation; the step count
+    # doubles with each halving, so this stops early on a huge --halvings
+    dt = args.dt0
+    for k in range(args.halvings):
+        try:
+            check_steps(args.t_end, dt, "t-end")
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog}: halving {k + 1}, dt {dt:.6g}: "
+                           f"{exc}\n")
+        dt /= 2.0
 
     masses = MassParams(0.2, 0.2, 0.1)
     ics = (0.0, 0.0, 2.0, 2.0)

@@ -258,12 +258,12 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
         masses, args.x0, args.y0, args.xd0, args.yd0)
     rows = []
     max_err = 0.0
-    for t, state in samples:
+    for t, x_rk4, y_rk4, _, _ in samples:
         x, y, *_ = closed_form(t)
-        err_x = abs(state.q.a0 - x)
-        err_y = abs(state.q.a1 - y)
+        err_x = abs(x_rk4 - x)
+        err_y = abs(y_rk4 - y)
         max_err = max(max_err, err_x, err_y)
-        rows.append((t, x, y, state.q.a0, state.q.a1, err_x, err_y))
+        rows.append((t, x, y, x_rk4, y_rk4, err_x, err_y))
     _write(args.out, report.write_csv, report.FREE_RESPONSE_HEADER, rows)
     print(args.out)
     print(f"max_error {report.fmt(max_err)}")

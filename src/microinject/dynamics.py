@@ -52,11 +52,14 @@ from .frames import FrameParams, transformation_matrix
 class NonFiniteState(RuntimeError):
     """Integration diverged: a state component became NaN or infinite.
 
-    ``samples`` holds the finite prefix of the trajectory; ``last_index``
-    is the index of its final (finite) entry.
+    ``samples`` holds the finite prefix of the rows, as ``integrate``
+    returns them; ``last_index`` is the index of its final (finite) row.
     """
 
-    def __init__(self, message: str, samples: "List[Tuple[float, StageState]]"):
+    def __init__(
+        self, message: str,
+        samples: List[Tuple[float, float, float, float, float]],
+    ):
         super().__init__(message)
         self.samples = samples
         self.last_index = len(samples) - 1
@@ -230,8 +233,9 @@ def free_response_accel(
 
 
 # The most steps (t_end / dt) a run may take.  A run keeps its time grid and
-# every sample or trace row in memory, about 0.5 KB a step, so this bounds a
-# run to well under 1 GB; the README scenario takes 5,000 steps.
+# every sample or trace row in memory, about 0.22 KB a step for ``integrate``
+# and 0.5 KB for a closed loop, so this bounds a run to well under 1 GB; the
+# README scenario takes 5,000 steps.
 MAX_STEPS = 1_000_000
 
 
@@ -334,7 +338,7 @@ def integrate(
     fed: ForcePair,
     t_end: float,
     dt: float,
-) -> List[Tuple[float, StageState]]:
+) -> List[Tuple[float, float, float, float, float]]:
     """Fixed-step RK4 integration of the stage dynamics under constant forcing.
 
     Parameters
@@ -351,7 +355,10 @@ def integrate(
 
     Returns
     -------
-    list of (t, StageState) at t = 0, dt, 2*dt, ..., t_end.
+    list of plain tuples (t, x, y, xdot, ydot), one per sample at
+    t = 0, dt, 2*dt, ..., t_end: the first five columns of ``sim.TraceRow``.
+    The first row holds ``s0``'s components as they are, signed zeros
+    included.
 
     Raises
     ------
@@ -359,21 +366,21 @@ def integrate(
         If the grid breaks ``check_steps``, before anything is allocated.
     NonFiniteState
         If any state component becomes NaN or infinite; the exception
-        carries the finite prefix of the trajectory.
+        carries the finite prefix of the rows.
     """
     times = _sample_times(t_end, dt)
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
     f0, f1 = tau.taux - fed.fex, tau.tauy - fed.fey
-    samples: List[Tuple[float, StageState]] = [(0.0, s0)]
     x, y, vx, vy = s0.q.a0, s0.q.a1, s0.qdot.a0, s0.qdot.a1
+    samples: List[Tuple[float, float, float, float, float]] = [
+        (0.0, x, y, vx, vy)]
     isfinite = math.isfinite
     for i in range(len(times) - 1):
-        x, y, vx, vy, _, _ = step(f0, f1, x, y, vx, vy, times[i + 1] - times[i])
+        t = times[i + 1]
+        x, y, vx, vy, _, _ = step(f0, f1, x, y, vx, vy, t - times[i])
         if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
-            raise NonFiniteState(
-                f"state became non-finite at t={times[i + 1]!r}", samples
-            )
-        samples.append((times[i + 1], StageState(Vec2(x, y), Vec2(vx, vy))))
+            raise NonFiniteState(f"state became non-finite at t={t!r}", samples)
+        samples.append((t, x, y, vx, vy))
     return samples
 
 

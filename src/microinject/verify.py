@@ -38,9 +38,11 @@ CORRECTED ``torque_kernel``; ``discrepancy`` solves c once with the drawn
 gains and once with the scaled ones, and evaluates ``torque_kernel`` on it
 at the skewed, the identity and the drawn frames, building each law once.
 The ``Vec2`` functions wrap the same kernels, so each suite checks the
-code the rest of the package runs.  The RK4 checks call
-``integrate`` and compare every sample it returns with one lane call of
-``free_response_kernel``.
+code the rest of the package runs.  The RK4 checks
+(``dynamics.rk4_matches_closed_form`` and ``dynamics.rk4_order``) call
+``integrate``, take the time and position columns of its
+``(t, x, y, xdot, ydot)`` rows in one array conversion, and compare every
+sample with one lane call of ``free_response_kernel``.
 
 Residuals are folded into their worst case with ``_fold``, and the lanes
 of a chunk with ``_fold_lanes``, which gives what ``_fold`` gives trial by
@@ -279,12 +281,10 @@ def max_error_vs_closed_form(
     x0, y0, xd0, yd0 = ics
     s0 = StageState(Vec2(x0, y0), Vec2(xd0, yd0))
     samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, t_end, dt)
-    # one lane per sample time; the samples are dropped before the closed
-    # form runs, so its lanes do not add to the trajectory at the memory peak
-    n = len(samples)
-    times = np.fromiter((t for t, _ in samples), float, n)
-    xs = np.fromiter((state.q.a0 for _, state in samples), float, n)
-    ys = np.fromiter((state.q.a1 for _, state in samples), float, n)
+    # one lane per sample time, the columns taken in one conversion; the
+    # rows are dropped before the closed form runs, so its lanes do not add
+    # to the trajectory at the memory peak
+    times, xs, ys, _, _ = np.array(samples).T
     del samples
     x, y, *_ = free_response_kernel(masses, x0, y0, xd0, yd0)(times)
     return _fold_lanes(0.0, abs(xs - x), abs(ys - y))

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,9 +152,9 @@ class TestIntegrate:
         s0 = StageState(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
         samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 10.0, 1e-3)
         worst = 0.0
-        for t, state in samples:
+        for t, x, y, _, _ in samples:
             ref = free_response(masses, 0.0, 0.0, 1.0, 1.0, t)
-            worst = max(worst, (state.q - ref.q).max_abs())
+            worst = max(worst, (Vec2(x, y) - ref.q).max_abs())
         assert worst <= 1e-6
 
     def test_rejects_bad_steps(self):
@@ -168,23 +169,23 @@ class TestIntegrate:
         masses = MassParams(1.0, 1.0, 1.0)
         s0 = StageState(Vec2(0.3, 0.4), Vec2(0.0, 0.0))
         samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 0.0, 0.1)
-        assert samples == [(0.0, s0)]
+        assert samples == [(0.0, 0.3, 0.4, 0.0, 0.0)]
 
     def test_equilibrium_preserved_exactly(self):
         masses = MassParams(0.5, 0.25, 0.25)
         s0 = StageState(Vec2(1.0, -1.0), Vec2(0.0, 0.0))
         forcing = ForcePair(0.8, -0.4)
         samples = integrate(masses, s0, Torque(0.8, -0.4), forcing, 2.0, 0.01)
-        for _t, state in samples:
-            assert state.q == s0.q
-            assert state.qdot == s0.qdot
+        for _t, x, y, xdot, ydot in samples:
+            assert Vec2(x, y) == s0.q
+            assert Vec2(xdot, ydot) == s0.qdot
 
     def test_lands_exactly_on_t_end(self):
         masses = MassParams(1.0, 1.0, 1.0)
         s0 = StageState(Vec2(0, 0), Vec2(1, 1))
         samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 0.7, 0.3)
         assert samples[-1][0] == 0.7
-        assert [t for t, _ in samples] == [0.0, 0.3, 0.6, 0.7]
+        assert [t for t, *_ in samples] == [0.0, 0.3, 0.6, 0.7]
 
     def test_divergence_raises_with_finite_prefix(self):
         masses = MassParams(1.0, 1.0, 1.0)
@@ -193,7 +194,7 @@ class TestIntegrate:
             integrate(masses, s0, Torque(1e308, 0.0), ZERO_FORCE, 10.0, 1.0)
         exc = exc_info.value
         assert exc.last_index == len(exc.samples) - 1
-        assert all(state.is_finite() for _t, state in exc.samples)
+        assert all(math.isfinite(v) for row in exc.samples for v in row)
 
     @pytest.mark.parametrize("tau, t_bad", [
         (Torque(1e308, 0.0), 2.0),           # x overflows on the second step
@@ -210,6 +211,75 @@ class TestIntegrate:
         # the prefix is exactly the run that stops before the bad step
         assert exc.samples == integrate(
             masses, s0, tau, ZERO_FORCE, t_bad - 1.0, 1.0)
+
+    @pytest.mark.parametrize("s0, tau, fed, t_end, dt", [
+        # a final partial step of 0.1 after two full ones
+        (StageState(Vec2(0.5, -0.25), Vec2(1.0, -2.0)), Torque(0.3, -0.7),
+         ForcePair(0.1, 0.2), 0.7, 0.3),
+        # signed zeros in the initial position and velocity
+        (StageState(Vec2(-0.0, -0.0), Vec2(-0.0, -0.0)), ZERO_TORQUE,
+         ZERO_FORCE, 1.0, 0.25),
+        (StageState(Vec2(-0.0, 0.0), Vec2(0.0, -0.0)), Torque(0.0, -0.0),
+         ForcePair(-0.0, 0.0), 0.7, 0.3),
+        # non-zero forcing over many steps
+        (StageState(Vec2(1.0, -1.0), Vec2(0.4, 0.9)), Torque(0.8, -1.3),
+         ForcePair(-0.4, 0.6), 2.0, 0.01),
+    ])
+    def test_rows_match_a_chain_of_rk4_steps_bitwise(self, s0, tau, fed,
+                                                     t_end, dt):
+        masses = MassParams(0.7, 0.4, 0.2)
+        samples = integrate(masses, s0, tau, fed, t_end, dt)
+        assert type(samples) is list
+        assert all(type(row) is tuple and len(row) == 5 for row in samples)
+        times = [k * dt for k in range(int(round(t_end / dt)) + 1)]
+        if times[-1] < t_end:
+            times.append(t_end)
+        assert _row_bits(samples) == _row_bits(
+            _rk4_chain_rows(masses, s0, tau, fed, times))
+        assert _row_bits(samples[:1]) == _row_bits(
+            [(0.0, s0.q.a0, s0.q.a1, s0.qdot.a0, s0.qdot.a1)])
+
+    def test_non_finite_state_carries_the_finite_prefix_of_rows(self):
+        masses = MassParams(1.0, 1.0, 1.0)
+        s0 = StageState(Vec2(-0.0, 0.5), Vec2(0.25, -0.0))
+        tau = Torque(1e308, 0.0)
+        with pytest.raises(NonFiniteState) as exc_info:
+            integrate(masses, s0, tau, ZERO_FORCE, 10.0, 1.0)
+        exc = exc_info.value
+        # x overflows on the second step, so two finite rows come before it
+        assert _row_bits(exc.samples) == _row_bits(
+            _rk4_chain_rows(masses, s0, tau, ZERO_FORCE, [0.0, 1.0]))
+        assert exc.last_index == len(exc.samples) - 1 == 1
+
+    def test_memory_per_sample(self):
+        # 10,001 rows of (t, x, y, xdot, ydot) plus the time grid; holding a
+        # StageState of two Vec2 per sample peaked at 4.46 MB
+        masses = MassParams(1.0, 1.0, 1.0)
+        s0 = StageState(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
+        tracemalloc.start()
+        try:
+            samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 10.0, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 10_001
+        assert peak <= 2.5e6, peak
+
+
+def _rk4_chain_rows(masses, s0, tau, fed, times):
+    """(t, x, y, xdot, ydot) rows of ``rk4_step`` calls chained over the
+    grid ``times``, from ``s0`` at times[0]."""
+    minv = mat_inv(mass_matrix(masses))
+    q, qdot = s0.q, s0.qdot
+    rows = [(times[0], q.a0, q.a1, qdot.a0, qdot.a1)]
+    for t0, t1 in zip(times, times[1:]):
+        q, qdot = rk4_step(minv, q, qdot, tau.vec, fed.vec, t1 - t0)
+        rows.append((t1, q.a0, q.a1, qdot.a0, qdot.a1))
+    return rows
+
+
+def _row_bits(rows):
+    return [tuple(v.hex() for v in row) for row in rows]
 
 
 def _vec2_rk4_step(minv, q, qdot, tau, fed, h):

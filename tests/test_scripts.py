@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -27,6 +29,28 @@ def test_rk4_convergence_reports_fourth_order():
     assert len(lines) == 3  # header + one row per step width
     order = float(lines[-1].split()[-1])
     assert 3.5 <= order <= 4.5
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--dt0", "-1"), "halving 1, dt -1: dt must be > 0"),
+    (("--dt0", "nan"), "halving 1, dt nan: dt must be > 0"),
+    (("--dt0", "1e-7"), "halving 1, dt 1e-07: t-end / dt must be <= "
+                        "1000000 steps, got 5e+07"),
+    (("--t-end", "-1"), "halving 1, dt 0.01: t-end must be >= 0"),
+    # the defaults' 12th halving is over the cap; the 11 before it are not
+    (("--halvings", "12"), "halving 12, dt 4.88281e-06: t-end / dt must be "
+                           "<= 1000000 steps, got 1.024e+06"),
+    (("--halvings", "0"), "--halvings must be >= 1"),
+    (("--halvings", "-3"), "--halvings must be >= 1"),
+], ids=["dt0-negative", "dt0-nan", "dt0-over-cap", "t-end-negative",
+        "halvings-over-cap", "halvings-zero", "halvings-negative"])
+def test_rk4_convergence_rejects_a_bad_grid_before_any_run(args, message):
+    proc = run_script("rk4_convergence.py", *args)
+    assert proc.returncode == 2
+    assert proc.stderr == f"rk4_convergence.py: {message}\n"
+    assert "Traceback" not in proc.stderr
+    # not even the header: it stops before computing anything
+    assert proc.stdout == ""
 
 
 # SHA-256 of the study CSVs at --t-end 0.2, as written when the script ran

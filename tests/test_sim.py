@@ -276,12 +276,12 @@ class TestEnergySanity:
         samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 2.0, 1e-2)
         m = mass_matrix(masses)
 
-        def kinetic(state):
-            return 0.5 * (m.m00 * state.qdot.a0 ** 2 + m.m11 * state.qdot.a1 ** 2)
+        def kinetic(xdot, ydot):
+            return 0.5 * (m.m00 * xdot ** 2 + m.m11 * ydot ** 2)
 
-        previous = kinetic(samples[0][1])
-        for _t, state in samples[1:]:
-            current = kinetic(state)
+        previous = kinetic(*samples[0][3:])
+        for _t, _x, _y, xdot, ydot in samples[1:]:
+            current = kinetic(xdot, ydot)
             assert current <= previous + 1e-9
             previous = current
 
