@@ -256,15 +256,19 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
         return 1
     closed_form = free_response_kernel(
         masses, args.x0, args.y0, args.xd0, args.yd0)
-    rows = []
     max_err = 0.0
-    for t, x_rk4, y_rk4, _, _ in samples:
-        x, y, *_ = closed_form(t)
-        err_x = abs(x_rk4 - x)
-        err_y = abs(y_rk4 - y)
-        max_err = max(max_err, err_x, err_y)
-        rows.append((t, x, y, x_rk4, y_rk4, err_x, err_y))
-    _write(args.out, report.write_csv, report.FREE_RESPONSE_HEADER, rows)
+
+    def rows():
+        # made as the CSV is written, folding the worst error as they go
+        nonlocal max_err
+        for t, x_rk4, y_rk4, _, _ in samples:
+            x, y, *_ = closed_form(t)
+            err_x = abs(x_rk4 - x)
+            err_y = abs(y_rk4 - y)
+            max_err = max(max_err, err_x, err_y)
+            yield t, x, y, x_rk4, y_rk4, err_x, err_y
+
+    _write(args.out, report.write_csv, report.FREE_RESPONSE_HEADER, rows())
     print(args.out)
     print(f"max_error {report.fmt(max_err)}")
     return 0 if max_err <= FREE_RESPONSE_MAX_ERROR else 1

@@ -29,7 +29,7 @@ def write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
         fh.writelines(line % tuple(row) for row in rows)
 
 
-def write_trace_csv(path: str, rows: Sequence[TraceRow]) -> None:
+def write_trace_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
     write_csv(path, TRACE_HEADER, rows)
 
 
@@ -119,37 +119,44 @@ def _panel_polylines(
     return parts
 
 
-def render_trace_panels(rows: Sequence[TraceRow]) -> str:
+def render_trace_panels(rows: Sequence[Sequence[float]]) -> str:
     """The two stacked panels (positions, torques) of a trace chart, as the
     SVG elements that ``write_trace_panels`` puts under the title.
 
-    ``rows`` are those of ``run_closed_loop``, so only the last row can be
-    non-finite (a diverged run's flagged row); it is not plotted.
+    ``rows`` are those of ``run_closed_loop``, columns in ``TraceRow``'s
+    field order, so only the last row can be non-finite (a diverged run's
+    flagged row); it is not plotted.
     """
-    finite = rows[:-1] if rows and not rows[-1].is_finite() else rows
+    finite = (rows[:-1] if rows and not all(map(math.isfinite, rows[-1]))
+              else rows)
     stride = max(1, len(finite) // 800)
     sampled = list(finite[::stride])
     if finite and sampled[-1] is not finite[-1]:
         sampled.append(finite[-1])
-    ts = [r.t for r in sampled]
+
+    def column(name: str) -> List[float]:
+        index = TraceRow._fields.index(name)
+        return [r[index] for r in sampled]
+
+    ts = column("t")
 
     panel_w = _SVG_W - 2 * _PANEL_MARGIN
     panel_h = (_SVG_H - 3 * _PANEL_MARGIN) / 2
     top = _panel_polylines(
         [
-            ("x", [r.x for r in sampled], False),
-            ("y", [r.y for r in sampled], False),
-            ("xd", [r.xd for r in sampled], True),
-            ("yd", [r.yd for r in sampled], True),
+            ("x", column("x"), False),
+            ("y", column("y"), False),
+            ("xd", column("xd"), True),
+            ("yd", column("yd"), True),
         ],
         ts, _PANEL_MARGIN, _PANEL_MARGIN, panel_w, panel_h,
     )
     bottom = _panel_polylines(
         [
-            ("taux", [r.taux for r in sampled], False),
-            ("tauy", [r.tauy for r in sampled], False),
-            ("taux_oracle", [r.taux_oracle for r in sampled], True),
-            ("tauy_oracle", [r.tauy_oracle for r in sampled], True),
+            ("taux", column("taux"), False),
+            ("tauy", column("tauy"), False),
+            ("taux_oracle", column("taux_oracle"), True),
+            ("tauy_oracle", column("tauy_oracle"), True),
         ],
         ts, _PANEL_MARGIN, 2 * _PANEL_MARGIN + panel_h, panel_w, panel_h,
     )
@@ -172,7 +179,9 @@ def write_trace_panels(path: str, panels: str, title: str) -> None:
         fh.write(body + "\n")
 
 
-def write_trace_svg(path: str, rows: Sequence[TraceRow], title: str) -> str:
+def write_trace_svg(
+    path: str, rows: Sequence[Sequence[float]], title: str
+) -> str:
     """Two stacked panels (positions, torques) at a fixed 800x480 viewport:
     ``render_trace_panels`` then ``write_trace_panels``.  Returns the
     panels, so that other titles over the same rows need no rendering."""

@@ -13,8 +13,9 @@ step.  Per state it solves the commanded acceleration once for both laws
 and takes the RK4 step in one call, which also gives the acceleration the
 impedance law is scored on.  ``run_variants`` decides which closed loops
 run for a list of variants; ``compare_variants`` and the ``simulate``
-command take their runs from it.  ``compare_variants`` re-evaluates every
-other law along the base run with the same kernels, one c per row.
+command take their runs from it.  For ``compare_variants`` the first run
+also evaluates every other law at each of its states, on the c and
+contact force it has solved there, so no state is solved twice.
 ``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
 contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
 algebra, so traces are bit-identical to the ``Vec2`` formulas.
@@ -26,7 +27,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from .algebra2d import Vec2, check_fields, mat_inv
@@ -126,10 +128,11 @@ class RunMetrics:
 
 
 class TraceRow(NamedTuple):
-    """One sample of a closed-loop run.
+    """The trace CSV schema: one sample of a closed-loop run.
 
-    The field order is the trace CSV schema: ``report`` takes its header
-    from ``_fields`` and writes each row's values in this order.
+    ``run_closed_loop`` gives each sample as a plain tuple of floats in
+    this field order, and ``report`` takes its header from ``_fields``
+    and reads a row's columns by their index here.
     """
 
     t: float
@@ -145,9 +148,6 @@ class TraceRow(NamedTuple):
     tauy: float
     taux_oracle: float
     tauy_oracle: float
-
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self))
 
 
 def _trajectory_kernel(spec: TrajectorySpec) -> Callable[[float], Tuple[float, ...]]:
@@ -260,19 +260,20 @@ def run_closed_loop(
     fed: ForcePair,
     t_end: float,
     dt: float,
-) -> Tuple[List[TraceRow], RunMetrics]:
+) -> Tuple[List[Tuple[float, ...]], RunMetrics]:
     """Simulate one controller variant in closed loop.
 
     The stage starts on the trajectory: q(0) = qd(0), qdot(0) = qd_dot(0).
     Each step samples the desired point, measures the membrane contact
     force, forms the stage-frame errors e and edot, solves the commanded
     acceleration c once, evaluates the variant's torque and the
-    stage-consistent oracle torque on it, and records a trace row.  Then
-    one call of the RK4 step advances the dynamics with the variant's
-    torque held constant and hands back the acceleration that torque
-    realizes at the state, on which the impedance law is scored; the final
-    row takes a zero-width step for it.  The operators of both laws and of
-    the dynamics are built once per run and the step runs in floats.
+    stage-consistent oracle torque on it, and records a trace row: a plain
+    tuple of floats in ``TraceRow``'s field order.  Then one call of the
+    RK4 step advances the dynamics with the variant's torque held constant
+    and hands back the acceleration that torque realizes at the state, on
+    which the impedance law is scored; the final row takes a zero-width
+    step for it.  The operators of both laws and of the dynamics are built
+    once per run and the step runs in floats.
 
     A row is tested for divergence by the sum of its fields, and field by
     field only when that sum is not finite, since finite fields can
@@ -280,6 +281,32 @@ def run_closed_loop(
     the flagged final row, metrics cover the finite prefix, and
     ``diverged`` is set instead of raising.  A bad ``t_end`` or ``dt``
     raises ValueError before the run.
+    """
+    rows, metrics, _ = _closed_loop(
+        variant, masses, frame, gains, spec, membrane, fed, t_end, dt, ()
+    )
+    return rows, metrics
+
+
+def _closed_loop(
+    variant: ControllerVariant,
+    masses: MassParams,
+    frame: FrameParams,
+    gains: ImpedanceParams,
+    spec: TrajectorySpec,
+    membrane: MembraneModel,
+    fed: ForcePair,
+    t_end: float,
+    dt: float,
+    rivals: Sequence[ControllerVariant],
+) -> Tuple[List[Tuple[float, ...]], RunMetrics, List[float]]:
+    """``run_closed_loop``, which also scores the torque law of each of
+    ``rivals`` along the run.
+
+    At each finite state, before the step moves it, every rival law is
+    evaluated on the c and contact force solved there.  The third result
+    holds, per rival, the RMS over the finite rows of the Euclidean gap
+    (rival - applied) between its torque and the applied one.
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be > 0")
@@ -293,6 +320,7 @@ def run_closed_loop(
     oracle = None if torque_law_of(variant) is oracle_law else torque_kernel(
         oracle_law, masses, frame, fed
     )
+    rival_torques = [torque_kernel(r, masses, frame, fed) for r in rivals]
     residual = force_control_residual_kernel(gains)
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
     fed0, fed1 = fed.fex, fed.fey
@@ -300,10 +328,11 @@ def run_closed_loop(
     last = len(times) - 1
     isfinite = math.isfinite
 
-    rows: List[TraceRow] = []
+    rows: List[Tuple[float, ...]] = []
     sq_e0 = 0.0
     sq_e1 = 0.0
     sq_div = 0.0
+    sq_rivals = [0.0] * len(rival_torques)
     imp_max = 0.0
     finite_rows = 0
     diverged = False
@@ -316,13 +345,17 @@ def run_closed_loop(
             or0, or1 = tau0, tau1
         else:
             or0, or1 = oracle(c0, c1, fex, 0.0, xdot, ydot)
-        row = TraceRow(
-            t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1
-        )
+        row = (t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1)
         rows.append(row)
-        if not isfinite(sum(row)) and not row.is_finite():
+        if not isfinite(sum(row)) and not all(map(isfinite, row)):
             diverged = True
             break
+        if rival_torques:
+            for k, rival in enumerate(rival_torques):
+                r0, r1 = rival(c0, c1, fex, 0.0, xdot, ydot)
+                d0 = r0 - tau0
+                d1 = r1 - tau1
+                sq_rivals[k] += d0 * d0 + d1 * d1
 
         f0, f1 = tau0 - fed0, tau1 - fed1
         h = times[i + 1] - t if i < last else 0.0
@@ -348,7 +381,7 @@ def run_closed_loop(
         samples=len(rows),
         diverged=diverged,
     )
-    return rows, metrics
+    return rows, metrics, [math.sqrt(sq / n) for sq in sq_rivals]
 
 
 def run_variants(
@@ -361,8 +394,9 @@ def run_variants(
     fed: ForcePair,
     t_end: float,
     dt: float,
+    torque_gaps: Optional[Dict[ControllerVariant, float]] = None,
 ) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics,
-                    Optional[List[TraceRow]]]]:
+                    Optional[List[Tuple[float, ...]]]]]:
     """Run each distinct torque law (``torque_law_of``) of ``variants`` once.
 
     Yields ``(variant, source, metrics, rows)`` per variant, in order.  The
@@ -372,18 +406,34 @@ def run_variants(
     give bit for bit: ``source`` is the variant that ran, ``metrics`` that
     run's object and ``rows`` None.
 
+    Given a ``torque_gaps`` dict, the first run also scores every other
+    law along its own states, and before the first yield the dict maps
+    the variant that will run each of those laws to the RMS gap between
+    its torque and the first run's applied torque.  Other runs score
+    nothing.
+
     The generator keeps no rows past a yield, so a consumer that drops
     ``rows`` before asking for the next variant holds one trace at a time.
     """
+    variants = list(variants)
+    # the variant that runs each law: the first one of that law
+    sources = {}
+    for variant in variants:
+        sources.setdefault(torque_law_of(variant), variant)
+    rivals = list(sources.values())[1:] if torque_gaps is not None else []
     ran = {}
     for variant in variants:
         law = torque_law_of(variant)
         if law in ran:
             yield (variant, *ran[law], None)
             continue
-        rows, metrics = run_closed_loop(
-            variant, masses, frame, gains, spec, membrane, fed, t_end, dt
+        rows, metrics, rival_rms = _closed_loop(
+            variant, masses, frame, gains, spec, membrane, fed, t_end, dt,
+            rivals,
         )
+        if rivals:
+            torque_gaps.update(zip(rivals, rival_rms))
+            rivals = []
         ran[law] = (variant, metrics)
         yield variant, variant, metrics, rows
         del rows
@@ -420,67 +470,47 @@ def compare_variants(
 ) -> ComparisonReport:
     """Run every variant through the same scenario and quantify the gaps.
 
-    ``torque_rms_vs_base`` re-evaluates the variant's torque law along the
-    base run's state sequence, so it isolates the controller-law
-    disagreement from closed-loop state drift (the two runs evolve
-    differently as soon as their torques differ).  ``tracking_rms_vs_base``
-    compares the evolved positions of the two runs at equal times.
-    Divergence in one variant is flagged in its metrics and does not abort
-    the others.
+    ``torque_rms_vs_base`` evaluates the variant's torque law at each
+    finite state of the base run, on the c and contact force the base run
+    solved there, so it isolates the controller-law disagreement from
+    closed-loop state drift (the two runs evolve differently as soon as
+    their torques differ).  ``tracking_rms_vs_base`` compares the evolved
+    positions of the two runs at equal times.  Divergence in one variant
+    is flagged in its metrics and does not abort the others.
 
     The runs come from ``run_variants``, and a variant that reuses a run
     reports that run's metrics and gaps; one with the base's law has zero
-    gaps.  The re-evaluation walks the base run once, evaluating the
-    inputs and solving c once per row for all the other laws.
+    gaps.  The base run scores every other law as it steps, and only its
+    positions are kept after it, for the tracking gaps.
     """
+    # gaps by the variant whose run a report takes
+    torque_rms = {base: 0.0}
     runs = run_variants(
-        [base, *others], masses, frame, gains, spec, membrane, fed, t_end, dt
+        [base, *others], masses, frame, gains, spec, membrane, fed, t_end, dt,
+        torque_gaps=torque_rms,
     )
     _, _, base_metrics, base_rows = next(runs)
     # only a run's last row can be non-finite: a diverged run's flagged row
-    base_finite = base_rows[:-1] if base_metrics.diverged else base_rows
-    # gaps by the variant whose run a report takes
+    finite = base_rows[:-1] if base_metrics.diverged else base_rows
+    base_x = [row[1] for row in finite]
+    base_y = [row[2] for row in finite]
+    # only the positions outlive the base run
+    del base_rows, finite
     tracking_rms = {base: 0.0}
-    reported = []
+    reports = []
     for variant, source, metrics, rows in runs:
         if rows is not None:
             # pairing stops where either run stops being finite
             finite = rows[:-1] if metrics.diverged else rows
             sq_track = 0.0
-            for rv, rb in zip(finite, base_finite):
-                dx = rv.x - rb.x
-                dy = rv.y - rb.y
+            for row, bx, by in zip(finite, base_x, base_y):
+                dx = row[1] - bx
+                dy = row[2] - by
                 sq_track += dx * dx + dy * dy
-            paired = max(min(len(finite), len(base_finite)), 1)
+            paired = max(min(len(finite), len(base_x)), 1)
             tracking_rms[source] = math.sqrt(sq_track / paired)
             # drop this run's rows before the next run builds its own
             del rows, finite
-        reported.append((variant, source, metrics))
-
-    sources = [source for source in tracking_rms if source is not base]
-    torques = [torque_kernel(source, masses, frame, fed) for source in sources]
-    inputs = _inputs_kernel(spec, membrane)
-    commanded = commanded_accel_kernel(gains)
-    sq_tau = [0.0] * len(sources)
-    # one walk of the base run: the inputs and c once per row, every law
-    # on them
-    for row in base_finite if sources else ():
-        xdot, ydot = row.xdot, row.ydot
-        _, _, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(
-            row.t, row.x, row.y, xdot, ydot
-        )
-        c0, c1 = commanded(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0)
-        taux, tauy = row.taux, row.tauy
-        for k, torque in enumerate(torques):
-            tau0, tau1 = torque(c0, c1, fex, 0.0, xdot, ydot)
-            dx = tau0 - taux
-            dy = tau1 - tauy
-            sq_tau[k] += dx * dx + dy * dy
-    n = max(len(base_finite), 1)
-    torque_rms = {base: 0.0, **{
-        source: math.sqrt(sq / n) for source, sq in zip(sources, sq_tau)}}
-    reports = tuple(
-        VariantReport(variant, metrics, torque_rms[source], tracking_rms[source])
-        for variant, source, metrics in reported
-    )
-    return ComparisonReport(base, base_metrics, reports)
+        reports.append(VariantReport(
+            variant, metrics, torque_rms[source], tracking_rms[source]))
+    return ComparisonReport(base, base_metrics, tuple(reports))

@@ -329,9 +329,9 @@ def test_criterion_7_force_substitution_discrepancy():
         contact, fed, 5.0, 1e-3,
     )
     sq = 0.0
-    for row in rows:
-        dx = row.fex - fed.fex
-        dy = row.fey - fed.fey
+    for *_, fex, fey, _, _, _, _ in rows:
+        dx = fex - fed.fex
+        dy = fey - fed.fey
         sq += dx * dx + dy * dy
     ref_rms = math.sqrt(sq / len(rows))
     rel_gap = abs(metrics.torque_divergence_rms - ref_rms) / ref_rms
@@ -396,15 +396,15 @@ def test_criterion_9_closed_loop_sanity(tmp_path):
     # per-step impedance residual recomputed from the trace alone
     minv = mat_inv(mass_matrix(masses))
     worst_res = 0.0
-    for row in rows_a:
-        desired = sample_trajectory(spec, row.t)
-        q = Vec2(row.x, row.y)
-        qdot = Vec2(row.xdot, row.ydot)
+    for t, x, y, xdot, ydot, _, _, _, _, taux, tauy, _, _ in rows_a:
+        desired = sample_trajectory(spec, t)
+        q = Vec2(x, y)
+        qdot = Vec2(xdot, ydot)
         fe = membrane_force(no_contact, q, qdot)
         e = desired.qd - q
         edot = desired.qd_dot - qdot
         # qddot = M_inv @ (tau - fed - B @ qdot), with fed = 0 and B = I here
-        qddot = mat_vec_mul(minv, Vec2(row.taux, row.tauy) - ZERO_FORCE.vec - qdot)
+        qddot = mat_vec_mul(minv, Vec2(taux, tauy) - ZERO_FORCE.vec - qdot)
         eddot = desired.qd_ddot - qddot
         res = (eddot.scale(gains.m) + edot.scale(gains.b) + e.scale(gains.k)
                - fe.vec)

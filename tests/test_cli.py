@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -411,6 +412,29 @@ class TestFreeResponseCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "0a6033e323dc949513d3c21381887e72f85fcb1b2fbc2799830ddb8d4eccef6b")
         assert proc.stdout.endswith("max_error 1.3469225734752399e-12\n")
+
+    def test_readme_run_streams_its_csv(self, tmp_path, capsys):
+        # the CSV rows are made while the file is written, so the run holds
+        # little more than the integrator's samples (about 2.2 MB here)
+        from microinject import cli
+
+        out = tmp_path / "free.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main([
+                "free-response", "--mx", "1", "--my", "1", "--mp", "1",
+                "--x0", "0", "--y0", "0", "--xd0", "1", "--yd0", "0",
+                "--t-end", "10", "--dt", "0.001", "--out", str(out),
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2.5e6, peak
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "61e0942803568527fd1c195370b9a43f850a42c22f1a4a438d9c39282b21643e")
+        assert capsys.readouterr().out.endswith(
+            "max_error 8.8817841970012523e-15\n")
 
     def test_rest_initial_conditions_give_zero_error(self, tmp_path):
         out = tmp_path / "free.csv"

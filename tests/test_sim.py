@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -34,7 +35,6 @@ from microinject.sim import (
     ComparisonReport,
     MembraneModel,
     RunMetrics,
-    TraceRow,
     TrajectoryKind,
     TrajectorySpec,
     VariantReport,
@@ -53,6 +53,11 @@ QUINTIC = TrajectorySpec(
 )
 NO_CONTACT = MembraneModel(stiffness=0.0, damping=0.0, contact_x=1e9)
 CONTACT = MembraneModel(stiffness=50.0, damping=2.0, contact_x=1.0)
+
+
+def _is_finite(row):
+    """Whether every field of a trace row is finite."""
+    return all(map(math.isfinite, row))
 
 
 class TestTrajectorySpec:
@@ -238,9 +243,9 @@ class TestRunClosedLoop:
             QUINTIC, CONTACT, fed, 5.0, 1e-3,
         )
         sq = 0.0
-        for row in rows:
-            dx = row.fex - fed.fex
-            dy = row.fey - fed.fey
+        for *_, fex, fey, _, _, _, _ in rows:
+            dx = fex - fed.fex
+            dy = fey - fed.fey
             sq += dx * dx + dy * dy
         ref = math.sqrt(sq / len(rows))
         assert ref > 0.0
@@ -259,8 +264,8 @@ class TestRunClosedLoop:
         )
         assert metrics.diverged
         assert metrics.samples == len(rows) < 502
-        assert not rows[-1].is_finite()
-        assert all(r.is_finite() for r in rows[:-1])
+        assert not _is_finite(rows[-1])
+        assert all(_is_finite(r) for r in rows[:-1])
 
 
 class TestEnergySanity:
@@ -325,9 +330,9 @@ class TestCompareVariants:
             QUINTIC, CONTACT, fed, 5.0, 1e-3,
         )
         sq = 0.0
-        for row in base_rows:
-            q = Vec2(row.x, row.y)
-            qdot = Vec2(row.xdot, row.ydot)
+        for _, x, y, xdot, ydot, *_ in base_rows:
+            q = Vec2(x, y)
+            qdot = Vec2(xdot, ydot)
             fe = membrane_force(CONTACT, q, qdot)
             dx = fe.fex - fed.fex
             dy = fe.fey - fed.fey
@@ -359,11 +364,10 @@ def _reference_closed_loop(variant, masses, frame, gains, spec, membrane, fed,
                                 errors, fe, fed)
         oracle = torque_controller(ControllerVariant.STAGE_CONSISTENT, masses,
                                    frame, gains, desired, qdot, errors, fe, fed)
-        row = TraceRow(t, q.a0, q.a1, qdot.a0, qdot.a1, desired.qd.a0,
-                       desired.qd.a1, fe.fex, fe.fey, tau.taux, tau.tauy,
-                       oracle.taux, oracle.tauy)
+        row = (t, q.a0, q.a1, qdot.a0, qdot.a1, desired.qd.a0, desired.qd.a1,
+               fe.fex, fe.fey, tau.taux, tau.tauy, oracle.taux, oracle.tauy)
         rows.append(row)
-        if not row.is_finite():
+        if not _is_finite(row):
             diverged = True
             break
         qddot_real = mat_vec_mul(
@@ -390,27 +394,27 @@ def _reference_compare(base, others, masses, frame, gains, spec, membrane, fed,
     """``compare_variants`` on top of ``_reference_closed_loop``."""
     scenario = (masses, frame, gains, spec, membrane, fed, t_end, dt)
     base_rows, base_metrics = _reference_closed_loop(base, *scenario)
-    base_finite = [r for r in base_rows if r.is_finite()]
+    base_finite = [r for r in base_rows if _is_finite(r)]
     reports = []
     for variant in others:
         rows, metrics = _reference_closed_loop(variant, *scenario)
         sq_tau = 0.0
-        for row in base_finite:
-            q, qdot = Vec2(row.x, row.y), Vec2(row.xdot, row.ydot)
-            desired = sample_trajectory(spec, row.t)
+        for t, x, y, xdot, ydot, _, _, _, _, taux, tauy, _, _ in base_finite:
+            q, qdot = Vec2(x, y), Vec2(xdot, ydot)
+            desired = sample_trajectory(spec, t)
             fe = membrane_force(membrane, q, qdot)
             e, edot = desired.qd - q, desired.qd_dot - qdot
             errors = ErrorState(e, edot, impedance_accel(gains, e, edot, fe))
             tau = torque_controller(variant, masses, frame, gains, desired,
                                     qdot, errors, fe, fed)
-            dx, dy = tau.taux - row.taux, tau.tauy - row.tauy
+            dx, dy = tau.taux - taux, tau.tauy - tauy
             sq_tau += dx * dx + dy * dy
         sq_track = 0.0
         paired = 0
         for rv, rb in zip(rows, base_rows):
-            if not (rv.is_finite() and rb.is_finite()):
+            if not (_is_finite(rv) and _is_finite(rb)):
                 break
-            dx, dy = rv.x - rb.x, rv.y - rb.y
+            dx, dy = rv[1] - rb[1], rv[2] - rb[2]
             sq_track += dx * dx + dy * dy
             paired += 1
         reports.append(VariantReport(
@@ -482,14 +486,14 @@ def test_float_kernel_matches_vec2_reference_bitwise():
             ref_rows, ref_metrics = _reference_closed_loop(variant, *scenario)
             assert _bits(rows) == _bits(ref_rows), (index, variant)
             assert _bits(metrics) == _bits(ref_metrics), (index, variant)
-            contact_runs += any(row.fex > 0.0 for row in rows)
+            contact_runs += any(row[7] > 0.0 for row in rows)  # fex
         base = variants[index % len(variants)]
         others = [v for v in variants if v is not base]
         report = compare_variants(base, others, *scenario)
         ref_report = _reference_compare(base, others, *scenario)
         assert _bits(report) == _bits(ref_report), index
     assert contact_runs >= 4 * (len(scenarios) - 1)
-    assert metrics.diverged and not rows[-1].is_finite()
+    assert metrics.diverged and not _is_finite(rows[-1])
 
 
 def test_rows_whose_sum_overflows_are_not_divergence():
@@ -505,10 +509,10 @@ def test_rows_whose_sum_overflows_are_not_divergence():
         assert _bits(rows) == _bits(ref_rows), variant
         assert _bits(metrics) == _bits(ref_metrics), variant
         if variant is ControllerVariant.MC_PAPER:
-            assert metrics.diverged and not rows[-1].is_finite()
+            assert metrics.diverged and not _is_finite(rows[-1])
         else:
             assert not metrics.diverged and metrics.samples == 201
-            assert all(row.is_finite() for row in rows)
+            assert all(_is_finite(row) for row in rows)
             assert not any(math.isfinite(sum(row)) for row in rows)
 
 
@@ -539,16 +543,87 @@ def test_compare_variants_runs_each_torque_law_once(monkeypatch):
 
     ran = []
 
+    closed_loop = sim._closed_loop
+    scored = []
+
     def recording_run(variant, *args):
         ran.append(variant)
-        return run_closed_loop(variant, *args)
+        scored.append(args[-1])
+        return closed_loop(variant, *args)
 
-    monkeypatch.setattr(sim, "run_closed_loop", recording_run)
+    monkeypatch.setattr(sim, "_closed_loop", recording_run)
     scenario = _pin_scenarios()[3]
     report = sim.compare_variants(_C, [_S, _SC, _M], *scenario)
     # SimPaper and StageConsistent share one law, so one of them runs
     assert ran == [_C, _S, _M]
     assert report.reports[0].metrics is report.reports[1].metrics
+    # the base run scores the laws of the other runs; they score none
+    assert scored == [[_S, _M], [], []]
+
+
+@pytest.mark.parametrize("base, others, scenario_index", [
+    (_SC, [_C, _S, _M], 0),
+    (_C, [_S, _M, _SC], 1),
+    (_M, [_M, _C], 3),
+    (_SC, [_S, _C, _SC, _C], 4),      # a diverging scenario
+], ids=["stage-consistent", "corrected", "base-repeated", "diverging"])
+def test_compare_variants_solves_c_once_per_state(
+    monkeypatch, base, others, scenario_index
+):
+    # every row of every closed loop that runs solves c once, and the other
+    # laws are scored on the base run's c, not on a c solved again
+    import microinject.sim as sim
+
+    build = sim.commanded_accel_kernel
+    solves = []
+
+    def counting_build(gains):
+        commanded = build(gains)
+
+        def counted(*args):
+            solves.append(None)
+            return commanded(*args)
+
+        return counted
+
+    monkeypatch.setattr(sim, "commanded_accel_kernel", counting_build)
+    report = sim.compare_variants(base, others, *_pin_scenarios()[scenario_index])
+    # a reused run shares its metrics object with the run it reuses
+    runs = {id(m): m.samples
+            for m in [report.base_metrics, *(r.metrics for r in report.reports)]}
+    assert len(solves) == sum(runs.values())
+
+
+@pytest.mark.parametrize("base", [_C, _M])
+def test_stage_consistent_gap_is_the_base_runs_oracle_gap(base):
+    # the oracle is the stage-consistent law at the same c and state, so the
+    # stage-space gaps equal the base run's torque divergence bit for bit
+    for index, scenario in enumerate(_pin_scenarios()):
+        report = compare_variants(base, [_M, _SC, _C, _S], *scenario)
+        want = report.base_metrics.torque_divergence_rms.hex()
+        assert [r.torque_rms_vs_base.hex() for r in report.reports
+                if r.variant in (_SC, _S)] == [want, want], index
+
+
+def test_compare_variants_holds_one_trace_at_a_time():
+    # the compare_sinusoid benchmark scenario, 10,001 rows a run: past the
+    # base run only its positions stay, next to one other run's trace
+    scenario = (
+        MassParams(1.0, 1.0, 1.0),
+        FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0),
+        ImpedanceParams(1.0, 20.0, 100.0),
+        TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.8, 0.0), 10.0,
+                       amplitude=Vec2(0.4, 0.2), frequency=0.5),
+        MembraneModel(50.0, 2.0, 1.0), ForcePair(0.5, 0.0), 10.0, 1e-3,
+    )
+    tracemalloc.start()
+    try:
+        report = compare_variants(_SC, [_C, _S, _M], *scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.base_metrics.samples == 10_001
+    assert peak <= 6.5e6, peak
 
 
 _SHARED = [_S, _C, _SC, _S, _M, _C]
@@ -561,14 +636,20 @@ def test_run_variants_runs_each_torque_law_once_and_reuses_its_run(
 
     ran = []
 
+    closed_loop = sim._closed_loop
+    scored = []
+
     def recording_run(variant, *args):
         ran.append(variant)
-        return run_closed_loop(variant, *args)
+        scored.append(args[-1])
+        return closed_loop(variant, *args)
 
-    monkeypatch.setattr(sim, "run_closed_loop", recording_run)
+    monkeypatch.setattr(sim, "_closed_loop", recording_run)
     scenario = _pin_scenarios()[3]
     yielded = list(sim.run_variants(_SHARED, *scenario))
     assert ran == [_S, _C, _M]
+    # without torque_gaps no run evaluates another law
+    assert scored == [[], [], []]
     assert [variant for variant, _, _, _ in yielded] == _SHARED
     assert [source for _, source, _, _ in yielded] == [_S, _C, _S, _S, _M, _C]
     assert [rows is None for _, _, _, rows in yielded] == [
@@ -599,9 +680,9 @@ def test_run_variants_keeps_no_rows_once_the_consumer_drops_them(monkeypatch):
         assert [ref() for ref in dropped] == [None] * len(dropped)
         rows = _Rows()
         dropped.append(weakref.ref(rows))
-        return rows, RunMetrics(Vec2(0.0, 0.0), 0.0, 0.0, 0)
+        return rows, RunMetrics(Vec2(0.0, 0.0), 0.0, 0.0, 0), []
 
-    monkeypatch.setattr(sim, "run_closed_loop", stub_run)
+    monkeypatch.setattr(sim, "_closed_loop", stub_run)
     for _, _, _, rows in sim.run_variants(_SHARED, *_pin_scenarios()[3]):
         del rows
     assert len(dropped) == 3
