@@ -6,6 +6,10 @@ constant commanded force) under every controller variant, once with a
 skewed camera frame and once with the identity frame, and tabulates how
 far each formulation strays from the stage-consistent baseline.
 
+A bad grid (``--t-end`` not > 0, ``--dt`` not > 0, or more than
+``dynamics.MAX_STEPS`` steps) exits 2 with a message on stderr before any
+run, prints nothing and creates no ``--out`` directory.
+
 Usage:
     python scripts/discrepancy_study.py [--t-end 5.0] [--dt 1e-3] [--out DIR]
 """
@@ -25,6 +29,7 @@ from microinject.sim import (
     MembraneModel,
     TrajectoryKind,
     TrajectorySpec,
+    check_run_grid,
     compare_variants,
     run_variants,
 )
@@ -40,6 +45,10 @@ def main() -> int:
     parser.add_argument("--out", default=None,
                         help="optional directory for per-variant trace CSVs")
     args = parser.parse_args()
+    try:
+        check_run_grid(args.t_end, args.dt, "t-end")
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: {exc}\n")
     if args.out:
         # before any run, so a bad directory costs no computation
         try:

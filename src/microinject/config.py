@@ -10,7 +10,7 @@ and the ``run`` section, ``seed`` and frame invertibility.  Each numeric
 rule of a parameter (``masses.mx`` > 0, ``membrane.damping`` >= 0, ...)
 is checked once, by its type's ``__post_init__``; a ``ValueError`` from a
 type is re-raised as an ``InvariantError`` with the section in front.
-``run`` adds ``run.t_end`` > 0 to the step grid of ``dynamics.check_steps``.
+``run`` is checked by the closed loop's grid rule, ``sim.check_run_grid``.
 The trajectory's kind-dependent keys are ``ParseError``s about the
 document here, and ``TrajectorySpec`` checks them again for direct use.
 """
@@ -25,10 +25,10 @@ from typing import Any, Dict, Mapping, Sequence, Tuple
 from .algebra2d import SingularMatrix, Vec2, mat_inv
 from .control import STAGE_SPACE_VARIANTS, ControllerVariant, ImpedanceParams
 from .dynamics import (  # noqa: F401  (MAX_STEPS is re-exported)
-    MAX_STEPS, ForcePair, MassParams, check_steps,
+    MAX_STEPS, ForcePair, MassParams,
 )
 from .frames import FrameParams, transformation_matrix
-from .sim import MembraneModel, TrajectoryKind, TrajectorySpec
+from .sim import MembraneModel, TrajectoryKind, TrajectorySpec, check_run_grid
 
 
 # The suites of ``verify --suite``, in ``verify._SUITES`` order, and "all".
@@ -187,10 +187,8 @@ def _parse_run(node: Any) -> Tuple[float, float, Tuple[ControllerVariant, ...]]:
     node = _require_mapping(node, "run")
     _check_keys(node, ("t_end", "dt", "variants"), (), "run")
     t_end, dt = _number(node, "t_end", "run"), _number(node, "dt", "run")
-    if not t_end > 0.0:
-        raise InvariantError("run.t_end must be > 0")
     try:
-        check_steps(t_end, dt, "run.t_end", "run.dt")
+        check_run_grid(t_end, dt, "run.t_end", "run.dt")
     except ValueError as exc:
         raise InvariantError(str(exc)) from exc
     return t_end, dt, _parse_variants(node["variants"])

@@ -94,9 +94,6 @@ class StageState:
     q: Vec2
     qdot: Vec2
 
-    def is_finite(self) -> bool:
-        return self.q.is_finite() and self.qdot.is_finite()
-
 
 @dataclass(frozen=True)
 class ForcePair:

@@ -9,16 +9,17 @@ traces.
 The loop steps in plain floats.  Once per run it builds the float kernels
 of the trajectory, the contact model, the commanded acceleration, the
 variant's torque law, the oracle law, the impedance residual and the RK4
-step.  Per state it solves the commanded acceleration once for both laws
-and takes the RK4 step in one call, which also gives the acceleration the
-impedance law is scored on.  ``run_variants`` decides which closed loops
-run for a list of variants; ``compare_variants`` and the ``simulate``
-command take their runs from it.  For ``compare_variants`` the first run
-also evaluates every other law at each of its states, on the c and
-contact force it has solved there, so no state is solved twice.
-``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
-contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
-algebra, so traces are bit-identical to the ``Vec2`` formulas.
+step.  Per state it evaluates the trajectory, the contact force and the
+commanded acceleration once, and each torque law at most once, and takes
+the RK4 step in one call.  ``run_variants`` decides which closed loops run
+for a list of variants; ``compare_variants`` and the ``simulate`` command
+take their runs from it.  For ``compare_variants`` the first run also
+evaluates every other law except the oracle's at each of its states, on
+the c and contact force it has solved there; the oracle's gap is that
+run's ``torque_divergence_rms``.  ``sample_trajectory`` and
+``membrane_force`` wrap the trajectory and contact kernels.  Every kernel
+keeps the evaluation order of the ``Vec2`` algebra, so traces are
+bit-identical to the ``Vec2`` formulas.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .dynamics import (
     ForcePair,
     MassParams,
     _sample_times,
+    check_steps,
     mass_matrix,
     rk4_kernel,
 )
@@ -225,29 +227,13 @@ def membrane_force(model: MembraneModel, q: Vec2, qdot: Vec2) -> ForcePair:
     return ForcePair(_contact_kernel(model)(q.a0, qdot.a0), 0.0)
 
 
-def _inputs_kernel(
-    spec: TrajectorySpec, membrane: MembraneModel
-) -> Callable[..., Tuple[float, ...]]:
-    """What every torque-law variant is evaluated on, in floats.
-
-    The returned ``inputs(t, x, y, xdot, ydot)`` gives (qd0, qd1,
-    qd_ddot0, qd_ddot1, e0, e1, edot0, edot1, fex) at time t and stage
-    state (x, y, xdot, ydot), with e = qd - q and edot = qd_dot - qdot;
-    the contact force's y-component is zero.
-    """
-    desired = _trajectory_kernel(spec)
-    contact = _contact_kernel(membrane)
-
-    def inputs(
-        t: float, x: float, y: float, xdot: float, ydot: float
-    ) -> Tuple[float, ...]:
-        qd0, qd1, qv0, qv1, qa0, qa1 = desired(t)
-        return (
-            qd0, qd1, qa0, qa1,
-            qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot, contact(x, xdot),
-        )
-
-    return inputs
+def check_run_grid(
+    t_end: float, dt: float, t_name: str = "t_end", dt_name: str = "dt"
+) -> None:
+    """Raise ValueError unless t_end > 0 and ``check_steps`` passes."""
+    if not t_end > 0.0:
+        raise ValueError(f"{t_name} must be > 0")
+    check_steps(t_end, dt, t_name, dt_name)
 
 
 def run_closed_loop(
@@ -304,14 +290,15 @@ def _closed_loop(
     ``rivals`` along the run.
 
     At each finite state, before the step moves it, every rival law is
-    evaluated on the c and contact force solved there.  The third result
+    evaluated on the c and contact force solved there; the oracle's law
+    needs no rival, its gap is ``torque_divergence_rms``.  The third result
     holds, per rival, the RMS over the finite rows of the Euclidean gap
     (rival - applied) between its torque and the applied one.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be > 0")
+    check_run_grid(t_end, dt)
     times = _sample_times(t_end, dt)
-    inputs = _inputs_kernel(spec, membrane)
+    desired = _trajectory_kernel(spec)
+    contact = _contact_kernel(membrane)
     commanded = commanded_accel_kernel(gains)
     torque = torque_kernel(variant, masses, frame, fed)
     # the oracle is STAGE_CONSISTENT's law; a variant with that law gives
@@ -324,7 +311,7 @@ def _closed_loop(
     residual = force_control_residual_kernel(gains)
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
     fed0, fed1 = fed.fex, fed.fey
-    x, y, xdot, ydot = _trajectory_kernel(spec)(0.0)[:4]
+    x, y, xdot, ydot = desired(0.0)[:4]
     last = len(times) - 1
     isfinite = math.isfinite
 
@@ -338,7 +325,9 @@ def _closed_loop(
     diverged = False
 
     for i, t in enumerate(times):
-        qd0, qd1, qa0, qa1, e0, e1, ed0, ed1, fex = inputs(t, x, y, xdot, ydot)
+        qd0, qd1, qv0, qv1, qa0, qa1 = desired(t)
+        e0, e1, ed0, ed1 = qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot
+        fex = contact(x, xdot)
         c0, c1 = commanded(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0)
         tau0, tau1 = torque(c0, c1, fex, 0.0, xdot, ydot)
         if oracle is None:
@@ -406,11 +395,12 @@ def run_variants(
     give bit for bit: ``source`` is the variant that ran, ``metrics`` that
     run's object and ``rows`` None.
 
-    Given a ``torque_gaps`` dict, the first run also scores every other
-    law along its own states, and before the first yield the dict maps
-    the variant that will run each of those laws to the RMS gap between
-    its torque and the first run's applied torque.  Other runs score
-    nothing.
+    Given a ``torque_gaps`` dict, before the first yield the dict maps
+    the variant that will run each law to the RMS gap between its torque
+    and the first run's applied torque along the first run's states.  The
+    first run scores every other law except the oracle's, which it
+    evaluates at each state anyway: that gap is its
+    ``torque_divergence_rms``.  Other runs score nothing.
 
     The generator keeps no rows past a yield, so a consumer that drops
     ``rows`` before asking for the next variant holds one trace at a time.
@@ -420,7 +410,10 @@ def run_variants(
     sources = {}
     for variant in variants:
         sources.setdefault(torque_law_of(variant), variant)
-    rivals = list(sources.values())[1:] if torque_gaps is not None else []
+    # the first run evaluates the oracle's law at each state anyway
+    oracle = sources.get(ControllerVariant.STAGE_CONSISTENT)
+    rivals = ([v for v in list(sources.values())[1:] if v is not oracle]
+              if torque_gaps is not None else [])
     ran = {}
     for variant in variants:
         law = torque_law_of(variant)
@@ -431,8 +424,10 @@ def run_variants(
             variant, masses, frame, gains, spec, membrane, fed, t_end, dt,
             rivals,
         )
-        if rivals:
+        if torque_gaps is not None and not ran:
             torque_gaps.update(zip(rivals, rival_rms))
+            if oracle is not None:
+                torque_gaps[oracle] = metrics.torque_divergence_rms
             rivals = []
         ran[law] = (variant, metrics)
         yield variant, variant, metrics, rows
@@ -480,8 +475,9 @@ def compare_variants(
 
     The runs come from ``run_variants``, and a variant that reuses a run
     reports that run's metrics and gaps; one with the base's law has zero
-    gaps.  The base run scores every other law as it steps, and only its
-    positions are kept after it, for the tracking gaps.
+    gaps.  The base run scores every other law as it steps, the oracle's
+    by its ``torque_divergence_rms``, and only its positions are kept
+    after it, for the tracking gaps.
     """
     # gaps by the variant whose run a report takes
     torque_rms = {base: 0.0}

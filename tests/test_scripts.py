@@ -53,6 +53,24 @@ def test_rk4_convergence_rejects_a_bad_grid_before_any_run(args, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--dt", "0"), "dt must be > 0"),
+    (("--dt", "nan"), "dt must be > 0"),
+    (("--t-end", "0"), "t-end must be > 0"),
+    (("--t-end", "1e9"), "t-end / dt must be <= 1000000 steps, got 1e+12"),
+], ids=["dt-zero", "dt-nan", "t-end-zero", "t-end-over-cap"])
+def test_discrepancy_study_rejects_a_bad_grid_before_any_run(
+    tmp_path, args, message
+):
+    out = tmp_path / "study"
+    proc = run_script("discrepancy_study.py", *args, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"discrepancy_study.py: {message}\n"
+    # not even the header, and no output directory
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 # SHA-256 of the study CSVs at --t-end 0.2, as written when the script ran
 # every variant's closed loop; SimPaper shares StageConsistent's torque law.
 STUDY_SHA256 = {

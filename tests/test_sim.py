@@ -17,6 +17,7 @@ from microinject.control import (
     force_control_residual,
     impedance_accel,
     torque_controller,
+    torque_law_of,
 )
 from microinject.dynamics import (
     ForcePair,
@@ -557,8 +558,9 @@ def test_compare_variants_runs_each_torque_law_once(monkeypatch):
     # SimPaper and StageConsistent share one law, so one of them runs
     assert ran == [_C, _S, _M]
     assert report.reports[0].metrics is report.reports[1].metrics
-    # the base run scores the laws of the other runs; they score none
-    assert scored == [[_S, _M], [], []]
+    # the base run scores the laws of the other runs but the oracle's, whose
+    # gap is its torque divergence; they score none
+    assert scored == [[_M], [], []]
 
 
 @pytest.mark.parametrize("base, others, scenario_index", [
@@ -603,6 +605,78 @@ def test_stage_consistent_gap_is_the_base_runs_oracle_gap(base):
         want = report.base_metrics.torque_divergence_rms.hex()
         assert [r.torque_rms_vs_base.hex() for r in report.reports
                 if r.variant in (_SC, _S)] == [want, want], index
+
+
+def test_closed_loop_evaluates_the_trajectory_and_contact_once_per_row(
+    monkeypatch,
+):
+    import microinject.sim as sim
+
+    calls = {"desired": [0, 0], "contact": [0, 0]}  # builds, evaluations
+
+    def counting(name, build):
+        def counting_build(*args):
+            kernel = build(*args)
+            calls[name][0] += 1
+
+            def counted(*args):
+                calls[name][1] += 1
+                return kernel(*args)
+
+            return counted
+
+        return counting_build
+
+    monkeypatch.setattr(sim, "_trajectory_kernel",
+                        counting("desired", sim._trajectory_kernel))
+    monkeypatch.setattr(sim, "_contact_kernel",
+                        counting("contact", sim._contact_kernel))
+    scenario = _pin_scenarios()[2]
+    rows, metrics = sim.run_closed_loop(_C, *scenario)
+    assert not metrics.diverged
+    # the trajectory once more for the start state
+    assert calls == {"desired": [1, len(rows) + 1], "contact": [1, len(rows)]}
+
+
+@pytest.mark.parametrize("base", [_C, _M])
+@pytest.mark.parametrize("scenario_index", [1, 4], ids=["skewed", "diverging"])
+def test_compare_variants_evaluates_the_oracle_law_once_per_state(
+    monkeypatch, base, scenario_index
+):
+    # a base run of another law evaluates the stage-consistent law as its
+    # oracle at every row; it must not evaluate it again as a rival
+    import microinject.sim as sim
+
+    build = sim.torque_kernel
+    evaluations = {}
+
+    def counting_build(variant, *args):
+        torque = build(variant, *args)
+        law = torque_law_of(variant)
+
+        def counted(*args):
+            evaluations[law] = evaluations.get(law, 0) + 1
+            return torque(*args)
+
+        return counted
+
+    monkeypatch.setattr(sim, "torque_kernel", counting_build)
+    others = [_S, _SC, _M, _C]
+    report = sim.compare_variants(base, others, *_pin_scenarios()[scenario_index])
+    base_rows = report.base_metrics.samples
+    finite_base_rows = base_rows - report.base_metrics.diverged
+    rival = _M if base is _C else _C
+    rival_rows = next(r.metrics.samples for r in report.reports
+                      if r.variant is rival)
+    stage_rows = report.reports[0].metrics.samples
+    # every run evaluates the stage-consistent law once a row, as its own
+    # law or as its oracle; the base run scores the rival law on its finite
+    # rows, and each run evaluates its own law once a row
+    assert evaluations == {
+        _SC: base_rows + stage_rows + rival_rows,
+        base: base_rows,
+        rival: rival_rows + finite_base_rows,
+    }
 
 
 def test_compare_variants_holds_one_trace_at_a_time():
