@@ -15,6 +15,10 @@ this module imports it elsewhere, inside its lane branches.  The modules
 a lane-wise ``math`` function from ``lane_map``, so ``simulate`` and
 ``free-response`` never load numpy.
 
+``fold_worst`` is the one fold of errors into their worst case: it keeps
+a NaN, so a check whose error is NaN fails, in ``verify`` and in
+``free-response`` alike.
+
 ``check_fields`` is the one check of the parameter types' numeric rules
 (finite, > 0, >= 0); each type's ``__post_init__`` names its fields' rules.
 """
@@ -84,6 +88,19 @@ def lane_max(first, *rest):
             acc = np.where(greater, value, acc)
         elif greater:
             acc = value
+    return acc
+
+
+def fold_worst(acc: float, *values: float, lowest: bool = False) -> float:
+    """The largest of ``acc`` and ``values`` (the smallest with ``lowest``),
+    except that a NaN among them is the result.
+
+    ``max`` and ``min`` keep their first argument when a later one is NaN,
+    so a NaN error folded with them would vanish and its check pass.
+    """
+    for v in values:
+        if v != v or (v < acc if lowest else v > acc):
+            acc = v
     return acc
 
 
@@ -161,9 +178,13 @@ def singularity_threshold(m: Mat2) -> float:
     """Scale-relative determinant cutoff below which inversion is refused.
 
     Relative to the squared max-entry norm so that well-conditioned matrices
-    with large entries are not misclassified as singular.
+    with large entries are not misclassified as singular.  The square is a
+    product, which gives inf where it overflows, on floats as on lanes (a
+    float ``**`` would raise ``OverflowError``), so every inversion of such
+    a matrix is refused.
     """
-    return 1e-12 * lane_max(1.0, m.max_abs() ** 2)
+    scale = m.max_abs()
+    return 1e-12 * lane_max(1.0, scale * scale)
 
 
 def mat_inv(m: Mat2) -> Mat2:

@@ -18,9 +18,11 @@ SVG panels under the variant's own title.  An info line names the variant
 whose run it reuses.
 
 ``free-response`` takes a negative value in any spelling that ``float()``
-reads (``-1e-5``, ``-inf``).  It checks the masses, the step grid
+reads (``-1e-5``, ``-inf``).  It checks the masses, the inversion of
+their mass matrix (``config.check_masses_invertible``), the step grid
 (``check_steps``) and the initial conditions before it integrates, and
-exits 2 if one fails.
+exits 2 if one fails.  It folds its errors with ``algebra2d.fold_worst``,
+so a NaN error is its ``max_error`` and fails the run.
 
 An output file (CSV, SVG or ``metrics.json``) that cannot be written
 exits 2 with ``cannot write <path>: <reason>``.
@@ -41,7 +43,10 @@ import time
 from typing import Any, Callable, List, Optional
 
 from . import report
-from .config import MAX_TRIALS, SUITE_NAMES, ScenarioConfig, load_config
+from .config import (
+    MAX_TRIALS, SUITE_NAMES, ScenarioConfig, check_masses_invertible,
+    load_config,
+)
 from .dynamics import (
     MassParams,
     NonFiniteState,
@@ -52,7 +57,7 @@ from .dynamics import (
     free_response_kernel,
     integrate,
 )
-from .algebra2d import Vec2, check_fields
+from .algebra2d import Vec2, check_fields, fold_worst
 from .sim import run_variants
 
 log = logging.getLogger("microinject")
@@ -240,6 +245,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_free_response(args: argparse.Namespace) -> int:
     try:
         masses = MassParams(args.mx, args.my, args.mp)
+        check_masses_invertible(masses)
         check_steps(args.t_end, args.dt, "t-end")
         check_fields(args, "finite", "x0", "y0", "xd0", "yd0")
     except ValueError as exc:
@@ -265,7 +271,7 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
             x, y, *_ = closed_form(t)
             err_x = abs(x_rk4 - x)
             err_y = abs(y_rk4 - y)
-            max_err = max(max_err, err_x, err_y)
+            max_err = fold_worst(max_err, err_x, err_y)
             yield t, x, y, x_rk4, y_rk4, err_x, err_y
 
     _write(args.out, report.write_csv, report.FREE_RESPONSE_HEADER, rows())

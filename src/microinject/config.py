@@ -6,10 +6,11 @@ every field is required).
 
 This module checks the JSON rules: mappings, unknown and missing keys,
 number types and finiteness, the trajectory keys that depend on its kind,
-and the ``run`` section, ``seed`` and frame invertibility.  Each numeric
-rule of a parameter (``masses.mx`` > 0, ``membrane.damping`` >= 0, ...)
-is checked once, by its type's ``__post_init__``; a ``ValueError`` from a
-type is re-raised as an ``InvariantError`` with the section in front.
+the ``run`` section, ``seed``, and the invertibility of the mass matrix
+and of the frame.  Each numeric rule of a parameter (``masses.mx`` > 0,
+``membrane.damping`` >= 0, ...) is checked once, by its type's
+``__post_init__``; a ``ValueError`` from a type is re-raised as an
+``InvariantError`` with the section in front.
 ``run`` is checked by the closed loop's grid rule, ``sim.check_run_grid``.
 The trajectory's kind-dependent keys are ``ParseError``s about the
 document here, and ``TrajectorySpec`` checks them again for direct use.
@@ -25,7 +26,7 @@ from typing import Any, Dict, Mapping, Sequence, Tuple
 from .algebra2d import SingularMatrix, Vec2, mat_inv
 from .control import STAGE_SPACE_VARIANTS, ControllerVariant, ImpedanceParams
 from .dynamics import (  # noqa: F401  (MAX_STEPS is re-exported)
-    MAX_STEPS, ForcePair, MassParams,
+    MAX_STEPS, ForcePair, MassParams, mass_matrix,
 )
 from .frames import FrameParams, transformation_matrix
 from .sim import MembraneModel, TrajectoryKind, TrajectorySpec, check_run_grid
@@ -213,6 +214,20 @@ def _check_frame_invertible(
         ) from exc
 
 
+def check_masses_invertible(masses: MassParams) -> None:
+    """Every run inverts M; reject masses whose M fails the inversion
+    cutoff before anything runs.  Masses > 0 alone do not ensure it:
+    mx = 1e13, my = mp = 1 gives det M = 2e13 against a cutoff of 1e14, and
+    three masses of 1e-7 give det M = 6e-14 against a cutoff of 1e-12.
+    ``simulate`` (through the config) and ``free-response`` both call it."""
+    try:
+        mat_inv(mass_matrix(masses))
+    except SingularMatrix as exc:
+        raise InvariantError(
+            f"masses: the mass matrix M cannot be inverted ({exc})"
+        ) from exc
+
+
 def _parse_seed(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("seed must be an integer")
@@ -253,6 +268,7 @@ def parse_config(text: str) -> ScenarioConfig:
         variants=variants,
         seed=_parse_seed(root["seed"]),
     )
+    check_masses_invertible(config.masses)
     _check_frame_invertible(frame, variants)
     return config
 

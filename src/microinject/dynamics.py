@@ -33,15 +33,17 @@ same order, products with the structural zeros of M_inv and B included, so
 its results are those of the ``Vec2`` formulas bit for bit, signed zeros
 and NaN/inf patterns included.
 
-A run's time grid is checked once, by ``check_steps``, which
-``_sample_times`` calls before it builds the grid.
+A run's time grid is walked, never held: ``step_grid`` checks it once
+with ``check_steps`` and then yields each sample time with the width of
+the step to the next one, and ``integrate`` and the closed loop in
+``sim`` both iterate over it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from .algebra2d import (
     Mat2, Vec2, check_fields, diag, identity, lane_map, mat_inv, mat_mul,
@@ -229,20 +231,24 @@ def free_response_accel(
     return Vec2(xdd, ydd)
 
 
-# The most steps (t_end / dt) a run may take.  A run keeps its time grid and
-# every sample or trace row in memory, about 0.22 KB a step for ``integrate``
-# and 0.5 KB for a closed loop, so this bounds a run to well under 1 GB; the
-# README scenario takes 5,000 steps.
+# The most steps (t_end / dt) a run may take.  The time grid is walked, not
+# held, but a run keeps every sample or trace row in memory until it
+# returns, about 0.2 KB a step for ``integrate`` and 0.5 KB for a closed
+# loop, so this bounds a run to well under 1 GB; the README scenario takes
+# 5,000 steps.
 MAX_STEPS = 1_000_000
 
 
 def check_steps(
     t_end: float, dt: float, t_name: str = "t_end", dt_name: str = "dt"
 ) -> None:
-    """Raise ValueError unless dt > 0, t_end >= 0 and t_end / dt <=
-    ``MAX_STEPS`` (NaN and inf fail); the messages use the caller's names."""
+    """Raise ValueError unless dt is finite and > 0, t_end >= 0 and
+    t_end / dt <= ``MAX_STEPS`` (NaN and inf fail); the messages use the
+    caller's names."""
     if not dt > 0.0:
         raise ValueError(f"{dt_name} must be > 0")
+    if dt == math.inf:
+        raise ValueError(f"{dt_name} must be finite")
     if not t_end >= 0.0:
         raise ValueError(f"{t_name} must be >= 0")
     if not t_end / dt <= MAX_STEPS:
@@ -252,17 +258,34 @@ def check_steps(
         )
 
 
-def _sample_times(t_end: float, dt: float) -> List[float]:
-    # full steps of width dt, then a final partial step landing exactly on
-    # t_end; times are k*dt (not accumulated) to avoid drift
-    check_steps(t_end, dt)
+def step_grid(
+    t_end: float, dt: float, t_name: str = "t_end", dt_name: str = "dt"
+) -> Iterator[Tuple[float, float]]:
+    """The time grid of a run, checked by ``check_steps`` when called and
+    then walked lazily.
+
+    Yields ``(t, h)`` for t = 0, dt, 2*dt, ..., t_end, with h the width of
+    the step to the next time; the last time is paired with h = 0.0.  Times
+    are k*dt (not accumulated, to avoid drift), then a final partial step
+    lands exactly on t_end.
+    """
+    check_steps(t_end, dt, t_name, dt_name)
     n = int(math.floor(t_end / dt))
     if (n + 1) * dt <= t_end:
         n += 1
-    times = [k * dt for k in range(n + 1)]
-    if times[-1] < t_end:
-        times.append(t_end)
-    return times
+
+    def walk() -> Iterator[Tuple[float, float]]:
+        t = 0.0
+        for k in range(1, n + 1):
+            t_next = k * dt
+            yield t, t_next - t
+            t = t_next
+        if t < t_end:
+            yield t, t_end - t
+            t = t_end
+        yield t, 0.0
+
+    return walk()
 
 
 def rk4_kernel(minv: Mat2) -> Callable[..., Tuple[float, ...]]:
@@ -348,12 +371,13 @@ def integrate(
     t_end : float
         End time (>= 0); a final partial step lands exactly on it.
     dt : float
-        Step width (> 0), at most ``MAX_STEPS`` steps to ``t_end``.
+        Step width (finite, > 0), at most ``MAX_STEPS`` steps to ``t_end``.
 
     Returns
     -------
     list of plain tuples (t, x, y, xdot, ydot), one per sample at
-    t = 0, dt, 2*dt, ..., t_end: the first five columns of ``sim.TraceRow``.
+    t = 0, dt, 2*dt, ..., t_end, the times of ``step_grid``: the first five
+    columns of ``sim.TraceRow``.
     The first row holds ``s0``'s components as they are, signed zeros
     included.
 
@@ -365,19 +389,23 @@ def integrate(
         If any state component becomes NaN or infinite; the exception
         carries the finite prefix of the rows.
     """
-    times = _sample_times(t_end, dt)
+    grid = step_grid(t_end, dt)
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
     f0, f1 = tau.taux - fed.fex, tau.tauy - fed.fey
     x, y, vx, vy = s0.q.a0, s0.q.a1, s0.qdot.a0, s0.qdot.a1
-    samples: List[Tuple[float, float, float, float, float]] = [
-        (0.0, x, y, vx, vy)]
+    samples: List[Tuple[float, float, float, float, float]] = []
     isfinite = math.isfinite
-    for i in range(len(times) - 1):
-        t = times[i + 1]
-        x, y, vx, vy, _, _ = step(f0, f1, x, y, vx, vy, t - times[i])
-        if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
-            raise NonFiniteState(f"state became non-finite at t={t!r}", samples)
+    for t, h in grid:
         samples.append((t, x, y, vx, vy))
+        if not h:
+            # t_end: no state follows it, so its zero-width step is not taken
+            break
+        x, y, vx, vy, _, _ = step(f0, f1, x, y, vx, vy, h)
+        if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
+            # t + h is the next grid time: the two are within a factor of 2
+            # of each other, so h is their exact difference
+            raise NonFiniteState(
+                f"state became non-finite at t={t + h!r}", samples)
     return samples
 
 

@@ -45,10 +45,9 @@ from .control import (
 from .dynamics import (
     ForcePair,
     MassParams,
-    _sample_times,
-    check_steps,
     mass_matrix,
     rk4_kernel,
+    step_grid,
 )
 from .frames import FrameParams
 
@@ -229,11 +228,12 @@ def membrane_force(model: MembraneModel, q: Vec2, qdot: Vec2) -> ForcePair:
 
 def check_run_grid(
     t_end: float, dt: float, t_name: str = "t_end", dt_name: str = "dt"
-) -> None:
-    """Raise ValueError unless t_end > 0 and ``check_steps`` passes."""
+) -> Iterator[Tuple[float, float]]:
+    """Raise ValueError unless t_end > 0 and ``check_steps`` passes; return
+    the ``step_grid`` walk it checked."""
     if not t_end > 0.0:
         raise ValueError(f"{t_name} must be > 0")
-    check_steps(t_end, dt, t_name, dt_name)
+    return step_grid(t_end, dt, t_name, dt_name)
 
 
 def run_closed_loop(
@@ -295,8 +295,7 @@ def _closed_loop(
     holds, per rival, the RMS over the finite rows of the Euclidean gap
     (rival - applied) between its torque and the applied one.
     """
-    check_run_grid(t_end, dt)
-    times = _sample_times(t_end, dt)
+    grid = check_run_grid(t_end, dt)
     desired = _trajectory_kernel(spec)
     contact = _contact_kernel(membrane)
     commanded = commanded_accel_kernel(gains)
@@ -312,7 +311,6 @@ def _closed_loop(
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
     fed0, fed1 = fed.fex, fed.fey
     x, y, xdot, ydot = desired(0.0)[:4]
-    last = len(times) - 1
     isfinite = math.isfinite
 
     rows: List[Tuple[float, ...]] = []
@@ -324,7 +322,7 @@ def _closed_loop(
     finite_rows = 0
     diverged = False
 
-    for i, t in enumerate(times):
+    for t, h in grid:
         qd0, qd1, qv0, qv1, qa0, qa1 = desired(t)
         e0, e1, ed0, ed1 = qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot
         fex = contact(x, xdot)
@@ -347,7 +345,6 @@ def _closed_loop(
                 sq_rivals[k] += d0 * d0 + d1 * d1
 
         f0, f1 = tau0 - fed0, tau1 - fed1
-        h = times[i + 1] - t if i < last else 0.0
         x, y, xdot, ydot, a0, a1 = step(f0, f1, x, y, xdot, ydot, h)
         r0, r1 = residual(e0, e1, ed0, ed1, qa0 - a0, qa1 - a1, fex, 0.0)
         # max(imp_max, max(abs(r0), abs(r1))), NaN handling included

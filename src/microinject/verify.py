@@ -44,8 +44,9 @@ code the rest of the package runs.  The RK4 checks
 ``(t, x, y, xdot, ydot)`` rows in one array conversion, and compare every
 sample with one lane call of ``free_response_kernel``.
 
-Residuals are folded into their worst case with ``_fold``, and the lanes
-of a chunk with ``_fold_lanes``, which gives what ``_fold`` gives trial by
+Residuals are folded into their worst case with ``algebra2d.fold_worst``,
+the fold ``free-response`` uses too, and the lanes of a chunk with
+``_fold_lanes``, which gives what ``fold_worst`` gives trial by
 trial.  Both keep a NaN: a property whose residual is NaN fails.
 """
 
@@ -61,6 +62,7 @@ import numpy as np
 from .algebra2d import (
     Vec2,
     det,
+    fold_worst,
     lane_max,
     mat_inv,
     mat_mul,
@@ -168,21 +170,8 @@ def _draw_rows(
         yield np.ascontiguousarray(rng.uniform(lo, hi, shape).T)
 
 
-def _fold(acc: float, *values: float, lowest: bool = False) -> float:
-    """The largest of ``acc`` and ``values`` (the smallest with ``lowest``),
-    except that a NaN among them is the result.
-
-    ``max`` and ``min`` keep their first argument when a later one is NaN,
-    so a NaN residual folded with them would vanish and its property pass.
-    """
-    for v in values:
-        if v != v or (v < acc if lowest else v > acc):
-            acc = v
-    return acc
-
-
 def _fold_lanes(acc: float, *columns: np.ndarray, lowest: bool = False) -> float:
-    """``_fold`` of ``acc`` with every lane of ``columns``, as a per-trial
+    """``fold_worst`` of ``acc`` with every lane of ``columns``, as a per-trial
     loop folds them.
 
     Such a fold ends at a NaN when one is folded, and otherwise at the
@@ -193,7 +182,7 @@ def _fold_lanes(acc: float, *columns: np.ndarray, lowest: bool = False) -> float
     for column in columns:
         if column.size:
             extreme = column.min() if lowest else column.max()
-            acc = _fold(acc, float(extreme), lowest=lowest)
+            acc = fold_worst(acc, float(extreme), lowest=lowest)
     return acc
 
 
@@ -317,7 +306,7 @@ def _image_space_residual(h: float = 1e-3) -> float:
             -up2 + up1.scale(16.0) - u0.scale(30.0) + um1.scale(16.0) - um2
         ).scale(1.0 / (12.0 * step * step))
         res = mat_vec_mul(iner, uddot) + mat_vec_mul(pos_fin, udot)
-        worst = _fold(worst, abs(res.a0), abs(res.a1))
+        worst = fold_worst(worst, abs(res.a0), abs(res.a1))
     return worst
 
 
@@ -362,7 +351,7 @@ def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResu
         max_error_vs_closed_form(order_masses, order_ics, 5.0, dt)
         for dt in (1e-2, 5e-3, 2.5e-3)
     ]
-    min_ratio = _fold(errs[0] / errs[1], errs[1] / errs[2], lowest=True)
+    min_ratio = fold_worst(errs[0] / errs[1], errs[1] / errs[2], lowest=True)
 
     image_resid = _image_space_residual()
 
@@ -507,7 +496,7 @@ def discrepancy_suite(seed: int, trials: Optional[int] = None) -> List[PropertyR
         k0, k1 = torque_kernel(corrected, masses, _SKEWED_FRAME,
                                fed)(*law_args)
         d0, d1 = abs(s0 - k0), abs(s1 - k1)
-        # _fold(d0, d1) lane by lane
+        # fold_worst(d0, d1) lane by lane
         gap = np.where(np.isnan(d1) | (d1 > d0), d1, d0)
         # a NaN commanded acceleration is != 0.0, so its trial is checked
         gap = gap[(c0 != 0.0) | (c1 != 0.0)]

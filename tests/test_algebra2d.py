@@ -217,3 +217,28 @@ def test_mat_inv_on_lanes_matches_each_lane_and_checks_every_lane():
     entries[:, 9] = 0.0
     with pytest.raises(SingularMatrix, match=r"in lane 7 \(\|det\|=0\.000e\+00\)"):
         mat_inv(Mat2(*entries))
+
+
+HUGE = (0.0, 1.0, 1e6, 1.3e154, 1.35e154, 1e200, 1.7976931348623157e308,
+        math.inf)
+
+
+def test_singularity_threshold_of_floats_and_lanes_agree_past_overflow():
+    # the square of the largest entry overflows to inf past about 1.34e154,
+    # on floats as on lanes, and such a matrix is refused, never raising
+    # OverflowError
+    rng = np.random.default_rng(6)
+    entries = rng.choice(HUGE, size=(4, 200)) * rng.choice((1.0, -1.0), (4, 200))
+    with np.errstate(over="ignore"):
+        lanes = singularity_threshold(Mat2(*entries))
+    for lane in range(entries.shape[1]):
+        want = singularity_threshold(Mat2(*(float(e[lane]) for e in entries)))
+        assert float(lanes[lane]).hex() == want.hex(), entries[:, lane]
+    assert singularity_threshold(diag(1e200, 1.0)) == math.inf
+    with pytest.raises(SingularMatrix):
+        mat_inv(diag(1e200, 1.0))
+    with np.errstate(over="ignore"):
+        with pytest.raises(SingularMatrix, match=r"in lane 1 "):
+            mat_inv(Mat2(*np.array([[1.0, 1e200], [0.0, 0.0], [0.0, 0.0],
+                                    [1.0, 1.0]])))
+

@@ -370,6 +370,31 @@ class TestSimulateCommand:
         assert sorted(p.name for p in out.iterdir()) == [
             "metrics.json", "trace_SimPaper.csv"]
 
+    @pytest.mark.parametrize("section, values, variants", [
+        # max|T_ij|^2 overflows a float: the cutoff is inf
+        ("frame", {"alpha": 0.0, "dx": 1.0, "dy": 1.0, "fx": 1e200, "fy": 1.0},
+         ["Corrected"]),
+        # M fails the cutoff, which every variant's run goes through
+        ("masses", {"mx": 1e13, "my": 1.0, "mp": 1.0}, ["StageConsistent"]),
+    ])
+    def test_matrix_that_cannot_be_inverted_exits_2_before_writing(
+        self, tmp_path, capsys, section, values, variants,
+    ):
+        from microinject import cli
+
+        config = write_config(
+            tmp_path / "scenario.json", **{section: values},
+            run={"t_end": 0.05, "dt": 0.001, "variants": variants},
+        )
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                         "--svg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"microinject: config error: {section}: ")
+        assert "cannot be inverted" in captured.err
+        assert not out.exists()
+
     def test_log_env_var_controls_stderr(self, tmp_path):
         config = write_config(tmp_path / "scenario.json")
         out = tmp_path / "out"
@@ -463,6 +488,52 @@ class TestFreeResponseCommand:
             "--t-end", "1.0", "--dt", "0.01", "--out", str(tmp_path / "x.csv"),
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("masses, det", [
+        (("1e13", "1", "1"), "2.000e+13"),
+        (("1e-7", "1e-7", "1e-7"), "6.000e-14"),
+        (("1e200", "1", "1"), "2.000e+200"),
+    ])
+    def test_mass_matrix_that_cannot_be_inverted_exits_2_before_integrating(
+        self, tmp_path, monkeypatch, capsys, masses, det,
+    ):
+        from microinject import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args))
+        out = tmp_path / "x.csv"
+        mx, my, mp = masses
+        code = cli.main([
+            "free-response", "--mx", mx, "--my", my, "--mp", mp,
+            "--x0", "0", "--y0", "0", "--xd0", "1", "--yd0", "0",
+            "--t-end", "1", "--dt", "0.01", "--out", str(out),
+        ])
+        assert code == 2
+        assert calls == []
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "microinject: invalid parameters: masses: the mass matrix M cannot "
+            "be inverted (matrix is singular within tolerance "
+            f"(|det|={det}))\n")
+
+    def test_nan_error_fails_the_run(self, tmp_path, capsys):
+        # xd0 * (mx + my + mp) overflows, so the closed form is NaN while
+        # the integrated state stays finite; max() would drop every NaN
+        from microinject import cli
+
+        out = tmp_path / "free.csv"
+        code = cli.main([
+            "free-response", "--mx", "1e6", "--my", "1", "--mp", "1",
+            "--x0", "0", "--y0", "0", "--xd0", "2e302", "--yd0", "0",
+            "--t-end", "0.002", "--dt", "0.001", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().out == f"{out}\nmax_error nan\n"
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[5] == "nan" for row in rows)
 
     def test_diverging_integration_exits_1(self, tmp_path):
         # absurd step width: RK4 of the velocity decay amplifies to overflow

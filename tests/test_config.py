@@ -197,6 +197,24 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match=r"^frame: .*cannot be inverted"):
             parse_config(dumps(doc))
 
+    @pytest.mark.parametrize("masses, det", [
+        # masses > 0, but M fails the inversion cutoff every run goes
+        # through: det 2e13 against 1e14, 6e-14 against 1e-12, and a
+        # squared entry that overflows to inf
+        ({"mx": 1e13, "my": 1.0, "mp": 1.0}, "2.000e+13"),
+        ({"mx": 1e-7, "my": 1e-7, "mp": 1e-7}, "6.000e-14"),
+        ({"mx": 1e200, "my": 1.0, "mp": 1.0}, "2.000e+200"),
+    ])
+    def test_mass_matrix_must_be_invertible_for_every_variant(self, masses, det):
+        doc = base_config()
+        doc["masses"] = masses
+        doc["run"]["variants"] = ["StageConsistent"]
+        with pytest.raises(InvariantError) as info:
+            parse_config(dumps(doc))
+        assert str(info.value) == (
+            "masses: the mass matrix M cannot be inverted (matrix is singular "
+            f"within tolerance (|det|={det}))")
+
     def test_empty_variants(self):
         doc = base_config()
         doc["run"]["variants"] = []

@@ -25,7 +25,6 @@ from microinject.dynamics import (
     StageState,
     ZERO_FORCE,
     ZERO_TORQUE,
-    _sample_times,
     damping_matrix,
     integrate,
     mass_matrix,
@@ -350,7 +349,13 @@ def _reference_closed_loop(variant, masses, frame, gains, spec, membrane, fed,
     d0 = sample_trajectory(spec, 0.0)
     q, qdot = d0.qd, d0.qd_dot
     minv = mat_inv(mass_matrix(masses))
-    times = _sample_times(t_end, dt)
+    # the grid as a list: k*dt, then a final partial step to t_end
+    n = int(math.floor(t_end / dt))
+    if (n + 1) * dt <= t_end:
+        n += 1
+    times = [k * dt for k in range(n + 1)]
+    if times[-1] < t_end:
+        times.append(t_end)
     rows = []
     sq_e0 = sq_e1 = sq_div = imp_max = 0.0
     finite_rows = 0

@@ -1,16 +1,19 @@
-"""The step grid of a run is checked once, by ``dynamics.check_steps``.
+"""The step grid of a run is checked once, by ``dynamics.check_steps``,
+and walked lazily, by ``dynamics.step_grid``.
 
 ``integrate``, ``run_closed_loop`` and ``compare_variants`` reject a grid
 that is non-finite or over ``MAX_STEPS`` with a ``ValueError`` before they
 allocate for it; config and ``free-response`` call the same check with
-their own names for the two values.
+their own names for the two values.  Both loops walk ``step_grid``, whose
+times are those of the grid built as a list, bit for bit.
 """
 
 import json
+import math
 
 import pytest
 
-from microinject import cli
+from microinject import cli, dynamics, sim
 from microinject.algebra2d import Vec2
 from microinject.config import MAX_STEPS, InvariantError, parse_config
 from microinject.control import ControllerVariant, ImpedanceParams
@@ -22,6 +25,7 @@ from microinject.dynamics import (
     StageState,
     check_steps,
     integrate,
+    step_grid,
 )
 from microinject.frames import FrameParams
 from microinject.sim import (
@@ -79,10 +83,13 @@ def test_a_step_count_over_the_cap_raises_before_allocating(run):
 
 @pytest.mark.parametrize("run, t_end, dt, message", [
     (run_integrate, 1.0, 0.0, "dt must be > 0"),
+    (run_integrate, 1.0, float("inf"), "dt must be finite"),
+    (run_integrate, 0.0, float("inf"), "dt must be finite"),
     (run_integrate, 1.0, float("nan"), "dt must be > 0"),
     (run_integrate, -1.0, 0.1, "t_end must be >= 0"),
     (run_integrate, float("nan"), 0.1, "t_end must be >= 0"),
     (run_loop, 1.0, 0.0, "dt must be > 0"),
+    (run_loop, 1.0, float("inf"), "dt must be finite"),
     (run_loop, 0.0, 0.1, "t_end must be > 0"),
     (run_loop, float("nan"), 0.1, "t_end must be > 0"),
     (run_compare, 1.0, -1.0, "dt must be > 0"),
@@ -109,6 +116,61 @@ def test_a_grid_at_the_cap_is_accepted_and_names_are_the_callers():
         check_steps(-1.0, 0.1, "t-end")
 
 
+def list_grid(t_end, dt):
+    """The sample times as a list, built as the loops once built them:
+    k*dt, then a final partial step landing exactly on t_end."""
+    n = int(math.floor(t_end / dt))
+    if (n + 1) * dt <= t_end:
+        n += 1
+    times = [k * dt for k in range(n + 1)]
+    if times[-1] < t_end:
+        times.append(t_end)
+    return times
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (0.0, 0.1),
+    (0.7, 0.3),  # a partial last step
+    (0.3, 0.1),  # 0.3 / 0.1 rounds below 3, and 3 * 0.1 lands past 0.3
+    (10.0, 1e-3),
+    (1.0, 1e-6),  # at the cap, 1.0 / 1e-6 rounding below 10^6
+])
+def test_the_walk_yields_the_list_grid_bit_for_bit(t_end, dt):
+    times = list_grid(t_end, dt)
+    widths = [b - a for a, b in zip(times, times[1:])] + [0.0]
+    walked = list(step_grid(t_end, dt))
+    assert [t.hex() for t, _ in walked] == [t.hex() for t in times]
+    assert [h.hex() for _, h in walked] == [h.hex() for h in widths]
+    # integrate names the time after a step t + h: it is the next grid time
+    assert all(t + h == b for (t, h), b in zip(walked, times[1:]))
+
+
+def test_the_walk_is_checked_when_made_and_lazy():
+    with pytest.raises(ValueError, match=r"^dt must be > 0$"):
+        step_grid(1.0, 0.0)
+    grid = step_grid(float(MAX_STEPS), 1.0)
+    assert not isinstance(grid, (list, tuple))
+    assert next(grid) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("run, checks", [
+    (run_integrate, 1), (run_loop, 1), (run_compare, 2),
+])
+def test_each_run_checks_its_grid_once(run, checks, monkeypatch):
+    # counted wherever a module holds the check, so that a second check
+    # through another name counts too
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_steps(*args)
+
+    monkeypatch.setattr(dynamics, "check_steps", counting)
+    monkeypatch.setattr(sim, "check_steps", counting, raising=False)
+    run(0.5, 0.01)
+    assert len(calls) == checks
+
+
 FREE_RESPONSE = {"--mx": "1", "--my": "1", "--mp": "1", "--x0": "0",
                  "--y0": "0", "--xd0": "1", "--yd0": "0", "--t-end": "1.0",
                  "--dt": "0.01"}
@@ -117,6 +179,8 @@ FREE_RESPONSE = {"--mx": "1", "--my": "1", "--mp": "1", "--x0": "0",
 @pytest.mark.parametrize("flag, value, message", [
     ("--dt", "nan", "dt must be > 0"),
     ("--dt", "0", "dt must be > 0"),
+    # a grid that can never reach a t-end > 0
+    ("--dt", "inf", "dt must be finite"),
     ("--t-end", "-1", "t-end must be >= 0"),
     ("--t-end", "nan", "t-end must be >= 0"),
     ("--t-end", "inf", "t-end / dt must be <= 1000000 steps, got inf"),

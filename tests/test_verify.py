@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from microinject import control, verify
-from microinject.algebra2d import Mat2, Vec2
+from microinject.algebra2d import Mat2, Vec2, fold_worst
 from microinject.control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
@@ -372,8 +372,8 @@ def test_fold_lanes_folds_as_the_trial_loop_does():
             for lowest in (False, True):
                 want = acc
                 for trial in range(size):
-                    want = verify._fold(want, *(float(c[trial]) for c in columns),
-                                        lowest=lowest)
+                    want = fold_worst(want, *(float(c[trial]) for c in columns),
+                                      lowest=lowest)
                 got = verify._fold_lanes(acc, *columns, lowest=lowest)
                 assert type(got) is float
                 assert got.hex() == want.hex(), (case, acc, lowest)
@@ -381,8 +381,8 @@ def test_fold_lanes_folds_as_the_trial_loop_does():
 
 def test_fold_keeps_nan_from_either_side():
     assert max(0.0, math.nan, 1e-20) == 1e-20
-    assert math.isnan(verify._fold(0.0, math.nan, 1e-20))
-    assert math.isnan(verify._fold(math.nan, 1.0))
-    assert math.isnan(verify._fold(1.0, math.nan, lowest=True))
-    assert verify._fold(0.0, 2.0, 1.0) == 2.0
-    assert verify._fold(math.inf, 2.0, 3.0, lowest=True) == 2.0
+    assert math.isnan(fold_worst(0.0, math.nan, 1e-20))
+    assert math.isnan(fold_worst(math.nan, 1.0))
+    assert math.isnan(fold_worst(1.0, math.nan, lowest=True))
+    assert fold_worst(0.0, 2.0, 1.0) == 2.0
+    assert fold_worst(math.inf, 2.0, 3.0, lowest=True) == 2.0
