@@ -48,12 +48,15 @@ def lane_map(f, x):
     """``f(x)`` for a float; for a float64 array, ``f`` of each lane.
 
     Takes a ``math`` function, so each lane gets the bits of its float
-    evaluation: numpy's transcendentals need not round as libm does.
+    evaluation: numpy's transcendentals need not round as libm does.  The
+    lanes go to ``f`` as the floats of ``x.tolist()``, which hold the same
+    doubles as the array and cost less to make than iterating it, which
+    boxes each lane as an ``np.float64``.
     """
     if _is_lanes(x):
         import numpy as np
 
-        return np.fromiter(map(f, x), float, x.size)
+        return np.fromiter(map(f, x.tolist()), float, x.size)
     return f(x)
 
 

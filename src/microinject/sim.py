@@ -16,7 +16,11 @@ for a list of variants; ``compare_variants`` and the ``simulate`` command
 take their runs from it.  For ``compare_variants`` the first run also
 evaluates every other law except the oracle's at each of its states, on
 the c and contact force it has solved there; the oracle's gap is that
-run's ``torque_divergence_rms``.  ``sample_trajectory`` and
+run's ``torque_divergence_rms``.  A closed loop hands each row to a sink
+and keeps none itself: ``run_closed_loop``, ``run_variants`` and with it
+the ``simulate`` command collect the rows in a list, while
+``compare_variants`` keeps only each run's positions, 16 B a row, and no
+run's trace.  ``sample_trajectory`` and
 ``membrane_force`` wrap the trajectory and contact kernels.  Every kernel
 keeps the evaluation order of the ``Vec2`` algebra, so traces are
 bit-identical to the ``Vec2`` formulas.
@@ -28,8 +32,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+    Optional, Sequence, Tuple,
 )
 
 from .algebra2d import Vec2, check_fields, mat_inv
@@ -50,6 +54,9 @@ from .dynamics import (
     step_grid,
 )
 from .frames import FrameParams
+
+if TYPE_CHECKING:
+    from array import array
 
 
 class TrajectoryKind(enum.Enum):
@@ -117,8 +124,8 @@ class RunMetrics:
         the acceleration actually realized by the applied torque.
     torque_divergence_rms: RMS Euclidean gap between the applied torque and
         the stage-consistent oracle torque at the same state.
-    samples: number of trace rows (including a flagged non-finite final
-        row when ``diverged``).
+    samples: number of trace rows handed out (including a flagged
+        non-finite final row when ``diverged``).
     """
 
     rms_tracking_error: Vec2
@@ -226,6 +233,10 @@ def membrane_force(model: MembraneModel, q: Vec2, qdot: Vec2) -> ForcePair:
     return ForcePair(_contact_kernel(model)(q.a0, qdot.a0), 0.0)
 
 
+# takes each row of a closed loop as the loop makes it
+_Sink = Callable[[Tuple[float, ...]], object]
+
+
 def check_run_grid(
     t_end: float, dt: float, t_name: str = "t_end", dt_name: str = "dt"
 ) -> Iterator[Tuple[float, float]]:
@@ -268,8 +279,10 @@ def run_closed_loop(
     ``diverged`` is set instead of raising.  A bad ``t_end`` or ``dt``
     raises ValueError before the run.
     """
-    rows, metrics, _ = _closed_loop(
-        variant, masses, frame, gains, spec, membrane, fed, t_end, dt, ()
+    rows: List[Tuple[float, ...]] = []
+    metrics, _ = _closed_loop(
+        variant, masses, frame, gains, spec, membrane, fed, t_end, dt, (),
+        rows.append,
     )
     return rows, metrics
 
@@ -285,14 +298,18 @@ def _closed_loop(
     t_end: float,
     dt: float,
     rivals: Sequence[ControllerVariant],
-) -> Tuple[List[Tuple[float, ...]], RunMetrics, List[float]]:
-    """``run_closed_loop``, which also scores the torque law of each of
-    ``rivals`` along the run.
+    sink: _Sink,
+) -> Tuple[RunMetrics, List[float]]:
+    """``run_closed_loop``, which hands each row to ``sink`` instead of
+    keeping it, and also scores the torque law of each of ``rivals`` along
+    the run.
 
-    At each finite state, before the step moves it, every rival law is
-    evaluated on the c and contact force solved there; the oracle's law
-    needs no rival, its gap is ``torque_divergence_rms``.  The third result
-    holds, per rival, the RMS over the finite rows of the Euclidean gap
+    ``sink`` gets every row in order, a diverged run's flagged final row
+    included, and the loop keeps no row once the sink returns.  At each
+    finite state, before the step moves it, every rival law is evaluated on
+    the c and contact force solved there; the oracle's law needs no rival,
+    its gap is ``torque_divergence_rms``.  The second result holds, per
+    rival, the RMS over the finite rows of the Euclidean gap
     (rival - applied) between its torque and the applied one.
     """
     grid = check_run_grid(t_end, dt)
@@ -313,7 +330,6 @@ def _closed_loop(
     x, y, xdot, ydot = desired(0.0)[:4]
     isfinite = math.isfinite
 
-    rows: List[Tuple[float, ...]] = []
     sq_e0 = 0.0
     sq_e1 = 0.0
     sq_div = 0.0
@@ -333,7 +349,7 @@ def _closed_loop(
         else:
             or0, or1 = oracle(c0, c1, fex, 0.0, xdot, ydot)
         row = (t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1)
-        rows.append(row)
+        sink(row)
         if not isfinite(sum(row)) and not all(map(isfinite, row)):
             diverged = True
             break
@@ -364,10 +380,33 @@ def _closed_loop(
         rms_tracking_error=Vec2(math.sqrt(sq_e0 / n), math.sqrt(sq_e1 / n)),
         max_impedance_residual=imp_max,
         torque_divergence_rms=math.sqrt(sq_div / n),
-        samples=len(rows),
+        samples=finite_rows + diverged,
         diverged=diverged,
     )
-    return rows, metrics, [math.sqrt(sq / n) for sq in sq_rivals]
+    return metrics, [math.sqrt(sq / n) for sq in sq_rivals]
+
+
+def _trace() -> Tuple[_Sink, List[Tuple[float, ...]]]:
+    """A sink that collects every row in a list, and that list."""
+    rows: List[Tuple[float, ...]] = []
+    return rows.append, rows
+
+
+def _positions() -> Tuple[_Sink, Tuple[array, array]]:
+    """A sink that keeps each row's x and y, 16 B a row, and the two
+    ``array('d')`` it fills."""
+    # imported here: the array module is a shared library of its own, so
+    # only a comparison pays its resident memory, not simulate or verify
+    from array import array
+
+    xs, ys = array("d"), array("d")
+    x_append, y_append = xs.append, ys.append
+
+    def keep(row: Tuple[float, ...]) -> None:
+        x_append(row[1])
+        y_append(row[2])
+
+    return keep, (xs, ys)
 
 
 def run_variants(
@@ -387,10 +426,10 @@ def run_variants(
 
     Yields ``(variant, source, metrics, rows)`` per variant, in order.  The
     first variant of a law runs in closed loop: ``source`` is the variant
-    itself and ``rows`` its trace.  A later variant of that law, a repeated
-    one included, reuses that run, which is what running it again would
-    give bit for bit: ``source`` is the variant that ran, ``metrics`` that
-    run's object and ``rows`` None.
+    itself and ``rows`` its trace, collected in a list by the run's sink.
+    A later variant of that law, a repeated one included, reuses that run,
+    which is what running it again would give bit for bit: ``source`` is
+    the variant that ran, ``metrics`` that run's object and ``rows`` None.
 
     Given a ``torque_gaps`` dict, before the first yield the dict maps
     the variant that will run each law to the RMS gap between its torque
@@ -402,6 +441,26 @@ def run_variants(
     The generator keeps no rows past a yield, so a consumer that drops
     ``rows`` before asking for the next variant holds one trace at a time.
     """
+    return _runs(variants, masses, frame, gains, spec, membrane, fed, t_end,
+                 dt, torque_gaps, _trace)
+
+
+def _runs(
+    variants: Iterable[ControllerVariant],
+    masses: MassParams,
+    frame: FrameParams,
+    gains: ImpedanceParams,
+    spec: TrajectorySpec,
+    membrane: MembraneModel,
+    fed: ForcePair,
+    t_end: float,
+    dt: float,
+    torque_gaps: Optional[Dict[ControllerVariant, float]],
+    keeper: Callable[[], Tuple[_Sink, Any]],
+) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics, Any]]:
+    """``run_variants``, with ``keeper()`` giving each closed loop that
+    runs its sink and what that sink keeps, which is yielded in place of
+    the run's rows."""
     variants = list(variants)
     # the variant that runs each law: the first one of that law
     sources = {}
@@ -417,18 +476,20 @@ def run_variants(
         if law in ran:
             yield (variant, *ran[law], None)
             continue
-        rows, metrics, rival_rms = _closed_loop(
+        sink, kept = keeper()
+        metrics, rival_rms = _closed_loop(
             variant, masses, frame, gains, spec, membrane, fed, t_end, dt,
-            rivals,
+            rivals, sink,
         )
+        del sink
         if torque_gaps is not None and not ran:
             torque_gaps.update(zip(rivals, rival_rms))
             if oracle is not None:
                 torque_gaps[oracle] = metrics.torque_divergence_rms
             rivals = []
         ran[law] = (variant, metrics)
-        yield variant, variant, metrics, rows
-        del rows
+        yield variant, variant, metrics, kept
+        del kept
 
 
 @dataclass(frozen=True)
@@ -470,40 +531,41 @@ def compare_variants(
     positions of the two runs at equal times.  Divergence in one variant
     is flagged in its metrics and does not abort the others.
 
-    The runs come from ``run_variants``, and a variant that reuses a run
-    reports that run's metrics and gaps; one with the base's law has zero
-    gaps.  The base run scores every other law as it steps, the oracle's
-    by its ``torque_divergence_rms``, and only its positions are kept
-    after it, for the tracking gaps.
+    The runs come from the runner behind ``run_variants``, and a variant
+    that reuses a run reports that run's metrics and gaps; one with the
+    base's law has zero gaps.  The base run scores every other law as it
+    steps, the oracle's by its ``torque_divergence_rms``.  No run's trace
+    is kept: each run's sink keeps its x and y, 16 B a row, and only the
+    base run's outlive the next run, so a comparison holds 32 B a row at
+    its peak.
     """
     # gaps by the variant whose run a report takes
     torque_rms = {base: 0.0}
-    runs = run_variants(
+    runs = _runs(
         [base, *others], masses, frame, gains, spec, membrane, fed, t_end, dt,
-        torque_gaps=torque_rms,
+        torque_rms, _positions,
     )
-    _, _, base_metrics, base_rows = next(runs)
+    _, _, base_metrics, (base_x, base_y) = next(runs)
     # only a run's last row can be non-finite: a diverged run's flagged row
-    finite = base_rows[:-1] if base_metrics.diverged else base_rows
-    base_x = [row[1] for row in finite]
-    base_y = [row[2] for row in finite]
-    # only the positions outlive the base run
-    del base_rows, finite
+    if base_metrics.diverged:
+        del base_x[-1], base_y[-1]
     tracking_rms = {base: 0.0}
     reports = []
-    for variant, source, metrics, rows in runs:
-        if rows is not None:
+    for variant, source, metrics, kept in runs:
+        if kept is not None:
+            xs, ys = kept
+            if metrics.diverged:
+                del xs[-1], ys[-1]
             # pairing stops where either run stops being finite
-            finite = rows[:-1] if metrics.diverged else rows
             sq_track = 0.0
-            for row, bx, by in zip(finite, base_x, base_y):
-                dx = row[1] - bx
-                dy = row[2] - by
+            for x, y, bx, by in zip(xs, ys, base_x, base_y):
+                dx = x - bx
+                dy = y - by
                 sq_track += dx * dx + dy * dy
-            paired = max(min(len(finite), len(base_x)), 1)
+            paired = max(min(len(xs), len(base_x)), 1)
             tracking_rms[source] = math.sqrt(sq_track / paired)
-            # drop this run's rows before the next run builds its own
-            del rows, finite
+            # drop this run's positions before the next run keeps its own
+            del kept, xs, ys
         reports.append(VariantReport(
             variant, metrics, torque_rms[source], tracking_rms[source]))
     return ComparisonReport(base, base_metrics, tuple(reports))

@@ -535,6 +535,26 @@ class TestFreeResponseCommand:
         assert len(rows) == 3
         assert all(row.split(",")[5] == "nan" for row in rows)
 
+    @pytest.mark.parametrize("xd0, dt, code, max_error", [
+        # one rounding of positions near 3e12; an absolute 1e-5 failed it
+        ("1e12", "0.001", 0, "0.00634765625"),
+        # finite but inaccurate steps, near the origin and far from it
+        ("1", "1", 1, "0.00015006779724657804"),
+        ("1e12", "1", 1, "150067797.24633789"),
+    ])
+    def test_bound_scales_with_the_positions(self, tmp_path, capsys, xd0, dt,
+                                             code, max_error):
+        from microinject import cli
+
+        out = tmp_path / "free.csv"
+        assert cli.main([
+            "free-response", "--mx", "1", "--my", "1", "--mp", "1",
+            "--x0", "0", "--y0", "0", "--xd0", xd0, "--yd0", "0",
+            "--t-end", "10", "--dt", dt, "--out", str(out),
+        ]) == code
+        # the printed error stays absolute
+        assert capsys.readouterr().out == f"{out}\nmax_error {max_error}\n"
+
     def test_diverging_integration_exits_1(self, tmp_path):
         # absurd step width: RK4 of the velocity decay amplifies to overflow
         proc = run_cli(

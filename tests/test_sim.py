@@ -442,7 +442,11 @@ def _bits(value):
 
 def _pin_scenarios():
     """Seeded scenarios crossing the membrane: Quintic and Sinusoid, each on
-    an identity and a skewed frame, and one run that diverges."""
+    an identity and a skewed frame, and two whose runs diverge.  In the
+    first the state overflows.  In the second the membrane's damping
+    overflows the contact force at first contact, so each run stays close
+    to the others up to the row where it touches, which is flagged, and
+    the laws touch on different rows."""
     rng = random.Random(20260)
     scenarios = []
     for kind in TrajectoryKind:
@@ -475,6 +479,12 @@ def _pin_scenarios():
         TrajectorySpec(TrajectoryKind.QUINTIC, Vec2(0.0, 0.0), 1.0,
                        end=Vec2(1.5, 0.0)),
         CONTACT, ForcePair(0.5, 0.0), 50.0, 0.1,
+    ))
+    scenarios.append((
+        MassParams(1.0, 1.0, 1.0), SKEWED_FRAME, ImpedanceParams(1.0, 20.0, 100.0),
+        TrajectorySpec(TrajectoryKind.QUINTIC, Vec2(0.8, 0.0), 0.15,
+                       end=Vec2(1.5, 0.2)),
+        MembraneModel(0.0, 1.7e308, 1.0), ForcePair(-5.0, 1.0), 0.25, 1e-3,
     ))
     return scenarios
 
@@ -531,7 +541,11 @@ _C, _S, _M, _SC = (ControllerVariant.CORRECTED, ControllerVariant.SIM_PAPER,
     (_M, [_M, _C, _M], 3),            # the base repeated in others
     (_C, [_S, _M, _SC, _S], 1),       # two stage-space variants, not the base's law
     (_SC, [_S, _C, _SC, _C], 4),      # a diverging scenario
-], ids=["duplicates", "base-repeated", "stage-space-pair", "diverging"])
+    # McPaper's flagged row falls inside the base's finite rows, and the
+    # base's inside StageConsistent's, each with a finite gap before it
+    (_C, [_M, _SC, _S], 5),
+], ids=["duplicates", "base-repeated", "stage-space-pair", "diverging",
+        "flagged-rows-inside-the-pairs"])
 def test_compare_variants_with_shared_laws_matches_reference_bitwise(
     base, others, scenario_index
 ):
@@ -554,7 +568,7 @@ def test_compare_variants_runs_each_torque_law_once(monkeypatch):
 
     def recording_run(variant, *args):
         ran.append(variant)
-        scored.append(args[-1])
+        scored.append(args[-2])
         return closed_loop(variant, *args)
 
     monkeypatch.setattr(sim, "_closed_loop", recording_run)
@@ -685,8 +699,9 @@ def test_compare_variants_evaluates_the_oracle_law_once_per_state(
 
 
 def test_compare_variants_holds_one_trace_at_a_time():
-    # the compare_sinusoid benchmark scenario, 10,001 rows a run: past the
-    # base run only its positions stay, next to one other run's trace
+    # the compare_sinusoid benchmark scenario, 10,001 rows a run: at most
+    # one run's trace may be held at a time (none is, since positions only
+    # are kept; see the tighter bounds below)
     scenario = (
         MassParams(1.0, 1.0, 1.0),
         FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0),
@@ -705,6 +720,47 @@ def test_compare_variants_holds_one_trace_at_a_time():
     assert peak <= 6.5e6, peak
 
 
+def _compare_sinusoid_peak(others, t_end):
+    """``compare_variants`` of StageConsistent against ``others`` on the
+    compare_sinusoid benchmark scenario run to ``t_end``, and its peak
+    memory by ``tracemalloc``."""
+    scenario = (
+        MassParams(1.0, 1.0, 1.0),
+        FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0),
+        ImpedanceParams(1.0, 20.0, 100.0),
+        TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.8, 0.0), 10.0,
+                       amplitude=Vec2(0.4, 0.2), frequency=0.5),
+        MembraneModel(50.0, 2.0, 1.0), ForcePair(0.5, 0.0), t_end, 1e-3,
+    )
+    tracemalloc.start()
+    try:
+        report = compare_variants(_SC, others, *scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def test_compare_variants_keeps_positions_not_traces():
+    # no run's trace is kept: the base run's x and y and those of the run
+    # after it, 16 B a row each (a run's trace is about 0.47 KB a row)
+    report, peak = _compare_sinusoid_peak([_C, _S, _M], 10.0)
+    assert report.base_metrics.samples == 10_001
+    assert not any(r.metrics.diverged for r in report.reports)
+    assert peak <= 0.5e6, peak
+
+
+def test_compare_variants_memory_grows_by_positions_only():
+    # two runs of distinct laws, so the second run keeps its positions
+    # next to the base run's: 32 B a row, plus array('d')'s growth slack
+    small, small_peak = _compare_sinusoid_peak([_M], 10.0)
+    large, large_peak = _compare_sinusoid_peak([_M], 100.0)
+    assert small.base_metrics.samples == 10_001
+    assert large.base_metrics.samples == large.reports[0].metrics.samples == 100_001
+    per_row = (large_peak - small_peak) / 90_000
+    assert per_row <= 40.0, per_row
+
+
 _SHARED = [_S, _C, _SC, _S, _M, _C]
 
 
@@ -720,7 +776,7 @@ def test_run_variants_runs_each_torque_law_once_and_reuses_its_run(
 
     def recording_run(variant, *args):
         ran.append(variant)
-        scored.append(args[-1])
+        scored.append(args[-2])
         return closed_loop(variant, *args)
 
     monkeypatch.setattr(sim, "_closed_loop", recording_run)
@@ -746,7 +802,7 @@ def test_run_variants_runs_each_torque_law_once_and_reuses_its_run(
 
 
 class _Rows(list):
-    """A trace that a weak reference can watch."""
+    """A row that a weak reference can watch: it lives while its trace does."""
 
 
 def test_run_variants_keeps_no_rows_once_the_consumer_drops_them(monkeypatch):
@@ -758,8 +814,9 @@ def test_run_variants_keeps_no_rows_once_the_consumer_drops_them(monkeypatch):
         # every earlier trace is gone before the next run builds its own
         assert [ref() for ref in dropped] == [None] * len(dropped)
         rows = _Rows()
+        args[-1](rows)
         dropped.append(weakref.ref(rows))
-        return rows, RunMetrics(Vec2(0.0, 0.0), 0.0, 0.0, 0), []
+        return RunMetrics(Vec2(0.0, 0.0), 0.0, 0.0, 0), []
 
     monkeypatch.setattr(sim, "_closed_loop", stub_run)
     for _, _, _, rows in sim.run_variants(_SHARED, *_pin_scenarios()[3]):
