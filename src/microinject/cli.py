@@ -8,14 +8,20 @@ Exit codes: 0 success, 1 verification/numeric failure, 2 usage, config
 or output error.  Reports and artifact paths go to stdout; diagnostics go
 to stderr at the verbosity selected by the MICROINJECT_LOG environment
 variable (error, info or debug).  At info, ``verify`` logs the wall time of each
-suite it runs, and ``simulate`` the variant it is running and then the
-wall time of its closed loop and of writing its trace files (CSV, and SVG
-with ``--svg``).
+suite it runs, and ``simulate`` the variant it is running and then two
+wall times: its closed loop with its CSV, which the loop writes as it
+runs, and its SVG (with ``--svg``).
 
-``simulate`` takes its closed loops from ``sim.run_variants``.  A variant
-that reuses a run gets that run's metrics, a byte copy of its CSV, and its
-SVG panels under the variant's own title.  An info line names the variant
-whose run it reuses.
+``simulate`` takes its closed loops from the runner behind
+``sim.run_variants``, and holds no run's rows.  Each closed loop that runs
+writes its ``trace_<variant>.csv`` from its sink a block of rows at a time
+and, with ``--svg``, keeps only the rows its chart plots: every
+``report.chart_stride``-th row of the grid and the latest one.  A run that
+diverges may have a finite prefix with another stride, so its chart is
+drawn from its CSV, read back a line at a time.  A variant that reuses a
+run gets that run's metrics, a byte copy of its CSV, and its SVG panels
+under the variant's own title.  An info line names the variant whose run
+it reuses.
 
 ``free-response`` takes a negative value in any spelling that ``float()``
 reads (``-1e-5``, ``-inf``).  It checks the masses, the inversion of
@@ -38,13 +44,14 @@ Only ``verify`` imports numpy, for its lanes, so ``simulate`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import re
 import shutil
 import sys
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 from . import report
 from .config import (
@@ -59,10 +66,12 @@ from .dynamics import (
     ZERO_TORQUE,
     check_steps,
     free_response_kernel,
+    grid_rows,
     integrate,
 )
 from .algebra2d import Vec2, check_fields, fold_worst
-from .sim import run_variants
+from .control import ControllerVariant
+from .sim import _runs
 
 log = logging.getLogger("microinject")
 
@@ -74,13 +83,20 @@ class _CannotWrite(Exception):
     """An output file could not be written; ``main`` exits 2 with it."""
 
 
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Raise an OSError of the block as ``_CannotWrite`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write(path: str, write: Callable[..., Any], *args: object) -> Any:
     """``write(path, *args)``, with an OSError raised as ``_CannotWrite``
     naming ``path``."""
-    try:
+    with _writing(path):
         return write(path, *args)
-    except OSError as exc:
-        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _configure_logging() -> None:
@@ -192,43 +208,70 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"microinject: cannot create output dir: {exc}", file=sys.stderr)
         return 2
 
+    # the stride at which the chart of a run that does not diverge samples
+    # its rows, all of them finite
+    stride = report.chart_stride(grid_rows(config.t_end, config.dt))
+
+    @contextlib.contextmanager
+    def trace_csv(variant: ControllerVariant) -> Iterator[Any]:
+        """The sink of the closed loop of ``variant``: it writes the run's
+        CSV and, with --svg, keeps the rows its chart plots."""
+        path = os.path.join(args.out, f"trace_{variant.value}.csv")
+        with _writing(path), open(path, "w", encoding="utf-8",
+                                  newline="") as fh:
+            write_rows = report.trace_csv_writer(fh)
+            keep, sampled = report.chart_sampler(stride)
+
+            def write_and_keep(block: List[tuple]) -> None:
+                write_rows(block)
+                keep(block)
+
+            yield (write_and_keep if args.svg else write_rows), sampled
+
     any_diverged = False
     variant_metrics = {}
     panels = {}  # each run's SVG panels, by the variant that ran, with --svg
-    runs = run_variants(
+    runs = _runs(
         config.variants, config.masses, config.frame, config.impedance,
         config.trajectory, config.membrane, config.fed, config.t_end,
-        config.dt,
+        config.dt, None, trace_csv,
     )
     for variant in config.variants:
         log.info("running variant %s", variant.value)
         start = time.perf_counter()
-        _, source, metrics, rows = next(runs)
-        ran = time.perf_counter()
+        _, source, metrics, sampled = next(runs)
         trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
         svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
         title = f"variant {variant.value}"
-        if rows is None:
+        if sampled is None:
             log.info("variant %s reuses the closed loop of variant %s",
                      variant.value, source.value)
             if variant is not source:
                 copied = os.path.join(args.out, f"trace_{source.value}.csv")
                 _write(trace_path, lambda path: shutil.copyfile(copied, path))
-                if args.svg:
-                    _write(svg_path, report.write_trace_panels, panels[source],
-                           title)
+            ran = time.perf_counter()
+            if args.svg and variant is not source:
+                _write(svg_path, report.write_trace_panels, panels[source],
+                       title)
         else:
-            _write(trace_path, report.write_trace_csv, rows)
+            ran = time.perf_counter()
             if args.svg:
-                panels[source] = _write(svg_path, report.write_trace_svg, rows,
-                                        title)
-            # the next closed loop builds its own rows
-            del rows
+                if metrics.diverged:
+                    # the finite rows may have another stride than the
+                    # grid's: read them back from the CSV, which is closed
+                    with _writing(svg_path):
+                        sampled = report.sample_trace_csv(
+                            trace_path, metrics.samples - 1)
+                panels[source] = report.render_sampled_panels(sampled)
+                _write(svg_path, report.write_trace_panels, panels[source],
+                       title)
+            # the next closed loop keeps its own rows
+            del sampled
         print(trace_path)
         if args.svg:
             print(svg_path)
         variant_metrics[variant.value] = report.metrics_to_dict(metrics)
-        log.info("variant %s: closed loop %.3f s, trace files %.3f s",
+        log.info("variant %s: closed loop + CSV %.3f s, SVG %.3f s",
                  variant.value, ran - start, time.perf_counter() - ran)
         if metrics.diverged:
             log.error("variant %s diverged after %d samples",

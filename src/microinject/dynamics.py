@@ -36,7 +36,8 @@ and NaN/inf patterns included.
 A run's time grid is walked, never held: ``step_grid`` checks it once
 with ``check_steps`` and then yields each sample time with the width of
 the step to the next one, and ``integrate`` and the closed loop in
-``sim`` both iterate over it.
+``sim`` both iterate over it.  ``grid_rows`` counts its times without
+walking it.
 """
 
 from __future__ import annotations
@@ -232,10 +233,12 @@ def free_response_accel(
 
 
 # The most steps (t_end / dt) a run may take.  The time grid is walked, not
-# held, but a run keeps every sample or trace row in memory until it
-# returns, about 0.2 KB a step for ``integrate`` and 0.5 KB for a closed
-# loop, so this bounds a run to well under 1 GB; the README scenario takes
-# 5,000 steps.
+# held, and a closed loop holds no rows, so for a closed loop the cap bounds
+# run time: a step and its CSV row take about 11 us (2-core sandbox, Python
+# 3.11), so a variant's run takes at most about 11 s and a 216 MB CSV.
+# ``integrate`` still keeps every sample, about 0.2 KB a step, so for it the
+# cap also bounds memory, to about 200 MB.  The README scenario takes 5,000
+# steps.
 MAX_STEPS = 1_000_000
 
 
@@ -258,6 +261,23 @@ def check_steps(
         )
 
 
+def _whole_steps(t_end: float, dt: float) -> int:
+    """The number of full steps of width dt in the grid to t_end."""
+    n = int(math.floor(t_end / dt))
+    if (n + 1) * dt <= t_end:
+        n += 1
+    return n
+
+
+def grid_rows(t_end: float, dt: float) -> int:
+    """The number of times ``step_grid(t_end, dt)`` yields, worked out
+    without walking it, for a grid that ``check_steps`` accepts."""
+    n = _whole_steps(t_end, dt)
+    # the walk's last full step ends at n*dt; a partial step follows it
+    # when that falls short of t_end
+    return n + 1 + (n * dt < t_end)
+
+
 def step_grid(
     t_end: float, dt: float, t_name: str = "t_end", dt_name: str = "dt"
 ) -> Iterator[Tuple[float, float]]:
@@ -270,9 +290,7 @@ def step_grid(
     lands exactly on t_end.
     """
     check_steps(t_end, dt, t_name, dt_name)
-    n = int(math.floor(t_end / dt))
-    if (n + 1) * dt <= t_end:
-        n += 1
+    n = _whole_steps(t_end, dt)
 
     def walk() -> Iterator[Tuple[float, float]]:
         t = 0.0

@@ -2,13 +2,19 @@
 
 All numeric output uses 17 significant digits so values round-trip through
 text exactly; identical runs produce byte-identical files.
+
+A trace can be written whole (``write_trace_csv``, ``write_trace_svg``)
+or as a closed loop makes it: ``trace_csv_writer`` writes each block of
+rows to an open CSV, and ``chart_sampler`` keeps only the rows its chart
+plots, which ``render_sampled_panels`` draws.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
 
 from .sim import RunMetrics, TraceRow
 
@@ -21,9 +27,15 @@ def fmt(value: float) -> str:
     return "%.17g" % value
 
 
+def _line_format(header: str) -> str:
+    """The ``%`` format of one CSV line under ``header``: each value as
+    ``fmt`` renders it."""
+    return ",".join(["%.17g"] * len(header.split(","))) + "\n"
+
+
 def write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
     """One line per row, each value rendered as ``fmt`` renders it."""
-    line = ",".join(["%.17g"] * len(header.split(","))) + "\n"
+    line = _line_format(header)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         fh.writelines(line % tuple(row) for row in rows)
@@ -31,6 +43,21 @@ def write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
 
 def write_trace_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
     write_csv(path, TRACE_HEADER, rows)
+
+
+def trace_csv_writer(fh: TextIO) -> Callable[[Sequence[Tuple[float, ...]]], None]:
+    """Write the trace header to the open file ``fh``, and return a sink
+    that writes each block of rows handed to it, tuples of floats in
+    ``TraceRow``'s field order, as ``write_trace_csv`` writes them: the
+    file is the same bytes, and a block is one ``write``."""
+    fh.write(TRACE_HEADER + "\n")
+    write = fh.write
+    line = _line_format(TRACE_HEADER).__mod__
+
+    def write_rows(block: Sequence[Tuple[float, ...]]) -> None:
+        write("".join(map(line, block)))
+
+    return write_rows
 
 
 def metrics_to_dict(metrics: RunMetrics) -> Dict[str, object]:
@@ -119,20 +146,78 @@ def _panel_polylines(
     return parts
 
 
+def chart_stride(finite_rows: int) -> int:
+    """The stride at which a chart samples a trace of ``finite_rows``
+    finite rows: about 800 to 1,600 points a series."""
+    return max(1, finite_rows // 800)
+
+
+def chart_sampler(stride: int) -> Tuple[
+    Callable[[Sequence[Sequence[float]]], None], List[Sequence[float]]
+]:
+    """A sink that keeps, of the rows handed to it in blocks, those a chart
+    plots: every ``stride``-th row from the first, and the latest one;
+    and the list that holds them, in order.
+
+    The list is what ``render_trace_panels`` samples from the same rows in
+    one sequence, by the same row objects, so it does not depend on how
+    the rows were split into blocks.
+    """
+    sampled: List[Sequence[float]] = []
+    seen = 0
+    # whether sampled[-1] is the latest row, kept only as that
+    latest_only = False
+
+    def keep(block: Sequence[Sequence[float]]) -> None:
+        nonlocal seen, latest_only
+        if not block:
+            return
+        if latest_only:
+            del sampled[-1]
+        # the first row of the block whose index in the trace is a
+        # multiple of the stride
+        sampled.extend(block[-seen % stride::stride])
+        seen += len(block)
+        latest_only = sampled[-1] is not block[-1]
+        if latest_only:
+            sampled.append(block[-1])
+
+    return keep, sampled
+
+
+def sample_trace_csv(path: str, finite_rows: int) -> List[Tuple[float, ...]]:
+    """The rows a chart plots of the first ``finite_rows`` rows of the
+    trace CSV at ``path``, read a line at a time.  ``fmt`` round-trips, so
+    ``float`` gives back each value's bits, ``-0`` included, and the chart
+    is the one the rows that were written would give."""
+    keep, sampled = chart_sampler(chart_stride(finite_rows))
+    with open(path, encoding="utf-8", newline="") as fh:
+        next(fh)  # the header
+        for line in islice(fh, finite_rows):
+            keep((tuple(map(float, line.split(","))),))
+    return sampled
+
+
 def render_trace_panels(rows: Sequence[Sequence[float]]) -> str:
     """The two stacked panels (positions, torques) of a trace chart, as the
     SVG elements that ``write_trace_panels`` puts under the title.
 
     ``rows`` are those of ``run_closed_loop``, columns in ``TraceRow``'s
     field order, so only the last row can be non-finite (a diverged run's
-    flagged row); it is not plotted.
+    flagged row); it is not plotted.  The finite rows are sampled by
+    ``chart_sampler`` at their ``chart_stride`` and drawn by
+    ``render_sampled_panels``.
     """
     finite = (rows[:-1] if rows and not all(map(math.isfinite, rows[-1]))
               else rows)
-    stride = max(1, len(finite) // 800)
-    sampled = list(finite[::stride])
-    if finite and sampled[-1] is not finite[-1]:
-        sampled.append(finite[-1])
+    keep, sampled = chart_sampler(chart_stride(len(finite)))
+    keep(finite)
+    return render_sampled_panels(sampled)
+
+
+def render_sampled_panels(sampled: Sequence[Sequence[float]]) -> str:
+    """``render_trace_panels`` of a trace whose finite rows ``chart_sampler``
+    has already sampled: the rows to plot, every one finite."""
 
     def column(name: str) -> List[float]:
         index = TraceRow._fields.index(name)

@@ -13,27 +13,30 @@ step.  Per state it evaluates the trajectory, the contact force and the
 commanded acceleration once, and each torque law at most once, and takes
 the RK4 step in one call.  ``run_variants`` decides which closed loops run
 for a list of variants; ``compare_variants`` and the ``simulate`` command
-take their runs from it.  For ``compare_variants`` the first run also
-evaluates every other law except the oracle's at each of its states, on
-the c and contact force it has solved there; the oracle's gap is that
-run's ``torque_divergence_rms``.  A closed loop hands each row to a sink
-and keeps none itself: ``run_closed_loop``, ``run_variants`` and with it
-the ``simulate`` command collect the rows in a list, while
+take their runs from the runner behind it.  For ``compare_variants`` the
+first run also evaluates every other law except the oracle's at each of
+its states, on the c and contact force it has solved there; the oracle's
+gap is that run's ``torque_divergence_rms``.  A closed loop hands its
+rows to a sink, a block of rows at a time, and keeps none itself.
+``run_closed_loop`` and ``run_variants`` collect the rows in a list.
 ``compare_variants`` keeps only each run's positions, 16 B a row, and no
-run's trace.  ``sample_trajectory`` and
-``membrane_force`` wrap the trajectory and contact kernels.  Every kernel
-keeps the evaluation order of the ``Vec2`` algebra, so traces are
-bit-identical to the ``Vec2`` formulas.
+run's trace.  The ``simulate`` command gives each run a sink that writes
+the run's CSV and keeps only the rows its chart plots.
+``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
+contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
+algebra, so traces are bit-identical to the ``Vec2`` formulas.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
-    Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, ContextManager, Dict, Iterable, Iterator,
+    List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from .algebra2d import Vec2, check_fields, mat_inv
@@ -84,6 +87,12 @@ class TrajectorySpec:
     def __post_init__(self) -> None:
         check_fields(self, "> 0", "duration")
         if self.kind is TrajectoryKind.QUINTIC:
+            # the quintic's acceleration divides by duration * duration,
+            # which underflows to 0 below about 1.5e-162
+            if not self.duration * self.duration > 0.0:
+                raise ValueError(
+                    "duration is too small for kind 'Quintic': its square "
+                    f"underflows to 0, got {self.duration!r}")
             if self.end is None:
                 raise ValueError("end is required for kind 'Quintic'")
             for name in ("amplitude", "frequency"):
@@ -233,8 +242,16 @@ def membrane_force(model: MembraneModel, q: Vec2, qdot: Vec2) -> ForcePair:
     return ForcePair(_contact_kernel(model)(q.a0, qdot.a0), 0.0)
 
 
-# takes each row of a closed loop as the loop makes it
-_Sink = Callable[[Tuple[float, ...]], object]
+# takes each block of rows of a closed loop as the loop makes them
+_Sink = Callable[[List[Tuple[float, ...]]], object]
+
+# The rows a closed loop hands its sink at a time: a sink is called once a
+# block, not once a row, and a block stays small next to what a sink keeps
+# (a comparison keeps 32 B a row of its runs, a block is about 30 KB).  A
+# block's floats outlive the interpreter's float free list (100 floats), so
+# under tracemalloc, which traces every allocation past that list, a loop
+# runs about 3-5 times slower than with rows handed over one by one.
+_BLOCK_ROWS = 64
 
 
 def check_run_grid(
@@ -282,7 +299,7 @@ def run_closed_loop(
     rows: List[Tuple[float, ...]] = []
     metrics, _ = _closed_loop(
         variant, masses, frame, gains, spec, membrane, fed, t_end, dt, (),
-        rows.append,
+        rows.extend,
     )
     return rows, metrics
 
@@ -300,12 +317,14 @@ def _closed_loop(
     rivals: Sequence[ControllerVariant],
     sink: _Sink,
 ) -> Tuple[RunMetrics, List[float]]:
-    """``run_closed_loop``, which hands each row to ``sink`` instead of
-    keeping it, and also scores the torque law of each of ``rivals`` along
+    """``run_closed_loop``, which hands its rows to ``sink`` instead of
+    keeping them, and also scores the torque law of each of ``rivals`` along
     the run.
 
     ``sink`` gets every row in order, a diverged run's flagged final row
-    included, and the loop keeps no row once the sink returns.  At each
+    included, in blocks: lists of ``_BLOCK_ROWS`` rows, the last one
+    shorter but not empty.  The loop keeps no row of a block once the sink
+    returns, and a sink may keep the list itself.  At each
     finite state, before the step moves it, every rival law is evaluated on
     the c and contact force solved there; the oracle's law needs no rival,
     its gap is ``torque_divergence_rms``.  The second result holds, per
@@ -337,6 +356,9 @@ def _closed_loop(
     imp_max = 0.0
     finite_rows = 0
     diverged = False
+    block: List[Tuple[float, ...]] = []
+    append = block.append
+    block_rows = _BLOCK_ROWS
 
     for t, h in grid:
         qd0, qd1, qv0, qv1, qa0, qa1 = desired(t)
@@ -349,7 +371,7 @@ def _closed_loop(
         else:
             or0, or1 = oracle(c0, c1, fex, 0.0, xdot, ydot)
         row = (t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1)
-        sink(row)
+        append(row)
         if not isfinite(sum(row)) and not all(map(isfinite, row)):
             diverged = True
             break
@@ -374,6 +396,12 @@ def _closed_loop(
         g0, g1 = tau0 - or0, tau1 - or1
         sq_div += g0 * g0 + g1 * g1
         finite_rows += 1
+        if len(block) == block_rows:
+            sink(block)
+            block = []
+            append = block.append
+    if block:
+        sink(block)
 
     n = max(finite_rows, 1)
     metrics = RunMetrics(
@@ -386,13 +414,25 @@ def _closed_loop(
     return metrics, [math.sqrt(sq / n) for sq in sq_rivals]
 
 
-def _trace() -> Tuple[_Sink, List[Tuple[float, ...]]]:
+# A keeper gives the closed loop of a variant that runs its sink, and what
+# that sink keeps, for the length of a ``with`` block around the run; a
+# keeper that opens a file closes it when the block ends, an error included.
+_Keeper = Callable[[ControllerVariant], ContextManager[Tuple[_Sink, Any]]]
+
+
+@contextmanager
+def _trace(variant: ControllerVariant) -> Iterator[
+    Tuple[_Sink, List[Tuple[float, ...]]]
+]:
     """A sink that collects every row in a list, and that list."""
     rows: List[Tuple[float, ...]] = []
-    return rows.append, rows
+    yield rows.extend, rows
 
 
-def _positions() -> Tuple[_Sink, Tuple[array, array]]:
+@contextmanager
+def _positions(variant: ControllerVariant) -> Iterator[
+    Tuple[_Sink, Tuple[array, array]]
+]:
     """A sink that keeps each row's x and y, 16 B a row, and the two
     ``array('d')`` it fills."""
     # imported here: the array module is a shared library of its own, so
@@ -400,13 +440,14 @@ def _positions() -> Tuple[_Sink, Tuple[array, array]]:
     from array import array
 
     xs, ys = array("d"), array("d")
-    x_append, y_append = xs.append, ys.append
+    x_extend, y_extend = xs.extend, ys.extend
+    x_of, y_of = itemgetter(1), itemgetter(2)
 
-    def keep(row: Tuple[float, ...]) -> None:
-        x_append(row[1])
-        y_append(row[2])
+    def keep(block: List[Tuple[float, ...]]) -> None:
+        x_extend(map(x_of, block))
+        y_extend(map(y_of, block))
 
-    return keep, (xs, ys)
+    yield keep, (xs, ys)
 
 
 def run_variants(
@@ -426,7 +467,8 @@ def run_variants(
 
     Yields ``(variant, source, metrics, rows)`` per variant, in order.  The
     first variant of a law runs in closed loop: ``source`` is the variant
-    itself and ``rows`` its trace, collected in a list by the run's sink.
+    itself and ``rows`` its trace, collected in a list by the run's sink,
+    as ``run_closed_loop`` returns it.
     A later variant of that law, a repeated one included, reuses that run,
     which is what running it again would give bit for bit: ``source`` is
     the variant that ran, ``metrics`` that run's object and ``rows`` None.
@@ -440,6 +482,8 @@ def run_variants(
 
     The generator keeps no rows past a yield, so a consumer that drops
     ``rows`` before asking for the next variant holds one trace at a time.
+    The ``simulate`` command and ``compare_variants`` take their runs from
+    the same runner, with sinks that keep no trace.
     """
     return _runs(variants, masses, frame, gains, spec, membrane, fed, t_end,
                  dt, torque_gaps, _trace)
@@ -456,11 +500,16 @@ def _runs(
     t_end: float,
     dt: float,
     torque_gaps: Optional[Dict[ControllerVariant, float]],
-    keeper: Callable[[], Tuple[_Sink, Any]],
+    keeper: _Keeper,
 ) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics, Any]]:
-    """``run_variants``, with ``keeper()`` giving each closed loop that
-    runs its sink and what that sink keeps, which is yielded in place of
-    the run's rows."""
+    """``run_variants``, with ``keeper(variant)`` giving the closed loop of
+    each variant that runs its sink and what that sink keeps, which is
+    yielded in place of the run's rows.
+
+    The run takes place inside ``with keeper(variant)``, so what the keeper
+    opened for it is closed before the yield, and an exception raised by
+    the sink reaches the caller of ``next`` once it has been.
+    """
     variants = list(variants)
     # the variant that runs each law: the first one of that law
     sources = {}
@@ -476,11 +525,11 @@ def _runs(
         if law in ran:
             yield (variant, *ran[law], None)
             continue
-        sink, kept = keeper()
-        metrics, rival_rms = _closed_loop(
-            variant, masses, frame, gains, spec, membrane, fed, t_end, dt,
-            rivals, sink,
-        )
+        with keeper(variant) as (sink, kept):
+            metrics, rival_rms = _closed_loop(
+                variant, masses, frame, gains, spec, membrane, fed, t_end, dt,
+                rivals, sink,
+            )
         del sink
         if torque_gaps is not None and not ran:
             torque_gaps.update(zip(rivals, rival_rms))

@@ -283,8 +283,8 @@ class TestSimulateCommand:
         assert quiet.stderr == ""
         assert chatty.stdout == quiet.stdout
         timed = re.findall(
-            r"^INFO variant (\w+): closed loop \d+\.\d{3} s, "
-            r"trace files \d+\.\d{3} s$",
+            r"^INFO variant (\w+): closed loop \+ CSV \d+\.\d{3} s, "
+            r"SVG \d+\.\d{3} s$",
             chatty.stderr, re.MULTILINE)
         assert timed == list(ALL_VARIANTS)
         reused = re.findall(
@@ -319,8 +319,8 @@ class TestSimulateCommand:
             "trace_SimPaper.csv", "plot_SimPaper.svg",
             "trace_StageConsistent.csv", "plot_StageConsistent.svg",
             "trace_SimPaper.csv", "plot_SimPaper.svg", "metrics.json"]
-        timed = re.findall(r"^INFO variant (\w+): closed loop \d+\.\d{3} s, "
-                           r"trace files \d+\.\d{3} s$",
+        timed = re.findall(r"^INFO variant (\w+): closed loop \+ CSV "
+                           r"\d+\.\d{3} s, SVG \d+\.\d{3} s$",
                            proc.stderr, re.MULTILINE)
         assert timed == shared
         reused = re.findall(
@@ -609,7 +609,7 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
     # one line format per file must write what fmt writes value by value,
     # for a diverged trace's flagged last row and for a free-response row
     from microinject.report import (
-        FREE_RESPONSE_HEADER, fmt, write_csv, write_trace_csv,
+        FREE_RESPONSE_HEADER, fmt, trace_csv_writer, write_csv, write_trace_csv,
     )
     from microinject.sim import TraceRow
 
@@ -622,6 +622,16 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
     write_trace_csv(str(trace_path), [trace_row])
     assert trace_path.read_bytes() == (
         TRACE_HEADER + "\n" + ",".join(fmt(v) for v in trace_row) + "\n"
+    ).encode()
+
+    # the sink simulate writes its CSVs with, a block of rows at a time
+    streamed_path = tmp_path / "streamed.csv"
+    with open(streamed_path, "w", encoding="utf-8", newline="") as fh:
+        write_rows = trace_csv_writer(fh)
+        write_rows([tuple(trace_row)] * 2)
+        write_rows([tuple(trace_row)])
+    assert streamed_path.read_bytes() == (
+        TRACE_HEADER + "\n" + (",".join(fmt(v) for v in trace_row) + "\n") * 3
     ).encode()
 
     free_path = tmp_path / "free.csv"
@@ -653,6 +663,28 @@ def test_svg_of_rows_spanning_past_float_range_has_only_finite_coordinates(
     assert len(points) == 8
     for coord in " ".join(points).replace(",", " ").split():
         assert math.isfinite(float(coord)), coord
+
+
+@pytest.mark.parametrize("rows", [1, 2, 799, 800, 801, 1599, 1600, 1601, 4001])
+@pytest.mark.parametrize("block_rows", [1, 7, 64, 5000])
+def test_chart_sampler_keeps_what_slicing_the_whole_trace_keeps(
+    rows, block_rows,
+):
+    # the sampling of a chart drawn from the whole trace: every stride-th
+    # row, then the last row unless it is the last one kept
+    from microinject.report import chart_sampler, chart_stride
+
+    trace = [(float(i),) for i in range(rows)]
+    stride = chart_stride(rows)
+    want = trace[::stride]
+    if want[-1] is not trace[-1]:
+        want.append(trace[-1])
+    keep, sampled = chart_sampler(stride)
+    for start in range(0, rows, block_rows):
+        keep(trace[start:start + block_rows])
+    keep([])
+    assert len(sampled) == len(want)
+    assert all(a is b for a, b in zip(sampled, want))
 
 
 def test_csv_floats_round_trip(tmp_path):
@@ -721,3 +753,234 @@ def test_simulate_that_cannot_write_a_file_exits_2(blocked, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"microinject: cannot write {out / blocked}: "
         f"{os.strerror(errno.EISDIR)}\n")
+
+
+# The scenario printed in README.md under "Scenario config".
+README_SCENARIO = {
+    "frame": {"alpha": 0.5235987755982988, "dx": 0.5, "dy": 0.5,
+              "fx": 2.0, "fy": 4.0},
+    "masses": {"mx": 1.0, "my": 1.0, "mp": 1.0},
+    "impedance": {"m": 1.0, "b": 20.0, "k": 100.0},
+    "trajectory": {"kind": "Quintic", "start": [0.0, 0.0], "end": [1.5, 0.5],
+                   "duration": 3.0},
+    "membrane": {"stiffness": 50.0, "damping": 2.0, "contact_x": 1.0},
+    "fed": [0.5, 0.0],
+    "run": {"t_end": 5.0, "dt": 0.001,
+            "variants": ["StageConsistent", "Corrected", "SimPaper", "McPaper"]},
+    "seed": 0,
+}
+
+# SHA-256 of every artifact of `simulate --svg` on the README scenario.
+README_SHA256 = {
+    "metrics.json": "42bcbc6b02710f5de48277989e73471da62c086a3f7fc3b4c86c9dfac0a348ad",
+    "plot_Corrected.svg": "ad1bca24a14c2de622b13aaf46b67ed7f637a605673995c3b99af0f768f6ca81",
+    "plot_McPaper.svg": "f1377f4a005018c9671abbdb763b2100ac4ee1373c3d40091ae969aac881f8f5",
+    "plot_SimPaper.svg": "d7a12f4e655a38ff5fe758de8211d065a53fb476783007ef35b81f4fc50a9a04",
+    "plot_StageConsistent.svg": "19935e2572da5753a06fdf7c71d227282d2d0c4f864a41ac9417e6e956be8059",
+    "trace_Corrected.csv": "b5509b42f09555c275f9d4544a916253a3ba33e049df4717e3175271228f1f5e",
+    "trace_McPaper.csv": "27f3799fdc5f9a5fecd033c58611e25bf9fbf8aa851c0e1fc659cd299a128ada",
+    "trace_SimPaper.csv": "f17b13febcfab5133f6a25dcaafa7a0172140f0e27656f754becdc7c21f3bf05",
+    "trace_StageConsistent.csv": "f17b13febcfab5133f6a25dcaafa7a0172140f0e27656f754becdc7c21f3bf05",
+}
+
+# SHA-256 of the charts of the README scenario on grids of 799 to 1,601
+# rows, around the chart strides' changes at 800 and 1,600 rows (dt = 2**-10,
+# so t_end / dt is exact), as render_trace_panels draws them from the whole
+# trace.
+STRIDE_BOUNDARY_SVG_SHA256 = {
+    799: ("43a00064a63ddeb975a822bab0bce1d3df323c7c2ce6857e93db57a515eb11af",
+          "fdb88d4204962cadb09de3316febe467e4ed0a27af11b82834b5a852562c4452"),
+    800: ("883baa8e3426ebc8a2192f4b79545e3bb1418c3bcfff97927aea7eb7807d376e",
+          "8e60baa67292aecaa7d6b5dc42422a625e90fd080b82c016bf7e3f37d75d16e8"),
+    801: ("b6f6ef8126ec796a186ecf6bafbeed10670933c10500ba969c966f4fa2064d56",
+          "ac02034c38921a923dad3e4e54e27d507fe5a06148b1caa703ec6df47a334ad5"),
+    1599: ("09add371cccb1ac4e1af18ea9c3e9d4e7a712652185b725fb504eb43b5caf64d",
+           "82f238e5fc4931f18d35613d2461ad5678a1ff7c26a5c0557b14d8ba849d70bd"),
+    1600: ("f4a9c0dd4d97a5250e4299034b5094c38124f886b9d18ea077062d75e6dc3dbc",
+           "f027d250b4ddf730e03b56036ee7e2faf7a7f939daf4227510bfe438bcbcc974"),
+    1601: ("8aefe53131309c2922818dccf4ce915a01a45b6883848d16204aa4b1dbad4ae7",
+           "d3c7f7afbd67ea4d3a43bb209f5c9496154358dddcde53f884e193c4e939797e"),
+}
+
+# SHA-256 of the artifacts of the README scenario at fx = fy = 100 with
+# Corrected alone: the run diverges after 2,946 samples.
+DIVERGING_SHA256 = {
+    "metrics.json": "5e87fe667ed78083b6e09497a652eef061daf408344d03ae3c5ec2f290e2a45a",
+    "plot_Corrected.svg": "c9e103a128bac236083bc0a93831dbf9a89fbc3227ced77f69be9b48b1cc52d3",
+    "trace_Corrected.csv": "d130250e5624a2e22b0b551cb10d4a5cce273103c73a3a009a48833e5b66d323",
+}
+
+
+def readme_config(path, frame=(), **run):
+    """The README scenario with ``frame`` and ``run`` fields replaced."""
+    doc = json.loads(json.dumps(README_SCENARIO))
+    doc["frame"].update(frame)
+    doc["run"].update(run)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def digests(out):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()}
+
+
+def test_readme_run_streams_its_traces(tmp_path, capsys):
+    # each run's CSV is written from the closed loop's sink and only the
+    # rows its chart plots are kept, about 0.8 MB at the peak here; a run
+    # whose whole trace is held peaks near 2.7 MB
+    from microinject import cli
+
+    config = readme_config(tmp_path / "scenario.json")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["simulate", "--config", str(config), "--out",
+                         str(out), "--svg"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.2e6, peak
+    assert digests(out) == README_SHA256
+
+
+@pytest.mark.parametrize("rows", sorted(STRIDE_BOUNDARY_SVG_SHA256))
+def test_charts_at_the_stride_boundaries_match_pinned_bytes(
+    rows, tmp_path, capsys,
+):
+    from microinject import cli
+
+    config = readme_config(tmp_path / "scenario.json", t_end=(rows - 1) / 1024,
+                           dt=1 / 1024, variants=["Corrected", "McPaper"])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                     "--svg"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())["variants"]
+    assert [m["samples"] for m in metrics.values()] == [rows, rows]
+    found = digests(out)
+    assert (found["plot_Corrected.svg"], found["plot_McPaper.svg"]) == (
+        STRIDE_BOUNDARY_SVG_SHA256[rows])
+
+
+def test_diverging_run_charts_its_finite_rows_at_their_own_stride(
+    tmp_path, capsys,
+):
+    # 2,945 finite rows are charted at stride 3, where the 5,001-row grid
+    # would be at 6: the chart is drawn from the CSV read back
+    from microinject import cli, report
+
+    config = readme_config(tmp_path / "scenario.json",
+                           frame={"fx": 100.0, "fy": 100.0},
+                           variants=["Corrected"])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                     "--svg"]) == 1
+    metrics = json.loads((out / "metrics.json").read_text())["variants"]
+    assert metrics["Corrected"]["samples"] == 2946
+    assert metrics["Corrected"]["diverged"] is True
+    assert (report.chart_stride(2945), report.chart_stride(5001)) == (3, 6)
+    assert digests(out) == DIVERGING_SHA256
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _peak_rss_kb(tmp_path, t_end):
+    """The peak resident memory of a child process that runs `simulate
+    --svg` on the README scenario's Corrected run to ``t_end``."""
+    config = readme_config(tmp_path / f"scenario_{t_end}.json", t_end=t_end,
+                           variants=["Corrected"])
+    out = tmp_path / f"out_{t_end}"
+    child = ("import resource, sys\n"
+             "from microinject import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "simulate", "--config", str(config),
+         "--out", str(out), "--svg"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["variants"]["Corrected"]["samples"] == round(t_end * 1000) + 1
+    return int(proc.stdout.splitlines()[-1])
+
+
+def test_simulate_memory_does_not_grow_with_the_run(tmp_path):
+    # a run 10 times as long peaks at the same resident memory: nothing
+    # is held per row (ru_maxrss is in KiB on Linux)
+    short = _peak_rss_kb(tmp_path, 20.0)
+    long = _peak_rss_kb(tmp_path, 200.0)
+    assert abs(long - short) <= 3 * 1024, (short, long)
+
+
+def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
+    tmp_path, capsys, monkeypatch,
+):
+    # every write to /dev/full fails: the first block of rows the closed
+    # loop hands its sink cannot be written
+    from microinject import cli
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    config = write_config(tmp_path / "scenario.json", run={
+        "t_end": 0.5, "dt": 0.001,
+        "variants": ["StageConsistent", "Corrected", "SimPaper"]})
+    out = tmp_path / "out"
+    out.mkdir()
+    blocked = out / "trace_Corrected.csv"
+    blocked.symlink_to("/dev/full")
+    code = cli.main(["simulate", "--config", str(config), "--out", str(out),
+                     "--svg"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"microinject: cannot write {blocked}: {os.strerror(errno.ENOSPC)}\n")
+    assert captured.out.splitlines() == [
+        str(out / "trace_StageConsistent.csv"),
+        str(out / "plot_StageConsistent.svg")]
+    assert [fh.name for fh in opened] == [
+        str(out / "trace_StageConsistent.csv"), str(blocked)]
+    assert all(fh.closed for fh in opened)
+
+
+@pytest.mark.parametrize("duration", [1e-170, 5e-324])
+def test_quintic_duration_whose_square_underflows_exits_2_before_writing(
+    duration, tmp_path,
+):
+    # the quintic divides by duration * duration, which is 0.0 here
+    config = write_config(tmp_path / "scenario.json", trajectory={
+        "kind": "Quintic", "start": [0.0, 0.0], "end": [1.5, 0.0],
+        "duration": duration})
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                   "--svg")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "microinject: config error: trajectory.duration is too small for "
+        f"kind 'Quintic': its square underflows to 0, got {duration!r}\n")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_quintic_duration_whose_square_is_positive_runs(tmp_path):
+    config = write_config(tmp_path / "scenario.json", trajectory={
+        "kind": "Quintic", "start": [0.0, 0.0], "end": [1.5, 0.0],
+        "duration": 1e-160}, run={"t_end": 0.05, "dt": 0.001,
+                                  "variants": ["StageConsistent"]})
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                   "--svg")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["variants"]["StageConsistent"]["samples"] == 51

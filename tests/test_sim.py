@@ -66,6 +66,19 @@ class TestTrajectorySpec:
             TrajectorySpec(kind=TrajectoryKind.QUINTIC, start=Vec2(0, 0),
                            end=Vec2(1, 1), duration=0.0)
 
+    @pytest.mark.parametrize("duration", [1e-170, 5e-324])
+    def test_rejects_a_quintic_duration_whose_square_underflows(self, duration):
+        # sample_trajectory would divide by duration * duration == 0.0
+        with pytest.raises(ValueError, match="its square underflows to 0"):
+            TrajectorySpec(kind=TrajectoryKind.QUINTIC, start=Vec2(0, 0),
+                           end=Vec2(1, 1), duration=duration)
+
+    def test_a_quintic_duration_whose_square_is_positive_samples(self):
+        spec = TrajectorySpec(kind=TrajectoryKind.QUINTIC, start=Vec2(0, 0),
+                              end=Vec2(1, 1), duration=1e-160)
+        d = sample_trajectory(spec, 0.0)
+        assert (d.qd.a0, d.qd_ddot.a0) == (0.0, 0.0)
+
     def test_quintic_requires_end(self):
         with pytest.raises(ValueError, match="end"):
             TrajectorySpec(kind=TrajectoryKind.QUINTIC, start=Vec2(0, 0),
@@ -814,7 +827,8 @@ def test_run_variants_keeps_no_rows_once_the_consumer_drops_them(monkeypatch):
         # every earlier trace is gone before the next run builds its own
         assert [ref() for ref in dropped] == [None] * len(dropped)
         rows = _Rows()
-        args[-1](rows)
+        # the sink takes a block of rows: one row, which lives with the trace
+        args[-1]([rows])
         dropped.append(weakref.ref(rows))
         return RunMetrics(Vec2(0.0, 0.0), 0.0, 0.0, 0), []
 

@@ -24,6 +24,7 @@ from microinject.dynamics import (
     MassParams,
     StageState,
     check_steps,
+    grid_rows,
     integrate,
     step_grid,
 )
@@ -139,6 +140,7 @@ def test_the_walk_yields_the_list_grid_bit_for_bit(t_end, dt):
     times = list_grid(t_end, dt)
     widths = [b - a for a, b in zip(times, times[1:])] + [0.0]
     walked = list(step_grid(t_end, dt))
+    assert grid_rows(t_end, dt) == len(walked)
     assert [t.hex() for t, _ in walked] == [t.hex() for t in times]
     assert [h.hex() for _, h in walked] == [h.hex() for h in widths]
     # integrate names the time after a step t + h: it is the next grid time
