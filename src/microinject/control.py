@@ -54,7 +54,8 @@ operation is elementwise ``+ - * /`` or ``abs``, every ``max`` is
 which takes frames of lanes; so given parameters and states whose entries
 are arrays, one lane per trial, they give each lane the bits they give its
 floats.  The ``verify`` control suites run them that way, a chunk of
-trials per call.
+trials per call.  T reads the frame's cached ``FrameParams.rotation``, so
+every kernel built on one frame shares one cosine and sine of alpha.
 """
 
 from __future__ import annotations
@@ -294,7 +295,9 @@ def torque_kernel(
     L = M and N = B in stage space; L = M@T and N = (B@T_inv)@T, with
     T = transformation_matrix(frame), for the transform-weighted variants,
     which raise SingularMatrix when T fails ``mat_inv``'s scale-relative
-    cutoff.  The stage-space variants never form T.
+    cutoff.  The stage-space variants never form T.  T reads the frame's
+    cached ``rotation``, so the kernels built on one frame compute its
+    cosine and sine once between them.
 
     The returned ``torque(c0, c1, fe0, fe1, v0, v1)`` gives
     tau = L @ c + N @ qdot + tail at one state, with the commanded

@@ -20,12 +20,20 @@ coordinates of either kind.  Every operation is elementwise ``+ - *``, and
 the cosine and sine of alpha come from ``math`` lane by lane
 (``algebra2d.lane_map``), so each lane gets the bits of that frame's float
 evaluation.
+
+A frame's cosine and sine are computed once per frame: ``FrameParams.rotation``
+caches ``rotation_matrix(alpha)`` on first read, and every map, and every
+``control.torque_kernel``, built on that frame reads it.  A frame is frozen,
+so its rotation cannot go stale, except that the arrays of a lane frame can
+be written in place: they must not be written after its rotation has been
+read.  ``verify`` never writes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra2d import Mat2, Vec2, check_fields, lane_map, mat_vec_mul
 
@@ -52,6 +60,13 @@ class FrameParams:
     def __post_init__(self) -> None:
         check_fields(self, "finite", "alpha")
         check_fields(self, "> 0", "dx", "dy", "fx", "fy")
+
+    @cached_property
+    def rotation(self) -> Mat2:
+        """``rotation_matrix(alpha)``, computed on first read and kept: not
+        a field, so ``==``, ``hash`` and ``repr`` ignore it, and
+        ``dataclasses.replace`` gives a frame that computes its own."""
+        return rotation_matrix(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -98,7 +113,7 @@ def rotation_matrix(alpha: float) -> Mat2:
 
 def transformation_matrix(p: FrameParams) -> Mat2:
     """Stage-to-image matrix diag(fx, fy) @ rotation; det = fx*fy."""
-    r = rotation_matrix(p.alpha)
+    r = p.rotation
     return Mat2(p.fx * r.m00, p.fx * r.m01, p.fy * r.m10, p.fy * r.m11)
 
 
@@ -109,7 +124,7 @@ def image_offset(p: FrameParams) -> Vec2:
 
 def stage_to_camera(p: FrameParams, s: StageCoord) -> CameraCoord:
     """Rotate by alpha, then translate by (dx, dy)."""
-    rotated = mat_vec_mul(rotation_matrix(p.alpha), s.vec)
+    rotated = mat_vec_mul(p.rotation, s.vec)
     return CameraCoord(rotated.a0 + p.dx, rotated.a1 + p.dy)
 
 

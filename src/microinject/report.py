@@ -103,9 +103,12 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 def _panel_polylines(
     series: Sequence[Tuple[str, List[float], bool]],
-    ts: List[float],
+    x_texts: List[str],
     x0: float, y0: float, w: float, h: float,
 ) -> List[str]:
+    """One panel at (x0, y0), w by h, of ``series`` (label, values,
+    dashed); ``x_texts`` holds each sampled point's x as the ``"px,"`` text
+    that starts its polyline point."""
     lo = min((min(v) for _, v, _ in series if v), default=0.0)
     hi = max((max(v) for _, v, _ in series if v), default=1.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -113,14 +116,14 @@ def _panel_polylines(
     if hi - lo < 1e-300:
         lo -= 0.5
         hi += 0.5
+        if lo == hi:
+            # past about 1e16 the 0.5 is lost to rounding: widen by half
+            # the magnitude instead, which stays finite at any finite value
+            lo, hi = lo - abs(lo) / 2, hi + abs(hi) / 2
     # a span past the float range is measured on halved values; halving is
     # exact, and scaling by 1.0 leaves every other span's arithmetic as is
     half = 1.0 if math.isfinite(hi - lo) else 0.5
     lo_h, span_h = lo * half, hi * half - lo * half
-    # no finite row leaves every series empty: panels and legend only
-    t_lo, t_hi = (ts[0], ts[-1]) if ts else (0.0, 1.0)
-    if t_hi - t_lo < 1e-300:
-        t_hi = t_lo + 1.0
     parts = [
         f'<rect x="{x0:.1f}" y="{y0:.1f}" width="{w:.1f}" height="{h:.1f}" '
         'fill="none" stroke="#888" stroke-width="1"/>',
@@ -128,11 +131,8 @@ def _panel_polylines(
         f"[{lo:.4g}, {hi:.4g}]</text>",
     ]
     for idx, (label, values, dashed) in enumerate(series):
-        pts = []
-        for t, v in zip(ts, values):
-            px = x0 + (t - t_lo) / (t_hi - t_lo) * w
-            py = y0 + h - (v * half - lo_h) / span_h * h
-            pts.append(f"{px:.2f},{py:.2f}")
+        pts = [f"{x}{y0 + h - (v * half - lo_h) / span_h * h:.2f}"
+               for x, v in zip(x_texts, values)]
         color = _COLORS[idx % len(_COLORS)]
         dash = ' stroke-dasharray="5,3"' if dashed else ""
         parts.append(
@@ -227,6 +227,13 @@ def render_sampled_panels(sampled: Sequence[Sequence[float]]) -> str:
 
     panel_w = _SVG_W - 2 * _PANEL_MARGIN
     panel_h = (_SVG_H - 3 * _PANEL_MARGIN) / 2
+    # no finite row leaves every series empty: panels and legend only
+    t_lo, t_hi = (ts[0], ts[-1]) if ts else (0.0, 1.0)
+    if t_hi - t_lo < 1e-300:
+        t_hi = t_lo + 1.0
+    # each point's x, formatted once for the eight series of both panels
+    x_texts = [f"{_PANEL_MARGIN + (t - t_lo) / (t_hi - t_lo) * panel_w:.2f},"
+               for t in ts]
     top = _panel_polylines(
         [
             ("x", column("x"), False),
@@ -234,7 +241,7 @@ def render_sampled_panels(sampled: Sequence[Sequence[float]]) -> str:
             ("xd", column("xd"), True),
             ("yd", column("yd"), True),
         ],
-        ts, _PANEL_MARGIN, _PANEL_MARGIN, panel_w, panel_h,
+        x_texts, _PANEL_MARGIN, _PANEL_MARGIN, panel_w, panel_h,
     )
     bottom = _panel_polylines(
         [
@@ -243,7 +250,7 @@ def render_sampled_panels(sampled: Sequence[Sequence[float]]) -> str:
             ("taux_oracle", column("taux_oracle"), True),
             ("tauy_oracle", column("tauy_oracle"), True),
         ],
-        ts, _PANEL_MARGIN, 2 * _PANEL_MARGIN + panel_h, panel_w, panel_h,
+        x_texts, _PANEL_MARGIN, 2 * _PANEL_MARGIN + panel_h, panel_w, panel_h,
     )
     return "\n".join(top + bottom)
 

@@ -27,11 +27,13 @@ Every suite evaluates a chunk of at most ``_CHUNK_ROWS`` trials at a
 time, on float64 columns, one lane per trial.  The maps of ``frames`` and
 the kernels of ``control`` and ``dynamics`` are number-generic, so each
 call gives every lane the bits it gives that trial's floats; ``_lanes``
-builds the parameter objects that hold the lanes.  ``frames`` applies the
-public frame maps to slices of its columns.  ``dynamics`` binds
-``free_response_kernel`` and ``inverse_dynamics_kernel`` once per slice of
-its columns and evaluates every lane at one of the 100 sample times at a
-time.  Per chunk, ``implication`` forms the required torque and tests the
+builds the parameter objects that hold the lanes.  A chunk's lane frame
+computes its cosines and sines once (``FrameParams.rotation``), and every
+map, check and ``torque_kernel`` of the chunk reads them; no suite writes a
+frame's arrays.  ``frames`` applies the public frame maps to slices of its
+columns.  ``dynamics`` binds ``free_response_kernel`` and
+``inverse_dynamics_kernel`` once per slice of its columns and evaluates
+every lane at one of the 100 sample times at a time.  Per chunk, ``implication`` forms the required torque and tests the
 impedance-law precondition and solves the commanded acceleration once,
 then applies the check to the STAGE_CONSISTENT and the identity-frame
 CORRECTED ``torque_kernel``; ``discrepancy`` solves c once with the drawn
@@ -40,8 +42,8 @@ at the skewed, the identity and the drawn frames, building each law once.
 The ``Vec2`` functions wrap the same kernels, so each suite checks the
 code the rest of the package runs.  The RK4 checks
 (``dynamics.rk4_matches_closed_form`` and ``dynamics.rk4_order``) call
-``integrate``, take the time and position columns of its
-``(t, x, y, xdot, ydot)`` rows in one array conversion, and compare every
+``integrate``, take only the time and position columns of its
+``(t, x, y, xdot, ydot)`` rows, one array each, and compare every
 sample with one lane call of ``free_response_kernel``.
 
 Residuals are folded into their worst case with ``algebra2d.fold_worst``,
@@ -55,6 +57,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,7 +89,6 @@ from .dynamics import (
     StageState,
     ZERO_FORCE,
     ZERO_TORQUE,
-    free_response,
     free_response_kernel,
     image_space_operators,
     integrate,
@@ -98,7 +100,6 @@ from .frames import (
     StageCoord,
     camera_to_image,
     image_offset,
-    rotation_matrix,
     stage_to_camera,
     stage_to_image,
     transformation_matrix,
@@ -229,7 +230,7 @@ def frames_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult
         worst_comp = _fold_lanes(worst_comp, abs(one.u - two.u),
                                  abs(one.v - two.v))
 
-        r = rotation_matrix(alpha)
+        r = p.rotation
         rtr = mat_mul(transpose(r), r)
         worst_rot = _fold_lanes(
             worst_rot,
@@ -270,10 +271,11 @@ def max_error_vs_closed_form(
     x0, y0, xd0, yd0 = ics
     s0 = StageState(Vec2(x0, y0), Vec2(xd0, yd0))
     samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, t_end, dt)
-    # one lane per sample time, the columns taken in one conversion; the
-    # rows are dropped before the closed form runs, so its lanes do not add
-    # to the trajectory at the memory peak
-    times, xs, ys, _, _ = np.array(samples).T
+    # one lane per sample time; only the t, x and y columns are converted,
+    # and the rows are dropped before the closed form runs, so its lanes do
+    # not add to the trajectory at the memory peak
+    times, xs, ys = (np.fromiter(map(itemgetter(i), samples), float,
+                                 len(samples)) for i in range(3))
     del samples
     x, y, *_ = free_response_kernel(masses, x0, y0, xd0, yd0)(times)
     return _fold_lanes(0.0, abs(xs - x), abs(ys - y))
@@ -284,14 +286,14 @@ def _image_space_residual(h: float = 1e-3) -> float:
     # derivatives from 4th-order central differences on the pixel signal
     masses = MassParams(1.0, 0.5, 0.5)
     frame = FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.25, fx=2.0, fy=4.0)
-    ics = (0.4, -0.3, 1.2, -0.8)
     t_mat = transformation_matrix(frame)
     off = image_offset(frame)
     iner, pos_fin = image_space_operators(masses, frame)
+    closed_form = free_response_kernel(masses, 0.4, -0.3, 1.2, -0.8)
 
     def u(t: float) -> Vec2:
-        state = free_response(masses, *ics, t)
-        return mat_vec_mul(t_mat, state.q) + off
+        x, y, *_ = closed_form(t)
+        return mat_vec_mul(t_mat, Vec2(x, y)) + off
 
     worst = 0.0
     for t in np.linspace(0.1, 10.0, 60):

@@ -884,6 +884,40 @@ def test_diverging_run_charts_its_finite_rows_at_their_own_stride(
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, flat_panel", [
+    ({"fed": [1e17, 1e17]}, 1),
+    ({"fed": [1e308, 1e308]}, 1),
+    ({"trajectory": {"kind": "Quintic", "start": [1e17, 1e17],
+                     "end": [1e17, 1e17], "duration": 3.0},
+      "membrane": {"stiffness": 50.0, "damping": 2.0, "contact_x": 2e17}}, 0),
+])
+def test_chart_panel_flat_at_a_large_magnitude_is_drawn(
+    overrides, flat_panel, tmp_path,
+):
+    # every series of one panel holds one value so large that widening its
+    # range by 0.5 is lost to rounding; the panel still gets a span
+    doc = json.loads(json.dumps(README_SCENARIO))
+    doc.update(overrides)
+    doc["run"].update(t_end=0.05, variants=["Corrected"])
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                   "--svg")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics.json", "plot_Corrected.svg", "trace_Corrected.csv"]
+    points = re.findall(r'points="([^"]*)"',
+                        (out / "plot_Corrected.svg").read_text())
+    assert len(points) == 8
+    for series in points[4 * flat_panel:4 * flat_panel + 4]:
+        ys = {float(point.split(",")[1]) for point in series.split()}
+        # one horizontal line, halfway down the panel
+        assert len(ys) == 1, ys
+        assert ys == {46.0 + 85.5 + flat_panel * (46.0 + 171.0)}
+
+
 def _peak_rss_kb(tmp_path, t_end):
     """The peak resident memory of a child process that runs `simulate
     --svg` on the README scenario's Corrected run to ``t_end``."""

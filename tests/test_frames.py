@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from dataclasses import astuple
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microinject import verify
+from microinject import frames, verify
 from microinject.algebra2d import Mat2, det, diag, identity, mat_inv, mat_mul, mat_vec_mul, transpose
 from microinject.frames import (
     CameraCoord,
@@ -49,6 +50,52 @@ class TestFrameParams:
         with pytest.raises(TypeError):
             s + c  # type: ignore[operator]
         assert s != c
+
+
+class TestCachedRotation:
+    @staticmethod
+    def _count_rotations(monkeypatch):
+        calls = []
+
+        def counting(alpha):
+            calls.append(alpha)
+            return rotation_matrix(alpha)
+
+        monkeypatch.setattr(frames, "rotation_matrix", counting)
+        return calls
+
+    def test_computed_once_per_frame(self, monkeypatch):
+        calls = self._count_rotations(monkeypatch)
+        p = FrameParams(alpha=0.7, dx=0.5, dy=0.25, fx=2.0, fy=4.0)
+        s = StageCoord(1.5, -2.0)
+        first = p.rotation
+        transformation_matrix(p)
+        stage_to_camera(p, s)
+        stage_to_image(p, s)
+        assert p.rotation is first
+        assert calls == [0.7]
+        assert first == rotation_matrix(0.7)
+
+    def test_replace_gives_a_frame_with_its_own_rotation(self, monkeypatch):
+        calls = self._count_rotations(monkeypatch)
+        p = FrameParams(alpha=0.7, dx=0.5, dy=0.25, fx=2.0, fy=4.0)
+        p.rotation
+        turned = dataclasses.replace(p, alpha=-1.2)
+        moved = dataclasses.replace(p, dx=3.0)
+        assert turned.rotation == rotation_matrix(-1.2)
+        assert moved.rotation == p.rotation
+        assert moved.rotation is not p.rotation
+        assert calls == [0.7, -1.2, 0.7]
+
+    def test_equality_hash_and_repr_ignore_the_cached_value(self):
+        read = FrameParams(alpha=0.7, dx=0.5, dy=0.25, fx=2.0, fy=4.0)
+        unread = FrameParams(alpha=0.7, dx=0.5, dy=0.25, fx=2.0, fy=4.0)
+        read.rotation
+        assert read == unread
+        assert hash(read) == hash(unread)
+        assert repr(read) == repr(unread)
+        assert "rotation" not in repr(read)
+        assert "rotation" not in vars(unread)
 
 
 class TestRotationMatrix:
@@ -212,6 +259,7 @@ def test_lane_frames_match_float_maps_bitwise():
         lanes = {
             "transformation_matrix": transformation_matrix(p),
             "rotation_matrix": rotation_matrix(alpha),
+            "rotation": p.rotation,
             "stage_to_camera": stage_to_camera(p, StageCoord(sx, sy)),
             "stage_to_image": stage_to_image(p, StageCoord(sx, sy)),
             "camera_to_image": camera_to_image(p, CameraCoord(sx, sy)),
@@ -223,6 +271,7 @@ def test_lane_frames_match_float_maps_bitwise():
             floats = {
                 "transformation_matrix": transformation_matrix(q),
                 "rotation_matrix": rotation_matrix(a),
+                "rotation": q.rotation,
                 "stage_to_camera": stage_to_camera(q, StageCoord(x, y)),
                 "stage_to_image": stage_to_image(q, StageCoord(x, y)),
                 "camera_to_image": camera_to_image(q, CameraCoord(x, y)),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from microinject import control, verify
+from microinject import control, frames, verify
 from microinject.algebra2d import Mat2, Vec2, fold_worst
 from microinject.control import (
     ControllerVariant,
@@ -274,6 +274,35 @@ def test_suites_take_no_numpy_transcendentals(monkeypatch):
     for name in ("exp", "cos", "sin"):
         monkeypatch.setattr(np, name, _raise_if_called)
     assert digest(verify.run_suite("all", 0, 50), with_detail=True) == want
+
+
+# Lane calls of frames.rotation_matrix per run of three chunks: one per
+# chunk's lane frame.  The other suites' frames are floats.
+ROTATIONS_OVER_THREE_CHUNKS = {
+    "frames": 3, "dynamics": 0, "implication": 0, "discrepancy": 3,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(ROTATIONS_OVER_THREE_CHUNKS))
+def test_each_lane_frame_computes_its_rotation_once(monkeypatch, suite):
+    # frames reads a chunk's rotation in four places and discrepancy in two
+    # (the CORRECTED and MC_PAPER kernels at the drawn frame)
+    lane_calls = []
+    rotation_matrix = frames.rotation_matrix
+
+    def counting(alpha):
+        if isinstance(alpha, np.ndarray):
+            lane_calls.append(alpha.size)
+        return rotation_matrix(alpha)
+
+    # verify too, so that a suite calling it directly is counted
+    for module in (frames, verify):
+        monkeypatch.setattr(module, "rotation_matrix", counting, raising=False)
+    results = verify.run_suite(suite, 3, 2500)
+    assert len(lane_calls) == ROTATIONS_OVER_THREE_CHUNKS[suite]
+    assert sum(lane_calls) in (0, 2500)
+    assert (digest(results, with_detail=True)
+            == SEED_3_TRIALS_2500_WITH_DETAIL_SHA256[suite])
 
 
 def test_precondition_violation_names_the_first_violating_trial(monkeypatch):
