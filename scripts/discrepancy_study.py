@@ -4,7 +4,11 @@
 Runs the same injection scenario (quintic approach, membrane contact,
 constant commanded force) under every controller variant, once with a
 skewed camera frame and once with the identity frame, and tabulates how
-far each formulation strays from the stage-consistent baseline.
+far each formulation strays from the stage-consistent baseline.  Each
+torque law runs once per frame (``sim.run_variants``), 6 closed loops in
+all.  With ``--out``, the skewed-frame runs write ``study_<variant>.csv``
+as they step, and ``SimPaper``, whose law is ``StageConsistent``'s, gets a
+byte copy of that CSV; one that cannot be written exits 2.
 
 A bad grid (``--t-end`` not > 0, ``--dt`` not > 0, or more than
 ``dynamics.MAX_STEPS`` steps) exits 2 with a message on stderr before any
@@ -15,23 +19,23 @@ Usage:
 """
 
 import argparse
+import contextlib
 import math
 import os
 import shutil
 import sys
 
 from microinject.algebra2d import Vec2
-from microinject.control import ControllerVariant, ImpedanceParams
+from microinject.control import ControllerVariant, ImpedanceParams, torque_law_of
 from microinject.dynamics import ForcePair, MassParams
 from microinject.frames import FrameParams
-from microinject.report import write_trace_csv
+from microinject.report import trace_csv_writer
 from microinject.sim import (
     MembraneModel,
     TrajectoryKind,
     TrajectorySpec,
     check_run_grid,
     compare_variants,
-    run_variants,
 )
 
 SKEWED = FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0)
@@ -64,6 +68,24 @@ def main() -> int:
     fed = ForcePair(0.5, 0.0)
     others = [ControllerVariant.CORRECTED, ControllerVariant.SIM_PAPER,
               ControllerVariant.MC_PAPER]
+    written = {}  # by torque law, the CSV of its skewed-frame run
+
+    @contextlib.contextmanager
+    def writing(path):
+        """Exit 2 naming ``path`` on an OSError raised in the block."""
+        try:
+            yield
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog}: cannot write {path}: "
+                           f"{exc.strerror or exc}\n")
+
+    @contextlib.contextmanager
+    def study_csv(variant):
+        """The sink of a skewed-frame run: it writes study_<variant>.csv."""
+        path = os.path.join(args.out, f"study_{variant.value}.csv")
+        with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
+            yield trace_csv_writer(fh), None
+        written[torque_law_of(variant)] = path
 
     for label, frame in (("skewed frame (alpha=pi/6, fx=2, fy=4)", SKEWED),
                          ("identity frame (alpha=0, fx=fy=1)", IDENTITY)):
@@ -71,6 +93,7 @@ def main() -> int:
         result = compare_variants(
             ControllerVariant.STAGE_CONSISTENT, others, masses, frame, gains,
             spec, membrane, fed, args.t_end, args.dt,
+            study_csv if args.out and frame is SKEWED else None,
         )
         base = result.base_metrics
         print(f"{'variant':<18} {'rms e_x':>10} {'rms e_y':>10} "
@@ -92,18 +115,12 @@ def main() -> int:
 
     if args.out:
         # a variant that reuses a run gets a byte copy of that run's CSV
-        for variant, source, _, rows in run_variants(
-            ControllerVariant, masses, SKEWED, gains, spec, membrane, fed,
-            args.t_end, args.dt,
-        ):
+        for variant in ControllerVariant:
             path = os.path.join(args.out, f"study_{variant.value}.csv")
-            if rows is None:
-                shutil.copyfile(
-                    os.path.join(args.out, f"study_{source.value}.csv"), path)
-            else:
-                write_trace_csv(path, rows)
-                # the next closed loop builds its own rows
-                del rows
+            source = written[torque_law_of(variant)]
+            if source != path:
+                with writing(path):
+                    shutil.copyfile(source, path)
             print(f"wrote {path}")
     return 0
 

@@ -12,16 +12,16 @@ suite it runs, and ``simulate`` the variant it is running and then two
 wall times: its closed loop with its CSV, which the loop writes as it
 runs, and its SVG (with ``--svg``).
 
-``simulate`` takes its closed loops from the runner behind
-``sim.run_variants``, and holds no run's rows.  Each closed loop that runs
-writes its ``trace_<variant>.csv`` from its sink a block of rows at a time
-and, with ``--svg``, keeps only the rows its chart plots: every
-``report.chart_stride``-th row of the grid and the latest one.  A run that
-diverges may have a finite prefix with another stride, so its chart is
-drawn from its CSV, read back a line at a time.  A variant that reuses a
-run gets that run's metrics, a byte copy of its CSV, and its SVG panels
-under the variant's own title.  An info line names the variant whose run
-it reuses.
+``simulate`` takes its closed loops from ``sim.run_variants``, the one
+runner, with a keeper of its own, and holds no run's rows.  Each closed
+loop that runs writes its ``trace_<variant>.csv`` from its sink a block of
+rows at a time and, with ``--svg``, keeps only the rows its chart plots:
+every ``report.chart_stride``-th row of the grid and the latest one.  A
+run that diverges may have a finite prefix with another stride, so its
+chart is drawn from its CSV, read back a line at a time.  A variant that
+reuses a run gets that run's metrics, a byte copy of its CSV, and its SVG
+panels under the variant's own title.  An info line names the variant
+whose run it reuses.
 
 ``free-response`` takes a negative value in any spelling that ``float()``
 reads (``-1e-5``, ``-inf``).  It checks the masses, the inversion of
@@ -71,7 +71,7 @@ from .dynamics import (
 )
 from .algebra2d import Vec2, check_fields, fold_worst
 from .control import ControllerVariant
-from .sim import _runs
+from .sim import run_variants
 
 log = logging.getLogger("microinject")
 
@@ -231,10 +231,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     any_diverged = False
     variant_metrics = {}
     panels = {}  # each run's SVG panels, by the variant that ran, with --svg
-    runs = _runs(
+    runs = run_variants(
         config.variants, config.masses, config.frame, config.impedance,
         config.trajectory, config.membrane, config.fed, config.t_end,
-        config.dt, None, trace_csv,
+        config.dt, keeper=trace_csv,
     )
     for variant in config.variants:
         log.info("running variant %s", variant.value)

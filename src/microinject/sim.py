@@ -11,17 +11,17 @@ of the trajectory, the contact model, the commanded acceleration, the
 variant's torque law, the oracle law, the impedance residual and the RK4
 step.  Per state it evaluates the trajectory, the contact force and the
 commanded acceleration once, and each torque law at most once, and takes
-the RK4 step in one call.  ``run_variants`` decides which closed loops run
-for a list of variants; ``compare_variants`` and the ``simulate`` command
-take their runs from the runner behind it.  For ``compare_variants`` the
-first run also evaluates every other law except the oracle's at each of
-its states, on the c and contact force it has solved there; the oracle's
-gap is that run's ``torque_divergence_rms``.  A closed loop hands its
-rows to a sink, a block of rows at a time, and keeps none itself.
-``run_closed_loop`` and ``run_variants`` collect the rows in a list.
-``compare_variants`` keeps only each run's positions, 16 B a row, and no
-run's trace.  The ``simulate`` command gives each run a sink that writes
-the run's CSV and keeps only the rows its chart plots.
+the RK4 step in one call.  ``run_variants``, the one runner, decides which
+closed loops run and, by its keeper, what each run's sink keeps;
+``compare_variants``, ``simulate`` and the discrepancy study take their
+runs from it.  For ``compare_variants`` the first run also evaluates
+every other law except the oracle's at each of its states, on the c and
+contact force it has solved there; the oracle's gap is that run's
+``torque_divergence_rms``.  A closed loop hands its rows to a sink, a
+block of rows at a time, and keeps none itself.  ``run_closed_loop`` and,
+by default, ``run_variants`` collect the rows in a list.
+``compare_variants`` keeps each run's positions, 16 B a row, and hands
+the rows to the keeper it is given; the study's writes each run's CSV.
 ``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
 contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
 algebra, so traces are bit-identical to the ``Vec2`` formulas.
@@ -33,6 +33,7 @@ import enum
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING, Any, Callable, ContextManager, Dict, Iterable, Iterator,
@@ -414,9 +415,7 @@ def _closed_loop(
     return metrics, [math.sqrt(sq / n) for sq in sq_rivals]
 
 
-# A keeper gives the closed loop of a variant that runs its sink, and what
-# that sink keeps, for the length of a ``with`` block around the run; a
-# keeper that opens a file closes it when the block ends, an error included.
+# gives the sink of a variant's closed loop and what it keeps: see run_variants
 _Keeper = Callable[[ControllerVariant], ContextManager[Tuple[_Sink, Any]]]
 
 
@@ -450,6 +449,19 @@ def _positions(variant: ControllerVariant) -> Iterator[
     yield keep, (xs, ys)
 
 
+@contextmanager
+def _teed_positions(keeper: _Keeper, variant: ControllerVariant) -> Iterator[
+    Tuple[_Sink, Any]]:
+    """``_positions(variant)``, whose sink first hands each block to the sink
+    of ``keeper(variant)``; what that sink keeps is dropped."""
+    with keeper(variant) as (sink, _), _positions(variant) as (keep, kept):
+        def tee(block: List[Tuple[float, ...]]) -> None:
+            sink(block)
+            keep(block)
+
+        yield tee, kept
+
+
 def run_variants(
     variants: Iterable[ControllerVariant],
     masses: MassParams,
@@ -461,17 +473,22 @@ def run_variants(
     t_end: float,
     dt: float,
     torque_gaps: Optional[Dict[ControllerVariant, float]] = None,
-) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics,
-                    Optional[List[Tuple[float, ...]]]]]:
+    keeper: _Keeper = _trace,
+) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics, Any]]:
     """Run each distinct torque law (``torque_law_of``) of ``variants`` once.
 
-    Yields ``(variant, source, metrics, rows)`` per variant, in order.  The
+    Yields ``(variant, source, metrics, kept)`` per variant, in order.  The
     first variant of a law runs in closed loop: ``source`` is the variant
-    itself and ``rows`` its trace, collected in a list by the run's sink,
-    as ``run_closed_loop`` returns it.
+    itself and ``kept`` what its keeper's sink kept of its rows, by default
+    its trace in a list, as ``run_closed_loop`` returns it.
     A later variant of that law, a repeated one included, reuses that run,
     which is what running it again would give bit for bit: ``source`` is
-    the variant that ran, ``metrics`` that run's object and ``rows`` None.
+    the variant that ran, ``metrics`` that run's object and ``kept`` None.
+
+    ``keeper(variant)`` gives a context manager whose ``with`` value is
+    ``(sink, kept)``, and the run takes place in that block: what the keeper
+    opened for it is closed before the yield, and an exception raised by the
+    sink reaches the caller of ``next`` once it has been.
 
     Given a ``torque_gaps`` dict, before the first yield the dict maps
     the variant that will run each law to the RMS gap between its torque
@@ -480,35 +497,9 @@ def run_variants(
     evaluates at each state anyway: that gap is its
     ``torque_divergence_rms``.  Other runs score nothing.
 
-    The generator keeps no rows past a yield, so a consumer that drops
-    ``rows`` before asking for the next variant holds one trace at a time.
-    The ``simulate`` command and ``compare_variants`` take their runs from
-    the same runner, with sinks that keep no trace.
-    """
-    return _runs(variants, masses, frame, gains, spec, membrane, fed, t_end,
-                 dt, torque_gaps, _trace)
-
-
-def _runs(
-    variants: Iterable[ControllerVariant],
-    masses: MassParams,
-    frame: FrameParams,
-    gains: ImpedanceParams,
-    spec: TrajectorySpec,
-    membrane: MembraneModel,
-    fed: ForcePair,
-    t_end: float,
-    dt: float,
-    torque_gaps: Optional[Dict[ControllerVariant, float]],
-    keeper: _Keeper,
-) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics, Any]]:
-    """``run_variants``, with ``keeper(variant)`` giving the closed loop of
-    each variant that runs its sink and what that sink keeps, which is
-    yielded in place of the run's rows.
-
-    The run takes place inside ``with keeper(variant)``, so what the keeper
-    opened for it is closed before the yield, and an exception raised by
-    the sink reaches the caller of ``next`` once it has been.
+    The generator keeps nothing a run kept past its yield, so a consumer
+    that drops ``kept`` before asking for the next variant holds one run's
+    rows at a time.
     """
     variants = list(variants)
     # the variant that runs each law: the first one of that law
@@ -569,6 +560,7 @@ def compare_variants(
     fed: ForcePair,
     t_end: float,
     dt: float,
+    keeper: Optional[_Keeper] = None,
 ) -> ComparisonReport:
     """Run every variant through the same scenario and quantify the gaps.
 
@@ -580,19 +572,20 @@ def compare_variants(
     positions of the two runs at equal times.  Divergence in one variant
     is flagged in its metrics and does not abort the others.
 
-    The runs come from the runner behind ``run_variants``, and a variant
-    that reuses a run reports that run's metrics and gaps; one with the
-    base's law has zero gaps.  The base run scores every other law as it
-    steps, the oracle's by its ``torque_divergence_rms``.  No run's trace
-    is kept: each run's sink keeps its x and y, 16 B a row, and only the
-    base run's outlive the next run, so a comparison holds 32 B a row at
-    its peak.
+    The runs come from ``run_variants``, and a variant that reuses a run
+    reports that run's metrics and gaps; one with the base's law has zero
+    gaps.  The base run scores every other law as it steps, the oracle's by
+    its ``torque_divergence_rms``.  No run's trace is kept: each run's sink
+    keeps its x and y, 16 B a row, and only the base run's outlive the next
+    run, so a comparison holds 32 B a row at its peak.  Each run's sink
+    also hands its rows to the sink of ``keeper(variant)``, if given.
     """
     # gaps by the variant whose run a report takes
     torque_rms = {base: 0.0}
-    runs = _runs(
+    runs = run_variants(
         [base, *others], masses, frame, gains, spec, membrane, fed, t_end, dt,
-        torque_rms, _positions,
+        torque_rms,
+        _positions if keeper is None else partial(_teed_positions, keeper),
     )
     _, _, base_metrics, (base_x, base_y) = next(runs)
     # only a run's last row can be non-finite: a diverged run's flagged row

@@ -1,9 +1,11 @@
 """Smoke runs of the experiment scripts under scripts/."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -81,16 +83,89 @@ STUDY_SHA256 = {
 }
 
 
+# SHA-256 of the study's stdout at --t-end 0.2 without --out: both tables
+STUDY_STDOUT_SHA256 = (
+    "0d0c6364ff9ead907163aea0fb9a8ad40a1020084a7c496a92f953bd278b4133")
+
+# the order in which the study writes its CSVs, ControllerVariant's
+STUDY_CSV_ORDER = ("Corrected", "SimPaper", "McPaper", "StageConsistent")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_discrepancy_study_writes_every_variant_trace(tmp_path):
     proc = run_script("discrepancy_study.py", "--t-end", "0.2",
                       "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert "== skewed frame" in proc.stdout
+    # the tables, as without --out, then one line per CSV
+    wrote = "".join(f"wrote {tmp_path / f'study_{variant}.csv'}\n"
+                    for variant in STUDY_CSV_ORDER)
+    assert proc.stdout.endswith(wrote)
+    assert _sha256(proc.stdout[:-len(wrote)]) == STUDY_STDOUT_SHA256
     csv = {variant: (tmp_path / f"study_{variant}.csv").read_bytes()
-           for variant in ("Corrected", "SimPaper", "McPaper", "StageConsistent")}
+           for variant in STUDY_CSV_ORDER}
     assert csv["SimPaper"] == csv["StageConsistent"]
     assert {variant: hashlib.sha256(csv[variant]).hexdigest()
             for variant in STUDY_SHA256} == STUDY_SHA256
+
+
+def _load_study():
+    """scripts/discrepancy_study.py as a module, to run its ``main`` here."""
+    spec = importlib.util.spec_from_file_location(
+        "discrepancy_study", ROOT / "scripts" / "discrepancy_study.py")
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    return study
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+def test_discrepancy_study_runs_each_torque_law_once_per_frame(
+    tmp_path, monkeypatch, capsys, out
+):
+    import microinject.sim as sim
+    from microinject.control import ControllerVariant
+
+    study = _load_study()
+    closed_loop = sim._closed_loop
+    ran = []
+
+    def recording_run(variant, masses, frame, *args):
+        ran.append((variant, frame))
+        return closed_loop(variant, masses, frame, *args)
+
+    monkeypatch.setattr(sim, "_closed_loop", recording_run)
+    monkeypatch.setattr(sys, "argv", [
+        "discrepancy_study.py", "--t-end", "0.2",
+        *(["--out", str(tmp_path)] if out else [])])
+    assert study.main() == 0
+    # one closed loop per torque law and frame; SimPaper shares
+    # StageConsistent's law, and its CSV is a copy
+    assert len(ran) == 6
+    assert Counter(v for v, frame in ran if frame is study.SKEWED) == {
+        ControllerVariant.STAGE_CONSISTENT: 1, ControllerVariant.CORRECTED: 1,
+        ControllerVariant.MC_PAPER: 1}
+    # the tables, as pinned; with --out the "wrote" lines follow them
+    assert _sha256(capsys.readouterr().out.split("wrote ")[0]) == (
+        STUDY_STDOUT_SHA256)
+    if out:
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"study_{variant}.csv" for variant in STUDY_CSV_ORDER)
+
+
+@pytest.mark.parametrize("variant", ["McPaper", "SimPaper"],
+                         ids=["written", "copied"])
+def test_discrepancy_study_exits_2_on_a_csv_it_cannot_write(tmp_path, variant):
+    blocked = tmp_path / f"study_{variant}.csv"
+    blocked.mkdir()
+    proc = run_script("discrepancy_study.py", "--t-end", "0.1",
+                      "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"discrepancy_study.py: cannot write {blocked}: Is a directory\n")
+    assert "Traceback" not in proc.stderr
+    assert f"wrote {blocked}" not in proc.stdout
 
 
 def test_discrepancy_study_rejects_an_out_path_that_is_a_file(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from contextlib import contextmanager
 import random
 import tracemalloc
 import weakref
@@ -836,3 +837,66 @@ def test_run_variants_keeps_no_rows_once_the_consumer_drops_them(monkeypatch):
     for _, _, _, rows in sim.run_variants(_SHARED, *_pin_scenarios()[3]):
         del rows
     assert len(dropped) == 3
+
+
+@pytest.mark.parametrize("scenario_index", [3, 4], ids=["skewed", "diverging"])
+def test_compare_variants_hands_every_row_of_each_run_to_its_keeper(
+    scenario_index,
+):
+    scenario = _pin_scenarios()[scenario_index]
+    kept = {}
+
+    @contextmanager
+    def keeper(variant):
+        assert variant not in kept
+        kept[variant] = rows = []
+        yield rows.extend, "dropped by the comparison"
+
+    report = compare_variants(_SC, [_C, _S, _M], *scenario, keeper)
+    # SimPaper reuses StageConsistent's run, so its keeper gets no call
+    assert list(kept) == [_SC, _C, _M]
+    for variant, rows in kept.items():
+        ref_rows, _ = run_closed_loop(variant, *scenario)
+        assert _bits(rows) == _bits(ref_rows)
+    # the keeper changes nothing in the report, and no report holds what
+    # the keeper kept
+    assert _bits(report) == _bits(
+        compare_variants(_SC, [_C, _S, _M], *scenario))
+
+
+def test_compare_variants_raises_the_error_of_its_keepers_sink(tmp_path):
+    # the keeper's with block has exited, closing its file, by the time
+    # the error reaches the caller
+    class SinkFailed(Exception):
+        pass
+
+    files, exits = [], []
+
+    @contextmanager
+    def keeper(variant):
+        blocks = []
+
+        def sink(block):
+            blocks.append(block)
+            if len(blocks) == 2:
+                raise SinkFailed(variant)
+            fh.write(f"{len(block)}\n")
+
+        try:
+            with open(tmp_path / f"{variant.value}.txt", "w") as fh:
+                files.append(fh)
+                yield sink, None
+        finally:
+            exits.append(variant)
+
+    scenario = _pin_scenarios()[3]
+    with pytest.raises(SinkFailed) as info:
+        compare_variants(_SC, [_C, _S, _M], *scenario, keeper)
+    assert info.value.args == (_SC,)
+    assert exits == [_SC]
+    assert len(files) == 1 and files[0].closed
+    # the first block was written before the second one failed
+    import microinject.sim as sim
+
+    assert (tmp_path / "StageConsistent.txt").read_text() == (
+        f"{sim._BLOCK_ROWS}\n")
