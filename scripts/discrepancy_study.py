@@ -5,10 +5,13 @@ Runs the same injection scenario (quintic approach, membrane contact,
 constant commanded force) under every controller variant, once with a
 skewed camera frame and once with the identity frame, and tabulates how
 far each formulation strays from the stage-consistent baseline.  Each
-torque law runs once per frame (``sim.run_variants``), 6 closed loops in
-all.  With ``--out``, the skewed-frame runs write ``study_<variant>.csv``
-as they step, and ``SimPaper``, whose law is ``StageConsistent``'s, gets a
-byte copy of that CSV; one that cannot be written exits 2.
+torque law runs once per frame (``sim.run_variants``), all of a frame's
+laws in one walk of the grid.  On the identity frame ``Corrected`` binds
+the stage-space operators, so it shares ``StageConsistent``'s law there:
+5 closed loops in all.  With ``--out``, the skewed-frame runs write
+``study_<variant>.csv`` as they step, and ``SimPaper``, whose law is
+``StageConsistent``'s, gets a byte copy of that CSV; one that cannot be
+written exits 2.
 
 A bad grid (``--t-end`` not > 0, ``--dt`` not > 0, or more than
 ``dynamics.MAX_STEPS`` steps) exits 2 with a message on stderr before any
@@ -26,7 +29,7 @@ import shutil
 import sys
 
 from microinject.algebra2d import Vec2
-from microinject.control import ControllerVariant, ImpedanceParams, torque_law_of
+from microinject.control import ControllerVariant, ImpedanceParams, torque_law_key
 from microinject.dynamics import ForcePair, MassParams
 from microinject.frames import FrameParams
 from microinject.report import trace_csv_writer
@@ -70,6 +73,9 @@ def main() -> int:
               ControllerVariant.MC_PAPER]
     written = {}  # by torque law, the CSV of its skewed-frame run
 
+    def skewed_law(variant):
+        return torque_law_key(variant, masses, SKEWED)
+
     @contextlib.contextmanager
     def writing(path):
         """Exit 2 naming ``path`` on an OSError raised in the block."""
@@ -85,7 +91,7 @@ def main() -> int:
         path = os.path.join(args.out, f"study_{variant.value}.csv")
         with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
             yield trace_csv_writer(fh), None
-        written[torque_law_of(variant)] = path
+        written[skewed_law(variant)] = path
 
     for label, frame in (("skewed frame (alpha=pi/6, fx=2, fy=4)", SKEWED),
                          ("identity frame (alpha=0, fx=fy=1)", IDENTITY)):
@@ -117,7 +123,7 @@ def main() -> int:
         # a variant that reuses a run gets a byte copy of that run's CSV
         for variant in ControllerVariant:
             path = os.path.join(args.out, f"study_{variant.value}.csv")
-            source = written[torque_law_of(variant)]
+            source = written[skewed_law(variant)]
             if source != path:
                 with writing(path):
                     shutil.copyfile(source, path)

@@ -8,20 +8,24 @@ Exit codes: 0 success, 1 verification/numeric failure, 2 usage, config
 or output error.  Reports and artifact paths go to stdout; diagnostics go
 to stderr at the verbosity selected by the MICROINJECT_LOG environment
 variable (error, info or debug).  At info, ``verify`` logs the wall time of each
-suite it runs, and ``simulate`` the variant it is running and then two
-wall times: its closed loop with its CSV, which the loop writes as it
-runs, and its SVG (with ``--svg``).
+suite it runs.  ``simulate`` logs the wall time of its one walk, which
+runs the closed loops of every torque law and writes their CSVs as they
+step, with the number of laws it ran; then, with ``--svg``, the wall time
+of each variant's SVG.
 
 ``simulate`` takes its closed loops from ``sim.run_variants``, the one
-runner, with a keeper of its own, and holds no run's rows.  Each closed
-loop that runs writes its ``trace_<variant>.csv`` from its sink a block of
-rows at a time and, with ``--svg``, keeps only the rows its chart plots:
-every ``report.chart_stride``-th row of the grid and the latest one.  A
+runner, with a keeper of its own, and holds no run's rows.  The closed
+loops of all the torque laws are lanes of one walk of the grid.  Each one
+writes its ``trace_<variant>.csv`` from its sink a block of rows at a time
+and, with ``--svg``, keeps only the rows its chart plots: every
+``report.chart_stride``-th row of the grid and the latest one.  So the
+rows of every run's chart are held at once, until each chart is drawn.  A
 run that diverges may have a finite prefix with another stride, so its
 chart is drawn from its CSV, read back a line at a time.  A variant that
-reuses a run gets that run's metrics, a byte copy of its CSV, and its SVG
-panels under the variant's own title.  An info line names the variant
-whose run it reuses.
+reuses a run (one whose torque kernel binds the same operators:
+``control.torque_law_key``) gets that run's metrics, a byte copy of its
+CSV, and its SVG panels under the variant's own title.  An info line
+names the variant whose run it reuses.
 
 ``free-response`` takes a negative value in any spelling that ``float()``
 reads (``-1e-5``, ``-inf``).  It checks the masses, the inversion of
@@ -212,10 +216,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # its rows, all of them finite
     stride = report.chart_stride(grid_rows(config.t_end, config.dt))
 
+    laws = []  # the variant that runs each torque law, in the walk's order
+
     @contextlib.contextmanager
     def trace_csv(variant: ControllerVariant) -> Iterator[Any]:
         """The sink of the closed loop of ``variant``: it writes the run's
         CSV and, with --svg, keeps the rows its chart plots."""
+        laws.append(variant)
         path = os.path.join(args.out, f"trace_{variant.value}.csv")
         with _writing(path), open(path, "w", encoding="utf-8",
                                   newline="") as fh:
@@ -236,10 +243,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config.trajectory, config.membrane, config.fed, config.t_end,
         config.dt, keeper=trace_csv,
     )
-    for variant in config.variants:
-        log.info("running variant %s", variant.value)
-        start = time.perf_counter()
+    start = time.perf_counter()
+    for index, variant in enumerate(config.variants):
         _, source, metrics, sampled = next(runs)
+        if not index:
+            # the first yield comes once the walk has run every closed loop
+            log.info("one walk: %d torque laws, closed loops + CSVs %.3f s",
+                     len(laws), time.perf_counter() - start)
         trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
         svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
         title = f"variant {variant.value}"
@@ -265,14 +275,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 panels[source] = report.render_sampled_panels(sampled)
                 _write(svg_path, report.write_trace_panels, panels[source],
                        title)
-            # the next closed loop keeps its own rows
+            # this run's chart rows are not needed past its chart
             del sampled
         print(trace_path)
         if args.svg:
             print(svg_path)
+            log.info("variant %s: SVG %.3f s", variant.value,
+                     time.perf_counter() - ran)
         variant_metrics[variant.value] = report.metrics_to_dict(metrics)
-        log.info("variant %s: closed loop + CSV %.3f s, SVG %.3f s",
-                 variant.value, ran - start, time.perf_counter() - ran)
         if metrics.diverged:
             log.error("variant %s diverged after %d samples",
                       variant.value, metrics.samples)

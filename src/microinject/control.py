@@ -39,9 +39,11 @@ applied to a given c), ``impedance_accel_kernel``,
 ``force_control_residual_kernel`` and ``required_torque_kernel`` (over
 ``dynamics.inverse_dynamics_kernel``).  The torque laws act on c and bind
 no gains, so a caller solves c once per state and passes it to every law
-it evaluates there.  ``implication_check`` tests the impedance-law
-precondition and solves c once per state, and then combines any number of
-torque kernels with the required torque.  ``torque_controller``,
+it evaluates there.  ``torque_law_key`` names the operators and tail a
+variant's kernel binds, so a caller runs each distinct law once.
+``implication_check`` tests the impedance-law precondition and solves c
+once per state, and then combines any number of torque kernels with the
+required torque.  ``torque_controller``,
 ``commanded_accel``, ``impedance_accel``, ``force_control_residual``,
 ``required_torque`` and ``implication_residual`` build their kernel and
 evaluate it once.  The kernels perform the float operations of the
@@ -137,17 +139,37 @@ STAGE_SPACE_VARIANTS = frozenset(
 )
 
 
-def torque_law_of(variant: ControllerVariant) -> ControllerVariant:
-    """The variant that stands for ``variant``'s torque law.
-
-    Both stage-space variants map to STAGE_CONSISTENT: ``torque_kernel``
-    builds the same operators and tail for them, so their torques, and
-    their closed loops, are identical bit for bit.  Every other variant is
-    its own law.  Variants with one law need to be run only once.
-    """
+def _operators(
+    variant: ControllerVariant, masses: MassParams, frame: FrameParams,
+) -> Tuple[Mat2, Mat2]:
+    """The L and N that ``torque_kernel`` binds for ``variant``."""
+    m_mat = mass_matrix(masses)
     if variant in STAGE_SPACE_VARIANTS:
-        return ControllerVariant.STAGE_CONSISTENT
-    return variant
+        return m_mat, _B
+    t_mat = transformation_matrix(frame)
+    return mat_mul(m_mat, t_mat), mat_mul(mat_mul(_B, mat_inv(t_mat)), t_mat)
+
+
+def torque_law_key(
+    variant: ControllerVariant, masses: MassParams, frame: FrameParams,
+) -> Tuple[Tuple[str, ...], bool]:
+    """What decides ``variant``'s torque at ``masses`` and ``frame``: the
+    entries of the L and N that ``torque_kernel`` binds, by ``float.hex``,
+    and whether its tail is fe.
+
+    Variants with equal keys give the same torque at every state bit for
+    bit, so their closed loops are identical and need to be run only once.
+    Both stage-space variants always share a key.  At the identity frame
+    (alpha = +-0.0, fx = fy = 1) CORRECTED binds exactly the stage-space
+    L = M and N = B, so it shares theirs too.  Takes float parameters;
+    raises SingularMatrix as ``torque_kernel`` does.
+    """
+    l_mat, n_mat = _operators(variant, masses, frame)
+    return (
+        tuple(float(v).hex() for m in (l_mat, n_mat)
+              for v in (m.m00, m.m01, m.m10, m.m11)),
+        variant is ControllerVariant.MC_PAPER,
+    )
 
 
 def error_state(
@@ -307,13 +329,7 @@ def torque_kernel(
     Every matrix product is formed, the structural zeros included, in the
     order of ``mat_vec_mul``.
     """
-    m_mat = mass_matrix(masses)
-    if variant in STAGE_SPACE_VARIANTS:
-        l_mat, n_mat = m_mat, _B
-    else:
-        t_mat = transformation_matrix(frame)
-        l_mat = mat_mul(m_mat, t_mat)
-        n_mat = mat_mul(mat_mul(_B, mat_inv(t_mat)), t_mat)
+    l_mat, n_mat = _operators(variant, masses, frame)
     l00, l01, l10, l11 = l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11
     n00, n01, n10, n11 = n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11
     use_fe = variant is ControllerVariant.MC_PAPER

@@ -258,17 +258,17 @@ def render_sampled_panels(sampled: Sequence[Sequence[float]]) -> str:
 def write_trace_panels(path: str, panels: str, title: str) -> None:
     """A chart of ``render_trace_panels`` output under ``title``, at a
     fixed 800x480 viewport; one rendering serves any number of titles."""
-    body = "\n".join([
+    head = "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_PANEL_MARGIN}" y="24" font-size="14" fill="#000">'
         f"{title}</text>",
-        panels,
-        "</svg>",
     ])
+    # written in pieces: the panels are the bulk of the chart, and joining
+    # them into one string would copy them
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(body + "\n")
+        fh.writelines((head, "\n", panels, "\n</svg>\n"))
 
 
 def write_trace_svg(

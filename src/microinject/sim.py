@@ -6,38 +6,44 @@ loop.  The controller runs at the integration rate: its output is held
 constant across each RK4 step.  Identical inputs produce bit-identical
 traces.
 
-The loop steps in plain floats.  Once per run it builds the float kernels
-of the trajectory, the contact model, the commanded acceleration, the
-variant's torque law, the oracle law, the impedance residual and the RK4
-step.  Per state it evaluates the trajectory, the contact force and the
-commanded acceleration once, and each torque law at most once, and takes
-the RK4 step in one call.  ``run_variants``, the one runner, decides which
-closed loops run and, by its keeper, what each run's sink keeps;
-``compare_variants``, ``simulate`` and the discrepancy study take their
-runs from it.  For ``compare_variants`` the first run also evaluates
-every other law except the oracle's at each of its states, on the c and
-contact force it has solved there; the oracle's gap is that run's
-``torque_divergence_rms``.  A closed loop hands its rows to a sink, a
-block of rows at a time, and keeps none itself.  ``run_closed_loop`` and,
-by default, ``run_variants`` collect the rows in a list.
-``compare_variants`` keeps each run's positions, 16 B a row, and hands
-the rows to the keeper it is given; the study's writes each run's CSV.
-``sample_trajectory`` and ``membrane_force`` wrap the trajectory and
-contact kernels.  Every kernel keeps the evaluation order of the ``Vec2``
-algebra, so traces are bit-identical to the ``Vec2`` formulas.
+The loop steps in plain floats.  Once per scenario it builds the float
+kernels of the trajectory, the contact model, the commanded acceleration,
+each distinct torque law, the impedance residual and the RK4 step.
+``run_variants``,
+the one runner, decides which closed loops run and, by its keeper, what
+each run's sink keeps; ``run_closed_loop``, ``compare_variants``,
+``simulate`` and the discrepancy study take their runs from it.  Variants
+whose torque kernels bind the same operators (``torque_law_key``) share
+one run: the two stage-space variants always, and ``Corrected`` with them
+at the identity frame.  Each distinct law is a lane, a generator that
+steps its closed loop a block of grid samples at a time, and all the lanes
+of a scenario share one walk of the grid: the grid is checked once, and
+the trajectory evaluated once per time, whatever the number of laws.  Per
+state a lane evaluates the contact force and the commanded acceleration
+once, and each torque law at most once, and takes the RK4 step in one
+call.  For ``compare_variants`` the first lane also evaluates every other
+law except the oracle's at each of its states, on the c and contact force
+it has solved there; the oracle's gap is that run's
+``torque_divergence_rms``.  A lane hands its rows to a sink, a block of
+rows at a time, and keeps none itself.  ``run_closed_loop`` and, by
+default, ``run_variants`` collect the rows in a list.  ``compare_variants``
+folds each run's tracking gap to the base run as the blocks come, so it
+holds no state per row, and hands the rows to the keeper it is given; the
+study's writes each run's CSV.  ``sample_trajectory`` and
+``membrane_force`` wrap the trajectory and contact kernels.  Every kernel
+keeps the evaluation order of the ``Vec2`` algebra, so traces are
+bit-identical to the ``Vec2`` formulas.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
-from operator import itemgetter
 from typing import (
-    TYPE_CHECKING, Any, Callable, ContextManager, Dict, Iterable, Iterator,
-    List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, ContextManager, Dict, Generator, Iterable, Iterator, List,
+    NamedTuple, Optional, Sequence, Tuple,
 )
 
 from .algebra2d import Vec2, check_fields, mat_inv
@@ -48,7 +54,7 @@ from .control import (
     commanded_accel_kernel,
     force_control_residual_kernel,
     torque_kernel,
-    torque_law_of,
+    torque_law_key,
 )
 from .dynamics import (
     ForcePair,
@@ -58,9 +64,6 @@ from .dynamics import (
     step_grid,
 )
 from .frames import FrameParams
-
-if TYPE_CHECKING:
-    from array import array
 
 
 class TrajectoryKind(enum.Enum):
@@ -246,12 +249,15 @@ def membrane_force(model: MembraneModel, q: Vec2, qdot: Vec2) -> ForcePair:
 # takes each block of rows of a closed loop as the loop makes them
 _Sink = Callable[[List[Tuple[float, ...]]], object]
 
-# The rows a closed loop hands its sink at a time: a sink is called once a
-# block, not once a row, and a block stays small next to what a sink keeps
-# (a comparison keeps 32 B a row of its runs, a block is about 30 KB).  A
-# block's floats outlive the interpreter's float free list (100 floats), so
-# under tracemalloc, which traces every allocation past that list, a loop
-# runs about 3-5 times slower than with rows handed over one by one.
+# The grid samples a walk hands its lanes at a time, and so the rows a lane
+# hands its sink at a time: a sink is called once a block, not once a row.
+# A walk holds one block of samples, and a lane one block of rows (about
+# 30 KB) until its sink returns, whatever the length of the run.  What a
+# sink keeps is its keeper's: every run's kept exists from the walk until
+# ``run_variants`` yields it.  A block's floats outlive the interpreter's
+# float free list (100 floats), so under tracemalloc, which traces every
+# allocation past that list, a loop runs about 3-5 times slower than with
+# rows handed over one by one.
 _BLOCK_ROWS = 64
 
 
@@ -295,114 +301,99 @@ def run_closed_loop(
     overflow when summed.  On divergence the offending row is recorded as
     the flagged final row, metrics cover the finite prefix, and
     ``diverged`` is set instead of raising.  A bad ``t_end`` or ``dt``
-    raises ValueError before the run.
+    raises ValueError before the run.  It is one lane of ``run_variants``.
     """
-    rows: List[Tuple[float, ...]] = []
-    metrics, _ = _closed_loop(
-        variant, masses, frame, gains, spec, membrane, fed, t_end, dt, (),
-        rows.extend,
-    )
+    (_, _, metrics, rows), = run_variants(
+        [variant], masses, frame, gains, spec, membrane, fed, t_end, dt)
     return rows, metrics
 
 
-def _closed_loop(
-    variant: ControllerVariant,
-    masses: MassParams,
-    frame: FrameParams,
-    gains: ImpedanceParams,
-    spec: TrajectorySpec,
-    membrane: MembraneModel,
+def _lane(
+    torque: Callable[..., Tuple[float, float]],
+    oracle: Optional[Callable[..., Tuple[float, float]]],
+    rivals: Sequence[Callable[..., Tuple[float, float]]],
+    contact: Callable[[float, float], float],
+    commanded: Callable[..., Tuple[float, float]],
+    residual: Callable[..., Tuple[float, float]],
+    step: Callable[..., Tuple[float, ...]],
     fed: ForcePair,
-    t_end: float,
-    dt: float,
-    rivals: Sequence[ControllerVariant],
     sink: _Sink,
-) -> Tuple[RunMetrics, List[float]]:
-    """``run_closed_loop``, which hands its rows to ``sink`` instead of
-    keeping them, and also scores the torque law of each of ``rivals`` along
-    the run.
+) -> Generator[None, Optional[List[Tuple[float, ...]]],
+               Tuple[RunMetrics, List[float]]]:
+    """The closed loop of one torque law, ``torque``, stepped a block of
+    grid samples at a time.
 
-    ``sink`` gets every row in order, a diverged run's flagged final row
-    included, in blocks: lists of ``_BLOCK_ROWS`` rows, the last one
-    shorter but not empty.  The loop keeps no row of a block once the sink
-    returns, and a sink may keep the list itself.  At each
-    finite state, before the step moves it, every rival law is evaluated on
-    the c and contact force solved there; the oracle's law needs no rival,
-    its gap is ``torque_divergence_rms``.  The second result holds, per
-    rival, the RMS over the finite rows of the Euclidean gap
-    (rival - applied) between its torque and the applied one.
+    Primed with ``next``, it takes each block a walk ``send``s it: a list
+    of ``(t, h, qd0, qd1, qv0, qv1, qa0, qa1)``, the grid's times, step
+    widths and desired points, the first one at t = 0, on which the stage
+    starts.  It hands ``sink`` one block of rows per block of samples and
+    keeps no row of it once the sink returns; a sink may keep the list
+    itself.  It returns ``(metrics, rival_rms)`` when it diverges, after
+    handing its sink the block that ends with the flagged row, or when it
+    is sent None, the end of the walk.
+
+    ``oracle`` is the stage-consistent law, None when ``torque`` is it.
+    At each finite state, before the step moves it, every law of
+    ``rivals`` is evaluated on the c and contact force solved there; the
+    oracle's law needs no rival, its gap is ``torque_divergence_rms``.
+    ``rival_rms`` holds, per rival, the RMS over the finite rows of the
+    Euclidean gap (rival - applied) between its torque and the applied one.
     """
-    grid = check_run_grid(t_end, dt)
-    desired = _trajectory_kernel(spec)
-    contact = _contact_kernel(membrane)
-    commanded = commanded_accel_kernel(gains)
-    torque = torque_kernel(variant, masses, frame, fed)
-    # the oracle is STAGE_CONSISTENT's law; a variant with that law gives
-    # the oracle's torque bit for bit
-    oracle_law = ControllerVariant.STAGE_CONSISTENT
-    oracle = None if torque_law_of(variant) is oracle_law else torque_kernel(
-        oracle_law, masses, frame, fed
-    )
-    rival_torques = [torque_kernel(r, masses, frame, fed) for r in rivals]
-    residual = force_control_residual_kernel(gains)
-    step = rk4_kernel(mat_inv(mass_matrix(masses)))
     fed0, fed1 = fed.fex, fed.fey
-    x, y, xdot, ydot = desired(0.0)[:4]
     isfinite = math.isfinite
-
     sq_e0 = 0.0
     sq_e1 = 0.0
     sq_div = 0.0
-    sq_rivals = [0.0] * len(rival_torques)
+    sq_rivals = [0.0] * len(rivals)
     imp_max = 0.0
     finite_rows = 0
     diverged = False
-    block: List[Tuple[float, ...]] = []
-    append = block.append
-    block_rows = _BLOCK_ROWS
 
-    for t, h in grid:
-        qd0, qd1, qv0, qv1, qa0, qa1 = desired(t)
-        e0, e1, ed0, ed1 = qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot
-        fex = contact(x, xdot)
-        c0, c1 = commanded(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0)
-        tau0, tau1 = torque(c0, c1, fex, 0.0, xdot, ydot)
-        if oracle is None:
-            or0, or1 = tau0, tau1
-        else:
-            or0, or1 = oracle(c0, c1, fex, 0.0, xdot, ydot)
-        row = (t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1)
-        append(row)
-        if not isfinite(sum(row)) and not all(map(isfinite, row)):
-            diverged = True
-            break
-        if rival_torques:
-            for k, rival in enumerate(rival_torques):
-                r0, r1 = rival(c0, c1, fex, 0.0, xdot, ydot)
-                d0 = r0 - tau0
-                d1 = r1 - tau1
-                sq_rivals[k] += d0 * d0 + d1 * d1
+    samples = yield
+    x, y, xdot, ydot = samples[0][2:6]
+    while samples is not None:
+        block: List[Tuple[float, ...]] = []
+        append = block.append
+        for t, h, qd0, qd1, qv0, qv1, qa0, qa1 in samples:
+            e0, e1, ed0, ed1 = qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot
+            fex = contact(x, xdot)
+            c0, c1 = commanded(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0)
+            tau0, tau1 = torque(c0, c1, fex, 0.0, xdot, ydot)
+            if oracle is None:
+                or0, or1 = tau0, tau1
+            else:
+                or0, or1 = oracle(c0, c1, fex, 0.0, xdot, ydot)
+            row = (t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1)
+            append(row)
+            if not isfinite(sum(row)) and not all(map(isfinite, row)):
+                diverged = True
+                break
+            if rivals:
+                for k, rival in enumerate(rivals):
+                    r0, r1 = rival(c0, c1, fex, 0.0, xdot, ydot)
+                    d0 = r0 - tau0
+                    d1 = r1 - tau1
+                    sq_rivals[k] += d0 * d0 + d1 * d1
 
-        f0, f1 = tau0 - fed0, tau1 - fed1
-        x, y, xdot, ydot, a0, a1 = step(f0, f1, x, y, xdot, ydot, h)
-        r0, r1 = residual(e0, e1, ed0, ed1, qa0 - a0, qa1 - a1, fex, 0.0)
-        # max(imp_max, max(abs(r0), abs(r1))), NaN handling included
-        r0, r1 = abs(r0), abs(r1)
-        if r1 > r0:
-            r0 = r1
-        if r0 > imp_max:
-            imp_max = r0
-        sq_e0 += e0 * e0
-        sq_e1 += e1 * e1
-        g0, g1 = tau0 - or0, tau1 - or1
-        sq_div += g0 * g0 + g1 * g1
-        finite_rows += 1
-        if len(block) == block_rows:
-            sink(block)
-            block = []
-            append = block.append
-    if block:
+            f0, f1 = tau0 - fed0, tau1 - fed1
+            x, y, xdot, ydot, a0, a1 = step(f0, f1, x, y, xdot, ydot, h)
+            r0, r1 = residual(e0, e1, ed0, ed1, qa0 - a0, qa1 - a1, fex, 0.0)
+            # max(imp_max, max(abs(r0), abs(r1))), NaN handling included
+            r0, r1 = abs(r0), abs(r1)
+            if r1 > r0:
+                r0 = r1
+            if r0 > imp_max:
+                imp_max = r0
+            sq_e0 += e0 * e0
+            sq_e1 += e1 * e1
+            g0, g1 = tau0 - or0, tau1 - or1
+            sq_div += g0 * g0 + g1 * g1
+            finite_rows += 1
         sink(block)
+        del block, append, row
+        if diverged:
+            break
+        samples = yield
 
     n = max(finite_rows, 1)
     metrics = RunMetrics(
@@ -413,6 +404,53 @@ def _closed_loop(
         diverged=diverged,
     )
     return metrics, [math.sqrt(sq / n) for sq in sq_rivals]
+
+
+def _walk(
+    grid: Iterable[Tuple[float, float]],
+    spec: TrajectorySpec,
+    lanes: Sequence[Generator],
+) -> List[Tuple[RunMetrics, List[float]]]:
+    """Walk ``grid`` once, evaluating the desired trajectory once per time,
+    and send each block of ``_BLOCK_ROWS`` samples to every live lane, in
+    the order of ``lanes``; return each lane's result, in that order.
+
+    The walk stops early once every lane has diverged.
+    """
+    desired = _trajectory_kernel(spec)
+    block_rows = _BLOCK_ROWS
+    results: List[Any] = [None] * len(lanes)
+    live = list(enumerate(lanes))
+    for _, lane in live:
+        next(lane)
+
+    def send(samples: Optional[List[Tuple[float, ...]]]) -> None:
+        nonlocal live
+        stepping = []
+        for index, lane in live:
+            try:
+                lane.send(samples)
+            except StopIteration as stop:
+                results[index] = stop.value
+            else:
+                stepping.append((index, lane))
+        live = stepping
+
+    samples: List[Tuple[float, ...]] = []
+    append = samples.append
+    for t, h in grid:
+        append((t, h, *desired(t)))
+        if len(samples) == block_rows:
+            send(samples)
+            if not live:
+                break
+            samples = []
+            append = samples.append
+    else:
+        if samples:
+            send(samples)
+        send(None)
+    return results
 
 
 # gives the sink of a variant's closed loop and what it keeps: see run_variants
@@ -428,40 +466,6 @@ def _trace(variant: ControllerVariant) -> Iterator[
     yield rows.extend, rows
 
 
-@contextmanager
-def _positions(variant: ControllerVariant) -> Iterator[
-    Tuple[_Sink, Tuple[array, array]]
-]:
-    """A sink that keeps each row's x and y, 16 B a row, and the two
-    ``array('d')`` it fills."""
-    # imported here: the array module is a shared library of its own, so
-    # only a comparison pays its resident memory, not simulate or verify
-    from array import array
-
-    xs, ys = array("d"), array("d")
-    x_extend, y_extend = xs.extend, ys.extend
-    x_of, y_of = itemgetter(1), itemgetter(2)
-
-    def keep(block: List[Tuple[float, ...]]) -> None:
-        x_extend(map(x_of, block))
-        y_extend(map(y_of, block))
-
-    yield keep, (xs, ys)
-
-
-@contextmanager
-def _teed_positions(keeper: _Keeper, variant: ControllerVariant) -> Iterator[
-    Tuple[_Sink, Any]]:
-    """``_positions(variant)``, whose sink first hands each block to the sink
-    of ``keeper(variant)``; what that sink keeps is dropped."""
-    with keeper(variant) as (sink, _), _positions(variant) as (keep, kept):
-        def tee(block: List[Tuple[float, ...]]) -> None:
-            sink(block)
-            keep(block)
-
-        yield tee, kept
-
-
 def run_variants(
     variants: Iterable[ControllerVariant],
     masses: MassParams,
@@ -475,61 +479,82 @@ def run_variants(
     torque_gaps: Optional[Dict[ControllerVariant, float]] = None,
     keeper: _Keeper = _trace,
 ) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics, Any]]:
-    """Run each distinct torque law (``torque_law_of``) of ``variants`` once.
+    """Run each distinct torque law of ``variants`` once, all in one walk.
 
-    Yields ``(variant, source, metrics, kept)`` per variant, in order.  The
-    first variant of a law runs in closed loop: ``source`` is the variant
-    itself and ``kept`` what its keeper's sink kept of its rows, by default
-    its trace in a list, as ``run_closed_loop`` returns it.
+    Variants share a law when ``torque_law_key`` gives them the same
+    operators and tail at ``masses`` and ``frame``: both stage-space
+    variants always, and CORRECTED with them at the identity frame.
+    Yields ``(variant, source, metrics, kept)`` per variant, in order.
+    The first variant of a law runs in closed loop: ``source`` is the
+    variant itself and ``kept`` what its keeper's sink kept of its rows, by
+    default its trace in a list, as ``run_closed_loop`` returns it.
     A later variant of that law, a repeated one included, reuses that run,
     which is what running it again would give bit for bit: ``source`` is
     the variant that ran, ``metrics`` that run's object and ``kept`` None.
 
-    ``keeper(variant)`` gives a context manager whose ``with`` value is
-    ``(sink, kept)``, and the run takes place in that block: what the keeper
-    opened for it is closed before the yield, and an exception raised by the
-    sink reaches the caller of ``next`` once it has been.
+    The closed loops of all the laws are lanes of one walk of the grid
+    (``_walk``), which evaluates the desired trajectory once per time and
+    hands each block of samples to every lane in the order of the laws'
+    first variants.  ``keeper(variant)`` gives a context manager whose
+    ``with`` value is ``(sink, kept)``.  Every keeper is entered before
+    the walk and all are closed before the first yield; an exception
+    raised by a sink ends the walk and reaches the caller of ``next`` once
+    they have been.  A bad grid raises ValueError, and a frame whose T
+    cannot be inverted SingularMatrix, before any keeper is entered.
 
     Given a ``torque_gaps`` dict, before the first yield the dict maps
-    the variant that will run each law to the RMS gap between its torque
+    the variant that runs each law to the RMS gap between its torque
     and the first run's applied torque along the first run's states.  The
     first run scores every other law except the oracle's, which it
     evaluates at each state anyway: that gap is its
     ``torque_divergence_rms``.  Other runs score nothing.
 
-    The generator keeps nothing a run kept past its yield, so a consumer
-    that drops ``kept`` before asking for the next variant holds one run's
-    rows at a time.
+    Every run's kept exists until it is yielded; the generator keeps
+    nothing a run kept past its yield.
     """
     variants = list(variants)
+    grid = check_run_grid(t_end, dt)
+    if not variants:
+        return
+    laws = [torque_law_key(v, masses, frame) for v in variants]
     # the variant that runs each law: the first one of that law
-    sources = {}
-    for variant in variants:
-        sources.setdefault(torque_law_of(variant), variant)
+    sources: Dict[Any, ControllerVariant] = {}
+    for variant, law in zip(variants, laws):
+        sources.setdefault(law, variant)
+    oracle_law = torque_law_key(ControllerVariant.STAGE_CONSISTENT, masses, frame)
+    torques = {law: torque_kernel(v, masses, frame, fed)
+               for law, v in sources.items()}
+    oracle = torques.get(oracle_law) or torque_kernel(
+        ControllerVariant.STAGE_CONSISTENT, masses, frame, fed)
     # the first run evaluates the oracle's law at each state anyway
-    oracle = sources.get(ControllerVariant.STAGE_CONSISTENT)
-    rivals = ([v for v in list(sources.values())[1:] if v is not oracle]
+    rivals = ([law for law in list(sources)[1:] if law != oracle_law]
               if torque_gaps is not None else [])
-    ran = {}
-    for variant in variants:
-        law = torque_law_of(variant)
-        if law in ran:
-            yield (variant, *ran[law], None)
-            continue
-        with keeper(variant) as (sink, kept):
-            metrics, rival_rms = _closed_loop(
-                variant, masses, frame, gains, spec, membrane, fed, t_end, dt,
-                rivals, sink,
-            )
-        del sink
-        if torque_gaps is not None and not ran:
-            torque_gaps.update(zip(rivals, rival_rms))
-            if oracle is not None:
-                torque_gaps[oracle] = metrics.torque_divergence_rms
-            rivals = []
-        ran[law] = (variant, metrics)
-        yield variant, variant, metrics, kept
-        del kept
+    contact = _contact_kernel(membrane)
+    commanded = commanded_accel_kernel(gains)
+    residual = force_control_residual_kernel(gains)
+    step = rk4_kernel(mat_inv(mass_matrix(masses)))
+
+    kept = {}
+    with ExitStack() as opened:
+        lanes = []
+        for law, variant in sources.items():
+            sink, kept[variant] = opened.enter_context(keeper(variant))
+            lanes.append(_lane(
+                torques[law], None if law == oracle_law else oracle,
+                # the first lane scores the rivals
+                [] if lanes else [torques[r] for r in rivals],
+                contact, commanded, residual, step, fed, sink,
+            ))
+        results = _walk(grid, spec, lanes)
+        del sink, lanes
+    if torque_gaps is not None:
+        metrics, rival_rms = results[0]
+        torque_gaps.update(zip((sources[r] for r in rivals), rival_rms))
+        if oracle_law in sources:
+            torque_gaps[sources[oracle_law]] = metrics.torque_divergence_rms
+    ran = {law: metrics for law, (metrics, _) in zip(sources, results)}
+    for variant, law in zip(variants, laws):
+        yield variant, sources[law], ran[law], kept.pop(variant, None)
 
 
 @dataclass(frozen=True)
@@ -575,39 +600,71 @@ def compare_variants(
     The runs come from ``run_variants``, and a variant that reuses a run
     reports that run's metrics and gaps; one with the base's law has zero
     gaps.  The base run scores every other law as it steps, the oracle's by
-    its ``torque_divergence_rms``.  No run's trace is kept: each run's sink
-    keeps its x and y, 16 B a row, and only the base run's outlive the next
-    run, so a comparison holds 32 B a row at its peak.  Each run's sink
-    also hands its rows to the sink of ``keeper(variant)``, if given.
+    its ``torque_divergence_rms``.  The tracking gaps are folded as the
+    walk steps: the base run is the walk's first lane, so each other run's
+    sink pairs its block of rows with the base run's block of the same
+    samples, handed over just before, and adds to one running sum per run,
+    in row order.  No run's rows outlive their block, so a comparison holds
+    no state per row.  Each run's sink also hands its rows to the sink of
+    ``keeper(variant)``, if given.
     """
+    isfinite = math.isfinite
+
+    def finite(block: List[Tuple[float, ...]]) -> List[Tuple[float, ...]]:
+        """``block`` without its last row if that row is not finite: only
+        a diverged run's flagged row can be."""
+        last = block[-1]
+        if isfinite(sum(last)) or all(map(isfinite, last)):
+            return block
+        return block[:-1]
+
+    # the base run's finite rows of the latest block it stepped, and how
+    # many blocks it stepped
+    base_rows: List[Tuple[float, ...]] = []
+    base_blocks = 0
     # gaps by the variant whose run a report takes
     torque_rms = {base: 0.0}
+    tracking_rms = {base: 0.0}
+
+    @contextmanager
+    def pairing(variant: ControllerVariant) -> Iterator[Tuple[_Sink, None]]:
+        """The sink of ``variant``'s run, which folds its tracking gap to
+        the base run; at the end of the run the gap is in
+        ``tracking_rms``."""
+        kept = nullcontext((None, None)) if keeper is None else keeper(variant)
+        with kept as (sink, _):
+            sq_track = 0.0
+            paired = 0
+            blocks = 0
+
+            def pair(block: List[Tuple[float, ...]]) -> None:
+                nonlocal base_rows, base_blocks, sq_track, paired, blocks
+                if sink is not None:
+                    sink(block)
+                rows = finite(block)
+                if variant is base:
+                    base_rows = rows
+                    base_blocks += 1
+                    return
+                blocks += 1
+                # pairing stops where either run stops being finite
+                if blocks == base_blocks:
+                    for row, base_row in zip(rows, base_rows):
+                        dx = row[1] - base_row[1]
+                        dy = row[2] - base_row[2]
+                        sq_track += dx * dx + dy * dy
+                    paired += min(len(rows), len(base_rows))
+
+            yield pair, None
+        if variant is not base:
+            tracking_rms[variant] = math.sqrt(sq_track / max(paired, 1))
+
     runs = run_variants(
         [base, *others], masses, frame, gains, spec, membrane, fed, t_end, dt,
-        torque_rms,
-        _positions if keeper is None else partial(_teed_positions, keeper),
+        torque_rms, pairing,
     )
-    _, _, base_metrics, (base_x, base_y) = next(runs)
-    # only a run's last row can be non-finite: a diverged run's flagged row
-    if base_metrics.diverged:
-        del base_x[-1], base_y[-1]
-    tracking_rms = {base: 0.0}
-    reports = []
-    for variant, source, metrics, kept in runs:
-        if kept is not None:
-            xs, ys = kept
-            if metrics.diverged:
-                del xs[-1], ys[-1]
-            # pairing stops where either run stops being finite
-            sq_track = 0.0
-            for x, y, bx, by in zip(xs, ys, base_x, base_y):
-                dx = x - bx
-                dy = y - by
-                sq_track += dx * dx + dy * dy
-            paired = max(min(len(xs), len(base_x)), 1)
-            tracking_rms[source] = math.sqrt(sq_track / paired)
-            # drop this run's positions before the next run keeps its own
-            del kept, xs, ys
-        reports.append(VariantReport(
-            variant, metrics, torque_rms[source], tracking_rms[source]))
-    return ComparisonReport(base, base_metrics, tuple(reports))
+    _, _, base_metrics, _ = next(runs)
+    reports = tuple(
+        VariantReport(variant, metrics, torque_rms[source], tracking_rms[source])
+        for variant, source, metrics, _ in runs)
+    return ComparisonReport(base, base_metrics, reports)

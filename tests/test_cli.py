@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -282,15 +283,21 @@ class TestSimulateCommand:
         assert quiet.returncode == chatty.returncode == 0
         assert quiet.stderr == ""
         assert chatty.stdout == quiet.stdout
-        timed = re.findall(
-            r"^INFO variant (\w+): closed loop \+ CSV \d+\.\d{3} s, "
-            r"SVG \d+\.\d{3} s$",
-            chatty.stderr, re.MULTILINE)
+        # one walk runs the torque laws, two on this identity frame, where
+        # Corrected binds the stage-space operators; each variant's SVG is
+        # timed
+        walks = re.findall(
+            r"^INFO one walk: (\d+) torque laws, closed loops \+ CSVs "
+            r"\d+\.\d{3} s$", chatty.stderr, re.MULTILINE)
+        assert walks == ["2"]
+        timed = re.findall(r"^INFO variant (\w+): SVG \d+\.\d{3} s$",
+                           chatty.stderr, re.MULTILINE)
         assert timed == list(ALL_VARIANTS)
         reused = re.findall(
             r"^INFO variant (\w+) reuses the closed loop of variant (\w+)$",
             chatty.stderr, re.MULTILINE)
-        assert reused == [("StageConsistent", "SimPaper")]
+        assert reused == [("SimPaper", "Corrected"),
+                          ("StageConsistent", "Corrected")]
         digests = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in out.iterdir()
@@ -319,8 +326,9 @@ class TestSimulateCommand:
             "trace_SimPaper.csv", "plot_SimPaper.svg",
             "trace_StageConsistent.csv", "plot_StageConsistent.svg",
             "trace_SimPaper.csv", "plot_SimPaper.svg", "metrics.json"]
-        timed = re.findall(r"^INFO variant (\w+): closed loop \+ CSV "
-                           r"\d+\.\d{3} s, SVG \d+\.\d{3} s$",
+        assert re.findall(r"^INFO one walk: (\d+) torque laws, ",
+                          proc.stderr, re.MULTILINE) == ["1"]
+        timed = re.findall(r"^INFO variant (\w+): SVG \d+\.\d{3} s$",
                            proc.stderr, re.MULTILINE)
         assert timed == shared
         reused = re.findall(
@@ -402,7 +410,7 @@ class TestSimulateCommand:
         chatty = run_cli("simulate", "--config", str(config), "--out", str(out),
                          env_extra={"MICROINJECT_LOG": "info"})
         assert quiet.stderr == ""
-        assert "running variant" in chatty.stderr
+        assert "INFO one walk: 1 torque laws, " in chatty.stderr
         bad = run_cli("simulate", "--config", str(config), "--out", str(out),
                       env_extra={"MICROINJECT_LOG": "loud"})
         assert bad.returncode == 0
@@ -827,8 +835,10 @@ def digests(out):
 
 def test_readme_run_streams_its_traces(tmp_path, capsys):
     # each run's CSV is written from the closed loop's sink and only the
-    # rows its chart plots are kept, about 0.8 MB at the peak here; a run
-    # whose whole trace is held peaks near 2.7 MB
+    # rows its chart plots are kept.  The three runs are lanes of one walk,
+    # so the rows of all three charts, about 0.3 MB each, are held until
+    # the first chart is drawn: about 1.26 MB at the peak here.  A run
+    # whose whole trace is held adds about 2 MB
     from microinject import cli
 
     config = readme_config(tmp_path / "scenario.json")
@@ -841,7 +851,7 @@ def test_readme_run_streams_its_traces(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= 1.2e6, peak
+    assert peak <= 1.5e6, peak
     assert digests(out) == README_SHA256
 
 
@@ -954,8 +964,9 @@ def test_simulate_memory_does_not_grow_with_the_run(tmp_path):
 def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
     tmp_path, capsys, monkeypatch,
 ):
-    # every write to /dev/full fails: the first block of rows the closed
-    # loop hands its sink cannot be written
+    # every write to /dev/full fails: the first block of rows Corrected's
+    # closed loop hands its sink cannot be written.  Both runs' CSVs are
+    # opened before the walk, and the walk ends before any variant is done
     from microinject import cli
 
     opened = []
@@ -966,7 +977,9 @@ def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
         return fh
 
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
-    config = write_config(tmp_path / "scenario.json", run={
+    # a skewed frame, where Corrected has a closed loop of its own
+    config = write_config(tmp_path / "scenario.json", frame={
+        "alpha": 0.5, "dx": 1.0, "dy": 1.0, "fx": 2.0, "fy": 4.0}, run={
         "t_end": 0.5, "dt": 0.001,
         "variants": ["StageConsistent", "Corrected", "SimPaper"]})
     out = tmp_path / "out"
@@ -979,9 +992,7 @@ def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
     captured = capsys.readouterr()
     assert captured.err == (
         f"microinject: cannot write {blocked}: {os.strerror(errno.ENOSPC)}\n")
-    assert captured.out.splitlines() == [
-        str(out / "trace_StageConsistent.csv"),
-        str(out / "plot_StageConsistent.svg")]
+    assert captured.out == ""
     assert [fh.name for fh in opened] == [
         str(out / "trace_StageConsistent.csv"), str(blocked)]
     assert all(fh.closed for fh in opened)
@@ -1018,3 +1029,47 @@ def test_quintic_duration_whose_square_is_positive_runs(tmp_path):
     assert proc.stderr == ""
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["variants"]["StageConsistent"]["samples"] == 51
+
+
+def test_simulate_logs_its_walk_once_and_each_variants_svg(
+    tmp_path, capsys, caplog,
+):
+    # one walk runs every closed loop before the first variant is done, so
+    # it is timed once, with its torque-law count; then each variant's SVG
+    from microinject import cli
+
+    caplog.set_level(logging.INFO, logger="microinject")
+    config = readme_config(tmp_path / "scenario.json", t_end=0.2)
+    assert cli.main(["simulate", "--config", str(config), "--out",
+                     str(tmp_path / "out"), "--svg"]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    walks = [m for m in messages if m.startswith("one walk:")]
+    assert len(walks) == 1
+    assert re.fullmatch(
+        r"one walk: 3 torque laws, closed loops \+ CSVs \d+\.\d{3} s", walks[0])
+    assert messages.index(walks[0]) == 0
+    svgs = [re.fullmatch(r"variant (\w+): SVG \d+\.\d{3} s", m)
+            for m in messages[1:]]
+    assert [m.group(1) for m in svgs if m] == [
+        "StageConsistent", "Corrected", "SimPaper", "McPaper"]
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0], ids=["+0", "-0"])
+def test_simulate_reuses_the_stage_space_run_for_corrected_at_identity(
+    tmp_path, alpha,
+):
+    # at alpha = +-0.0 and fx = fy = 1, Corrected binds the stage-space
+    # operators: its CSV is a byte copy of StageConsistent's run
+    path = readme_config(tmp_path / "scenario.json",
+                         frame={"alpha": alpha, "fx": 1.0, "fy": 1.0},
+                         t_end=0.5, variants=["StageConsistent", "Corrected"])
+    assert f'"alpha": {alpha}' in path.read_text()
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(path), "--out", str(out),
+                   env_extra={"MICROINJECT_LOG": "info"})
+    assert proc.returncode == 0, proc.stderr
+    assert ("INFO variant Corrected reuses the closed loop of variant "
+            "StageConsistent\n") in proc.stderr
+    assert "INFO one walk: 1 torque laws, " in proc.stderr
+    assert ((out / "trace_Corrected.csv").read_bytes()
+            == (out / "trace_StageConsistent.csv").read_bytes())

@@ -128,24 +128,33 @@ def test_discrepancy_study_runs_each_torque_law_once_per_frame(
     from microinject.control import ControllerVariant
 
     study = _load_study()
-    closed_loop = sim._closed_loop
+    build, lane = sim.torque_kernel, sim._lane
     ran = []
 
-    def recording_run(variant, masses, frame, *args):
-        ran.append((variant, frame))
-        return closed_loop(variant, masses, frame, *args)
+    def tagging_build(variant, masses, frame, fed):
+        torque = build(variant, masses, frame, fed)
+        torque.run = variant, frame
+        return torque
 
-    monkeypatch.setattr(sim, "_closed_loop", recording_run)
+    def recording_lane(torque, *args):
+        ran.append(torque.run)
+        return lane(torque, *args)
+
+    monkeypatch.setattr(sim, "torque_kernel", tagging_build)
+    monkeypatch.setattr(sim, "_lane", recording_lane)
     monkeypatch.setattr(sys, "argv", [
         "discrepancy_study.py", "--t-end", "0.2",
         *(["--out", str(tmp_path)] if out else [])])
     assert study.main() == 0
     # one closed loop per torque law and frame; SimPaper shares
-    # StageConsistent's law, and its CSV is a copy
-    assert len(ran) == 6
+    # StageConsistent's law, and its CSV is a copy; on the identity frame
+    # Corrected shares it too
+    assert len(ran) == 5
     assert Counter(v for v, frame in ran if frame is study.SKEWED) == {
         ControllerVariant.STAGE_CONSISTENT: 1, ControllerVariant.CORRECTED: 1,
         ControllerVariant.MC_PAPER: 1}
+    assert Counter(v for v, frame in ran if frame is study.IDENTITY) == {
+        ControllerVariant.STAGE_CONSISTENT: 1, ControllerVariant.MC_PAPER: 1}
     # the tables, as pinned; with --out the "wrote" lines follow them
     assert _sha256(capsys.readouterr().out.split("wrote ")[0]) == (
         STUDY_STDOUT_SHA256)

@@ -17,8 +17,8 @@ from microinject.control import (
     ImpedanceParams,
     force_control_residual,
     impedance_accel,
+    STAGE_SPACE_VARIANTS,
     torque_controller,
-    torque_law_of,
 )
 from microinject.dynamics import (
     ForcePair,
@@ -572,28 +572,40 @@ def test_compare_variants_with_shared_laws_matches_reference_bitwise(
     assert [r.variant for r in report.reports] == others
 
 
+def _record_lanes(monkeypatch):
+    """The lanes ``run_variants`` starts, recorded as they start: per lane,
+    the variant whose torque law it steps and the variants whose laws it
+    scores as rivals."""
+    import microinject.sim as sim
+
+    build, lane = sim.torque_kernel, sim._lane
+    lanes = []
+
+    def tagging_build(variant, *args):
+        torque = build(variant, *args)
+        torque.variant = variant
+        return torque
+
+    def recording_lane(torque, oracle, rivals, *args):
+        lanes.append((torque.variant, [rival.variant for rival in rivals]))
+        return lane(torque, oracle, rivals, *args)
+
+    monkeypatch.setattr(sim, "torque_kernel", tagging_build)
+    monkeypatch.setattr(sim, "_lane", recording_lane)
+    return lanes
+
+
 def test_compare_variants_runs_each_torque_law_once(monkeypatch):
     import microinject.sim as sim
 
-    ran = []
-
-    closed_loop = sim._closed_loop
-    scored = []
-
-    def recording_run(variant, *args):
-        ran.append(variant)
-        scored.append(args[-2])
-        return closed_loop(variant, *args)
-
-    monkeypatch.setattr(sim, "_closed_loop", recording_run)
+    lanes = _record_lanes(monkeypatch)
     scenario = _pin_scenarios()[3]
     report = sim.compare_variants(_C, [_S, _SC, _M], *scenario)
-    # SimPaper and StageConsistent share one law, so one of them runs
-    assert ran == [_C, _S, _M]
-    assert report.reports[0].metrics is report.reports[1].metrics
-    # the base run scores the laws of the other runs but the oracle's, whose
+    # SimPaper and StageConsistent share one law, so one of them runs; the
+    # base run scores the laws of the other runs but the oracle's, whose
     # gap is its torque divergence; they score none
-    assert scored == [[_M], [], []]
+    assert lanes == [(_C, [_M]), (_S, []), (_M, [])]
+    assert report.reports[0].metrics is report.reports[1].metrics
 
 
 @pytest.mark.parametrize("base, others, scenario_index", [
@@ -667,8 +679,8 @@ def test_closed_loop_evaluates_the_trajectory_and_contact_once_per_row(
     scenario = _pin_scenarios()[2]
     rows, metrics = sim.run_closed_loop(_C, *scenario)
     assert not metrics.diverged
-    # the trajectory once more for the start state
-    assert calls == {"desired": [1, len(rows) + 1], "contact": [1, len(rows)]}
+    # the start state is the first row's desired point
+    assert calls == {"desired": [1, len(rows)], "contact": [1, len(rows)]}
 
 
 @pytest.mark.parametrize("base", [_C, _M])
@@ -685,7 +697,8 @@ def test_compare_variants_evaluates_the_oracle_law_once_per_state(
 
     def counting_build(variant, *args):
         torque = build(variant, *args)
-        law = torque_law_of(variant)
+        # on a skewed frame the stage-space variants share one law
+        law = _SC if variant in STAGE_SPACE_VARIANTS else variant
 
         def counted(*args):
             evaluations[law] = evaluations.get(law, 0) + 1
@@ -756,23 +769,23 @@ def _compare_sinusoid_peak(others, t_end):
 
 
 def test_compare_variants_keeps_positions_not_traces():
-    # no run's trace is kept: the base run's x and y and those of the run
-    # after it, 16 B a row each (a run's trace is about 0.47 KB a row)
+    # no run's trace is kept, nor any position: a run's trace is about
+    # 0.47 KB a row
     report, peak = _compare_sinusoid_peak([_C, _S, _M], 10.0)
     assert report.base_metrics.samples == 10_001
     assert not any(r.metrics.diverged for r in report.reports)
     assert peak <= 0.5e6, peak
 
 
-def test_compare_variants_memory_grows_by_positions_only():
-    # two runs of distinct laws, so the second run keeps its positions
-    # next to the base run's: 32 B a row, plus array('d')'s growth slack
+def test_compare_variants_memory_does_not_grow_with_the_run():
+    # two runs of distinct laws, whose tracking gap is folded a block at a
+    # time: ten times the rows, the same peak to within a byte a row
     small, small_peak = _compare_sinusoid_peak([_M], 10.0)
     large, large_peak = _compare_sinusoid_peak([_M], 100.0)
     assert small.base_metrics.samples == 10_001
     assert large.base_metrics.samples == large.reports[0].metrics.samples == 100_001
     per_row = (large_peak - small_peak) / 90_000
-    assert per_row <= 40.0, per_row
+    assert per_row <= 1.0, per_row
 
 
 _SHARED = [_S, _C, _SC, _S, _M, _C]
@@ -783,22 +796,11 @@ def test_run_variants_runs_each_torque_law_once_and_reuses_its_run(
 ):
     import microinject.sim as sim
 
-    ran = []
-
-    closed_loop = sim._closed_loop
-    scored = []
-
-    def recording_run(variant, *args):
-        ran.append(variant)
-        scored.append(args[-2])
-        return closed_loop(variant, *args)
-
-    monkeypatch.setattr(sim, "_closed_loop", recording_run)
+    lanes = _record_lanes(monkeypatch)
     scenario = _pin_scenarios()[3]
     yielded = list(sim.run_variants(_SHARED, *scenario))
-    assert ran == [_S, _C, _M]
     # without torque_gaps no run evaluates another law
-    assert scored == [[], [], []]
+    assert lanes == [(_S, []), (_C, []), (_M, [])]
     assert [variant for variant, _, _, _ in yielded] == _SHARED
     assert [source for _, source, _, _ in yielded] == [_S, _C, _S, _S, _M, _C]
     assert [rows is None for _, _, _, rows in yielded] == [
@@ -816,27 +818,31 @@ def test_run_variants_runs_each_torque_law_once_and_reuses_its_run(
 
 
 class _Rows(list):
-    """A row that a weak reference can watch: it lives while its trace does."""
+    """A trace that a weak reference can watch."""
 
 
-def test_run_variants_keeps_no_rows_once_the_consumer_drops_them(monkeypatch):
+def test_run_variants_keeps_no_rows_once_the_consumer_drops_them():
     import microinject.sim as sim
 
-    dropped = []
+    traces = []
 
-    def stub_run(variant, *args):
-        # every earlier trace is gone before the next run builds its own
-        assert [ref() for ref in dropped] == [None] * len(dropped)
+    @contextmanager
+    def keeper(variant):
         rows = _Rows()
-        # the sink takes a block of rows: one row, which lives with the trace
-        args[-1]([rows])
-        dropped.append(weakref.ref(rows))
-        return RunMetrics(Vec2(0.0, 0.0), 0.0, 0.0, 0), []
+        traces.append(weakref.ref(rows))
+        yield rows.extend, rows
 
-    monkeypatch.setattr(sim, "_closed_loop", stub_run)
-    for _, _, _, rows in sim.run_variants(_SHARED, *_pin_scenarios()[3]):
+    yielded = 0
+    for _, _, _, rows in sim.run_variants(_SHARED, *_pin_scenarios()[3],
+                                          keeper=keeper):
+        # one walk ran every law: each run's trace lives until it is
+        # yielded, and each one the consumer dropped is gone
+        kept = [ref() is not None for ref in traces]
+        assert kept == [False] * yielded + [True] * (len(traces) - yielded)
+        yielded += rows is not None
         del rows
-    assert len(dropped) == 3
+    assert len(traces) == yielded == 3
+    assert [ref() for ref in traces] == [None] * 3
 
 
 @pytest.mark.parametrize("scenario_index", [3, 4], ids=["skewed", "diverging"])
@@ -892,11 +898,140 @@ def test_compare_variants_raises_the_error_of_its_keepers_sink(tmp_path):
     scenario = _pin_scenarios()[3]
     with pytest.raises(SinkFailed) as info:
         compare_variants(_SC, [_C, _S, _M], *scenario, keeper)
+    # every keeper is entered before the walk; the walk ends at the first
+    # sink that fails, StageConsistent's on the second block, and every
+    # keeper has exited, last entered first
     assert info.value.args == (_SC,)
-    assert exits == [_SC]
-    assert len(files) == 1 and files[0].closed
-    # the first block was written before the second one failed
+    assert exits == [_M, _C, _SC]
+    assert len(files) == 3 and all(fh.closed for fh in files)
+    # each run's first block was written before the second one failed
     import microinject.sim as sim
 
-    assert (tmp_path / "StageConsistent.txt").read_text() == (
-        f"{sim._BLOCK_ROWS}\n")
+    for variant in (_SC, _C, _M):
+        assert (tmp_path / f"{variant.value}.txt").read_text() == (
+            f"{sim._BLOCK_ROWS}\n")
+
+
+# A skewed-frame scenario in which the transform-weighted runs diverge at
+# first contact (the membrane's damping overflows the contact force) and
+# the stage-space runs never touch: McPaper's flagged row is its 97th,
+# Corrected's its 99th, both in the second block of rows.
+_DIVERGING_PAIRS = (
+    MassParams(1.0, 1.0, 1.0),
+    FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0),
+    ImpedanceParams(1.0, 20.0, 100.0),
+    TrajectorySpec(TrajectoryKind.QUINTIC, Vec2(0.8, 0.0), 0.15,
+                   end=Vec2(0.98, 0.2)),
+    MembraneModel(0.0, 1.7e308, 1.0), ForcePair(-5.0, 1.0), 0.25, 1e-3,
+)
+
+_STAGE_METRICS = [['0x1.8e590c7248b9ap-12', '0x1.badbff34a9434p-12'],
+                  '0x1.7800000000000p-47', '0x0.0p+0', '251', 'False']
+_CORRECTED_METRICS = [['0x1.5d23a0c1b5a0cp-5', '0x1.113858059955ap-5'],
+                      '0x1.d7111940b05f9p+5', '0x1.0dc14c3c52918p+7', '99',
+                      'True']
+_MC_METRICS = [['0x1.64a0e905a943dp-5', '0x1.0f1c07232e0bap-5'],
+               '0x1.e0a0b246e56f1p+5', '0x1.0dcca8f7f7faep+7', '97', 'True']
+
+
+@pytest.mark.parametrize("base, others, pinned", [
+    # the base diverges: the pairs stop at its finite rows
+    (_C, [_SC, _M, _S], [
+        repr(_C), _CORRECTED_METRICS, [
+            [repr(_SC), _STAGE_METRICS,
+             '0x1.0dc14c3c52918p+7', '0x1.bfa06e4cff6a4p-5'],
+            [repr(_M), _MC_METRICS,
+             '0x1.465655f122ff6p+2', '0x1.873c28e64a8acp-10'],
+            [repr(_S), _STAGE_METRICS,
+             '0x1.0dc14c3c52918p+7', '0x1.bfa06e4cff6a4p-5'],
+        ]]),
+    # other variants diverge: each pair stops at that variant's finite rows
+    (_SC, [_C, _S, _M], [
+        repr(_SC), _STAGE_METRICS, [
+            [repr(_C), _CORRECTED_METRICS,
+             '0x1.2779fa2b746e9p+7', '0x1.bfa06e4cff6a4p-5'],
+            [repr(_S), _STAGE_METRICS, '0x0.0p+0', '0x0.0p+0'],
+            [repr(_M), _MC_METRICS,
+             '0x1.27a643a256bd0p+7', '0x1.c45bd9826f691p-5'],
+        ]]),
+], ids=["base-diverges", "others-diverge"])
+def test_compare_variants_with_diverging_runs_matches_pinned_bits(
+    base, others, pinned
+):
+    # pinned from the comparison that kept each run's positions and paired
+    # them once the runs had ended
+    assert _bits(compare_variants(base, others, *_DIVERGING_PAIRS)) == pinned
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("base, others, scenario", [
+    (_C, [_SC, _M, _S], _DIVERGING_PAIRS),
+    (_SC, [_C, _S, _M], _DIVERGING_PAIRS),
+    (_SC, [_S, _C, _SC, _C], _pin_scenarios()[4]),
+    (_C, [_M, _SC, _S], _pin_scenarios()[5]),
+], ids=["base-diverges", "others-diverge", "all-diverge", "flagged-rows"])
+def test_compare_variants_pairs_blocks_of_any_size_as_whole_runs(
+    monkeypatch, block_rows, base, others, scenario
+):
+    # the tracking gaps are folded a block at a time: wherever a block
+    # ends, and wherever a run's flagged row falls in it, the report is the
+    # one whole runs paired row by row give
+    import microinject.sim as sim
+
+    monkeypatch.setattr(sim, "_BLOCK_ROWS", block_rows)
+    report = compare_variants(base, others, *scenario)
+    assert _bits(report) == _bits(_reference_compare(base, others, *scenario))
+
+
+@pytest.mark.parametrize("variants", [
+    [_C], [_SC, _S], [_S, _C, _SC, _S, _M, _C], list(ControllerVariant),
+], ids=["one-law", "one-shared-law", "three-laws", "all-variants"])
+@pytest.mark.parametrize("scenario_index", [1, 3])
+def test_run_variants_evaluates_the_trajectory_once_per_grid_time(
+    monkeypatch, variants, scenario_index
+):
+    import microinject.sim as sim
+
+    scenario = _pin_scenarios()[scenario_index]
+    build = sim._trajectory_kernel
+    times = []
+
+    def counting_build(spec):
+        desired = build(spec)
+
+        def counted(t):
+            times.append(t)
+            return desired(t)
+
+        return counted
+
+    monkeypatch.setattr(sim, "_trajectory_kernel", counting_build)
+    yielded = list(sim.run_variants(variants, *scenario))
+    want = [t for t, _ in sim.step_grid(*scenario[-2:])]
+    assert [t.hex() for t in times] == [t.hex() for t in want]
+    assert {m.samples for _, _, m, _ in yielded} == {len(want)}
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize("scenario_index", [0, 3], ids=["quintic", "sinusoid"])
+def test_corrected_at_the_identity_frame_is_the_stage_space_run(
+    monkeypatch, alpha, scenario_index
+):
+    # at alpha = +-0.0 and fx = fy = 1 Corrected binds L = M and N = B
+    # exactly, so its run is StageConsistent's bit for bit, and run_variants
+    # reuses that run
+    masses, _, *rest = _pin_scenarios()[scenario_index]
+    frame = FrameParams(alpha=alpha, dx=0.5, dy=0.5, fx=1.0, fy=1.0)
+    scenario = (masses, frame, *rest)
+    rows_c, metrics_c = run_closed_loop(_C, *scenario)
+    rows_sc, metrics_sc = run_closed_loop(_SC, *scenario)
+    assert _bits(rows_c) == _bits(rows_sc)
+    assert _bits(metrics_c) == _bits(metrics_sc)
+    assert any(row[7] > 0.0 for row in rows_c)  # it touches the membrane
+    lanes = _record_lanes(monkeypatch)
+    import microinject.sim as sim
+
+    yielded = list(sim.run_variants([_SC, _C, _M, _S], *scenario))
+    assert lanes == [(_SC, []), (_M, [])]
+    assert [source for _, source, _, _ in yielded] == [_SC, _SC, _M, _SC]
+    assert _bits(yielded[1][2]) == _bits(metrics_c)
