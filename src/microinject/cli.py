@@ -22,7 +22,7 @@ and, with ``--svg``, keeps only the rows its chart plots: every
 rows of every run's chart are held at once, until each chart is drawn.  A
 run that diverges may have a finite prefix with another stride, so its
 chart is drawn from its CSV, read back a line at a time.  A variant that
-reuses a run (one whose torque kernel binds the same operators:
+reuses a run (one whose torque law has the same operators and tail:
 ``control.torque_law_key``) gets that run's metrics, a byte copy of its
 CSV, and its SVG panels under the variant's own title.  An info line
 names the variant whose run it reuses.
@@ -39,7 +39,10 @@ that row, so a run far from the origin is held to the rounding of its
 positions, not to an absolute bound.
 
 An output file (CSV, SVG or ``metrics.json``) that cannot be written
-exits 2 with ``cannot write <path>: <reason>``.
+exits 2 with ``cannot write <path>: <reason>``.  When a trace CSV fails
+during the walk, ``simulate`` removes the CSVs the walk opened for the
+other runs, so no half-written trace is left, and leaves the path that
+failed as it was.
 
 Only ``verify`` imports numpy, for its lanes, so ``simulate`` and
 ``free-response`` run without loading it.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import logging
 import os
 import re
@@ -84,7 +88,12 @@ FREE_RESPONSE_MAX_ERROR = 1e-5
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 class _CannotWrite(Exception):
-    """An output file could not be written; ``main`` exits 2 with it."""
+    """The output file ``path`` could not be written; ``main`` exits 2 with
+    it."""
+
+    def __init__(self, path: str, exc: OSError) -> None:
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+        self.path = path
 
 
 @contextlib.contextmanager
@@ -93,7 +102,7 @@ def _writing(path: str) -> Iterator[None]:
     try:
         yield
     except OSError as exc:
-        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _CannotWrite(path, exc) from exc
 
 
 def _write(path: str, write: Callable[..., Any], *args: object) -> Any:
@@ -217,23 +226,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stride = report.chart_stride(grid_rows(config.t_end, config.dt))
 
     laws = []  # the variant that runs each torque law, in the walk's order
+    opened = []  # the trace CSVs the walk opened
 
     @contextlib.contextmanager
     def trace_csv(variant: ControllerVariant) -> Iterator[Any]:
         """The sink of the closed loop of ``variant``: it writes the run's
-        CSV and, with --svg, keeps the rows its chart plots."""
+        CSV and, with --svg, keeps the rows its chart plots.  A write that
+        fails raises ``_CannotWrite`` naming this CSV, so the keepers that
+        the error unwinds pass it on."""
         laws.append(variant)
         path = os.path.join(args.out, f"trace_{variant.value}.csv")
         with _writing(path), open(path, "w", encoding="utf-8",
                                   newline="") as fh:
+            opened.append(path)
             write_rows = report.trace_csv_writer(fh)
             keep, sampled = report.chart_sampler(stride)
 
-            def write_and_keep(block: List[tuple]) -> None:
-                write_rows(block)
-                keep(block)
+            def sink(block: List[tuple]) -> None:
+                try:
+                    write_rows(block)
+                except OSError as exc:
+                    raise _CannotWrite(path, exc) from exc
+                if args.svg:
+                    keep(block)
 
-            yield (write_and_keep if args.svg else write_rows), sampled
+            yield sink, sampled
 
     any_diverged = False
     variant_metrics = {}
@@ -244,12 +261,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config.dt, keeper=trace_csv,
     )
     start = time.perf_counter()
-    for index, variant in enumerate(config.variants):
-        _, source, metrics, sampled = next(runs)
-        if not index:
-            # the first yield comes once the walk has run every closed loop
-            log.info("one walk: %d torque laws, closed loops + CSVs %.3f s",
-                     len(laws), time.perf_counter() - start)
+    try:
+        # the first yield comes once the walk has run every closed loop
+        runs = itertools.chain([next(runs)], runs)
+    except _CannotWrite as exc:
+        # no run's CSV is left half written; the file that failed is left
+        # as it was
+        for path in opened:
+            if path != exc.path:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
+    log.info("one walk: %d torque laws, closed loops + CSVs %.3f s",
+             len(laws), time.perf_counter() - start)
+    for variant, (_, source, metrics, sampled) in zip(config.variants, runs):
         trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
         svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
         title = f"variant {variant.value}"

@@ -32,15 +32,18 @@ STAGE_CONSISTENT and SIM_PAPER are algebraically identical under the
 stage-frame error definition; both names are kept because they answer
 different questions (oracle vs. published formulation).
 
-Each formula is evaluated in one place, a float kernel that binds its
-constant operators once: ``commanded_accel_kernel`` (c, with the gains),
-``torque_kernel`` (L = M or M@T, N = B or (B@T_inv)@T and the tail force,
-applied to a given c), ``impedance_accel_kernel``,
+Each formula has one float kernel that binds its constant operators
+once: ``commanded_accel_kernel`` (c, with the gains), ``torque_kernel``
+(the L = M or M@T, N = B or (B@T_inv)@T and tail force of the variant's
+``torque_law``, applied to a given c), ``impedance_accel_kernel``,
 ``force_control_residual_kernel`` and ``required_torque_kernel`` (over
 ``dynamics.inverse_dynamics_kernel``).  The torque laws act on c and bind
 no gains, so a caller solves c once per state and passes it to every law
-it evaluates there.  ``torque_law_key`` names the operators and tail a
-variant's kernel binds, so a caller runs each distinct law once.
+it evaluates there.  ``torque_law_key`` names the operators and tail of
+a variant's law, so a caller runs each distinct law once.  The closed
+loop in ``sim`` evaluates c, the laws of ``torque_law`` and the residual
+inline, in the kernels' operation order, and the kernels are its
+reference.
 ``implication_check`` tests the impedance-law precondition and solves c
 once per state, and then combines any number of torque kernels with the
 required torque.  ``torque_controller``,
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .algebra2d import (
     Mat2, Vec2, _is_lanes, check_fields, lane_max, mat_inv, mat_mul,
@@ -139,37 +142,69 @@ STAGE_SPACE_VARIANTS = frozenset(
 )
 
 
-def _operators(
+class TorqueLaw(NamedTuple):
+    """What one torque-law variant binds at given masses and frame: the
+    entries of L and N, row by row, and whether its tail is fe (else fed).
+    """
+
+    l00: float
+    l01: float
+    l10: float
+    l11: float
+    n00: float
+    n01: float
+    n10: float
+    n11: float
+    use_fe: bool
+
+    @property
+    def key(self) -> Tuple[Tuple[str, ...], bool]:
+        """The entries by ``float.hex`` and the tail: ``torque_law_key``."""
+        return tuple(float(v).hex() for v in self[:8]), self.use_fe
+
+
+def torque_law(
     variant: ControllerVariant, masses: MassParams, frame: FrameParams,
-) -> Tuple[Mat2, Mat2]:
-    """The L and N that ``torque_kernel`` binds for ``variant``."""
+) -> TorqueLaw:
+    """The operators and tail of ``variant``: L = M and N = B in stage
+    space; L = M@T and N = (B@T_inv)@T, with T = transformation_matrix(frame),
+    for the transform-weighted variants, which raise SingularMatrix when T
+    fails ``mat_inv``'s scale-relative cutoff.  The stage-space variants
+    never form T.  T reads the frame's cached ``rotation``, so the laws
+    built on one frame compute its cosine and sine once between them.
+
+    ``torque_kernel`` evaluates the law it gives, and the closed loop in
+    ``sim`` evaluates it inline.
+    """
     m_mat = mass_matrix(masses)
     if variant in STAGE_SPACE_VARIANTS:
-        return m_mat, _B
-    t_mat = transformation_matrix(frame)
-    return mat_mul(m_mat, t_mat), mat_mul(mat_mul(_B, mat_inv(t_mat)), t_mat)
+        l_mat, n_mat = m_mat, _B
+    else:
+        t_mat = transformation_matrix(frame)
+        l_mat = mat_mul(m_mat, t_mat)
+        n_mat = mat_mul(mat_mul(_B, mat_inv(t_mat)), t_mat)
+    return TorqueLaw(
+        l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11,
+        n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11,
+        variant is ControllerVariant.MC_PAPER,
+    )
 
 
 def torque_law_key(
     variant: ControllerVariant, masses: MassParams, frame: FrameParams,
 ) -> Tuple[Tuple[str, ...], bool]:
     """What decides ``variant``'s torque at ``masses`` and ``frame``: the
-    entries of the L and N that ``torque_kernel`` binds, by ``float.hex``,
-    and whether its tail is fe.
+    entries of the L and N of its ``torque_law``, by ``float.hex``, and
+    whether its tail is fe.
 
     Variants with equal keys give the same torque at every state bit for
     bit, so their closed loops are identical and need to be run only once.
     Both stage-space variants always share a key.  At the identity frame
     (alpha = +-0.0, fx = fy = 1) CORRECTED binds exactly the stage-space
     L = M and N = B, so it shares theirs too.  Takes float parameters;
-    raises SingularMatrix as ``torque_kernel`` does.
+    raises SingularMatrix as ``torque_law`` does.
     """
-    l_mat, n_mat = _operators(variant, masses, frame)
-    return (
-        tuple(float(v).hex() for m in (l_mat, n_mat)
-              for v in (m.m00, m.m01, m.m10, m.m11)),
-        variant is ControllerVariant.MC_PAPER,
-    )
+    return torque_law(variant, masses, frame).key
 
 
 def error_state(
@@ -313,38 +348,39 @@ def torque_kernel(
     frame: FrameParams,
     fed: ForcePair,
 ) -> Callable[..., Tuple[float, float]]:
-    """One torque-law variant in floats, with its operators bound once:
-    L = M and N = B in stage space; L = M@T and N = (B@T_inv)@T, with
-    T = transformation_matrix(frame), for the transform-weighted variants,
-    which raise SingularMatrix when T fails ``mat_inv``'s scale-relative
-    cutoff.  The stage-space variants never form T.  T reads the frame's
-    cached ``rotation``, so the kernels built on one frame compute its
-    cosine and sine once between them.
+    """One torque-law variant in floats, with its ``torque_law`` bound once.
 
     The returned ``torque(c0, c1, fe0, fe1, v0, v1)`` gives
     tau = L @ c + N @ qdot + tail at one state, with the commanded
     acceleration c from ``commanded_accel_kernel(gains)`` and the tail fe
-    for MC_PAPER, fed otherwise.  The gains enter only through c, so a
-    caller solves c once per state for every law it evaluates there.
-    Every matrix product is formed, the structural zeros included, in the
-    order of ``mat_vec_mul``.
+    for MC_PAPER, fed otherwise, picked when the kernel is built.  The
+    gains enter only through c, so a caller solves c once per state for
+    every law it evaluates there.  Every matrix product is formed, the
+    structural zeros included, in the order of ``mat_vec_mul``.
     """
-    l_mat, n_mat = _operators(variant, masses, frame)
-    l00, l01, l10, l11 = l_mat.m00, l_mat.m01, l_mat.m10, l_mat.m11
-    n00, n01, n10, n11 = n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11
-    use_fe = variant is ControllerVariant.MC_PAPER
+    l00, l01, l10, l11, n00, n01, n10, n11, use_fe = torque_law(
+        variant, masses, frame)
+    if use_fe:
+        def torque(
+            c0: float, c1: float, fe0: float, fe1: float, v0: float, v1: float,
+        ) -> Tuple[float, float]:
+            return (
+                ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + fe0,
+                ((l10 * c0 + l11 * c1) + (n10 * v0 + n11 * v1)) + fe1,
+            )
+
+        return torque
     fed0, fed1 = fed.fex, fed.fey
 
-    def torque(
+    def torque_fed(
         c0: float, c1: float, fe0: float, fe1: float, v0: float, v1: float,
     ) -> Tuple[float, float]:
-        t0, t1 = (fe0, fe1) if use_fe else (fed0, fed1)
         return (
-            ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + t0,
-            ((l10 * c0 + l11 * c1) + (n10 * v0 + n11 * v1)) + t1,
+            ((l00 * c0 + l01 * c1) + (n00 * v0 + n01 * v1)) + fed0,
+            ((l10 * c0 + l11 * c1) + (n10 * v0 + n11 * v1)) + fed1,
         )
 
-    return torque
+    return torque_fed
 
 
 def torque_controller(

@@ -23,7 +23,7 @@ evaluation.
 
 A frame's cosine and sine are computed once per frame: ``FrameParams.rotation``
 caches ``rotation_matrix(alpha)`` on first read, and every map, and every
-``control.torque_kernel``, built on that frame reads it.  A frame is frozen,
+``control.torque_law``, built on that frame reads it.  A frame is frozen,
 so its rotation cannot go stale, except that the arrays of a lane frame can
 be written in place: they must not be written after its rotation has been
 read.  ``verify`` never writes them.

@@ -6,33 +6,38 @@ loop.  The controller runs at the integration rate: its output is held
 constant across each RK4 step.  Identical inputs produce bit-identical
 traces.
 
-The loop steps in plain floats.  Once per scenario it builds the float
-kernels of the trajectory, the contact model, the commanded acceleration,
-each distinct torque law, the impedance residual and the RK4 step.
-``run_variants``,
-the one runner, decides which closed loops run and, by its keeper, what
-each run's sink keeps; ``run_closed_loop``, ``compare_variants``,
-``simulate`` and the discrepancy study take their runs from it.  Variants
-whose torque kernels bind the same operators (``torque_law_key``) share
-one run: the two stage-space variants always, and ``Corrected`` with them
-at the identity frame.  Each distinct law is a lane, a generator that
-steps its closed loop a block of grid samples at a time, and all the lanes
-of a scenario share one walk of the grid: the grid is checked once, and
-the trajectory evaluated once per time, whatever the number of laws.  Per
-state a lane evaluates the contact force and the commanded acceleration
-once, and each torque law at most once, and takes the RK4 step in one
-call.  For ``compare_variants`` the first lane also evaluates every other
-law except the oracle's at each of its states, on the c and contact force
-it has solved there; the oracle's gap is that run's
-``torque_divergence_rms``.  A lane hands its rows to a sink, a block of
-rows at a time, and keeps none itself.  ``run_closed_loop`` and, by
-default, ``run_variants`` collect the rows in a list.  ``compare_variants``
-folds each run's tracking gap to the base run as the blocks come, so it
-holds no state per row, and hands the rows to the keeper it is given; the
-study's writes each run's CSV.  ``sample_trajectory`` and
-``membrane_force`` wrap the trajectory and contact kernels.  Every kernel
-keeps the evaluation order of the ``Vec2`` algebra, so traces are
-bit-identical to the ``Vec2`` formulas.
+The loop steps in plain floats.  Once per scenario it binds the
+trajectory kernel, each distinct torque law's entries (``torque_law``)
+and the RK4 step, and each lane binds the gains, the membrane and fed.
+``run_variants``, the one runner, decides which closed loops run and, by
+its keeper, what each run's sink keeps; ``run_closed_loop``,
+``compare_variants``, ``simulate`` and the discrepancy study take their
+runs from it.  Variants whose laws bind the same operators and tail
+(``torque_law_key``) share one run: the two stage-space variants always,
+and ``Corrected`` with them at the identity frame.  Each distinct law is a
+lane, a generator that steps its closed loop a block of grid samples at a
+time, and all the lanes of a scenario share one walk of the grid: the
+grid is checked once, and the trajectory evaluated once per time,
+whatever the number of laws.  Per state a lane evaluates the contact
+force, the commanded acceleration, its law's torque, the oracle's and the
+impedance residual inline, once each, with no function call, and takes
+the RK4 step in one call of ``dynamics.rk4_kernel``'s step.  For
+``compare_variants`` the first lane also evaluates every other law except
+the oracle's at each of its states, on the c and contact force it has
+solved there; the oracle's gap is that run's ``torque_divergence_rms``.
+A lane hands its rows to a sink, a block of rows at a time, and keeps
+none itself.  ``run_closed_loop`` and, by default, ``run_variants``
+collect the rows in a list.  ``compare_variants`` folds each run's
+tracking gap to the base run as the blocks come, so it holds no state per
+row, and hands the rows to the keeper it is given; the study's writes
+each run's CSV.  ``sample_trajectory`` wraps the trajectory kernel.
+
+The lane keeps the evaluation order of ``membrane_force`` and of the
+number-generic kernels of ``control`` (``commanded_accel_kernel``,
+``torque_kernel``, ``force_control_residual_kernel``), which keep that of
+the ``Vec2`` algebra, so traces are bit-identical to the ``Vec2``
+formulas.  Those kernels are the lane's reference: the tests re-derive
+every row of a closed loop from the row before it with them.
 """
 
 from __future__ import annotations
@@ -51,10 +56,8 @@ from .control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
     ImpedanceParams,
-    commanded_accel_kernel,
-    force_control_residual_kernel,
-    torque_kernel,
-    torque_law_key,
+    TorqueLaw,
+    torque_law,
 )
 from .dynamics import (
     ForcePair,
@@ -225,25 +228,14 @@ def sample_trajectory(spec: TrajectorySpec, t: float) -> DesiredTrajectoryPoint:
     return DesiredTrajectoryPoint(Vec2(qd0, qd1), Vec2(qv0, qv1), Vec2(qa0, qa1))
 
 
-def _contact_kernel(model: MembraneModel) -> Callable[[float, float], float]:
-    """The membrane contact force in floats, with the model bound once.
-
-    The returned ``contact(x, xdot)`` gives the x-component; the
-    y-component is always zero.
-    """
-    stiffness, damping, contact_x = model.stiffness, model.damping, model.contact_x
-
-    def contact(x: float, xdot: float) -> float:
-        if x > contact_x:
-            return max(0.0, stiffness * (x - contact_x) + damping * xdot)
-        return 0.0
-
-    return contact
-
-
 def membrane_force(model: MembraneModel, q: Vec2, qdot: Vec2) -> ForcePair:
     """Contact force at state (q, qdot); zero before contact, never adhesive."""
-    return ForcePair(_contact_kernel(model)(q.a0, qdot.a0), 0.0)
+    x = q.a0
+    if x > model.contact_x:
+        return ForcePair(max(
+            0.0, model.stiffness * (x - model.contact_x) + model.damping * qdot.a0,
+        ), 0.0)
+    return ForcePair(0.0, 0.0)
 
 
 # takes each block of rows of a closed loop as the loop makes them
@@ -285,16 +277,18 @@ def run_closed_loop(
     """Simulate one controller variant in closed loop.
 
     The stage starts on the trajectory: q(0) = qd(0), qdot(0) = qd_dot(0).
-    Each step samples the desired point, measures the membrane contact
-    force, forms the stage-frame errors e and edot, solves the commanded
-    acceleration c once, evaluates the variant's torque and the
-    stage-consistent oracle torque on it, and records a trace row: a plain
-    tuple of floats in ``TraceRow``'s field order.  Then one call of the
-    RK4 step advances the dynamics with the variant's torque held constant
-    and hands back the acceleration that torque realizes at the state, on
-    which the impedance law is scored; the final row takes a zero-width
-    step for it.  The operators of both laws and of the dynamics are built
-    once per run and the step runs in floats.
+    Each step samples the desired point and then, inline, measures the
+    membrane contact force, forms the stage-frame errors e and edot, solves
+    the commanded acceleration c once, evaluates the variant's torque and
+    the stage-consistent oracle torque on it, and records a trace row: a
+    plain tuple of floats in ``TraceRow``'s field order.  Then one call of
+    the RK4 kernel's step advances the dynamics with the variant's torque
+    held constant and hands back the acceleration that torque realizes at
+    the state, on which the impedance law is scored, inline too; the final
+    row takes a zero-width step for it.  The laws' entries and the
+    dynamics' operators are bound once per run and the step runs in
+    floats, in the operation order of the number-generic kernels of
+    ``control``, which the tests hold it to bit for bit.
 
     A row is tested for divergence by the sum of its fields, and field by
     field only when that sum is not finite, since finite fields can
@@ -309,19 +303,18 @@ def run_closed_loop(
 
 
 def _lane(
-    torque: Callable[..., Tuple[float, float]],
-    oracle: Optional[Callable[..., Tuple[float, float]]],
-    rivals: Sequence[Callable[..., Tuple[float, float]]],
-    contact: Callable[[float, float], float],
-    commanded: Callable[..., Tuple[float, float]],
-    residual: Callable[..., Tuple[float, float]],
-    step: Callable[..., Tuple[float, ...]],
+    law: TorqueLaw,
+    oracle: Optional[TorqueLaw],
+    rivals: Sequence[TorqueLaw],
+    gains: ImpedanceParams,
+    membrane: MembraneModel,
     fed: ForcePair,
+    step: Callable[..., Tuple[float, ...]],
     sink: _Sink,
 ) -> Generator[None, Optional[List[Tuple[float, ...]]],
                Tuple[RunMetrics, List[float]]]:
-    """The closed loop of one torque law, ``torque``, stepped a block of
-    grid samples at a time.
+    """The closed loop of one torque law, ``law``, stepped a block of grid
+    samples at a time.
 
     Primed with ``next``, it takes each block a walk ``send``s it: a list
     of ``(t, h, qd0, qd1, qv0, qv1, qa0, qa1)``, the grid's times, step
@@ -332,14 +325,34 @@ def _lane(
     handing its sink the block that ends with the flagged row, or when it
     is sent None, the end of the walk.
 
-    ``oracle`` is the stage-consistent law, None when ``torque`` is it.
-    At each finite state, before the step moves it, every law of
-    ``rivals`` is evaluated on the c and contact force solved there; the
-    oracle's law needs no rival, its gap is ``torque_divergence_rms``.
-    ``rival_rms`` holds, per rival, the RMS over the finite rows of the
-    Euclidean gap (rival - applied) between its torque and the applied one.
+    ``oracle`` is the stage-consistent law, None when ``law`` is it.  At
+    each finite state, before the step moves it, every law of ``rivals`` is
+    evaluated on the c and contact force solved there; the oracle's law
+    needs no rival, its gap is ``torque_divergence_rms``.  ``rival_rms``
+    holds, per rival, the RMS over the finite rows of the Euclidean gap
+    (rival - applied) between its torque and the applied one.
+
+    Each state's contact force, c, torques and impedance residual are
+    evaluated inline, from the laws' entries, the gains, the membrane and
+    fed bound once, in the operation order of ``membrane_force``,
+    ``commanded_accel_kernel``, ``torque_kernel`` and
+    ``force_control_residual_kernel``, every structural-zero product
+    included; the y-component of the contact force is 0.0, and the one
+    operation on it dropped here, ``z - 0.0``, gives z for every z.  The
+    RK4 step is one call of ``step``, from ``dynamics.rk4_kernel``.
     """
+    l00, l01, l10, l11, n00, n01, n10, n11, fe_tail = law
+    own_oracle = oracle is None
+    # the stage-consistent law, whose tail is fed
+    o00, o01, o10, o11, p00, p01, p10, p11, _ = law if own_oracle else oracle
     fed0, fed1 = fed.fex, fed.fey
+    # a law with the fe tail adds the contact force's y-component, 0.0
+    tail1 = 0.0 if fe_tail else fed1
+    rival_laws = [(*rival[:8], rival.use_fe, 0.0 if rival.use_fe else fed1)
+                  for rival in rivals]
+    inv_m, m, b, k = 1.0 / gains.m, gains.m, gains.b, gains.k
+    stiffness, damping = membrane.stiffness, membrane.damping
+    contact_x = membrane.contact_x
     isfinite = math.isfinite
     sq_e0 = 0.0
     sq_e1 = 0.0
@@ -356,28 +369,41 @@ def _lane(
         append = block.append
         for t, h, qd0, qd1, qv0, qv1, qa0, qa1 in samples:
             e0, e1, ed0, ed1 = qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot
-            fex = contact(x, xdot)
-            c0, c1 = commanded(qa0, qa1, e0, e1, ed0, ed1, fex, 0.0)
-            tau0, tau1 = torque(c0, c1, fex, 0.0, xdot, ydot)
-            if oracle is None:
+            if x > contact_x:
+                # max(0.0, f) is f only when f > 0.0: -0.0 and NaN give 0.0
+                fex = stiffness * (x - contact_x) + damping * xdot
+                if not fex > 0.0:
+                    fex = 0.0
+            else:
+                fex = 0.0
+            c0 = qa0 + inv_m * ((b * ed0 + k * e0) - fex)
+            c1 = qa1 + inv_m * (b * ed1 + k * e1)
+            tau0 = (((l00 * c0 + l01 * c1) + (n00 * xdot + n01 * ydot))
+                    + (fex if fe_tail else fed0))
+            tau1 = ((l10 * c0 + l11 * c1) + (n10 * xdot + n11 * ydot)) + tail1
+            if own_oracle:
                 or0, or1 = tau0, tau1
             else:
-                or0, or1 = oracle(c0, c1, fex, 0.0, xdot, ydot)
+                or0 = ((o00 * c0 + o01 * c1) + (p00 * xdot + p01 * ydot)) + fed0
+                or1 = ((o10 * c0 + o11 * c1) + (p10 * xdot + p11 * ydot)) + fed1
             row = (t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1)
             append(row)
             if not isfinite(sum(row)) and not all(map(isfinite, row)):
                 diverged = True
                 break
-            if rivals:
-                for k, rival in enumerate(rivals):
-                    r0, r1 = rival(c0, c1, fex, 0.0, xdot, ydot)
-                    d0 = r0 - tau0
-                    d1 = r1 - tau1
-                    sq_rivals[k] += d0 * d0 + d1 * d1
+            if rival_laws:
+                for i, (r00, r01, r10, r11, s00, s01, s10, s11, r_fe,
+                        r_tail1) in enumerate(rival_laws):
+                    d0 = ((((r00 * c0 + r01 * c1) + (s00 * xdot + s01 * ydot))
+                           + (fex if r_fe else fed0)) - tau0)
+                    d1 = ((((r10 * c0 + r11 * c1) + (s10 * xdot + s11 * ydot))
+                           + r_tail1) - tau1)
+                    sq_rivals[i] += d0 * d0 + d1 * d1
 
             f0, f1 = tau0 - fed0, tau1 - fed1
             x, y, xdot, ydot, a0, a1 = step(f0, f1, x, y, xdot, ydot, h)
-            r0, r1 = residual(e0, e1, ed0, ed1, qa0 - a0, qa1 - a1, fex, 0.0)
+            r0 = ((m * (qa0 - a0) + b * ed0) + k * e0) - fex
+            r1 = (m * (qa1 - a1) + b * ed1) + k * e1
             # max(imp_max, max(abs(r0), abs(r1))), NaN handling included
             r0, r1 = abs(r0), abs(r1)
             if r1 > r0:
@@ -481,8 +507,8 @@ def run_variants(
 ) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics, Any]]:
     """Run each distinct torque law of ``variants`` once, all in one walk.
 
-    Variants share a law when ``torque_law_key`` gives them the same
-    operators and tail at ``masses`` and ``frame``: both stage-space
+    Variants share a law when their ``torque_law``s have the same key
+    (``torque_law_key``) at ``masses`` and ``frame``: both stage-space
     variants always, and CORRECTED with them at the identity frame.
     Yields ``(variant, source, metrics, kept)`` per variant, in order.
     The first variant of a law runs in closed loop: ``source`` is the
@@ -516,45 +542,40 @@ def run_variants(
     grid = check_run_grid(t_end, dt)
     if not variants:
         return
-    laws = [torque_law_key(v, masses, frame) for v in variants]
-    # the variant that runs each law: the first one of that law
-    sources: Dict[Any, ControllerVariant] = {}
+    laws = [torque_law(v, masses, frame) for v in variants]
+    # the variant that runs each law, the first one of that law, and its law
+    sources: Dict[Any, Tuple[ControllerVariant, TorqueLaw]] = {}
     for variant, law in zip(variants, laws):
-        sources.setdefault(law, variant)
-    oracle_law = torque_law_key(ControllerVariant.STAGE_CONSISTENT, masses, frame)
-    torques = {law: torque_kernel(v, masses, frame, fed)
-               for law, v in sources.items()}
-    oracle = torques.get(oracle_law) or torque_kernel(
-        ControllerVariant.STAGE_CONSISTENT, masses, frame, fed)
+        sources.setdefault(law.key, (variant, law))
+    oracle = torque_law(ControllerVariant.STAGE_CONSISTENT, masses, frame)
+    oracle_key = oracle.key
     # the first run evaluates the oracle's law at each state anyway
-    rivals = ([law for law in list(sources)[1:] if law != oracle_law]
+    rivals = ([key for key in list(sources)[1:] if key != oracle_key]
               if torque_gaps is not None else [])
-    contact = _contact_kernel(membrane)
-    commanded = commanded_accel_kernel(gains)
-    residual = force_control_residual_kernel(gains)
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
 
     kept = {}
     with ExitStack() as opened:
         lanes = []
-        for law, variant in sources.items():
+        for key, (variant, law) in sources.items():
             sink, kept[variant] = opened.enter_context(keeper(variant))
             lanes.append(_lane(
-                torques[law], None if law == oracle_law else oracle,
+                law, None if key == oracle_key else oracle,
                 # the first lane scores the rivals
-                [] if lanes else [torques[r] for r in rivals],
-                contact, commanded, residual, step, fed, sink,
+                [] if lanes else [sources[r][1] for r in rivals],
+                gains, membrane, fed, step, sink,
             ))
         results = _walk(grid, spec, lanes)
         del sink, lanes
     if torque_gaps is not None:
         metrics, rival_rms = results[0]
-        torque_gaps.update(zip((sources[r] for r in rivals), rival_rms))
-        if oracle_law in sources:
-            torque_gaps[sources[oracle_law]] = metrics.torque_divergence_rms
-    ran = {law: metrics for law, (metrics, _) in zip(sources, results)}
+        torque_gaps.update(zip((sources[r][0] for r in rivals), rival_rms))
+        if oracle_key in sources:
+            torque_gaps[sources[oracle_key][0]] = metrics.torque_divergence_rms
+    ran = {key: metrics for key, (metrics, _) in zip(sources, results)}
     for variant, law in zip(variants, laws):
-        yield variant, sources[law], ran[law], kept.pop(variant, None)
+        key = law.key
+        yield variant, sources[key][0], ran[key], kept.pop(variant, None)
 
 
 @dataclass(frozen=True)

@@ -998,6 +998,47 @@ def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
     assert all(fh.closed for fh in opened)
 
 
+@pytest.mark.parametrize("blocked, kind", [
+    ("trace_Corrected.csv", "directory"),
+    ("trace_Corrected.csv", "/dev/full"),
+    ("trace_StageConsistent.csv", "/dev/full"),
+], ids=["directory", "full-second", "full-first"])
+def test_simulate_leaves_no_partial_csv_when_a_trace_fails(
+    tmp_path, capsys, blocked, kind,
+):
+    # the directory cannot be opened, so the walk does not start; every
+    # write to /dev/full fails, so the walk stops at that run's first block.
+    # Either way the other run's CSV, opened before the walk, is removed,
+    # and the path that failed is left as it was
+    from microinject import cli
+
+    if kind == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    # a skewed frame, where Corrected has a closed loop of its own
+    config = write_config(tmp_path / "scenario.json", frame={
+        "alpha": 0.5, "dx": 1.0, "dy": 1.0, "fx": 2.0, "fy": 4.0}, run={
+        "t_end": 0.5, "dt": 0.001, "variants": ["StageConsistent", "Corrected"]})
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / blocked
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.symlink_to("/dev/full")
+    code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    reason = errno.EISDIR if kind == "directory" else errno.ENOSPC
+    assert captured.err == (
+        f"microinject: cannot write {path}: {os.strerror(reason)}\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == [blocked]
+    if kind == "directory":
+        assert path.is_dir() and not any(path.iterdir())
+    else:
+        assert os.readlink(path) == "/dev/full"
+
+
 @pytest.mark.parametrize("duration", [1e-170, 5e-324])
 def test_quintic_duration_whose_square_underflows_exits_2_before_writing(
     duration, tmp_path,

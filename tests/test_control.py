@@ -421,6 +421,27 @@ def test_only_transform_weighted_laws_invert_the_frame():
                 torque_kernel(variant, masses, frame, fed)
 
 
+def test_torque_kernel_tail_is_picked_when_built():
+    # McPaper closes its law with fe as given, -0.0 included; the others
+    # with fed, whatever fe is; on floats and on float64 lanes alike
+    masses = MassParams(0.8, 1.1, 0.6)
+    fed = ForcePair(0.5, 0.0)
+    args = (-0.0, -0.0, 1.25, -0.0, -0.0, -0.0)  # c0, c1, fe0, fe1, v0, v1
+    want = {
+        ControllerVariant.MC_PAPER: ["0x1.4000000000000p+0", "-0x0.0p+0"],
+        ControllerVariant.CORRECTED: ["0x1.0000000000000p-1", "0x0.0p+0"],
+        ControllerVariant.SIM_PAPER: ["0x1.0000000000000p-1", "0x0.0p+0"],
+        ControllerVariant.STAGE_CONSISTENT: ["0x1.0000000000000p-1", "0x0.0p+0"],
+    }
+    lanes = [np.full(3, a) for a in args]
+    for variant, hexes in want.items():
+        torque = torque_kernel(variant, masses, IDENTITY_FRAME, fed)
+        assert [t.hex() for t in torque(*args)] == hexes, variant
+        for lane in range(3):
+            assert [float(t[lane]).hex() for t in torque(*lanes)] == hexes, (
+                variant, lane)
+
+
 def _vec2_implication_residual(variant, masses, frame, gains, desired, actual,
                                fe, fed):
     """The Vec2 implication check that the float kernel replaced."""

@@ -128,19 +128,22 @@ def test_discrepancy_study_runs_each_torque_law_once_per_frame(
     from microinject.control import ControllerVariant
 
     study = _load_study()
-    build, lane = sim.torque_kernel, sim._lane
+    build, lane = sim.torque_law, sim._lane
     ran = []
 
-    def tagging_build(variant, masses, frame, fed):
-        torque = build(variant, masses, frame, fed)
-        torque.run = variant, frame
-        return torque
+    class Tagged(sim.TorqueLaw):
+        """A torque law that names the variant and frame it was built for."""
 
-    def recording_lane(torque, *args):
-        ran.append(torque.run)
-        return lane(torque, *args)
+    def tagging_build(variant, masses, frame):
+        law = Tagged(*build(variant, masses, frame))
+        law.run = variant, frame
+        return law
 
-    monkeypatch.setattr(sim, "torque_kernel", tagging_build)
+    def recording_lane(law, *args):
+        ran.append(law.run)
+        return lane(law, *args)
+
+    monkeypatch.setattr(sim, "torque_law", tagging_build)
     monkeypatch.setattr(sim, "_lane", recording_lane)
     monkeypatch.setattr(sys, "argv", [
         "discrepancy_study.py", "--t-end", "0.2",
