@@ -6,11 +6,13 @@ every field is required).
 
 This module checks the JSON rules: mappings, unknown and missing keys,
 number types and finiteness, the trajectory keys that depend on its kind,
-the ``run`` section, ``seed``, and the invertibility of the mass matrix
-and of the frame.  Each numeric rule of a parameter (``masses.mx`` > 0,
-``membrane.damping`` >= 0, ...) is checked once, by its type's
-``__post_init__``; a ``ValueError`` from a type is re-raised as an
-``InvariantError`` with the section in front.
+the ``run`` section, ``seed``, the invertibility of the mass matrix and
+of the frame, and that a sinusoid's phase stays finite up to
+``run.t_end`` (``sim.check_sinusoid_phase``).  Each numeric rule of a
+parameter (``masses.mx`` > 0, ``membrane.damping`` >= 0, ...) is checked
+once, by its type's ``__post_init__``; a ``ValueError`` from a type is
+re-raised as an ``InvariantError`` with the section in front.  An integer
+too large for a float is not finite.
 ``run`` is checked by the closed loop's grid rule, ``sim.check_run_grid``.
 The trajectory's kind-dependent keys are ``ParseError``s about the
 document here, and ``TrajectorySpec`` checks them again for direct use.
@@ -29,7 +31,10 @@ from .dynamics import (  # noqa: F401  (MAX_STEPS is re-exported)
     MAX_STEPS, ForcePair, MassParams, mass_matrix,
 )
 from .frames import FrameParams, transformation_matrix
-from .sim import MembraneModel, TrajectoryKind, TrajectorySpec, check_run_grid
+from .sim import (
+    MembraneModel, TrajectoryKind, TrajectorySpec, check_run_grid,
+    check_sinusoid_phase,
+)
 
 
 # The suites of ``verify --suite``, in ``verify._SUITES`` order, and "all".
@@ -84,12 +89,21 @@ def _check_keys(node: Mapping[str, Any], required: Sequence[str],
             raise ParseError(f"missing key '{where}'")
 
 
+def _float(value: Any) -> float:
+    """``float(value)`` of a JSON number; an integer too large for a float
+    is an infinity of its sign, which the finiteness rules reject."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _number(node: Mapping[str, Any], key: str, path: str) -> float:
     where = f"{path}.{key}" if path else key
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where} must be a number")
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value):
         raise InvariantError(f"{where} must be finite")
     return value
@@ -104,7 +118,7 @@ def _vec2(node: Mapping[str, Any], key: str, path: str) -> Vec2:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ParseError(f"{where} must be an array of two numbers")
-    out = Vec2(float(value[0]), float(value[1]))
+    out = Vec2(_float(value[0]), _float(value[1]))
     if not out.is_finite():
         raise InvariantError(f"{where} components must be finite")
     return out
@@ -270,6 +284,8 @@ def parse_config(text: str) -> ScenarioConfig:
     )
     check_masses_invertible(config.masses)
     _check_frame_invertible(frame, variants)
+    _build(check_sinusoid_phase, "trajectory", spec=config.trajectory,
+           t_end=t_end)
     return config
 
 

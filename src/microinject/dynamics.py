@@ -31,7 +31,9 @@ time.  ``rk4_step`` and ``integrate`` wrap it, and the closed loop calls it
 directly.  It performs the float operations of the ``Vec2`` algebra in the
 same order, products with the structural zeros of M_inv and B included, so
 its results are those of the ``Vec2`` formulas bit for bit, signed zeros
-and NaN/inf patterns included.
+and NaN/inf patterns included.  Only the products with B's unit diagonal
+are left out, in it and in ``inverse_dynamics_kernel``: ``1.0 * v`` is
+``v`` bit for bit, signed zeros and NaN included.
 
 A run's time grid is walked, never held: ``step_grid`` checks it once
 with ``check_steps`` and then yields each sample time with the width of
@@ -145,16 +147,17 @@ def inverse_dynamics_kernel(m_mat: Mat2) -> Callable[..., Tuple[float, float]]:
 
     The returned ``lhs(a0, a1, v0, v1)`` gives M @ a + B @ v for the
     acceleration a and velocity v.  Every product of both matrices is
-    formed, the structural zeros included, in the order of ``mat_vec_mul``.
+    formed, the structural zeros included, in the order of ``mat_vec_mul``,
+    but those with B's unit diagonal: ``1.0 * v`` is ``v`` bit for bit.
     ``dynamics_residual`` and ``control.required_torque_kernel`` wrap it.
     """
     m00, m01, m10, m11 = m_mat.m00, m_mat.m01, m_mat.m10, m_mat.m11
-    b00, b01, b10, b11 = _B.m00, _B.m01, _B.m10, _B.m11
+    b01, b10 = _B.m01, _B.m10
 
     def lhs(a0: float, a1: float, v0: float, v1: float) -> Tuple[float, float]:
         return (
-            (m00 * a0 + m01 * a1) + (b00 * v0 + b01 * v1),
-            (m10 * a0 + m11 * a1) + (b10 * v0 + b11 * v1),
+            (m00 * a0 + m01 * a1) + (v0 + b01 * v1),
+            (m10 * a0 + m11 * a1) + (b10 * v0 + v1),
         )
 
     return lhs
@@ -318,31 +321,32 @@ def rk4_kernel(minv: Mat2) -> Callable[..., Tuple[float, ...]]:
     its first stage, which does not depend on h.  Each stage acceleration
     is evaluated inline, every product of both matrices formed, the
     structural zeros included, in the order of ``mat_vec_mul``, so a
-    non-finite component spreads as it does there.  It is the one RK4 and
-    the one stage acceleration of the package: ``rk4_step``, ``integrate``
-    and the closed loop all call it.
+    non-finite component spreads as it does there; only the products with
+    B's unit diagonal are left out, since ``1.0 * v`` is ``v`` bit for bit.
+    It is the one RK4 and the one stage acceleration of the package:
+    ``rk4_step``, ``integrate`` and the closed loop all call it.
     """
     m00, m01, m10, m11 = minv.m00, minv.m01, minv.m10, minv.m11
-    b00, b01, b10, b11 = _B.m00, _B.m01, _B.m10, _B.m11
+    b01, b10 = _B.m01, _B.m10
 
     def step(
         f0: float, f1: float, x: float, y: float, vx: float, vy: float, h: float
     ) -> Tuple[float, ...]:
         half = 0.5 * h
-        r0 = f0 - (b00 * vx + b01 * vy)
-        r1 = f1 - (b10 * vx + b11 * vy)
+        r0 = f0 - (vx + b01 * vy)
+        r1 = f1 - (b10 * vx + vy)
         k1x, k1y = m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
         v2x, v2y = vx + half * k1x, vy + half * k1y
-        r0 = f0 - (b00 * v2x + b01 * v2y)
-        r1 = f1 - (b10 * v2x + b11 * v2y)
+        r0 = f0 - (v2x + b01 * v2y)
+        r1 = f1 - (b10 * v2x + v2y)
         k2x, k2y = m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
         v3x, v3y = vx + half * k2x, vy + half * k2y
-        r0 = f0 - (b00 * v3x + b01 * v3y)
-        r1 = f1 - (b10 * v3x + b11 * v3y)
+        r0 = f0 - (v3x + b01 * v3y)
+        r1 = f1 - (b10 * v3x + v3y)
         k3x, k3y = m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
         v4x, v4y = vx + h * k3x, vy + h * k3y
-        r0 = f0 - (b00 * v4x + b01 * v4y)
-        r1 = f1 - (b10 * v4x + b11 * v4y)
+        r0 = f0 - (v4x + b01 * v4y)
+        r1 = f1 - (b10 * v4x + v4y)
         k4x, k4y = m00 * r0 + m01 * r1, m10 * r0 + m11 * r1
         w = h / 6.0
         return (
@@ -407,7 +411,9 @@ def integrate(
         If the grid breaks ``check_steps``, before anything is allocated.
     NonFiniteState
         If any state component becomes NaN or infinite; the exception
-        carries the finite prefix of the rows.
+        carries the finite prefix of the rows.  A state is tested by the
+        sum of its components, and component by component only when that
+        sum is not finite, since finite components can overflow when summed.
     """
     grid = step_grid(t_end, dt)
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
@@ -421,7 +427,9 @@ def integrate(
             # t_end: no state follows it, so its zero-width step is not taken
             break
         x, y, vx, vy, _, _ = step(f0, f1, x, y, vx, vy, h)
-        if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
+        if not isfinite(x + y + vx + vy) and not (
+            isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)
+        ):
             # t + h is the next grid time: the two are within a factor of 2
             # of each other, so h is their exact difference
             raise NonFiniteState(

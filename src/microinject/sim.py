@@ -220,6 +220,19 @@ def _trajectory_kernel(spec: TrajectorySpec) -> Callable[[float], Tuple[float, .
     return sinusoid
 
 
+def check_sinusoid_phase(spec: TrajectorySpec, t_end: float) -> None:
+    """Raise ValueError unless a Sinusoid's phase w * t_end is finite, with
+    w = 2*pi*frequency formed as the trajectory kernel forms it.  Then
+    w * t is finite at every time t up to t_end, where ``math.sin`` and
+    ``math.cos`` are defined; a Quintic passes."""
+    if spec.kind is TrajectoryKind.SINUSOID and not math.isfinite(
+        2.0 * math.pi * spec.frequency * t_end
+    ):
+        raise ValueError(
+            f"frequency is too large for a run to t = {t_end!r}: "
+            f"2*pi*frequency*t overflows, got {spec.frequency!r}")
+
+
 def sample_trajectory(spec: TrajectorySpec, t: float) -> DesiredTrajectoryPoint:
     """Desired point at time t (>= 0) with analytic derivatives."""
     if not t >= 0.0:
@@ -525,8 +538,10 @@ def run_variants(
     ``with`` value is ``(sink, kept)``.  Every keeper is entered before
     the walk and all are closed before the first yield; an exception
     raised by a sink ends the walk and reaches the caller of ``next`` once
-    they have been.  A bad grid raises ValueError, and a frame whose T
-    cannot be inverted SingularMatrix, before any keeper is entered.
+    they have been.  A bad grid or a sinusoid whose phase overflows by
+    ``t_end`` (``check_sinusoid_phase``) raises ValueError, and a frame
+    whose T cannot be inverted SingularMatrix, before any keeper is
+    entered.
 
     Given a ``torque_gaps`` dict, before the first yield the dict maps
     the variant that runs each law to the RMS gap between its torque
@@ -540,6 +555,7 @@ def run_variants(
     """
     variants = list(variants)
     grid = check_run_grid(t_end, dt)
+    check_sinusoid_phase(spec, t_end)
     if not variants:
         return
     laws = [torque_law(v, masses, frame) for v in variants]

@@ -1,4 +1,5 @@
 import errno
+import functools
 import hashlib
 import json
 import logging
@@ -7,10 +8,11 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from memprobe import child_peak_rss, traced_peak
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -452,16 +454,9 @@ class TestFreeResponseCommand:
         from microinject import cli
 
         out = tmp_path / "free.csv"
-        tracemalloc.start()
-        try:
-            code = cli.main([
-                "free-response", "--mx", "1", "--my", "1", "--mp", "1",
-                "--x0", "0", "--y0", "0", "--xd0", "1", "--yd0", "0",
-                "--t-end", "10", "--dt", "0.001", "--out", str(out),
-            ])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: cli.main([
+            *"free-response --mx 1 --my 1 --mp 1 --x0 0 --y0 0 --xd0 1 --yd0 0"
+            " --t-end 10 --dt 0.001 --out".split(), str(out)]))
         assert code == 0
         assert peak <= 2.5e6, peak
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
@@ -843,13 +838,8 @@ def test_readme_run_streams_its_traces(tmp_path, capsys):
 
     config = readme_config(tmp_path / "scenario.json")
     out = tmp_path / "out"
-    tracemalloc.start()
-    try:
-        code = cli.main(["simulate", "--config", str(config), "--out",
-                         str(out), "--svg"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: cli.main([
+        "simulate", "--config", str(config), "--out", str(out), "--svg"]))
     assert code == 0
     assert peak <= 1.5e6, peak
     assert digests(out) == README_SHA256
@@ -928,37 +918,20 @@ def test_chart_panel_flat_at_a_large_magnitude_is_drawn(
         assert ys == {46.0 + 85.5 + flat_panel * (46.0 + 171.0)}
 
 
-def _peak_rss_kb(tmp_path, t_end):
-    """The peak resident memory of a child process that runs `simulate
-    --svg` on the README scenario's Corrected run to ``t_end``."""
-    config = readme_config(tmp_path / f"scenario_{t_end}.json", t_end=t_end,
-                           variants=["Corrected"])
-    out = tmp_path / f"out_{t_end}"
-    child = ("import resource, sys\n"
-             "from microinject import cli\n"
-             "code = cli.main(sys.argv[1:])\n"
-             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-             "sys.exit(code)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "simulate", "--config", str(config),
-         "--out", str(out), "--svg"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["variants"]["Corrected"]["samples"] == round(t_end * 1000) + 1
-    return int(proc.stdout.splitlines()[-1])
-
-
 def test_simulate_memory_does_not_grow_with_the_run(tmp_path):
-    # a run 10 times as long peaks at the same resident memory: nothing
-    # is held per row (ru_maxrss is in KiB on Linux)
-    short = _peak_rss_kb(tmp_path, 20.0)
-    long = _peak_rss_kb(tmp_path, 200.0)
-    assert abs(long - short) <= 3 * 1024, (short, long)
+    # 10 times the rows, the same peak resident memory: nothing held per row
+    from microinject import cli
+
+    peaks = {}
+    for t_end in (10.0, 100.0):
+        config = readme_config(tmp_path / f"scenario_{t_end}.json",
+                               t_end=t_end, variants=["Corrected"])
+        out = tmp_path / f"out_{t_end}"
+        code, peaks[t_end] = child_peak_rss(functools.partial(cli.main, [
+            "simulate", "--config", str(config), "--out", str(out), "--svg"]))
+        variants = json.loads((out / "metrics.json").read_text())["variants"]
+        assert (code, variants["Corrected"]["samples"]) == (0, t_end * 1000 + 1)
+    assert abs(peaks[100.0] - peaks[10.0]) <= 3 * 1024, peaks
 
 
 def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
@@ -1054,6 +1027,25 @@ def test_quintic_duration_whose_square_underflows_exits_2_before_writing(
     assert proc.stderr == (
         "microinject: config error: trajectory.duration is too small for "
         f"kind 'Quintic': its square underflows to 0, got {duration!r}\n")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_sinusoid_whose_phase_overflows_exits_2_before_writing(tmp_path):
+    # w = 2*pi*frequency is inf: math.sin(w * t) would raise at t = 0.05,
+    # inside the walk, with three trace CSVs open
+    config = write_config(tmp_path / "scenario.json", trajectory={
+        "kind": "Sinusoid", "start": [0.0, 0.0], "duration": 4.0,
+        "amplitude": [0.5, 0.2], "frequency": 1.7976931348623157e308},
+        run={"t_end": 0.2, "dt": 0.05,
+             "variants": ["StageConsistent", "Corrected", "McPaper"]})
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "microinject: config error: trajectory.frequency is too large for a "
+        "run to t = 0.2: 2*pi*frequency*t overflows, got "
+        "1.7976931348623157e+308\n")
     assert proc.stdout == ""
     assert not out.exists()
 

@@ -1,12 +1,12 @@
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memprobe import traced_peak
 from microinject import verify
 from microinject.algebra2d import Vec2, diag, identity, mat_mul, mat_inv, mat_vec_mul
 from microinject.dynamics import (
@@ -254,14 +254,9 @@ class TestIntegrate:
     def test_memory_per_sample(self):
         # 10,001 rows of (t, x, y, xdot, ydot) plus the time grid; holding a
         # StageState of two Vec2 per sample peaked at 4.46 MB
-        masses = MassParams(1.0, 1.0, 1.0)
         s0 = StageState(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
-        tracemalloc.start()
-        try:
-            samples = integrate(masses, s0, ZERO_TORQUE, ZERO_FORCE, 10.0, 1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        samples, peak = traced_peak(lambda: integrate(
+            MassParams(1.0, 1.0, 1.0), s0, ZERO_TORQUE, ZERO_FORCE, 10.0, 1e-3))
         assert len(samples) == 10_001
         assert peak <= 2.5e6, peak
 

@@ -9,6 +9,7 @@ path in front.  ``run`` has no type: config checks ``run.t_end`` > 0 and
 import dataclasses
 import json
 import math
+from contextlib import nullcontext
 
 import pytest
 
@@ -16,7 +17,9 @@ from microinject.config import InvariantError, ParseError, parse_config
 from microinject.control import ImpedanceParams
 from microinject.dynamics import MassParams
 from microinject.frames import FrameParams
-from microinject.sim import MembraneModel, TrajectorySpec
+from microinject.sim import (
+    MembraneModel, TrajectorySpec, run_variants, sample_trajectory,
+)
 
 QUINTIC = {
     "frame": {"alpha": 0.5, "dx": 0.5, "dy": 0.5, "fx": 2.0, "fy": 4.0},
@@ -145,3 +148,61 @@ def test_direct_construction_names_a_kind_dependent_field(kind, fields, message)
         TrajectorySpec(TrajectoryKind[kind], Vec2(0.0, 0.0), 1.0, **values)
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("frequency, t_end", [(1.7976931348623157e308, 0.2),
+                                              (1e307, 5.0)])
+def test_a_sinusoid_whose_phase_overflows_by_t_end_is_rejected(frequency,
+                                                               t_end):
+    # (2*pi*frequency)*t_end, with w formed as the trajectory kernel forms
+    # it, is inf: past it math.sin raises
+    doc = json.loads(json.dumps(SINUSOID))
+    doc["trajectory"]["frequency"] = frequency
+    doc["run"]["t_end"] = t_end
+    with pytest.raises(InvariantError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value).startswith(
+        f"trajectory.frequency is too large for a run to t = {t_end!r}: ")
+    # run directly, the same rule is checked before any keeper is entered
+    config = parse_config(json.dumps(SINUSOID))
+    spec = dataclasses.replace(config.trajectory, frequency=frequency)
+    entered = []
+
+    def keeper(variant):
+        entered.append(variant)
+        return nullcontext((None, None))
+
+    with pytest.raises(ValueError, match=r"^frequency is too large "):
+        next(run_variants(config.variants, config.masses, config.frame,
+                          config.impedance, spec, config.membrane, config.fed,
+                          t_end, 0.05, keeper=keeper))
+    assert entered == []
+
+
+def test_a_huge_frequency_whose_phase_stays_finite_runs():
+    # at t_end 2.0 the phase of 1e307 Hz reaches 1.26e308; w * w overflows,
+    # so the desired acceleration is NaN and the run diverges at once
+    doc = json.loads(json.dumps(SINUSOID))
+    doc["trajectory"]["frequency"] = 1e307
+    doc["run"].update(t_end=2.0, dt=0.05)
+    config = parse_config(json.dumps(doc))
+    (_, _, metrics, rows), = run_variants(
+        config.variants, config.masses, config.frame, config.impedance,
+        config.trajectory, config.membrane, config.fed, config.t_end,
+        config.dt)
+    assert metrics.diverged and len(rows) == metrics.samples == 1
+    assert math.isfinite(sample_trajectory(config.trajectory, 2.0).qd.a0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_too_large_for_a_float_is_not_finite(sign):
+    # float() of it raises OverflowError, not a ValueError
+    doc = json.loads(json.dumps(QUINTIC))
+    doc["masses"]["mx"] = sign * 10 ** 309
+    with pytest.raises(InvariantError, match=r"^masses\.mx must be finite$"):
+        parse_config(json.dumps(doc))
+    doc = json.loads(json.dumps(QUINTIC))
+    doc["fed"][1] = sign * 10 ** 309
+    with pytest.raises(InvariantError,
+                       match=r"^fed components must be finite$"):
+        parse_config(json.dumps(doc))

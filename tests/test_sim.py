@@ -1,14 +1,15 @@
 import dataclasses
+import functools
 import math
 from contextlib import contextmanager
 import random
-import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memprobe import child_peak_rss, window
 from microinject.algebra2d import Vec2, mat_inv, mat_vec_mul
 from microinject.control import (
     ControllerVariant,
@@ -932,67 +933,36 @@ def test_compare_variants_evaluates_the_oracle_law_once_per_state(
     }
 
 
-def test_compare_variants_holds_one_trace_at_a_time():
-    # the compare_sinusoid benchmark scenario, 10,001 rows a run: at most
-    # one run's trace may be held at a time (none is, since positions only
-    # are kept; see the tighter bounds below)
-    scenario = (
-        MassParams(1.0, 1.0, 1.0),
-        FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0),
-        ImpedanceParams(1.0, 20.0, 100.0),
-        TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.8, 0.0), 10.0,
-                       amplitude=Vec2(0.4, 0.2), frequency=0.5),
-        MembraneModel(50.0, 2.0, 1.0), ForcePair(0.5, 0.0), 10.0, 1e-3,
-    )
-    tracemalloc.start()
-    try:
-        report = compare_variants(_SC, [_C, _S, _M], *scenario)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.base_metrics.samples == 10_001
-    assert peak <= 6.5e6, peak
-
-
-def _compare_sinusoid_peak(others, t_end):
-    """``compare_variants`` of StageConsistent against ``others`` on the
-    compare_sinusoid benchmark scenario run to ``t_end``, and its peak
-    memory by ``tracemalloc``."""
-    scenario = (
-        MassParams(1.0, 1.0, 1.0),
-        FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0),
-        ImpedanceParams(1.0, 20.0, 100.0),
-        TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.8, 0.0), 10.0,
-                       amplitude=Vec2(0.4, 0.2), frequency=0.5),
-        MembraneModel(50.0, 2.0, 1.0), ForcePair(0.5, 0.0), t_end, 1e-3,
-    )
-    tracemalloc.start()
-    try:
-        report = compare_variants(_SC, others, *scenario)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return report, peak
+def _compare_sinusoid(t_end):
+    """The compare_sinusoid benchmark scenario, run to ``t_end``."""
+    return (MassParams(1.0, 1.0, 1.0),
+            FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.5, fx=2.0, fy=4.0),
+            ImpedanceParams(1.0, 20.0, 100.0),
+            TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.8, 0.0), 10.0,
+                           amplitude=Vec2(0.4, 0.2), frequency=0.5),
+            MembraneModel(50.0, 2.0, 1.0), ForcePair(0.5, 0.0), t_end, 1e-3)
 
 
 def test_compare_variants_keeps_positions_not_traces():
-    # no run's trace is kept, nor any position: a run's trace is about
-    # 0.47 KB a row
-    report, peak = _compare_sinusoid_peak([_C, _S, _M], 10.0)
+    # no run's trace (about 0.47 KB a row) is kept, nor any position, over
+    # the base run's blocks 50 to 80, with all three runs stepping
+    with window(_SC) as (keeper, reading):
+        report = compare_variants(_SC, [_C, _S, _M], *_compare_sinusoid(10.0),
+                                  keeper=keeper)
     assert report.base_metrics.samples == 10_001
     assert not any(r.metrics.diverged for r in report.reports)
-    assert peak <= 0.5e6, peak
+    assert reading["per_row"] <= 1.0 and reading["peak"] <= 0.5e6, reading
 
 
 def test_compare_variants_memory_does_not_grow_with_the_run():
-    # two runs of distinct laws, whose tracking gap is folded a block at a
-    # time: three times the rows, the same peak to within a byte a row
-    small, small_peak = _compare_sinusoid_peak([_M], 10.0)
-    large, large_peak = _compare_sinusoid_peak([_M], 30.0)
-    assert small.base_metrics.samples == 10_001
-    assert large.base_metrics.samples == large.reports[0].metrics.samples == 30_001
-    per_row = (large_peak - small_peak) / 20_000
-    assert per_row <= 1.0, per_row
+    # ten times the rows, the same peak resident memory to within 3 MB:
+    # this also sees what is allocated before the window above opens
+    peaks = {}
+    for t_end in (10.0, 100.0):
+        report, peaks[t_end] = child_peak_rss(functools.partial(
+            compare_variants, _SC, [_M], *_compare_sinusoid(t_end)))
+        assert report.reports[0].metrics.samples == round(t_end * 1000) + 1
+    assert abs(peaks[100.0] - peaks[10.0]) <= 3 * 1024, peaks
 
 
 _SHARED = [_S, _C, _SC, _S, _M, _C]

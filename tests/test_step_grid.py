@@ -10,6 +10,7 @@ times are those of the grid built as a list, bit for bit.
 
 import json
 import math
+from array import array
 
 import pytest
 
@@ -117,6 +118,11 @@ def test_a_grid_at_the_cap_is_accepted_and_names_are_the_callers():
         check_steps(-1.0, 0.1, "t-end")
 
 
+def bits(floats):
+    """The bytes of ``floats`` as doubles, to compare them bit for bit."""
+    return array("d", floats).tobytes()
+
+
 def list_grid(t_end, dt):
     """The sample times as a list, built as the loops once built them:
     k*dt, then a final partial step landing exactly on t_end."""
@@ -141,8 +147,8 @@ def test_the_walk_yields_the_list_grid_bit_for_bit(t_end, dt):
     widths = [b - a for a, b in zip(times, times[1:])] + [0.0]
     walked = list(step_grid(t_end, dt))
     assert grid_rows(t_end, dt) == len(walked)
-    assert [t.hex() for t, _ in walked] == [t.hex() for t in times]
-    assert [h.hex() for _, h in walked] == [h.hex() for h in widths]
+    assert bits(t for t, _ in walked) == bits(times)
+    assert bits(h for _, h in walked) == bits(widths)
     # integrate names the time after a step t + h: it is the next grid time
     assert all(t + h == b for (t, h), b in zip(walked, times[1:]))
 
