@@ -89,7 +89,7 @@ def main() -> int:
     def study_csv(variant):
         """The sink of a skewed-frame run: it writes study_<variant>.csv."""
         path = os.path.join(args.out, f"study_{variant.value}.csv")
-        with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
+        with writing(path), open(path, "wb") as fh:
             yield trace_csv_writer(fh), None
         written[skewed_law(variant)] = path
 

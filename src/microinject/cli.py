@@ -16,7 +16,8 @@ of each variant's SVG.
 ``simulate`` takes its closed loops from ``sim.run_variants``, the one
 runner, with a keeper of its own, and holds no run's rows.  The closed
 loops of all the torque laws are lanes of one walk of the grid.  Each one
-writes its ``trace_<variant>.csv`` from its sink a block of rows at a time
+writes its ``trace_<variant>.csv`` from its sink a block of rows at a time,
+through ``report.trace_csv_writer`` on the CSV opened in binary mode,
 and, with ``--svg``, keeps only the rows its chart plots: every
 ``report.chart_stride``-th row of the grid and the latest one.  So the
 rows of every run's chart are held at once, until each chart is drawn.  A
@@ -236,8 +237,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         the error unwinds pass it on."""
         laws.append(variant)
         path = os.path.join(args.out, f"trace_{variant.value}.csv")
-        with _writing(path), open(path, "w", encoding="utf-8",
-                                  newline="") as fh:
+        with _writing(path), open(path, "wb") as fh:
             opened.append(path)
             write_rows = report.trace_csv_writer(fh)
             keep, sampled = report.chart_sampler(stride)

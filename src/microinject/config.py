@@ -8,7 +8,8 @@ This module checks the JSON rules: mappings, unknown and missing keys,
 number types and finiteness, the trajectory keys that depend on its kind,
 the ``run`` section, ``seed``, the invertibility of the mass matrix and
 of the frame, and that a sinusoid's phase stays finite up to
-``run.t_end`` (``sim.check_sinusoid_phase``).  Each numeric rule of a
+``run.t_end`` and its desired acceleration stays finite
+(``sim.check_sinusoid_phase``).  Each numeric rule of a
 parameter (``masses.mx`` > 0, ``membrane.damping`` >= 0, ...) is checked
 once, by its type's ``__post_init__``; a ``ValueError`` from a type is
 re-raised as an ``InvariantError`` with the section in front.  An integer

@@ -1,12 +1,14 @@
 """Trace and metrics emission: CSV, JSON and self-contained SVG charts.
 
 All numeric output uses 17 significant digits so values round-trip through
-text exactly; identical runs produce byte-identical files.
+text exactly; identical runs produce byte-identical files.  A CSV is
+formatted straight to bytes: ``bytes % tuple`` renders each float as
+``"%.17g" %`` does, with no str built or encoded on the way.
 
 A trace can be written whole (``write_trace_csv``, ``write_trace_svg``)
 or as a closed loop makes it: ``trace_csv_writer`` writes each block of
-rows to an open CSV, and ``chart_sampler`` keeps only the rows its chart
-plots, which ``render_sampled_panels`` draws.
+rows to a CSV open in binary mode, and ``chart_sampler`` keeps only the
+rows its chart plots, which ``render_sampled_panels`` draws.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Sequence, TextIO, Tuple
+from typing import BinaryIO, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .sim import RunMetrics, TraceRow
 
@@ -27,17 +29,17 @@ def fmt(value: float) -> str:
     return "%.17g" % value
 
 
-def _line_format(header: str) -> str:
-    """The ``%`` format of one CSV line under ``header``: each value as
-    ``fmt`` renders it."""
-    return ",".join(["%.17g"] * len(header.split(","))) + "\n"
+def _line_format(header: str) -> bytes:
+    """The ``%`` format of one CSV line under ``header``, in bytes: each
+    value as ``fmt`` renders it, encoded."""
+    return b",".join([b"%.17g"] * len(header.split(","))) + b"\n"
 
 
 def write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
     """One line per row, each value rendered as ``fmt`` renders it."""
     line = _line_format(header)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         fh.writelines(line % tuple(row) for row in rows)
 
 
@@ -45,17 +47,19 @@ def write_trace_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
     write_csv(path, TRACE_HEADER, rows)
 
 
-def trace_csv_writer(fh: TextIO) -> Callable[[Sequence[Tuple[float, ...]]], None]:
-    """Write the trace header to the open file ``fh``, and return a sink
-    that writes each block of rows handed to it, tuples of floats in
-    ``TraceRow``'s field order, as ``write_trace_csv`` writes them: the
-    file is the same bytes, and a block is one ``write``."""
-    fh.write(TRACE_HEADER + "\n")
+def trace_csv_writer(
+    fh: BinaryIO,
+) -> Callable[[Sequence[Tuple[float, ...]]], None]:
+    """Write the trace header to ``fh``, a file open in binary mode, and
+    return a sink that writes each block of rows handed to it, tuples of
+    floats in ``TraceRow``'s field order, as ``write_trace_csv`` writes
+    them: the file is the same bytes, and a block is one ``write``."""
+    fh.write(TRACE_HEADER.encode() + b"\n")
     write = fh.write
     line = _line_format(TRACE_HEADER).__mod__
 
     def write_rows(block: Sequence[Tuple[float, ...]]) -> None:
-        write("".join(map(line, block)))
+        write(b"".join(map(line, block)))
 
     return write_rows
 

@@ -224,13 +224,24 @@ def check_sinusoid_phase(spec: TrajectorySpec, t_end: float) -> None:
     """Raise ValueError unless a Sinusoid's phase w * t_end is finite, with
     w = 2*pi*frequency formed as the trajectory kernel forms it.  Then
     w * t is finite at every time t up to t_end, where ``math.sin`` and
-    ``math.cos`` are defined; a Quintic passes."""
-    if spec.kind is TrajectoryKind.SINUSOID and not math.isfinite(
-        2.0 * math.pi * spec.frequency * t_end
-    ):
+    ``math.cos`` are defined.  Raise it too unless ``(w * w) * |a|`` is
+    finite for the amplitude a of each axis, which bounds the kernel's
+    desired acceleration and velocity there, so no desired point is NaN
+    or infinite.  A Quintic passes."""
+    if spec.kind is not TrajectoryKind.SINUSOID:
+        return
+    w = 2.0 * math.pi * spec.frequency
+    if not math.isfinite(w * t_end):
         raise ValueError(
             f"frequency is too large for a run to t = {t_end!r}: "
             f"2*pi*frequency*t overflows, got {spec.frequency!r}")
+    w_sq = w * w
+    if not (math.isfinite(w_sq * abs(spec.amplitude.a0))
+            and math.isfinite(w_sq * abs(spec.amplitude.a1))):
+        raise ValueError(
+            "frequency is too large for the amplitude: the desired "
+            "acceleration (2*pi*frequency)**2 * amplitude overflows, "
+            f"got {spec.frequency!r}")
 
 
 def sample_trajectory(spec: TrajectorySpec, t: float) -> DesiredTrajectoryPoint:
@@ -539,7 +550,8 @@ def run_variants(
     the walk and all are closed before the first yield; an exception
     raised by a sink ends the walk and reaches the caller of ``next`` once
     they have been.  A bad grid or a sinusoid whose phase overflows by
-    ``t_end`` (``check_sinusoid_phase``) raises ValueError, and a frame
+    ``t_end``, or whose desired acceleration overflows
+    (``check_sinusoid_phase``), raises ValueError, and a frame
     whose T cannot be inverted SingularMatrix, before any keeper is
     entered.
 

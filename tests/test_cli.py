@@ -8,11 +8,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from memprobe import child_peak_rss, traced_peak
+from test_cli_fuzz import FUZZ
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -629,7 +633,7 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
 
     # the sink simulate writes its CSVs with, a block of rows at a time
     streamed_path = tmp_path / "streamed.csv"
-    with open(streamed_path, "w", encoding="utf-8", newline="") as fh:
+    with open(streamed_path, "wb") as fh:
         write_rows = trace_csv_writer(fh)
         write_rows([tuple(trace_row)] * 2)
         write_rows([tuple(trace_row)])
@@ -646,6 +650,54 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
     assert free_path.read_bytes() == (
         FREE_HEADER + "\n" + expected_line + "\n"
     ).encode()
+
+
+DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(),
+)
+
+
+def _rows(width):
+    return st.lists(st.tuples(*[DOUBLES] * width), max_size=6)
+
+
+@FUZZ
+@given(_rows(len(TRACE_HEADER.split(","))), _rows(len(FREE_HEADER.split(","))),
+       st.lists(st.integers(0, 8), max_size=8))
+def test_csv_writers_write_each_row_as_fmt_renders_it(
+    trace_rows, free_rows, cuts,
+):
+    # the bytes writers format a line with one bytes %, which must give
+    # the bytes of fmt's str line, value by value, for any double
+    from microinject.report import (
+        FREE_RESPONSE_HEADER, fmt, trace_csv_writer, write_csv, write_trace_csv,
+    )
+
+    def expected(header, rows):
+        return (header + "\n").encode() + b"".join(
+            (",".join(map(fmt, row)) + "\n").encode() for row in rows)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed, whole, free = (os.path.join(tmp, name) for name in
+                                 ("streamed.csv", "whole.csv", "free.csv"))
+        # the sink takes the rows in blocks cut at the drawn sizes
+        with open(streamed, "wb") as fh:
+            write_rows = trace_csv_writer(fh)
+            rest = trace_rows
+            for size in cuts:
+                write_rows(rest[:size])
+                rest = rest[size:]
+            write_rows(rest)
+        write_trace_csv(whole, trace_rows)
+        write_csv(free, FREE_RESPONSE_HEADER, free_rows)
+        for path in (streamed, whole):
+            with open(path, "rb") as fh:
+                assert fh.read() == expected(TRACE_HEADER, trace_rows)
+        with open(free, "rb") as fh:
+            assert fh.read() == expected(FREE_HEADER, free_rows)
 
 
 def test_svg_of_rows_spanning_past_float_range_has_only_finite_coordinates(
@@ -1046,6 +1098,29 @@ def test_sinusoid_whose_phase_overflows_exits_2_before_writing(tmp_path):
         "microinject: config error: trajectory.frequency is too large for a "
         "run to t = 0.2: 2*pi*frequency*t overflows, got "
         "1.7976931348623157e+308\n")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frequency, amplitude", [
+    (1e307, [0.5, 0.2]), (1e150, [1e10, 0.2])])
+def test_sinusoid_whose_acceleration_overflows_exits_2_before_writing(
+    tmp_path, frequency, amplitude,
+):
+    # the phase stays finite to t_end 2.0, but (2*pi*frequency)**2 *
+    # amplitude overflows: these runs used to exit 1, diverged at row 0 or 1
+    config = write_config(tmp_path / "scenario.json", trajectory={
+        "kind": "Sinusoid", "start": [0.0, 0.0], "duration": 4.0,
+        "amplitude": amplitude, "frequency": frequency},
+        run={"t_end": 2.0, "dt": 0.05, "variants": ["StageConsistent"]})
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                   "--svg")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "microinject: config error: trajectory.frequency is too large for "
+        "the amplitude: the desired acceleration (2*pi*frequency)**2 * "
+        f"amplitude overflows, got {frequency!r}\n")
     assert proc.stdout == ""
     assert not out.exists()
 

@@ -120,6 +120,8 @@ def _refuse_constant(token):
 @given(configs())
 @example(_edited(SINUSOID, [(("trajectory", "frequency"),
                              1.7976931348623157e308)]))
+@example(_edited(SINUSOID, [(("trajectory", "frequency"), 1e307),
+                            (("run", "t_end"), 2.0)]))
 @example(_edited(QUINTIC, [(("trajectory", "duration"), 1e-170)]))
 @example(_edited(QUINTIC, [(("masses", "mx"), 10 ** 309)]))
 def test_simulate_exits_cleanly_on_any_config(config):

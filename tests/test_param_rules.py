@@ -13,6 +13,7 @@ from contextlib import nullcontext
 
 import pytest
 
+from microinject.algebra2d import Vec2
 from microinject.config import InvariantError, ParseError, parse_config
 from microinject.control import ImpedanceParams
 from microinject.dynamics import MassParams
@@ -139,7 +140,6 @@ def test_a_non_number_is_reported_before_a_bad_value_in_one_section():
 ])
 def test_direct_construction_names_a_kind_dependent_field(kind, fields, message):
     # config rejects the same documents first, with ParseErrors about keys
-    from microinject.algebra2d import Vec2
     from microinject.sim import TrajectoryKind
 
     values = {name: value if name == "frequency" else Vec2(*value)
@@ -179,19 +179,60 @@ def test_a_sinusoid_whose_phase_overflows_by_t_end_is_rejected(frequency,
     assert entered == []
 
 
-def test_a_huge_frequency_whose_phase_stays_finite_runs():
-    # at t_end 2.0 the phase of 1e307 Hz reaches 1.26e308; w * w overflows,
-    # so the desired acceleration is NaN and the run diverges at once
+@pytest.mark.parametrize("frequency, amplitude", [
+    # w * w overflows: the desired acceleration -inf * sin(0) is NaN at
+    # row 0, though the phase at t_end 2.0, 1.26e308, is finite
+    pytest.param(1e307, [0.5, 0.2], id="w_sq"),
+    # w * w is finite and its product with the amplitude is not: the run
+    # used to diverge at row 1
+    pytest.param(1e150, [1e10, 0.2], id="amplitude"),
+])
+def test_a_sinusoid_whose_acceleration_overflows_is_rejected(frequency,
+                                                             amplitude):
     doc = json.loads(json.dumps(SINUSOID))
-    doc["trajectory"]["frequency"] = 1e307
+    doc["trajectory"].update(frequency=frequency, amplitude=amplitude)
+    doc["run"].update(t_end=2.0, dt=0.05)
+    with pytest.raises(InvariantError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value) == (
+        "trajectory.frequency is too large for the amplitude: the desired "
+        "acceleration (2*pi*frequency)**2 * amplitude overflows, got "
+        f"{frequency!r}")
+    # run directly, the same rule is checked before any keeper is entered
+    config = parse_config(json.dumps(SINUSOID))
+    spec = dataclasses.replace(config.trajectory, frequency=frequency,
+                               amplitude=Vec2(*amplitude))
+    entered = []
+
+    def keeper(variant):
+        entered.append(variant)
+        return nullcontext((None, None))
+
+    with pytest.raises(ValueError, match=r"^frequency is too large for the "
+                                         r"amplitude: "):
+        next(run_variants(config.variants, config.masses, config.frame,
+                          config.impedance, spec, config.membrane, config.fed,
+                          2.0, 0.05, keeper=keeper))
+    assert entered == []
+
+
+def test_a_sinusoid_whose_acceleration_stays_finite_runs():
+    # w * w is 3.9e301 and its products with the amplitude are finite, so
+    # every desired point is; the closed loop then diverges, past row 1,
+    # from its own arithmetic
+    doc = json.loads(json.dumps(SINUSOID))
+    doc["trajectory"]["frequency"] = 1e150
     doc["run"].update(t_end=2.0, dt=0.05)
     config = parse_config(json.dumps(doc))
     (_, _, metrics, rows), = run_variants(
         config.variants, config.masses, config.frame, config.impedance,
         config.trajectory, config.membrane, config.fed, config.t_end,
         config.dt)
-    assert metrics.diverged and len(rows) == metrics.samples == 1
-    assert math.isfinite(sample_trajectory(config.trajectory, 2.0).qd.a0)
+    assert metrics.diverged and metrics.samples > 2
+    for t in (0.05, 1.3, 2.0):
+        point = sample_trajectory(config.trajectory, t)
+        assert all(math.isfinite(v.a0) and math.isfinite(v.a1)
+                   for v in (point.qd, point.qd_dot, point.qd_ddot))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
