@@ -237,10 +237,10 @@ def free_response_accel(
 
 # The most steps (t_end / dt) a run may take.  The time grid is walked, not
 # held, and a closed loop holds no rows, so for a closed loop the cap bounds
-# run time: a step and its CSV row take about 11 us, most of it the CSV
-# text (a 200,000-step Corrected run of the README scenario took 2.0-2.3 s
-# in three runs on a 2-core x86-64 container, Python 3.11.7), so a
-# variant's run takes at most about 11 s and a 216 MB CSV.
+# run time: a step and its CSV row take about 8 us, most of it formatting
+# the CSV (a 1,000,000-step Corrected run of the README scenario with --svg
+# took 7.7-8.7 s in three runs on a 2-core x86-64 container, Python
+# 3.11.7), so a variant's run takes at most about 8 s and a 216 MB CSV.
 # ``integrate`` still keeps every sample, about 0.2 KB a step, so for it the
 # cap also bounds memory, to about 200 MB.  The README scenario takes 5,000
 # steps.
