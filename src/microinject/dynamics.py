@@ -329,8 +329,11 @@ def rk4_kernel(minv: Mat2) -> Callable[..., Tuple[float, ...]]:
     m00, m01, m10, m11 = minv.m00, minv.m01, minv.m10, minv.m11
     b01, b10 = _B.m01, _B.m10
 
+    # the entries are bound as defaults, which step reads as fast locals
     def step(
-        f0: float, f1: float, x: float, y: float, vx: float, vy: float, h: float
+        f0: float, f1: float, x: float, y: float, vx: float, vy: float, h: float,
+        m00: float = m00, m01: float = m01, m10: float = m10,
+        m11: float = m11, b01: float = b01, b10: float = b10,
     ) -> Tuple[float, ...]:
         half = 0.5 * h
         r0 = f0 - (vx + b01 * vy)

@@ -22,15 +22,20 @@ whatever the number of laws.  Per state a lane evaluates the contact
 force, the commanded acceleration, its law's torque, the oracle's and the
 impedance residual inline, once each, with no function call, and takes
 the RK4 step in one call of ``dynamics.rk4_kernel``'s step.  For
-``compare_variants`` the first lane also evaluates every other law except
-the oracle's at each of its states, on the c and contact force it has
-solved there; the oracle's gap is that run's ``torque_divergence_rms``.
+``compare_variants`` the first lane also scores every other law except
+the oracle's at each of its finite states, on the c and contact force it
+has solved there.  It records those states for one block of rows and, at
+the block's end, scores each rival over them in one pass, in row order,
+so it holds at most one block of them.  The oracle's gap is that run's
+``torque_divergence_rms``, which a lane whose law is the oracle's own
+does not sum: each of its rows would add (tau - tau)**2 = +0.0.
 A lane hands its rows to a sink, a block of rows at a time, and keeps
 none itself.  ``run_closed_loop`` and, by default, ``run_variants``
 collect the rows in a list.  ``compare_variants`` folds each run's
 tracking gap to the base run as the blocks come, so it holds no state per
 row, and hands the rows to the keeper it is given; the study's writes
-each run's CSV.  ``sample_trajectory`` wraps the trajectory kernel.
+each run's CSV.  ``sample_trajectory`` wraps the trajectory kernel, and
+checks a Sinusoid's rules (``check_sinusoid_phase``) up to its time.
 
 The lane keeps the evaluation order of ``membrane_force`` and of the
 number-generic kernels of ``control`` (``commanded_accel_kernel``,
@@ -208,8 +213,9 @@ def _trajectory_kernel(spec: TrajectorySpec) -> Callable[[float], Tuple[float, .
     sin, cos = math.sin, math.cos
 
     def sinusoid(t: float) -> Tuple[float, ...]:
-        sin_wt = sin(w * t)
-        cos_wt = cos(w * t)
+        wt = w * t
+        sin_wt = sin(wt)
+        cos_wt = cos(wt)
         sd = w * cos_wt
         sdd = neg_w_sq * sin_wt
         return (
@@ -245,9 +251,14 @@ def check_sinusoid_phase(spec: TrajectorySpec, t_end: float) -> None:
 
 
 def sample_trajectory(spec: TrajectorySpec, t: float) -> DesiredTrajectoryPoint:
-    """Desired point at time t (>= 0) with analytic derivatives."""
+    """Desired point at time t (>= 0) with analytic derivatives.
+
+    A Sinusoid must pass ``check_sinusoid_phase`` up to t, which raises
+    ValueError where the point would be NaN or infinite or where
+    ``math.sin`` is undefined."""
     if not t >= 0.0:
         raise ValueError("t must be >= 0")
+    check_sinusoid_phase(spec, t)
     qd0, qd1, qv0, qv1, qa0, qa1 = _trajectory_kernel(spec)(t)
     return DesiredTrajectoryPoint(Vec2(qd0, qd1), Vec2(qv0, qv1), Vec2(qa0, qa1))
 
@@ -349,12 +360,16 @@ def _lane(
     handing its sink the block that ends with the flagged row, or when it
     is sent None, the end of the walk.
 
-    ``oracle`` is the stage-consistent law, None when ``law`` is it.  At
-    each finite state, before the step moves it, every law of ``rivals`` is
-    evaluated on the c and contact force solved there; the oracle's law
-    needs no rival, its gap is ``torque_divergence_rms``.  ``rival_rms``
-    holds, per rival, the RMS over the finite rows of the Euclidean gap
-    (rival - applied) between its torque and the applied one.
+    ``oracle`` is the stage-consistent law, None when ``law`` is it; then
+    ``torque_divergence_rms`` is 0.0 without a sum, since every finite row
+    would add (tau - tau)**2 = +0.0.  Every law of ``rivals`` is scored on
+    the c, contact force, velocity and applied torque of each finite state
+    of a block, recorded as the block is stepped and scored in one pass
+    per rival once it ends, in row order, so each rival's sum takes the
+    terms it would take row by row; the oracle's law needs no rival, its
+    gap is ``torque_divergence_rms``.  ``rival_rms`` holds, per rival, the
+    RMS over the finite rows of the Euclidean gap (rival - applied)
+    between its torque and the applied one.
 
     Each state's contact force, c, torques and impedance residual are
     evaluated inline, from the laws' entries, the gains, the membrane and
@@ -363,7 +378,9 @@ def _lane(
     ``force_control_residual_kernel``, every structural-zero product
     included; the y-component of the contact force is 0.0, and the one
     operation on it dropped here, ``z - 0.0``, gives z for every z.  The
-    RK4 step is one call of ``step``, from ``dynamics.rk4_kernel``.
+    impedance residual is folded into its max by sign tests, which give
+    what ``max(imp_max, max(abs(r0), abs(r1)))`` gives.  The RK4 step is
+    one call of ``step``, from ``dynamics.rk4_kernel``.
     """
     l00, l01, l10, l11, n00, n01, n10, n11, fe_tail = law
     own_oracle = oracle is None
@@ -372,8 +389,6 @@ def _lane(
     fed0, fed1 = fed.fex, fed.fey
     # a law with the fe tail adds the contact force's y-component, 0.0
     tail1 = 0.0 if fe_tail else fed1
-    rival_laws = [(*rival[:8], rival.use_fe, 0.0 if rival.use_fe else fed1)
-                  for rival in rivals]
     inv_m, m, b, k = 1.0 / gains.m, gains.m, gains.b, gains.k
     stiffness, damping = membrane.stiffness, membrane.damping
     contact_x = membrane.contact_x
@@ -385,6 +400,11 @@ def _lane(
     imp_max = 0.0
     finite_rows = 0
     diverged = False
+    # what the rivals are scored on at each finite state of a block: c, the
+    # contact force, the velocity and the applied torque
+    scoring = bool(rivals)
+    states: List[Tuple[float, ...]] = []
+    keep_state = states.append
 
     samples = yield
     x, y, xdot, ydot = samples[0][2:6]
@@ -392,7 +412,10 @@ def _lane(
         block: List[Tuple[float, ...]] = []
         append = block.append
         for t, h, qd0, qd1, qv0, qv1, qa0, qa1 in samples:
-            e0, e1, ed0, ed1 = qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot
+            e0 = qd0 - x
+            e1 = qd1 - y
+            ed0 = qv0 - xdot
+            ed1 = qv1 - ydot
             if x > contact_x:
                 # max(0.0, f) is f only when f > 0.0: -0.0 and NaN give 0.0
                 fex = stiffness * (x - contact_x) + damping * xdot
@@ -412,33 +435,50 @@ def _lane(
                 or1 = ((o10 * c0 + o11 * c1) + (p10 * xdot + p11 * ydot)) + fed1
             row = (t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1)
             append(row)
-            if not isfinite(sum(row)) and not all(map(isfinite, row)):
+            # a float start skips sum's integer pass; the sum is the same
+            if not isfinite(sum(row, 0.0)) and not all(map(isfinite, row)):
                 diverged = True
                 break
-            if rival_laws:
-                for i, (r00, r01, r10, r11, s00, s01, s10, s11, r_fe,
-                        r_tail1) in enumerate(rival_laws):
-                    d0 = ((((r00 * c0 + r01 * c1) + (s00 * xdot + s01 * ydot))
-                           + (fex if r_fe else fed0)) - tau0)
-                    d1 = ((((r10 * c0 + r11 * c1) + (s10 * xdot + s11 * ydot))
-                           + r_tail1) - tau1)
-                    sq_rivals[i] += d0 * d0 + d1 * d1
+            if scoring:
+                keep_state((c0, c1, fex, xdot, ydot, tau0, tau1))
 
-            f0, f1 = tau0 - fed0, tau1 - fed1
-            x, y, xdot, ydot, a0, a1 = step(f0, f1, x, y, xdot, ydot, h)
+            x, y, xdot, ydot, a0, a1 = step(
+                tau0 - fed0, tau1 - fed1, x, y, xdot, ydot, h)
             r0 = ((m * (qa0 - a0) + b * ed0) + k * e0) - fex
             r1 = (m * (qa1 - a1) + b * ed1) + k * e1
-            # max(imp_max, max(abs(r0), abs(r1))), NaN handling included
-            r0, r1 = abs(r0), abs(r1)
+            # max(imp_max, max(abs(r0), abs(r1))) by sign tests: -0.0 stays
+            # and NaN fails every test, so neither moves imp_max (>= 0.0),
+            # and a NaN r0 hides r1 as it does there
+            if r0 < 0.0:
+                r0 = -r0
+            if r1 < 0.0:
+                r1 = -r1
             if r1 > r0:
                 r0 = r1
             if r0 > imp_max:
                 imp_max = r0
             sq_e0 += e0 * e0
             sq_e1 += e1 * e1
-            g0, g1 = tau0 - or0, tau1 - or1
-            sq_div += g0 * g0 + g1 * g1
-            finite_rows += 1
+            # a lane that is its own oracle adds (tau - tau)**2 = +0.0
+            if not own_oracle:
+                g0 = tau0 - or0
+                g1 = tau1 - or1
+                sq_div += g0 * g0 + g1 * g1
+        finite_rows += len(block) - diverged
+        if scoring:
+            # each rival's gap at the block's finite states, in row order
+            for i, (r00, r01, r10, r11, s00, s01, s10, s11,
+                    r_fe) in enumerate(rivals):
+                r_tail1 = 0.0 if r_fe else fed1
+                sq = sq_rivals[i]
+                for sc0, sc1, sfe, sv0, sv1, st0, st1 in states:
+                    d0 = ((((r00 * sc0 + r01 * sc1) + (s00 * sv0 + s01 * sv1))
+                           + (sfe if r_fe else fed0)) - st0)
+                    d1 = ((((r10 * sc0 + r11 * sc1) + (s10 * sv0 + s11 * sv1))
+                           + r_tail1) - st1)
+                    sq += d0 * d0 + d1 * d1
+                sq_rivals[i] = sq
+            states.clear()
         sink(block)
         del block, append, row
         if diverged:
@@ -489,7 +529,7 @@ def _walk(
     samples: List[Tuple[float, ...]] = []
     append = samples.append
     for t, h in grid:
-        append((t, h, *desired(t)))
+        append((t, h) + desired(t))
         if len(samples) == block_rows:
             send(samples)
             if not live:

@@ -235,6 +235,57 @@ def test_a_sinusoid_whose_acceleration_stays_finite_runs():
                    for v in (point.qd, point.qd_dot, point.qd_ddot))
 
 
+@pytest.mark.parametrize("t, message", [
+    # the phase at 0.0 is finite and w * w is not: the point's acceleration
+    # used to be -inf * sin(0.0), NaN
+    (0.0, "frequency is too large for the amplitude: "),
+    # the phase 2*pi*1e307*10.0 overflows: math.sin used to raise its own
+    # "math domain error"
+    (10.0, "frequency is too large for a run to t = 10.0: "),
+], ids=["acceleration", "phase"])
+def test_sample_trajectory_applies_the_sinusoid_rules(t, message):
+    # a directly built Sinusoid is checked up to the time it is sampled at
+    from microinject.sim import TrajectoryKind
+
+    spec = TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.0, 0.0), 4.0,
+                          amplitude=Vec2(0.5, 0.2), frequency=1e307)
+    with pytest.raises(ValueError) as info:
+        sample_trajectory(spec, t)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(message)
+    assert str(info.value).endswith("got 1e+307")
+
+
+def test_sample_trajectory_gives_the_kernels_point_where_the_rules_pass():
+    # the check raises nothing for an ordinary Sinusoid, one whose phase and
+    # acceleration are just finite, or any Quintic, even far past its
+    # duration, and the point is the trajectory kernel's, bit for bit
+    import microinject.sim as sim
+
+    kind = sim.TrajectoryKind
+    cases = [
+        (TrajectorySpec(kind.SINUSOID, Vec2(0.8, 0.0), 10.0,
+                        amplitude=Vec2(0.4, 0.2), frequency=0.5),
+         [0.0, 0.25, 3.7, 10.0, 1e6]),
+        (TrajectorySpec(kind.SINUSOID, Vec2(0.0, 0.0), 4.0,
+                        amplitude=Vec2(0.5, 0.2), frequency=1e150),
+         [0.0, 2.0, 1e150]),
+        (TrajectorySpec(kind.QUINTIC, Vec2(0.0, 0.0), 3.0, end=Vec2(1.5, 0.5)),
+         [0.0, 1.5, 3.0, 1e308]),
+        (TrajectorySpec(kind.QUINTIC, Vec2(-1.0, 2.0), 1e-150,
+                        end=Vec2(1e300, -0.0)),
+         [0.0, 5e-151, 1e308]),
+    ]
+    for spec, times in cases:
+        desired = sim._trajectory_kernel(spec)
+        for t in times:
+            point = sample_trajectory(spec, t)
+            got = [point.qd.a0, point.qd.a1, point.qd_dot.a0, point.qd_dot.a1,
+                   point.qd_ddot.a0, point.qd_ddot.a1]
+            assert [v.hex() for v in got] == [v.hex() for v in desired(t)], (
+                spec, t)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_an_integer_too_large_for_a_float_is_not_finite(sign):
     # float() of it raises OverflowError, not a ValueError

@@ -840,6 +840,46 @@ def test_compare_variants_solves_c_once_per_state(base, others, scenario_index):
     assert sum(map(len, traces.values())) == sum(runs.values())
 
 
+@pytest.mark.parametrize("fed, amplitude, residual, imp_max", [
+    # McPaper's tail is fe, so the stage feels tau - fed = ... + 1.75e308 on
+    # x, which M_inv (1/0.6) overflows: the first stage is (inf, finite)
+    ((-1.75e308, 0.5), (0.4, 0.2), ["-inf", "finite"], "inf"),
+    # the start's y-velocity, 1e307, puts McPaper's tau - fed past the
+    # float limit on y: the first stage's x-component is 0.0 * inf, NaN,
+    # and a NaN x-residual hides the y one from the fold
+    ((0.5, -1.75e308), (0.4, 1e307), ["nan", "-inf"], "0x0.0p+0"),
+    # the same on x: the x-residual is -inf and the y one NaN
+    ((-1.75e308, 0.5), (1e307, 0.2), ["-inf", "nan"], "inf"),
+], ids=["inf", "nan-hides-inf", "inf-then-nan"])
+def test_impedance_residual_folds_inf_and_nan_as_the_kernels(
+    fed, amplitude, residual, imp_max
+):
+    # light masses (M_inv = diag(1/0.6, 1/0.4)) and a force near the float
+    # limit give a finite first row whose first-stage acceleration is not
+    # finite; the lane folds its residual into max_impedance_residual as
+    # max(imp_max, max(abs(r0), abs(r1))) does, bit for bit
+    import microinject.sim as sim
+
+    masses, gains = MassParams(0.2, 0.2, 0.2), ImpedanceParams(1.0, 20.0, 100.0)
+    spec = TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.8, 0.0), 1.0,
+                          amplitude=Vec2(*amplitude), frequency=0.5 / math.pi)
+    fed = ForcePair(*fed)
+    report, traces = _rederive_runs(_SC, [_C, _S, _M], masses, SKEWED_FRAME,
+                                    gains, spec, CONTACT, fed, 0.05, 1e-3)
+    # McPaper's one finite row, re-scored from the kernels
+    (t, x, y, xdot, ydot, _, _, fe0, fe1, tau0, tau1, _, _), flagged = (
+        traces[_M])
+    assert not _is_finite(flagged)
+    qd0, qd1, qv0, qv1, qa0, qa1 = sim._trajectory_kernel(spec)(t)
+    step = rk4_kernel(mat_inv(mass_matrix(masses)))
+    *_, a0, a1 = step(tau0 - fed.fex, tau1 - fed.fey, x, y, xdot, ydot, 1e-3)
+    r = force_control_residual_kernel(gains)(
+        qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot, qa0 - a0, qa1 - a1, fe0, fe1)
+    assert [v.hex() if not math.isfinite(v) else "finite" for v in r] == residual
+    mc = next(rep.metrics for rep in report.reports if rep.variant is _M)
+    assert mc.samples == 2 and mc.max_impedance_residual.hex() == imp_max
+
+
 @pytest.mark.parametrize("base", [_C, _M])
 def test_stage_consistent_gap_is_the_base_runs_oracle_gap(base):
     # the oracle is the stage-consistent law at the same c and state, so the
