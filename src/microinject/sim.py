@@ -325,9 +325,13 @@ def run_closed_loop(
     floats, in the operation order of the number-generic kernels of
     ``control``, which the tests hold it to bit for bit.
 
-    A row is tested for divergence by the sum of its fields, and field by
-    field only when that sum is not finite, since finite fields can
-    overflow when summed.  On divergence the offending row is recorded as
+    A row is tested for divergence by the sum of its four torques, and
+    field by field only when that sum is not finite, since finite torques
+    can overflow when summed.  The time and the y-component of the contact
+    force are finite, and every other field reaches the applied x-torque
+    through c by sums and products, each of which is not finite when an
+    operand is not (0.0 * inf is NaN), so a row whose torques are finite
+    is finite.  On divergence the offending row is recorded as
     the flagged final row, metrics cover the finite prefix, and
     ``diverged`` is set instead of raising.  A bad ``t_end`` or ``dt``
     raises ValueError before the run.  It is one lane of ``run_variants``.
@@ -435,8 +439,9 @@ def _lane(
                 or1 = ((o10 * c0 + o11 * c1) + (p10 * xdot + p11 * ydot)) + fed1
             row = (t, x, y, xdot, ydot, qd0, qd1, fex, 0.0, tau0, tau1, or0, or1)
             append(row)
-            # a float start skips sum's integer pass; the sum is the same
-            if not isfinite(sum(row, 0.0)) and not all(map(isfinite, row)):
+            # the row is finite when its torques are: see run_closed_loop
+            if (not isfinite(tau0 + tau1 + or0 + or1)
+                    and not all(map(isfinite, row))):
                 diverged = True
                 break
             if scoring:

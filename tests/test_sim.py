@@ -880,6 +880,44 @@ def test_impedance_residual_folds_inf_and_nan_as_the_kernels(
     assert mc.samples == 2 and mc.max_impedance_residual.hex() == imp_max
 
 
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("fed, amplitude, frequency, flagged, torques", [
+    # the start's y-velocity is 1e300 and fed's y-component the largest
+    # float: McPaper, whose y-tail is 0.0, keeps its torques finite beside
+    # an infinite oracle y-torque, and Corrected, whose tail is fed, has an
+    # infinite y-torque beside a finite x-torque
+    ((0.5, _MAX), (0.4, 1e300), 0.5 / math.pi, 0,
+     {_M: [True, True, True, False], _C: [True, False, True, False]}),
+    # the same on x: only McPaper's oracle x-torque is infinite
+    ((_MAX, 0.5), (1e300, 0.2), 0.5 / math.pi, 0,
+     {_M: [True, True, False, True]}),
+    # at row 1 McPaper's y-torque overflows, and not its oracle's, which
+    # weighs c by M instead of M@T and adds fed; the other three torques
+    # sum to a finite -1.6e308
+    ((0.5, -1e307), (0.4, 1e303), 50.0, 1,
+     {_M: [True, False, True, True]}),
+], ids=["oracle-y", "oracle-x", "law-y"])
+def test_a_row_with_one_torque_not_finite_is_flagged(
+    fed, amplitude, frequency, flagged, torques
+):
+    # the lane tests a row for divergence by the sum of its four torques;
+    # a row with any one of them not finite, and its state finite, is the
+    # run's flagged row, as a field-by-field test finds it
+    spec = TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.8, 0.0), 1.0,
+                          amplitude=Vec2(*amplitude), frequency=frequency)
+    scenario = (MassParams(1.0, 1.0, 1.0), SKEWED_FRAME,
+                ImpedanceParams(1.0, 20.0, 100.0), spec, CONTACT,
+                ForcePair(*fed), 0.05, 1e-3)
+    _, traces = _rederive_runs(_SC, [_C, _S, _M], *scenario)
+    for variant, finite in torques.items():
+        rows = traces[variant]
+        assert len(rows) == flagged + 1, variant
+        assert all(map(math.isfinite, rows[-1][:9])), variant
+        assert [math.isfinite(v) for v in rows[-1][9:13]] == finite, variant
+
+
 @pytest.mark.parametrize("base", [_C, _M])
 def test_stage_consistent_gap_is_the_base_runs_oracle_gap(base):
     # the oracle is the stage-consistent law at the same c and state, so the
