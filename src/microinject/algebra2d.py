@@ -49,14 +49,15 @@ def lane_map(f, x):
 
     Takes a ``math`` function, so each lane gets the bits of its float
     evaluation: numpy's transcendentals need not round as libm does.  The
-    lanes go to ``f`` as the floats of ``x.tolist()``, which hold the same
-    doubles as the array and cost less to make than iterating it, which
-    boxes each lane as an ``np.float64``.
+    lanes go to ``f`` as the floats a ``memoryview`` of ``x`` yields, which
+    hold the same doubles as the array and cost less to make than
+    ``x.tolist()``'s list or iterating the array, which boxes each lane as
+    an ``np.float64``.
     """
     if _is_lanes(x):
         import numpy as np
 
-        return np.fromiter(map(f, x.tolist()), float, x.size)
+        return np.fromiter(map(f, memoryview(x)), float, x.size)
     return f(x)
 
 

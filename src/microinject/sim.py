@@ -87,6 +87,7 @@ class TrajectorySpec:
     ``duration`` seconds with zero boundary velocity and acceleration,
     clamped at ``end`` afterwards.  Sinusoid: ``start + amplitude *
     sin(2*pi*frequency*t)`` per axis.  Derivatives are always analytic.
+    ``start``, ``end`` and ``amplitude`` must have finite components.
     """
 
     kind: TrajectoryKind
@@ -117,6 +118,12 @@ class TrajectorySpec:
             if self.end is not None:
                 raise ValueError("end is only valid for kind 'Quintic'")
             check_fields(self, "> 0", "frequency")
+        # a non-finite point gives NaN desired points, which
+        # check_sinusoid_phase would blame on the frequency
+        for name in ("start", "end", "amplitude"):
+            point = getattr(self, name)
+            if point is not None and not point.is_finite():
+                raise ValueError(f"{name} components must be finite")
 
 
 @dataclass(frozen=True)

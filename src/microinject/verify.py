@@ -20,8 +20,9 @@ How the draws are made: ``frames`` and ``dynamics`` draw each input column
 for the whole ensemble in one call.  The control suites draw one row per
 trial, all of a trial's inputs in their scalar draw order (25 columns for
 ``implication``, 26 with the scaling factor for ``discrepancy``), with one
-generator call per chunk of at most ``_CHUNK_ROWS`` rows; the values are
-those of one scalar ``rng.uniform`` call per input, in the same order.
+``rng.random`` fill per chunk of at most ``_CHUNK_ROWS`` rows, scaled in
+place to lo + (hi - lo) * u; the values are those of one scalar
+``rng.uniform`` call per input, in the same order.
 
 Every suite evaluates a chunk of at most ``_CHUNK_ROWS`` trials at a
 time, on float64 columns, one lane per trial.  The maps of ``frames`` and
@@ -33,12 +34,15 @@ map, check and ``torque_kernel`` of the chunk reads them; no suite writes a
 frame's arrays.  ``frames`` applies the public frame maps to slices of its
 columns.  ``dynamics`` binds ``free_response_kernel`` and
 ``inverse_dynamics_kernel`` once per slice of its columns and evaluates
-every lane at one of the 100 sample times at a time.  Per chunk, ``implication`` forms the required torque and tests the
-impedance-law precondition and solves the commanded acceleration once,
-then applies the check to the STAGE_CONSISTENT and the identity-frame
-CORRECTED ``torque_kernel``; ``discrepancy`` solves c once with the drawn
-gains and once with the scaled ones, and evaluates ``torque_kernel`` on it
-at the skewed, the identity and the drawn frames, building each law once.
+every lane at one of the 100 sample times at a time; its image-space
+residual evaluates the central differences at its 60 sample times as one
+call per stencil point, one lane per time.  Per chunk, ``implication``
+forms the required torque and tests the impedance-law precondition and
+solves the commanded acceleration once, then applies the check to the
+STAGE_CONSISTENT and the identity-frame CORRECTED ``torque_kernel``;
+``discrepancy`` solves c once with the drawn gains and once with the
+scaled ones, and evaluates ``torque_kernel`` on it at the skewed, the
+identity and the drawn frames, building each law once.
 The ``Vec2`` functions wrap the same kernels, so each suite checks the
 code the rest of the package runs.  The RK4 checks
 (``dynamics.rk4_matches_closed_form`` and ``dynamics.rk4_order``) call
@@ -160,15 +164,19 @@ def _draw_rows(
     in chunks of at most ``_CHUNK_ROWS`` rows, each yielded as its columns:
     a float64 array of shape (len(bounds), rows).
 
-    One generator call per chunk.  numpy fills a chunk in row-major order
-    with lo + (hi - lo) * u, so the rows hold the values of scalar
-    ``rng.uniform(lo_j, hi_j)`` calls made column by column, row by row.
+    One ``rng.random`` fill per chunk, scaled in place to lo + (hi - lo) * u.
+    ``rng.uniform(lo, hi, shape)`` reads the same doubles in the same
+    row-major order and computes that same expression, so the rows hold the
+    values of scalar ``rng.uniform(lo_j, hi_j)`` calls made column by
+    column, row by row; the fill skips its broadcasting of the bounds.
     """
     lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    span = np.array([b[1] for b in bounds]) - lo
     for start in range(0, n, _CHUNK_ROWS):
-        shape = (min(_CHUNK_ROWS, n - start), len(bounds))
-        yield np.ascontiguousarray(rng.uniform(lo, hi, shape).T)
+        u = rng.random((min(_CHUNK_ROWS, n - start), len(bounds)))
+        u *= span
+        u += lo
+        yield np.ascontiguousarray(u.T)
 
 
 def _fold_lanes(acc: float, *columns: np.ndarray, lowest: bool = False) -> float:
@@ -291,25 +299,24 @@ def _image_space_residual(h: float = 1e-3) -> float:
     iner, pos_fin = image_space_operators(masses, frame)
     closed_form = free_response_kernel(masses, 0.4, -0.3, 1.2, -0.8)
 
-    def u(t: float) -> Vec2:
+    def u(t: np.ndarray) -> Vec2:
         x, y, *_ = closed_form(t)
         return mat_vec_mul(t_mat, Vec2(x, y)) + off
 
-    worst = 0.0
-    for t in np.linspace(0.1, 10.0, 60):
-        t = float(t)
-        step = h * max(1.0, abs(t))
-        um2, um1, u0 = u(t - 2 * step), u(t - step), u(t)
-        up1, up2 = u(t + step), u(t + 2 * step)
-        udot = (-up2 + up1.scale(8.0) - um1.scale(8.0) + um2).scale(
-            1.0 / (12.0 * step)
-        )
-        uddot = (
-            -up2 + up1.scale(16.0) - u0.scale(30.0) + um1.scale(16.0) - um2
-        ).scale(1.0 / (12.0 * step * step))
-        res = mat_vec_mul(iner, uddot) + mat_vec_mul(pos_fin, udot)
-        worst = fold_worst(worst, abs(res.a0), abs(res.a1))
-    return worst
+    # the 60 sample times as one lane each; every operation is elementwise,
+    # so each lane gets the bits of its time's float evaluation
+    t = np.linspace(0.1, 10.0, 60)
+    step = h * lane_max(1.0, abs(t))
+    um2, um1, u0 = u(t - 2 * step), u(t - step), u(t)
+    up1, up2 = u(t + step), u(t + 2 * step)
+    udot = (-up2 + up1.scale(8.0) - um1.scale(8.0) + um2).scale(
+        1.0 / (12.0 * step)
+    )
+    uddot = (
+        -up2 + up1.scale(16.0) - u0.scale(30.0) + um1.scale(16.0) - um2
+    ).scale(1.0 / (12.0 * step * step))
+    res = mat_vec_mul(iner, uddot) + mat_vec_mul(pos_fin, udot)
+    return _fold_lanes(0.0, abs(res.a0), abs(res.a1))
 
 
 def dynamics_suite(seed: int, trials: Optional[int] = None) -> List[PropertyResult]:

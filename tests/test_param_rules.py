@@ -150,6 +150,44 @@ def test_direct_construction_names_a_kind_dependent_field(kind, fields, message)
     assert str(info.value) == message
 
 
+NON_FINITE_POINTS = [
+    (kind, name, component, value)
+    for kind, names in (("QUINTIC", ("start", "end")),
+                        ("SINUSOID", ("start", "amplitude")))
+    for name in names
+    for component in (0, 1)
+    for value in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("kind, name, component, value", NON_FINITE_POINTS)
+def test_direct_construction_rejects_a_non_finite_point(kind, name, component,
+                                                        value):
+    # a Quintic from Vec2(inf, 0.0) used to sample to qd = (nan, 0.0), and a
+    # Sinusoid of NaN amplitude was blamed on its frequency
+    from microinject.sim import TrajectoryKind
+
+    fields = {"start": Vec2(0.0, 0.0), "duration": 1.0}
+    if kind == "QUINTIC":
+        fields["end"] = Vec2(1.5, 0.5)
+    else:
+        fields.update(amplitude=Vec2(0.5, 0.2), frequency=1.0)
+    parts = [fields[name].a0, fields[name].a1]
+    parts[component] = value
+    fields[name] = Vec2(*parts)
+    with pytest.raises(ValueError) as info:
+        TrajectorySpec(TrajectoryKind[kind], **fields)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} components must be finite"
+
+    # config rejects the same document first, with the same words
+    doc = json.loads(json.dumps(QUINTIC if kind == "QUINTIC" else SINUSOID))
+    doc["trajectory"][name] = parts
+    with pytest.raises(InvariantError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value) == f"trajectory.{name} components must be finite"
+
+
 @pytest.mark.parametrize("frequency, t_end", [(1.7976931348623157e308, 0.2),
                                               (1e307, 5.0)])
 def test_a_sinusoid_whose_phase_overflows_by_t_end_is_rejected(frequency,

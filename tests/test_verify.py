@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from microinject import control, frames, verify
-from microinject.algebra2d import Mat2, Vec2, fold_worst
+from microinject.algebra2d import Mat2, Vec2, fold_worst, mat_vec_mul
 from microinject.control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
@@ -16,7 +16,12 @@ from microinject.control import (
     implication_residual,
     torque_controller,
 )
-from microinject.dynamics import ForcePair, MassParams
+from microinject.dynamics import (
+    ForcePair,
+    MassParams,
+    free_response_kernel,
+    image_space_operators,
+)
 from microinject.frames import FrameParams
 
 # SHA-256 of the "name passed worst.hex() trials" lines of run_suite("all", 0)
@@ -84,6 +89,10 @@ class RecordingGenerator:
         self.sizes.append(size)
         return self.rng.uniform(low, high, size)
 
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
 
 def test_chunked_rows_equal_sequential_scalar_draws():
     bounds = (verify._CONTROL_CASE_BOUNDS + verify._FRAME_BOUNDS
@@ -106,6 +115,35 @@ def test_chunked_rows_equal_sequential_scalar_draws():
             want = [float(scalar.uniform(lo, hi)) for lo, hi in bounds]
             got = [float(column[trial]) for column in columns]
             assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+# the column bounds of the rows each control suite draws
+DRAWN_ROW_BOUNDS = {
+    "implication": verify._CONTROL_CASE_BOUNDS + verify._FRAME_BOUNDS,
+    "discrepancy": (verify._CONTROL_CASE_BOUNDS + verify._FRAME_BOUNDS
+                    + verify._LAMBDA_BOUNDS),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(DRAWN_ROW_BOUNDS))
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_draw_rows_equal_one_uniform_call_per_chunk(suite, seed):
+    # the in-place scaling of one random fill must give every bit of the
+    # rng.uniform(lo, hi, shape) call it replaces, a partial last chunk too
+    bounds = DRAWN_ROW_BOUNDS[suite]
+    n = 2 * verify._CHUNK_ROWS + 37
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    reference = verify._rng(seed)
+    chunks = list(verify._draw_rows(verify._rng(seed), bounds, n))
+    assert [c.shape[1] for c in chunks] == [verify._CHUNK_ROWS] * 2 + [37]
+    for columns in chunks:
+        want = np.ascontiguousarray(
+            reference.uniform(lo, hi, (columns.shape[1], len(bounds))).T)
+        assert columns.dtype == want.dtype == np.float64
+        assert columns.flags.c_contiguous
+        assert columns.shape == want.shape
+        assert columns.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
@@ -257,9 +295,57 @@ def test_dynamics_suite_folds_every_trial(monkeypatch):
     verify.run_suite("dynamics", 0, 2 * verify._CHUNK_ROWS + 37)
     # per chunk, 2 residual columns at each of 100 sample times and 2
     # asymptotic-gap columns; then 2 columns of every sample of each of the
-    # 4 integrations (t_end/dt = 10/1e-3, then 5/1e-2, 5/5e-3, 5/2.5e-3)
+    # 4 integrations (t_end/dt = 10/1e-3, then 5/1e-2, 5/5e-3, 5/2.5e-3);
+    # then the 2 image-space residual columns of the 60 sample times
     assert sizes == ([verify._CHUNK_ROWS] * 404 + [37] * 202
-                     + [10001] * 2 + [501] * 2 + [1001] * 2 + [2001] * 2)
+                     + [10001] * 2 + [501] * 2 + [1001] * 2 + [2001] * 2
+                     + [60] * 2)
+
+
+def _image_space_residual_at(t, h=1e-3):
+    """The image-space residual |r0|, |r1| at one sample time, evaluated on
+    floats as the suite's lanes evaluate it at every time."""
+    masses = MassParams(1.0, 0.5, 0.5)
+    frame = FrameParams(alpha=math.pi / 6, dx=0.5, dy=0.25, fx=2.0, fy=4.0)
+    t_mat = frames.transformation_matrix(frame)
+    off = frames.image_offset(frame)
+    iner, pos_fin = image_space_operators(masses, frame)
+    closed_form = free_response_kernel(masses, 0.4, -0.3, 1.2, -0.8)
+
+    def u(t):
+        x, y, *_ = closed_form(t)
+        return mat_vec_mul(t_mat, Vec2(x, y)) + off
+
+    step = h * max(1.0, abs(t))
+    um2, um1, u0 = u(t - 2 * step), u(t - step), u(t)
+    up1, up2 = u(t + step), u(t + 2 * step)
+    udot = (-up2 + up1.scale(8.0) - um1.scale(8.0) + um2).scale(
+        1.0 / (12.0 * step))
+    uddot = (-up2 + up1.scale(16.0) - u0.scale(30.0) + um1.scale(16.0)
+             - um2).scale(1.0 / (12.0 * step * step))
+    res = mat_vec_mul(iner, uddot) + mat_vec_mul(pos_fin, udot)
+    return abs(res.a0), abs(res.a1)
+
+
+def test_image_space_residual_lanes_match_the_scalar_evaluation(monkeypatch):
+    # the suite folds only the worst lane, so a lane that differs from its
+    # time's float evaluation would go unseen by the pinned digests
+    folded = []
+    fold_lanes = verify._fold_lanes
+
+    def recording(acc, *columns, lowest=False):
+        folded.append(columns)
+        return fold_lanes(acc, *columns, lowest=lowest)
+
+    monkeypatch.setattr(verify, "_fold_lanes", recording)
+    worst = verify._image_space_residual()
+    (r0, r1), = folded
+    times = [float(t) for t in np.linspace(0.1, 10.0, 60)]
+    want = [_image_space_residual_at(t) for t in times]
+    assert [v.hex() for v in r0.tolist()] == [w[0].hex() for w in want]
+    assert [v.hex() for v in r1.tolist()] == [w[1].hex() for w in want]
+    assert worst.hex() == fold_worst(0.0, *itertools.chain(*want)).hex()
+    assert worst.hex() == "0x1.10ae440000000p-30"
 
 
 def _raise_if_called(*args, **kwargs):
