@@ -17,14 +17,14 @@ of each variant's SVG.
 runner, with a keeper of its own, and holds no run's rows.  The closed
 loops of all the torque laws are lanes of one walk of the grid.  Each one
 writes its ``trace_<variant>.csv`` from its sink a block of rows at a time,
-through ``report.trace_csv_writer`` on the CSV opened in binary mode,
-and, with ``--svg``, keeps only the rows its chart plots: every
+through ``report.trace_csv``, the one trace CSV writer, and, with
+``--svg``, keeps only the rows its chart plots: every
 ``report.chart_stride``-th row of the grid and the latest one.  So the
 rows of every run's chart are held at once, until each chart is drawn.  A
 run that diverges may have a finite prefix with another stride, so its
 chart is drawn from its CSV, read back a line at a time.  A variant that
 reuses a run (one whose torque law has the same operators and tail:
-``control.torque_law_key``) gets that run's metrics, a byte copy of its
+``control.TorqueLaw.key``) gets that run's metrics, a byte copy of its
 CSV, and its SVG panels under the variant's own title.  An info line
 names the variant whose run it reuses.
 
@@ -40,10 +40,10 @@ that row, so a run far from the origin is held to the rounding of its
 positions, not to an absolute bound.
 
 An output file (CSV, SVG or ``metrics.json``) that cannot be written
-exits 2 with ``cannot write <path>: <reason>``.  When a trace CSV fails
-during the walk, ``simulate`` removes the CSVs the walk opened for the
-other runs, so no half-written trace is left, and leaves the path that
-failed as it was.
+exits 2 with ``cannot write <path>: <reason>`` (``report.CannotWrite``).
+When a trace CSV fails during the walk, ``report.trace_csv`` removes the
+CSVs the walk opened for the other runs, so no half-written trace is
+left, and leaves the path that failed as it was.
 
 Only ``verify`` imports numpy, for its lanes, so ``simulate`` and
 ``free-response`` run without loading it.
@@ -60,7 +60,7 @@ import re
 import shutil
 import sys
 import time
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from . import report
 from .config import (
@@ -87,31 +87,6 @@ log = logging.getLogger("microinject")
 FREE_RESPONSE_MAX_ERROR = 1e-5
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-class _CannotWrite(Exception):
-    """The output file ``path`` could not be written; ``main`` exits 2 with
-    it."""
-
-    def __init__(self, path: str, exc: OSError) -> None:
-        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
-        self.path = path
-
-
-@contextlib.contextmanager
-def _writing(path: str) -> Iterator[None]:
-    """Raise an OSError of the block as ``_CannotWrite`` naming ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise _CannotWrite(path, exc) from exc
-
-
-def _write(path: str, write: Callable[..., Any], *args: object) -> Any:
-    """``write(path, *args)``, with an OSError raised as ``_CannotWrite``
-    naming ``path``."""
-    with _writing(path):
-        return write(path, *args)
-
 
 def _configure_logging() -> None:
     raw = os.environ.get("MICROINJECT_LOG", "error")
@@ -227,30 +202,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stride = report.chart_stride(grid_rows(config.t_end, config.dt))
 
     laws = []  # the variant that runs each torque law, in the walk's order
-    opened = []  # the trace CSVs the walk opened
 
     @contextlib.contextmanager
     def trace_csv(variant: ControllerVariant) -> Iterator[Any]:
         """The sink of the closed loop of ``variant``: it writes the run's
-        CSV and, with --svg, keeps the rows its chart plots.  A write that
-        fails raises ``_CannotWrite`` naming this CSV, so the keepers that
-        the error unwinds pass it on."""
+        CSV through ``report.trace_csv`` and, with --svg, keeps the rows
+        its chart plots."""
         laws.append(variant)
         path = os.path.join(args.out, f"trace_{variant.value}.csv")
-        with _writing(path), open(path, "wb") as fh:
-            opened.append(path)
-            write_rows = report.trace_csv_writer(fh)
+        with report.trace_csv(path) as write_rows:
             keep, sampled = report.chart_sampler(stride)
 
             def sink(block: List[tuple]) -> None:
-                try:
-                    write_rows(block)
-                except OSError as exc:
-                    raise _CannotWrite(path, exc) from exc
-                if args.svg:
-                    keep(block)
+                write_rows(block)
+                keep(block)
 
-            yield sink, sampled
+            yield (sink if args.svg else write_rows), sampled
 
     any_diverged = False
     variant_metrics = {}
@@ -261,17 +228,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config.dt, keeper=trace_csv,
     )
     start = time.perf_counter()
-    try:
-        # the first yield comes once the walk has run every closed loop
-        runs = itertools.chain([next(runs)], runs)
-    except _CannotWrite as exc:
-        # no run's CSV is left half written; the file that failed is left
-        # as it was
-        for path in opened:
-            if path != exc.path:
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-        raise
+    # the first yield comes once the walk has run every closed loop
+    runs = itertools.chain([next(runs)], runs)
     log.info("one walk: %d torque laws, closed loops + CSVs %.3f s",
              len(laws), time.perf_counter() - start)
     for variant, (_, source, metrics, sampled) in zip(config.variants, runs):
@@ -283,23 +241,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                      variant.value, source.value)
             if variant is not source:
                 copied = os.path.join(args.out, f"trace_{source.value}.csv")
-                _write(trace_path, lambda path: shutil.copyfile(copied, path))
+                with report.writing(trace_path):
+                    shutil.copyfile(copied, trace_path)
             ran = time.perf_counter()
             if args.svg and variant is not source:
-                _write(svg_path, report.write_trace_panels, panels[source],
-                       title)
+                with report.writing(svg_path):
+                    report.write_trace_panels(svg_path, panels[source], title)
         else:
             ran = time.perf_counter()
             if args.svg:
                 if metrics.diverged:
                     # the finite rows may have another stride than the
                     # grid's: read them back from the CSV, which is closed
-                    with _writing(svg_path):
+                    with report.writing(svg_path):
                         sampled = report.sample_trace_csv(
                             trace_path, metrics.samples - 1)
                 panels[source] = report.render_sampled_panels(sampled)
-                _write(svg_path, report.write_trace_panels, panels[source],
-                       title)
+                with report.writing(svg_path):
+                    report.write_trace_panels(svg_path, panels[source], title)
             # this run's chart rows are not needed past its chart
             del sampled
         print(trace_path)
@@ -314,12 +273,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             any_diverged = True
 
     metrics_path = os.path.join(args.out, "metrics.json")
-    _write(metrics_path, report.write_metrics_json, {
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "seed": config.seed,
-        "variants": variant_metrics,
-    })
+    with report.writing(metrics_path):
+        report.write_metrics_json(metrics_path, {
+            "dt": config.dt,
+            "t_end": config.t_end,
+            "seed": config.seed,
+            "variants": variant_metrics,
+        })
     print(metrics_path)
     return 1 if any_diverged else 0
 
@@ -360,7 +320,8 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
             max_scaled = fold_worst(max_scaled, err_x / scale, err_y / scale)
             yield t, x, y, x_rk4, y_rk4, err_x, err_y
 
-    _write(args.out, report.write_csv, report.FREE_RESPONSE_HEADER, rows())
+    with report.writing(args.out):
+        report.write_csv(args.out, report.FREE_RESPONSE_HEADER, rows())
     print(args.out)
     print(f"max_error {report.fmt(max_err)}")
     return 0 if max_scaled <= FREE_RESPONSE_MAX_ERROR else 1
@@ -376,7 +337,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_free_response(args)
-    except _CannotWrite as exc:
+    except report.CannotWrite as exc:
         print(f"microinject: {exc}", file=sys.stderr)
         return 2
 

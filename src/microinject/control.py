@@ -39,7 +39,7 @@ once: ``commanded_accel_kernel`` (c, with the gains), ``torque_kernel``
 ``force_control_residual_kernel`` and ``required_torque_kernel`` (over
 ``dynamics.inverse_dynamics_kernel``).  The torque laws act on c and bind
 no gains, so a caller solves c once per state and passes it to every law
-it evaluates there.  ``torque_law_key`` names the operators and tail of
+it evaluates there.  ``TorqueLaw.key`` names the operators and tail of
 a variant's law, so a caller runs each distinct law once.  The closed
 loop in ``sim`` evaluates c, the laws of ``torque_law`` and the residual
 inline, in the kernels' operation order, and the kernels are its
@@ -159,7 +159,15 @@ class TorqueLaw(NamedTuple):
 
     @property
     def key(self) -> Tuple[Tuple[str, ...], bool]:
-        """The entries by ``float.hex`` and the tail: ``torque_law_key``."""
+        """What decides the law's torque: the entries of L and N, by
+        ``float.hex``, and whether its tail is fe.
+
+        Laws with equal keys give the same torque at every state bit for
+        bit, so their closed loops are identical and need to be run only
+        once.  Both stage-space variants always share a key.  At the
+        identity frame (alpha = +-0.0, fx = fy = 1) CORRECTED binds exactly
+        the stage-space L = M and N = B, so it shares theirs too.
+        """
         return tuple(float(v).hex() for v in self[:8]), self.use_fe
 
 
@@ -188,23 +196,6 @@ def torque_law(
         n_mat.m00, n_mat.m01, n_mat.m10, n_mat.m11,
         variant is ControllerVariant.MC_PAPER,
     )
-
-
-def torque_law_key(
-    variant: ControllerVariant, masses: MassParams, frame: FrameParams,
-) -> Tuple[Tuple[str, ...], bool]:
-    """What decides ``variant``'s torque at ``masses`` and ``frame``: the
-    entries of the L and N of its ``torque_law``, by ``float.hex``, and
-    whether its tail is fe.
-
-    Variants with equal keys give the same torque at every state bit for
-    bit, so their closed loops are identical and need to be run only once.
-    Both stage-space variants always share a key.  At the identity frame
-    (alpha = +-0.0, fx = fy = 1) CORRECTED binds exactly the stage-space
-    L = M and N = B, so it shares theirs too.  Takes float parameters;
-    raises SingularMatrix as ``torque_law`` does.
-    """
-    return torque_law(variant, masses, frame).key
 
 
 def error_state(

@@ -6,17 +6,21 @@ formatted straight to bytes: ``bytes % tuple`` renders each float as
 ``"%.17g" %`` does, with no str built or encoded on the way.
 
 A trace can be written whole (``write_trace_csv``, ``write_trace_svg``)
-or as a closed loop makes it: ``trace_csv_writer`` writes each block of
-rows to a CSV open in binary mode, and ``chart_sampler`` keeps only the
-rows its chart plots, which ``render_sampled_panels`` draws.
+or as a closed loop makes it: ``trace_csv``, the one trace CSV writer of
+``simulate`` and the discrepancy study, takes each block of rows and
+leaves no partial CSV, and ``chart_sampler`` keeps only the rows its chart
+plots, which ``render_sampled_panels`` draws.  An output file that cannot
+be written raises ``CannotWrite``: ``cannot write <path>: <reason>``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from itertools import islice
-from typing import BinaryIO, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .sim import RunMetrics, TraceRow
 
@@ -47,21 +51,60 @@ def write_trace_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
     write_csv(path, TRACE_HEADER, rows)
 
 
-def trace_csv_writer(
-    fh: BinaryIO,
-) -> Callable[[Sequence[Tuple[float, ...]]], None]:
-    """Write the trace header to ``fh``, a file open in binary mode, and
-    return a sink that writes each block of rows handed to it, tuples of
+class CannotWrite(Exception):
+    """The output file ``path`` could not be written."""
+
+    def __init__(self, path: str, exc: OSError) -> None:
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+        self.path = path
+
+
+@contextlib.contextmanager
+def writing(path: str) -> Iterator[None]:
+    """Raise an OSError of the block as ``CannotWrite`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise CannotWrite(path, exc) from exc
+
+
+@contextlib.contextmanager
+def trace_csv(
+    path: str,
+) -> Iterator[Callable[[Sequence[Tuple[float, ...]]], None]]:
+    """Open the trace CSV ``path`` in binary mode, write its header and
+    give a sink that writes each block of rows handed to it, tuples of
     floats in ``TraceRow``'s field order, as ``write_trace_csv`` writes
-    them: the file is the same bytes, and a block is one ``write``."""
-    fh.write(TRACE_HEADER.encode() + b"\n")
+    them: the file is the same bytes, and a block is one ``write``.
+
+    A failed open, write or close raises ``CannotWrite`` naming ``path``
+    and leaves the path as it was.  The sink converts its own OSError, so
+    no other file's keeper takes it for its own.  If the block unwinds on
+    any other exception, the file is removed.
+    """
+    with writing(path):
+        fh = open(path, "wb")
     write = fh.write
     line = _line_format(TRACE_HEADER).__mod__
 
     def write_rows(block: Sequence[Tuple[float, ...]]) -> None:
-        write(b"".join(map(line, block)))
+        try:
+            write(b"".join(map(line, block)))
+        except OSError as exc:
+            raise CannotWrite(path, exc) from exc
 
-    return write_rows
+    try:
+        write(TRACE_HEADER.encode() + b"\n")  # into the buffer: no OSError
+        yield write_rows
+        with writing(path):
+            fh.close()
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            fh.close()
+        if not (isinstance(exc, CannotWrite) and exc.path == path):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def metrics_to_dict(metrics: RunMetrics) -> Dict[str, object]:

@@ -13,7 +13,7 @@ and the RK4 step, and each lane binds the gains, the membrane and fed.
 its keeper, what each run's sink keeps; ``run_closed_loop``,
 ``compare_variants``, ``simulate`` and the discrepancy study take their
 runs from it.  Variants whose laws bind the same operators and tail
-(``torque_law_key``) share one run: the two stage-space variants always,
+(``TorqueLaw.key``) share one run: the two stage-space variants always,
 and ``Corrected`` with them at the identity frame.  Each distinct law is a
 lane, a generator that steps its closed loop a block of grid samples at a
 time, and all the lanes of a scenario share one walk of the grid: the
@@ -33,8 +33,8 @@ A lane hands its rows to a sink, a block of rows at a time, and keeps
 none itself.  ``run_closed_loop`` and, by default, ``run_variants``
 collect the rows in a list.  ``compare_variants`` folds each run's
 tracking gap to the base run as the blocks come, so it holds no state per
-row, and hands the rows to the keeper it is given; the study's writes
-each run's CSV.  ``sample_trajectory`` wraps the trajectory kernel, and
+row, and hands the rows to the keeper it is given; the discrepancy
+study's keeper writes each run's CSV through ``report.trace_csv``.  ``sample_trajectory`` wraps the trajectory kernel, and
 checks a Sinusoid's rules (``check_sinusoid_phase``) up to its time.
 
 The lane keeps the evaluation order of ``membrane_force`` and of the
@@ -584,7 +584,7 @@ def run_variants(
     """Run each distinct torque law of ``variants`` once, all in one walk.
 
     Variants share a law when their ``torque_law``s have the same key
-    (``torque_law_key``) at ``masses`` and ``frame``: both stage-space
+    (``TorqueLaw.key``) at ``masses`` and ``frame``: both stage-space
     variants always, and CORRECTED with them at the identity frame.
     Yields ``(variant, source, metrics, kept)`` per variant, in order.
     The first variant of a law runs in closed loop: ``source`` is the

@@ -616,7 +616,7 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
     # one line format per file must write what fmt writes value by value,
     # for a diverged trace's flagged last row and for a free-response row
     from microinject.report import (
-        FREE_RESPONSE_HEADER, fmt, trace_csv_writer, write_csv, write_trace_csv,
+        FREE_RESPONSE_HEADER, fmt, trace_csv, write_csv, write_trace_csv,
     )
     from microinject.sim import TraceRow
 
@@ -633,8 +633,7 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
 
     # the sink simulate writes its CSVs with, a block of rows at a time
     streamed_path = tmp_path / "streamed.csv"
-    with open(streamed_path, "wb") as fh:
-        write_rows = trace_csv_writer(fh)
+    with trace_csv(str(streamed_path)) as write_rows:
         write_rows([tuple(trace_row)] * 2)
         write_rows([tuple(trace_row)])
     assert streamed_path.read_bytes() == (
@@ -673,7 +672,7 @@ def test_csv_writers_write_each_row_as_fmt_renders_it(
     # the bytes writers format a line with one bytes %, which must give
     # the bytes of fmt's str line, value by value, for any double
     from microinject.report import (
-        FREE_RESPONSE_HEADER, fmt, trace_csv_writer, write_csv, write_trace_csv,
+        FREE_RESPONSE_HEADER, fmt, trace_csv, write_csv, write_trace_csv,
     )
 
     def expected(header, rows):
@@ -684,8 +683,7 @@ def test_csv_writers_write_each_row_as_fmt_renders_it(
         streamed, whole, free = (os.path.join(tmp, name) for name in
                                  ("streamed.csv", "whole.csv", "free.csv"))
         # the sink takes the rows in blocks cut at the drawn sizes
-        with open(streamed, "wb") as fh:
-            write_rows = trace_csv_writer(fh)
+        with trace_csv(streamed) as write_rows:
             rest = trace_rows
             for size in cuts:
                 write_rows(rest[:size])
@@ -992,7 +990,7 @@ def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
     # every write to /dev/full fails: the first block of rows Corrected's
     # closed loop hands its sink cannot be written.  Both runs' CSVs are
     # opened before the walk, and the walk ends before any variant is done
-    from microinject import cli
+    from microinject import cli, report
 
     opened = []
 
@@ -1001,7 +999,7 @@ def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
         opened.append(fh)
         return fh
 
-    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(report, "open", recording_open, raising=False)
     # a skewed frame, where Corrected has a closed loop of its own
     config = write_config(tmp_path / "scenario.json", frame={
         "alpha": 0.5, "dx": 1.0, "dy": 1.0, "fx": 2.0, "fy": 4.0}, run={

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts under scripts/."""
 
+import errno
 import hashlib
 import importlib.util
 import os
@@ -150,7 +151,7 @@ def test_discrepancy_study_runs_each_torque_law_once_per_frame(
         *(["--out", str(tmp_path)] if out else [])])
     assert study.main() == 0
     # one closed loop per torque law and frame; SimPaper shares
-    # StageConsistent's law, and its CSV is a copy; on the identity frame
+    # StageConsistent's law, whose run writes its CSV too; on the identity frame
     # Corrected shares it too
     assert len(ran) == 5
     assert Counter(v for v, frame in ran if frame is study.SKEWED) == {
@@ -178,6 +179,31 @@ def test_discrepancy_study_exits_2_on_a_csv_it_cannot_write(tmp_path, variant):
         f"discrepancy_study.py: cannot write {blocked}: Is a directory\n")
     assert "Traceback" not in proc.stderr
     assert f"wrote {blocked}" not in proc.stdout
+    # no other study CSV is left, written or half written
+    assert [p.name for p in tmp_path.iterdir()] == [blocked.name]
+
+
+@pytest.mark.parametrize("variant", ["StageConsistent", "Corrected",
+                                     "SimPaper"])
+def test_discrepancy_study_leaves_no_partial_csv_when_a_write_fails(
+    tmp_path, variant,
+):
+    # every write to /dev/full fails, so the walk stops at that run's first
+    # block: the first run's CSV, the second's, or the one that shares the
+    # first run's law.  The path that failed is named and left as it was,
+    # and every other study CSV, opened before the walk, is removed
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    blocked = tmp_path / f"study_{variant}.csv"
+    blocked.symlink_to("/dev/full")
+    proc = run_script("discrepancy_study.py", "--t-end", "0.1",
+                      "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"discrepancy_study.py: cannot write {blocked}: "
+        f"{os.strerror(errno.ENOSPC)}\n")
+    assert os.readlink(blocked) == "/dev/full"
+    assert [p.name for p in tmp_path.iterdir()] == [blocked.name]
 
 
 def test_discrepancy_study_rejects_an_out_path_that_is_a_file(tmp_path):
