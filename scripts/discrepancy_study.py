@@ -9,10 +9,10 @@ torque law runs once per frame (``sim.run_variants``), all of a frame's
 laws in one walk of the grid.  On the identity frame ``Corrected`` binds
 the stage-space operators, so it shares ``StageConsistent``'s law there:
 5 closed loops in all.  With ``--out``, the skewed-frame runs write
-``study_<variant>.csv`` as they step, through ``report.trace_csv``, and
+``study_<variant>.csv`` as they step, through ``report.outputs``, and
 the run of ``StageConsistent``'s law writes ``SimPaper``'s CSV too, the
-same bytes.  A study CSV that cannot be written exits 2 naming it, and no
-other study CSV is left.
+same bytes.  A study CSV that cannot be written exits 2 naming it before
+the study prints anything, and no other study CSV is left.
 
 A bad grid (``--t-end`` not > 0, ``--dt`` not > 0, or more than
 ``dynamics.MAX_STEPS`` steps) exits 2 with a message on stderr before any
@@ -29,10 +29,10 @@ import os
 import sys
 
 from microinject.algebra2d import Vec2
-from microinject.control import ControllerVariant, ImpedanceParams, torque_law
+from microinject.control import ControllerVariant, ImpedanceParams
 from microinject.dynamics import ForcePair, MassParams
 from microinject.frames import FrameParams
-from microinject.report import CannotWrite, trace_csv
+from microinject.report import CannotWrite, outputs
 from microinject.sim import (
     MembraneModel,
     TrajectoryKind,
@@ -71,39 +71,33 @@ def main() -> int:
     fed = ForcePair(0.5, 0.0)
     others = [ControllerVariant.CORRECTED, ControllerVariant.SIM_PAPER,
               ControllerVariant.MC_PAPER]
-    # the torque law of each variant on the skewed frame
-    skewed_law = {v: torque_law(v, masses, SKEWED).key
-                  for v in ControllerVariant}
 
     def study_path(variant):
         return os.path.join(args.out, f"study_{variant.value}.csv")
 
-    @contextlib.contextmanager
-    def study_csv(variant):
-        """The sink of a skewed-frame run: it writes study_<v>.csv for
-        every variant v whose law is the run's."""
-        with contextlib.ExitStack() as stack:
-            sinks = [stack.enter_context(trace_csv(study_path(v)))
-                     for v in ControllerVariant
-                     if skewed_law[v] == skewed_law[variant]]
+    results = {}
+    try:
+        with outputs() as out:
 
-            def sink(block):
-                for write_rows in sinks:
-                    write_rows(block)
+            @contextlib.contextmanager
+            def study_csv(shared):
+                """The sink of a skewed-frame run: it writes study_<v>.csv
+                for each v in ``shared``, the variants of the run's law."""
+                with out.trace_csv([study_path(v) for v in shared]) as sink:
+                    yield sink, None
 
-            yield sink, None
-
-    for label, frame in (("skewed frame (alpha=pi/6, fx=2, fy=4)", SKEWED),
-                         ("identity frame (alpha=0, fx=fy=1)", IDENTITY)):
+            for label, frame in (
+                    ("skewed frame (alpha=pi/6, fx=2, fy=4)", SKEWED),
+                    ("identity frame (alpha=0, fx=fy=1)", IDENTITY)):
+                results[label] = compare_variants(
+                    ControllerVariant.STAGE_CONSISTENT, others, masses, frame,
+                    gains, spec, membrane, fed, args.t_end, args.dt,
+                    study_csv if args.out and frame is SKEWED else None,
+                )
+    except CannotWrite as exc:
+        parser.exit(2, f"{parser.prog}: {exc}\n")
+    for label, result in results.items():
         print(f"\n== {label} ==")
-        try:
-            result = compare_variants(
-                ControllerVariant.STAGE_CONSISTENT, others, masses, frame,
-                gains, spec, membrane, fed, args.t_end, args.dt,
-                study_csv if args.out and frame is SKEWED else None,
-            )
-        except CannotWrite as exc:
-            parser.exit(2, f"{parser.prog}: {exc}\n")
         base = result.base_metrics
         print(f"{'variant':<18} {'rms e_x':>10} {'rms e_y':>10} "
               f"{'imp resid':>10} {'tau rms vs base':>16} "

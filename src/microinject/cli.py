@@ -15,18 +15,16 @@ of each variant's SVG.
 
 ``simulate`` takes its closed loops from ``sim.run_variants``, the one
 runner, with a keeper of its own, and holds no run's rows.  The closed
-loops of all the torque laws are lanes of one walk of the grid.  Each one
-writes its ``trace_<variant>.csv`` from its sink a block of rows at a time,
-through ``report.trace_csv``, the one trace CSV writer, and, with
-``--svg``, keeps only the rows its chart plots: every
+loops of all the torque laws are lanes of one walk of the grid.  Each run
+writes the ``trace_<variant>.csv`` of every variant that shares its law
+(``control.TorqueLaw.key``) from its sink, a block of rows at a time,
+and, with ``--svg``, keeps only the rows its chart plots: every
 ``report.chart_stride``-th row of the grid and the latest one.  So the
 rows of every run's chart are held at once, until each chart is drawn.  A
 run that diverges may have a finite prefix with another stride, so its
 chart is drawn from its CSV, read back a line at a time.  A variant that
-reuses a run (one whose torque law has the same operators and tail:
-``control.TorqueLaw.key``) gets that run's metrics, a byte copy of its
-CSV, and its SVG panels under the variant's own title.  An info line
-names the variant whose run it reuses.
+reuses a run gets that run's metrics and its SVG panels under the
+variant's own title, and an info line names the variant that ran.
 
 ``free-response`` takes a negative value in any spelling that ``float()``
 reads (``-1e-5``, ``-inf``).  It checks the masses, the inversion of
@@ -39,11 +37,10 @@ worst absolute error, and succeeds when no row's error exceeds
 that row, so a run far from the origin is held to the rounding of its
 positions, not to an absolute bound.
 
-An output file (CSV, SVG or ``metrics.json``) that cannot be written
-exits 2 with ``cannot write <path>: <reason>`` (``report.CannotWrite``).
-When a trace CSV fails during the walk, ``report.trace_csv`` removes the
-CSVs the walk opened for the other runs, so no half-written trace is
-left, and leaves the path that failed as it was.
+Every output file (CSV, SVG or ``metrics.json``) is written through
+``report.outputs``: one that cannot be written exits 2 with ``cannot
+write <path>: <reason>`` (``report.CannotWrite``) and leaves no other
+output, and ``simulate`` prints its artifact paths only once all are.
 
 Only ``verify`` imports numpy, for its lanes, so ``simulate`` and
 ``free-response`` run without loading it.
@@ -57,7 +54,6 @@ import itertools
 import logging
 import os
 import re
-import shutil
 import sys
 import time
 from typing import Any, Iterator, List, Optional
@@ -202,86 +198,74 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stride = report.chart_stride(grid_rows(config.t_end, config.dt))
 
     laws = []  # the variant that runs each torque law, in the walk's order
-
-    @contextlib.contextmanager
-    def trace_csv(variant: ControllerVariant) -> Iterator[Any]:
-        """The sink of the closed loop of ``variant``: it writes the run's
-        CSV through ``report.trace_csv`` and, with --svg, keeps the rows
-        its chart plots."""
-        laws.append(variant)
-        path = os.path.join(args.out, f"trace_{variant.value}.csv")
-        with report.trace_csv(path) as write_rows:
-            keep, sampled = report.chart_sampler(stride)
-
-            def sink(block: List[tuple]) -> None:
-                write_rows(block)
-                keep(block)
-
-            yield (sink if args.svg else write_rows), sampled
-
-    any_diverged = False
     variant_metrics = {}
     panels = {}  # each run's SVG panels, by the variant that ran, with --svg
-    runs = run_variants(
-        config.variants, config.masses, config.frame, config.impedance,
-        config.trajectory, config.membrane, config.fed, config.t_end,
-        config.dt, keeper=trace_csv,
-    )
-    start = time.perf_counter()
-    # the first yield comes once the walk has run every closed loop
-    runs = itertools.chain([next(runs)], runs)
-    log.info("one walk: %d torque laws, closed loops + CSVs %.3f s",
-             len(laws), time.perf_counter() - start)
-    for variant, (_, source, metrics, sampled) in zip(config.variants, runs):
-        trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
-        svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
-        title = f"variant {variant.value}"
-        if sampled is None:
-            log.info("variant %s reuses the closed loop of variant %s",
-                     variant.value, source.value)
-            if variant is not source:
-                copied = os.path.join(args.out, f"trace_{source.value}.csv")
-                with report.writing(trace_path):
-                    shutil.copyfile(copied, trace_path)
-            ran = time.perf_counter()
-            if args.svg and variant is not source:
-                with report.writing(svg_path):
-                    report.write_trace_panels(svg_path, panels[source], title)
-        else:
-            ran = time.perf_counter()
-            if args.svg:
-                if metrics.diverged:
-                    # the finite rows may have another stride than the
-                    # grid's: read them back from the CSV, which is closed
-                    with report.writing(svg_path):
-                        sampled = report.sample_trace_csv(
-                            trace_path, metrics.samples - 1)
-                panels[source] = report.render_sampled_panels(sampled)
-                with report.writing(svg_path):
-                    report.write_trace_panels(svg_path, panels[source], title)
-            # this run's chart rows are not needed past its chart
-            del sampled
-        print(trace_path)
-        if args.svg:
-            print(svg_path)
-            log.info("variant %s: SVG %.3f s", variant.value,
-                     time.perf_counter() - ran)
-        variant_metrics[variant.value] = report.metrics_to_dict(metrics)
-        if metrics.diverged:
-            log.error("variant %s diverged after %d samples",
-                      variant.value, metrics.samples)
-            any_diverged = True
+    printed = []  # the artifact paths, printed once every file is written
+    with report.outputs() as out:
 
-    metrics_path = os.path.join(args.out, "metrics.json")
-    with report.writing(metrics_path):
-        report.write_metrics_json(metrics_path, {
-            "dt": config.dt,
-            "t_end": config.t_end,
-            "seed": config.seed,
-            "variants": variant_metrics,
-        })
-    print(metrics_path)
-    return 1 if any_diverged else 0
+        @contextlib.contextmanager
+        def trace_csv(shared: List[ControllerVariant]) -> Iterator[Any]:
+            """The sink of the run of the variants ``shared``: it writes
+            their CSVs and, with --svg, keeps the rows its chart plots."""
+            laws.append(shared[0])
+            with out.trace_csv([os.path.join(args.out, f"trace_{v.value}.csv")
+                                for v in shared]) as write_rows:
+                keep, sampled = report.chart_sampler(stride)
+
+                def sink(block: List[tuple]) -> None:
+                    write_rows(block)
+                    keep(block)
+
+                yield (sink if args.svg else write_rows), sampled
+
+        runs = run_variants(
+            config.variants, config.masses, config.frame, config.impedance,
+            config.trajectory, config.membrane, config.fed, config.t_end,
+            config.dt, keeper=trace_csv,
+        )
+        start = time.perf_counter()
+        # the first yield comes once the walk has run every closed loop
+        runs = itertools.chain([next(runs)], runs)
+        log.info("one walk: %d torque laws, closed loops + CSVs %.3f s",
+                 len(laws), time.perf_counter() - start)
+        for variant, source, metrics, sampled in runs:
+            trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
+            svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
+            title = f"variant {variant.value}"
+            ran = time.perf_counter()
+            if sampled is None:
+                log.info("variant %s reuses the closed loop of variant %s",
+                         variant.value, source.value)
+            printed.append(trace_path)
+            if args.svg:
+                with out.open(svg_path) as fh:
+                    # a run that diverged may have its finite rows at
+                    # another stride than the grid's: they are read back
+                    # from its CSV, which is closed
+                    if sampled is not None:
+                        panels[source] = report.render_sampled_panels(
+                            report.sample_trace_csv(
+                                trace_path, metrics.samples - 1)
+                            if metrics.diverged else sampled)
+                    report.write_trace_panels(fh, panels[source], title)
+                printed.append(svg_path)
+                log.info("variant %s: SVG %.3f s", variant.value,
+                         time.perf_counter() - ran)
+            variant_metrics[variant.value] = report.metrics_to_dict(metrics)
+            if metrics.diverged:
+                log.error("variant %s diverged after %d samples",
+                          variant.value, metrics.samples)
+
+        printed.append(os.path.join(args.out, "metrics.json"))
+        with out.open(printed[-1]) as fh:
+            report.write_metrics_json(fh, {
+                "dt": config.dt,
+                "t_end": config.t_end,
+                "seed": config.seed,
+                "variants": variant_metrics,
+            })
+    print(*printed, sep="\n")
+    return 1 if any(m["diverged"] for m in variant_metrics.values()) else 0
 
 
 def _cmd_free_response(args: argparse.Namespace) -> int:
@@ -320,8 +304,8 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
             max_scaled = fold_worst(max_scaled, err_x / scale, err_y / scale)
             yield t, x, y, x_rk4, y_rk4, err_x, err_y
 
-    with report.writing(args.out):
-        report.write_csv(args.out, report.FREE_RESPONSE_HEADER, rows())
+    with report.outputs() as out, out.open(args.out) as fh:
+        report.write_csv(fh, report.FREE_RESPONSE_HEADER, rows())
     print(args.out)
     print(f"max_error {report.fmt(max_err)}")
     return 0 if max_scaled <= FREE_RESPONSE_MAX_ERROR else 1

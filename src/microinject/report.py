@@ -5,12 +5,14 @@ text exactly; identical runs produce byte-identical files.  A CSV is
 formatted straight to bytes: ``bytes % tuple`` renders each float as
 ``"%.17g" %`` does, with no str built or encoded on the way.
 
-A trace can be written whole (``write_trace_csv``, ``write_trace_svg``)
-or as a closed loop makes it: ``trace_csv``, the one trace CSV writer of
-``simulate`` and the discrepancy study, takes each block of rows and
-leaves no partial CSV, and ``chart_sampler`` keeps only the rows its chart
-plots, which ``render_sampled_panels`` draws.  An output file that cannot
-be written raises ``CannotWrite``: ``cannot write <path>: <reason>``.
+Every output file is opened through ``outputs``, the one rule for the
+files of a command: a file that cannot be written raises ``CannotWrite``
+(``cannot write <path>: <reason>``), and a command that fails leaves no
+file it opened.  A trace can be written whole (``write_trace_csv``,
+``write_trace_svg``) or as a closed loop makes it: ``Outputs.trace_csv``
+writes each block of rows to the CSV of every variant that shares the
+run, and ``chart_sampler`` keeps only the rows its chart plots, which
+``render_sampled_panels`` draws.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import json
 import math
 import os
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    BinaryIO, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple,
+)
 
 from .sim import RunMetrics, TraceRow
 
@@ -39,16 +43,17 @@ def _line_format(header: str) -> bytes:
     return b",".join([b"%.17g"] * len(header.split(","))) + b"\n"
 
 
-def write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
-    """One line per row, each value rendered as ``fmt`` renders it."""
+def write_csv(fh: BinaryIO, header: str,
+              rows: Iterable[Sequence[float]]) -> None:
+    """One line per row to ``fh``, each value rendered as ``fmt`` does."""
     line = _line_format(header)
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        fh.writelines(line % tuple(row) for row in rows)
+    fh.write(header.encode() + b"\n")
+    fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_trace_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
-    write_csv(path, TRACE_HEADER, rows)
+    with outputs() as out, out.open(path) as fh:
+        write_csv(fh, TRACE_HEADER, rows)
 
 
 class CannotWrite(Exception):
@@ -59,51 +64,64 @@ class CannotWrite(Exception):
         self.path = path
 
 
-@contextlib.contextmanager
-def writing(path: str) -> Iterator[None]:
-    """Raise an OSError of the block as ``CannotWrite`` naming ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise CannotWrite(path, exc) from exc
+class Outputs:
+    """The output files of one command, as it opens them: see ``outputs``."""
 
+    def __init__(self) -> None:
+        self.opened: List[str] = []
 
-@contextlib.contextmanager
-def trace_csv(
-    path: str,
-) -> Iterator[Callable[[Sequence[Tuple[float, ...]]], None]]:
-    """Open the trace CSV ``path`` in binary mode, write its header and
-    give a sink that writes each block of rows handed to it, tuples of
-    floats in ``TraceRow``'s field order, as ``write_trace_csv`` writes
-    them: the file is the same bytes, and a block is one ``write``.
-
-    A failed open, write or close raises ``CannotWrite`` naming ``path``
-    and leaves the path as it was.  The sink converts its own OSError, so
-    no other file's keeper takes it for its own.  If the block unwinds on
-    any other exception, the file is removed.
-    """
-    with writing(path):
-        fh = open(path, "wb")
-    write = fh.write
-    line = _line_format(TRACE_HEADER).__mod__
-
-    def write_rows(block: Sequence[Tuple[float, ...]]) -> None:
+    @contextlib.contextmanager
+    def open(self, path: str) -> Iterator[BinaryIO]:
+        """``path`` opened in binary mode for the block: an OSError of the
+        open, of the block or of the close raises ``CannotWrite`` naming it."""
         try:
-            write(b"".join(map(line, block)))
+            with open(path, "wb") as fh:
+                self.opened.append(path)
+                yield fh
         except OSError as exc:
             raise CannotWrite(path, exc) from exc
 
+    @contextlib.contextmanager
+    def trace_csv(
+        self, paths: Sequence[str],
+    ) -> Iterator[Callable[[Sequence[Tuple[float, ...]]], None]]:
+        """Open the trace CSV at each of ``paths``, write its header and
+        give a sink that formats each block of rows handed to it, tuples of
+        floats in ``TraceRow``'s field order, once, as ``write_trace_csv``
+        does, and writes those bytes to every file.  Its own failed write
+        raises ``CannotWrite`` naming that file, not another one."""
+        line = _line_format(TRACE_HEADER).__mod__
+        with contextlib.ExitStack() as stack:
+            files = [(path, stack.enter_context(self.open(path)).write)
+                     for path in paths]
+
+            def write_rows(block: Sequence[Tuple[float, ...]]) -> None:
+                data = b"".join(map(line, block))
+                for path, write in files:
+                    try:
+                        write(data)
+                    except OSError as exc:
+                        raise CannotWrite(path, exc) from exc
+
+            for _, write in files:
+                write(TRACE_HEADER.encode() + b"\n")  # into the buffer
+            yield write_rows
+
+
+@contextlib.contextmanager
+def outputs() -> Iterator[Outputs]:
+    """The one rule for the files a command writes: each is opened through
+    the ``Outputs`` this gives, and if the block raises, every regular file
+    opened is removed, written or half written.  A directory or a symlink
+    in an output's place is left as it was."""
+    out = Outputs()
     try:
-        write(TRACE_HEADER.encode() + b"\n")  # into the buffer: no OSError
-        yield write_rows
-        with writing(path):
-            fh.close()
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            fh.close()
-        if not (isinstance(exc, CannotWrite) and exc.path == path):
+        yield out
+    except BaseException:
+        for path in out.opened:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                if not os.path.islink(path) and os.path.isfile(path):
+                    os.remove(path)
         raise
 
 
@@ -132,12 +150,11 @@ def _finite_or_null(value: object) -> object:
     return value
 
 
-def write_metrics_json(path: str, payload: Dict[str, object]) -> None:
-    """Strict JSON: a non-finite float is written as null."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+def write_metrics_json(fh: BinaryIO, payload: Dict[str, object]) -> None:
+    """Strict JSON, to the binary file ``fh``: a non-finite float is
+    written as null."""
+    fh.write(json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                        allow_nan=False).encode() + b"\n")
 
 
 # --- SVG charts -----------------------------------------------------------
@@ -302,9 +319,10 @@ def render_sampled_panels(sampled: Sequence[Sequence[float]]) -> str:
     return "\n".join(top + bottom)
 
 
-def write_trace_panels(path: str, panels: str, title: str) -> None:
+def write_trace_panels(fh: BinaryIO, panels: str, title: str) -> None:
     """A chart of ``render_trace_panels`` output under ``title``, at a
-    fixed 800x480 viewport; one rendering serves any number of titles."""
+    fixed 800x480 viewport, to the binary file ``fh``; one rendering serves
+    any number of titles."""
     head = "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
@@ -313,17 +331,15 @@ def write_trace_panels(path: str, panels: str, title: str) -> None:
         f"{title}</text>",
     ])
     # written in pieces: the panels are the bulk of the chart, and joining
-    # them into one string would copy them
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines((head, "\n", panels, "\n</svg>\n"))
+    # them into one string would copy them once more
+    fh.writelines(map(str.encode, (head, "\n", panels, "\n</svg>\n")))
 
 
 def write_trace_svg(
     path: str, rows: Sequence[Sequence[float]], title: str
-) -> str:
+) -> None:
     """Two stacked panels (positions, torques) at a fixed 800x480 viewport:
-    ``render_trace_panels`` then ``write_trace_panels``.  Returns the
-    panels, so that other titles over the same rows need no rendering."""
-    panels = render_trace_panels(rows)
-    write_trace_panels(path, panels, title)
-    return panels
+    ``render_trace_panels`` then ``write_trace_panels``, as an output of
+    its own."""
+    with outputs() as out, out.open(path) as fh:
+        write_trace_panels(fh, render_trace_panels(rows), title)

@@ -33,9 +33,9 @@ A lane hands its rows to a sink, a block of rows at a time, and keeps
 none itself.  ``run_closed_loop`` and, by default, ``run_variants``
 collect the rows in a list.  ``compare_variants`` folds each run's
 tracking gap to the base run as the blocks come, so it holds no state per
-row, and hands the rows to the keeper it is given; the discrepancy
-study's keeper writes each run's CSV through ``report.trace_csv``.  ``sample_trajectory`` wraps the trajectory kernel, and
-checks a Sinusoid's rules (``check_sinusoid_phase``) up to its time.
+row, and hands the rows to the keeper it is given.  ``sample_trajectory``
+wraps the trajectory kernel, and checks a Sinusoid's rules
+(``check_sinusoid_phase``) up to its time.
 
 The lane keeps the evaluation order of ``membrane_force`` and of the
 number-generic kernels of ``control`` (``commanded_accel_kernel``,
@@ -555,12 +555,12 @@ def _walk(
     return results
 
 
-# gives the sink of a variant's closed loop and what it keeps: see run_variants
-_Keeper = Callable[[ControllerVariant], ContextManager[Tuple[_Sink, Any]]]
+# gives the sink of a law's closed loop and what it keeps: see run_variants
+_Keeper = Callable[[List[ControllerVariant]], ContextManager[Tuple[_Sink, Any]]]
 
 
 @contextmanager
-def _trace(variant: ControllerVariant) -> Iterator[
+def _trace(shared: List[ControllerVariant]) -> Iterator[
     Tuple[_Sink, List[Tuple[float, ...]]]
 ]:
     """A sink that collects every row in a list, and that list."""
@@ -597,15 +597,16 @@ def run_variants(
     The closed loops of all the laws are lanes of one walk of the grid
     (``_walk``), which evaluates the desired trajectory once per time and
     hands each block of samples to every lane in the order of the laws'
-    first variants.  ``keeper(variant)`` gives a context manager whose
-    ``with`` value is ``(sink, kept)``.  Every keeper is entered before
-    the walk and all are closed before the first yield; an exception
-    raised by a sink ends the walk and reaches the caller of ``next`` once
-    they have been.  A bad grid or a sinusoid whose phase overflows by
-    ``t_end``, or whose desired acceleration overflows
-    (``check_sinusoid_phase``), raises ValueError, and a frame
-    whose T cannot be inverted SingularMatrix, before any keeper is
-    entered.
+    first variants.  ``keeper(shared)`` gives a context manager whose
+    ``with`` value is ``(sink, kept)``: ``shared`` lists the distinct
+    variants that share a law, the one that runs it first, so a keeper can
+    write what each of them needs as the run steps.  Every keeper is
+    entered before the walk and all are closed before the first yield; an
+    exception raised by a sink ends the walk and reaches the caller of
+    ``next`` once they have been.  A bad grid or a sinusoid whose phase
+    overflows by ``t_end``, or whose desired acceleration overflows
+    (``check_sinusoid_phase``), raises ValueError, and a frame whose T
+    cannot be inverted SingularMatrix, before any keeper is entered.
 
     Given a ``torque_gaps`` dict, before the first yield the dict maps
     the variant that runs each law to the RMS gap between its torque
@@ -623,10 +624,10 @@ def run_variants(
     if not variants:
         return
     laws = [torque_law(v, masses, frame) for v in variants]
-    # the variant that runs each law, the first one of that law, and its law
-    sources: Dict[Any, Tuple[ControllerVariant, TorqueLaw]] = {}
-    for variant, law in zip(variants, laws):
-        sources.setdefault(law.key, (variant, law))
+    # each law by key, and its distinct variants, the one that runs it first
+    sources: Dict[Any, Tuple[TorqueLaw, List[ControllerVariant]]] = {}
+    for variant, law in dict(zip(variants, laws)).items():
+        sources.setdefault(law.key, (law, []))[1].append(variant)
     oracle = torque_law(ControllerVariant.STAGE_CONSISTENT, masses, frame)
     oracle_key = oracle.key
     # the first run evaluates the oracle's law at each state anyway
@@ -637,25 +638,26 @@ def run_variants(
     kept = {}
     with ExitStack() as opened:
         lanes = []
-        for key, (variant, law) in sources.items():
-            sink, kept[variant] = opened.enter_context(keeper(variant))
+        for key, (law, shared) in sources.items():
+            sink, kept[shared[0]] = opened.enter_context(keeper(shared))
             lanes.append(_lane(
                 law, None if key == oracle_key else oracle,
                 # the first lane scores the rivals
-                [] if lanes else [sources[r][1] for r in rivals],
+                [] if lanes else [sources[r][0] for r in rivals],
                 gains, membrane, fed, step, sink,
             ))
         results = _walk(grid, spec, lanes)
         del sink, lanes
     if torque_gaps is not None:
         metrics, rival_rms = results[0]
-        torque_gaps.update(zip((sources[r][0] for r in rivals), rival_rms))
+        torque_gaps.update(zip((sources[r][1][0] for r in rivals), rival_rms))
         if oracle_key in sources:
-            torque_gaps[sources[oracle_key][0]] = metrics.torque_divergence_rms
+            torque_gaps[sources[oracle_key][1][0]] = (
+                metrics.torque_divergence_rms)
     ran = {key: metrics for key, (metrics, _) in zip(sources, results)}
     for variant, law in zip(variants, laws):
         key = law.key
-        yield variant, sources[key][0], ran[key], kept.pop(variant, None)
+        yield variant, sources[key][1][0], ran[key], kept.pop(variant, None)
 
 
 @dataclass(frozen=True)
@@ -707,7 +709,7 @@ def compare_variants(
     samples, handed over just before, and adds to one running sum per run,
     in row order.  No run's rows outlive their block, so a comparison holds
     no state per row.  Each run's sink also hands its rows to the sink of
-    ``keeper(variant)``, if given.
+    ``keeper(shared)``, if given, as ``run_variants`` calls it.
     """
     isfinite = math.isfinite
 
@@ -728,11 +730,14 @@ def compare_variants(
     tracking_rms = {base: 0.0}
 
     @contextmanager
-    def pairing(variant: ControllerVariant) -> Iterator[Tuple[_Sink, None]]:
-        """The sink of ``variant``'s run, which folds its tracking gap to
-        the base run; at the end of the run the gap is in
-        ``tracking_rms``."""
-        kept = nullcontext((None, None)) if keeper is None else keeper(variant)
+    def pairing(
+        shared: List[ControllerVariant],
+    ) -> Iterator[Tuple[_Sink, None]]:
+        """The sink of the run of the variants ``shared``, which folds its
+        tracking gap to the base run; at the end of the run the gap is in
+        ``tracking_rms``, by the variant that ran."""
+        variant = shared[0]
+        kept = nullcontext((None, None)) if keeper is None else keeper(shared)
         with kept as (sink, _):
             sq_track = 0.0
             paired = 0

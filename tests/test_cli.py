@@ -616,7 +616,7 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
     # one line format per file must write what fmt writes value by value,
     # for a diverged trace's flagged last row and for a free-response row
     from microinject.report import (
-        FREE_RESPONSE_HEADER, fmt, trace_csv, write_csv, write_trace_csv,
+        FREE_RESPONSE_HEADER, fmt, outputs, write_csv, write_trace_csv,
     )
     from microinject.sim import TraceRow
 
@@ -633,7 +633,7 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
 
     # the sink simulate writes its CSVs with, a block of rows at a time
     streamed_path = tmp_path / "streamed.csv"
-    with trace_csv(str(streamed_path)) as write_rows:
+    with outputs() as out, out.trace_csv([str(streamed_path)]) as write_rows:
         write_rows([tuple(trace_row)] * 2)
         write_rows([tuple(trace_row)])
     assert streamed_path.read_bytes() == (
@@ -641,7 +641,8 @@ def test_write_csv_renders_special_values_as_fmt_does(tmp_path):
     ).encode()
 
     free_path = tmp_path / "free.csv"
-    write_csv(str(free_path), FREE_RESPONSE_HEADER, [free_row])
+    with open(free_path, "wb") as fh:
+        write_csv(fh, FREE_RESPONSE_HEADER, [free_row])
     expected_line = ",".join(fmt(v) for v in free_row)
     assert expected_line == (
         "0.001,nan,inf,-inf,-0,4.9406564584124654e-324,1.7976931348623157e+308"
@@ -672,7 +673,7 @@ def test_csv_writers_write_each_row_as_fmt_renders_it(
     # the bytes writers format a line with one bytes %, which must give
     # the bytes of fmt's str line, value by value, for any double
     from microinject.report import (
-        FREE_RESPONSE_HEADER, fmt, trace_csv, write_csv, write_trace_csv,
+        FREE_RESPONSE_HEADER, fmt, outputs, write_csv, write_trace_csv,
     )
 
     def expected(header, rows):
@@ -683,14 +684,15 @@ def test_csv_writers_write_each_row_as_fmt_renders_it(
         streamed, whole, free = (os.path.join(tmp, name) for name in
                                  ("streamed.csv", "whole.csv", "free.csv"))
         # the sink takes the rows in blocks cut at the drawn sizes
-        with trace_csv(streamed) as write_rows:
+        with outputs() as out, out.trace_csv([streamed]) as write_rows:
             rest = trace_rows
             for size in cuts:
                 write_rows(rest[:size])
                 rest = rest[size:]
             write_rows(rest)
         write_trace_csv(whole, trace_rows)
-        write_csv(free, FREE_RESPONSE_HEADER, free_rows)
+        with open(free, "wb") as fh:
+            write_csv(fh, FREE_RESPONSE_HEADER, free_rows)
         for path in (streamed, whole):
             with open(path, "rb") as fh:
                 assert fh.read() == expected(TRACE_HEADER, trace_rows)
@@ -774,38 +776,79 @@ def test_free_response_takes_a_negative_value_with_an_exponent(
 
 
 def test_free_response_that_cannot_write_its_csv_exits_2(tmp_path, capsys):
+    # a directory cannot be opened; every write to /dev/full fails.  Either
+    # way the path is named and left as it was
     from microinject import cli
 
-    out = tmp_path / "free.csv"
-    out.mkdir()
-    assert cli.main([*FREE_RESPONSE_ARGS, "--x0", "0", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"microinject: cannot write {out}: {os.strerror(errno.EISDIR)}\n")
+    kinds = ["directory"] + ["/dev/full"] * os.path.exists("/dev/full")
+    for kind in kinds:
+        out = tmp_path / kind.strip("/").replace("/", "_") / "free.csv"
+        out.parent.mkdir()
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out.symlink_to("/dev/full")
+        assert cli.main(
+            [*FREE_RESPONSE_ARGS, "--x0", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = errno.EISDIR if kind == "directory" else errno.ENOSPC
+        assert captured.err == (
+            f"microinject: cannot write {out}: {os.strerror(reason)}\n")
+        assert list(out.parent.iterdir()) == [out]
+        assert out.is_dir() if kind == "directory" else (
+            os.readlink(out) == "/dev/full")
 
 
-@pytest.mark.parametrize("blocked", [
-    "trace_Corrected.csv",   # a run's CSV
-    "plot_Corrected.svg",    # a run's chart
-    "trace_SimPaper.csv",    # the copy for a variant that reuses a run
-    "plot_SimPaper.svg",     # the re-titled chart of that variant
+README_OUTPUTS = [
+    "trace_StageConsistent.csv",  # the CSV of the run SimPaper shares
+    "trace_Corrected.csv",        # a run's CSV
+    "trace_SimPaper.csv",         # the CSV of a variant that shares a run
+    "trace_McPaper.csv",          # the last run's CSV
+    "plot_StageConsistent.svg",   # the first chart
+    "plot_Corrected.svg",         # a run's chart
+    "plot_SimPaper.svg",          # the re-titled chart of a shared run
+    "plot_McPaper.svg",           # the last chart
     "metrics.json",
+]
+
+
+@pytest.mark.parametrize("blocked, kind", [
+    *(pytest.param(name, "directory", id=name) for name in README_OUTPUTS),
+    *(pytest.param(name, "/dev/full", id=f"{name}-full")
+      for name in README_OUTPUTS),
 ])
-def test_simulate_that_cannot_write_a_file_exits_2(blocked, tmp_path, capsys):
+def test_simulate_that_cannot_write_a_file_exits_2(
+    blocked, kind, tmp_path, capsys,
+):
+    # a directory cannot be opened; every write to /dev/full fails.  Either
+    # way the path is named and left as it was, no other output of the
+    # README scenario is left, and no artifact path is printed
     from microinject import cli
 
-    config = write_config(tmp_path / "scenario.json", run={
-        "t_end": 0.05, "dt": 0.001,
-        "variants": ["StageConsistent", "Corrected", "SimPaper"]})
+    if kind == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    config = readme_config(tmp_path / "scenario.json", t_end=0.05)
     out = tmp_path / "out"
-    (out / blocked).mkdir(parents=True)
+    out.mkdir()
+    path = out / blocked
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.symlink_to("/dev/full")
     code = cli.main(["simulate", "--config", str(config), "--out", str(out),
                      "--svg"])
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"microinject: cannot write {out / blocked}: "
-        f"{os.strerror(errno.EISDIR)}\n")
+    captured = capsys.readouterr()
+    reason = errno.EISDIR if kind == "directory" else errno.ENOSPC
+    assert captured.err == (
+        f"microinject: cannot write {path}: {os.strerror(reason)}\n")
+    assert captured.out == ""
+    assert [p.name for p in out.iterdir()] == [blocked]
+    if kind == "directory":
+        assert path.is_dir() and not any(path.iterdir())
+    else:
+        assert os.readlink(path) == "/dev/full"
 
 
 # The scenario printed in README.md under "Scenario config".
@@ -989,7 +1032,8 @@ def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
 ):
     # every write to /dev/full fails: the first block of rows Corrected's
     # closed loop hands its sink cannot be written.  Both runs' CSVs are
-    # opened before the walk, and the walk ends before any variant is done
+    # opened before the walk, SimPaper's with StageConsistent's, whose run
+    # it shares, and the walk ends before any variant is done
     from microinject import cli, report
 
     opened = []
@@ -1017,7 +1061,8 @@ def test_simulate_whose_trace_cannot_be_written_mid_run_exits_2(
         f"microinject: cannot write {blocked}: {os.strerror(errno.ENOSPC)}\n")
     assert captured.out == ""
     assert [fh.name for fh in opened] == [
-        str(out / "trace_StageConsistent.csv"), str(blocked)]
+        str(out / "trace_StageConsistent.csv"),
+        str(out / "trace_SimPaper.csv"), str(blocked)]
     assert all(fh.closed for fh in opened)
 
 
@@ -1060,6 +1105,37 @@ def test_simulate_leaves_no_partial_csv_when_a_trace_fails(
         assert path.is_dir() and not any(path.iterdir())
     else:
         assert os.readlink(path) == "/dev/full"
+
+
+@pytest.mark.parametrize("command, name", [
+    (["simulate", "--config", "{config}", "--out", "{out}"],
+     "trace_Corrected.csv"),
+    ("free-response --mx 1 --my 1 --mp 1 --x0 0 --y0 0 --xd0 1 --yd0 0"
+     " --t-end 10 --dt 0.001 --out {out}/free.csv".split(), "free.csv"),
+], ids=["simulate", "free-response"])
+def test_a_write_that_fails_on_a_file_it_created_leaves_nothing(
+    command, name, tmp_path, capsys, monkeypatch,
+):
+    # the 4th write to the disk of a regular file the command created fails
+    # as a full disk does, mid-run: the half-written file is removed with
+    # every other output
+    from test_report import fail_writes_to
+
+    from microinject import cli
+
+    fail_writes_to(monkeypatch, name)
+    config = readme_config(tmp_path / "scenario.json", t_end=0.5,
+                           variants=["StageConsistent", "Corrected"])
+    out = tmp_path / "out"
+    out.mkdir()
+    code = cli.main([arg.format(config=config, out=out) for arg in command])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"microinject: cannot write {out / name}: "
+        f"{os.strerror(errno.ENOSPC)}\n")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("duration", [1e-170, 5e-324])

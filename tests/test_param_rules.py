@@ -206,8 +206,8 @@ def test_a_sinusoid_whose_phase_overflows_by_t_end_is_rejected(frequency,
     spec = dataclasses.replace(config.trajectory, frequency=frequency)
     entered = []
 
-    def keeper(variant):
-        entered.append(variant)
+    def keeper(shared):
+        entered.append(shared)
         return nullcontext((None, None))
 
     with pytest.raises(ValueError, match=r"^frequency is too large "):
@@ -242,8 +242,8 @@ def test_a_sinusoid_whose_acceleration_overflows_is_rejected(frequency,
                                amplitude=Vec2(*amplitude))
     entered = []
 
-    def keeper(variant):
-        entered.append(variant)
+    def keeper(shared):
+        entered.append(shared)
         return nullcontext((None, None))
 
     with pytest.raises(ValueError, match=r"^frequency is too large for the "

@@ -167,8 +167,8 @@ def test_discrepancy_study_runs_each_torque_law_once_per_frame(
             f"study_{variant}.csv" for variant in STUDY_CSV_ORDER)
 
 
-@pytest.mark.parametrize("variant", ["McPaper", "SimPaper"],
-                         ids=["written", "copied"])
+@pytest.mark.parametrize("variant", ["StageConsistent", "Corrected",
+                                     "SimPaper", "McPaper"])
 def test_discrepancy_study_exits_2_on_a_csv_it_cannot_write(tmp_path, variant):
     blocked = tmp_path / f"study_{variant}.csv"
     blocked.mkdir()
@@ -178,13 +178,14 @@ def test_discrepancy_study_exits_2_on_a_csv_it_cannot_write(tmp_path, variant):
     assert proc.stderr == (
         f"discrepancy_study.py: cannot write {blocked}: Is a directory\n")
     assert "Traceback" not in proc.stderr
-    assert f"wrote {blocked}" not in proc.stdout
+    # no table and no "wrote" line: the study failed before printing
+    assert proc.stdout == ""
     # no other study CSV is left, written or half written
     assert [p.name for p in tmp_path.iterdir()] == [blocked.name]
 
 
 @pytest.mark.parametrize("variant", ["StageConsistent", "Corrected",
-                                     "SimPaper"])
+                                     "SimPaper", "McPaper"])
 def test_discrepancy_study_leaves_no_partial_csv_when_a_write_fails(
     tmp_path, variant,
 ):
@@ -202,8 +203,32 @@ def test_discrepancy_study_leaves_no_partial_csv_when_a_write_fails(
     assert proc.stderr == (
         f"discrepancy_study.py: cannot write {blocked}: "
         f"{os.strerror(errno.ENOSPC)}\n")
+    assert proc.stdout == ""
     assert os.readlink(blocked) == "/dev/full"
     assert [p.name for p in tmp_path.iterdir()] == [blocked.name]
+
+
+def test_discrepancy_study_leaves_nothing_when_a_write_to_its_file_fails(
+    tmp_path, monkeypatch, capsys,
+):
+    # the 4th write to the disk of study_Corrected.csv, a regular file the
+    # study created, fails as a full disk does, mid-run: the half-written
+    # file is removed with every other study CSV
+    from test_report import fail_writes_to
+
+    study = _load_study()
+    fail_writes_to(monkeypatch, "study_Corrected.csv")
+    monkeypatch.setattr(sys, "argv", [
+        "discrepancy_study.py", "--t-end", "0.5", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exited:
+        study.main()
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"discrepancy_study.py: cannot write {tmp_path / 'study_Corrected.csv'}"
+        f": {os.strerror(errno.ENOSPC)}\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_discrepancy_study_rejects_an_out_path_that_is_a_file(tmp_path):

@@ -572,8 +572,8 @@ def _rederive_runs(base, others, masses, frame, gains, spec, membrane, fed,
     traces = {}
 
     @contextmanager
-    def keeper(variant):
-        rows = traces[variant] = []
+    def keeper(shared):
+        rows = traces[shared[0]] = []
         yield rows.extend, None
 
     report = compare_variants(base, others, masses, frame, gains, spec,
@@ -1079,10 +1079,11 @@ class _Rows(list):
 def test_run_variants_keeps_no_rows_once_the_consumer_drops_them():
     import microinject.sim as sim
 
-    traces = []
+    traces, handed = [], []
 
     @contextmanager
-    def keeper(variant):
+    def keeper(shared):
+        handed.append(shared)
         rows = _Rows()
         traces.append(weakref.ref(rows))
         yield rows.extend, rows
@@ -1098,6 +1099,9 @@ def test_run_variants_keeps_no_rows_once_the_consumer_drops_them():
         del rows
     assert len(traces) == yielded == 3
     assert [ref() for ref in traces] == [None] * 3
+    # each keeper is handed the distinct variants of its law, the one that
+    # runs it first
+    assert handed == [[_S, _SC], [_C], [_M]]
 
 
 @pytest.mark.parametrize("scenario_index", [3, 4], ids=["skewed", "diverging"])
@@ -1105,17 +1109,20 @@ def test_compare_variants_hands_every_row_of_each_run_to_its_keeper(
     scenario_index,
 ):
     scenario = _pin_scenarios()[scenario_index]
-    kept = {}
+    kept, handed = {}, []
 
     @contextmanager
-    def keeper(variant):
-        assert variant not in kept
-        kept[variant] = rows = []
+    def keeper(shared):
+        handed.append(shared)
+        assert shared[0] not in kept
+        kept[shared[0]] = rows = []
         yield rows.extend, "dropped by the comparison"
 
     report = compare_variants(_SC, [_C, _S, _M], *scenario, keeper)
-    # SimPaper reuses StageConsistent's run, so its keeper gets no call
+    # SimPaper reuses StageConsistent's run, so it has no keeper of its
+    # own: the keeper of that run is handed both
     assert list(kept) == [_SC, _C, _M]
+    assert handed == [[_SC, _S], [_C], [_M]]
     for variant, rows in kept.items():
         ref_rows, _ = run_closed_loop(variant, *scenario)
         assert _bits(rows) == _bits(ref_rows)
@@ -1134,7 +1141,8 @@ def test_compare_variants_raises_the_error_of_its_keepers_sink(tmp_path):
     files, exits = [], []
 
     @contextmanager
-    def keeper(variant):
+    def keeper(shared):
+        variant = shared[0]
         blocks = []
 
         def sink(block):
