@@ -6,8 +6,9 @@ every field is required).
 
 This module checks the JSON rules: mappings, unknown and missing keys,
 number types and finiteness, the trajectory keys that depend on its kind,
-the ``run`` section, ``seed``, the invertibility of the mass matrix and
-of the frame, and that a sinusoid's phase stays finite up to
+the ``run`` section, in which each variant may appear once, ``seed``,
+the invertibility of the mass matrix and of the frame, and that a
+sinusoid's phase stays finite up to
 ``run.t_end`` and its desired acceleration stays finite
 (``sim.check_sinusoid_phase``).  Each numeric rule of a
 parameter (``masses.mx`` > 0, ``membrane.damping`` >= 0, ...) is checked
@@ -195,7 +196,11 @@ def _parse_variants(value: Any) -> Tuple[ControllerVariant, ...]:
             raise ParseError(
                 f"run.variants[{i}] must be one of: {valid}"
             )
-        out.append(ControllerVariant(name))
+        variant = ControllerVariant(name)
+        if variant in out:
+            raise ParseError(
+                f"run.variants[{i}] repeats {name!r}: each variant may appear once")
+        out.append(variant)
     return tuple(out)
 
 

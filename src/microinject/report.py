@@ -194,13 +194,16 @@ def _panel_polylines(
         f'<text x="{x0:.1f}" y="{y0 - 6:.1f}" font-size="11" fill="#444">'
         f"[{lo:.4g}, {hi:.4g}]</text>",
     ]
+    # every series' points, each x text followed by its y as "%.2f", which
+    # rounds as f"{y:.2f}" does
+    points = " ".join(x + "%.2f" for x in x_texts)
+    bottom = y0 + h
     for idx, (label, values, dashed) in enumerate(series):
-        pts = [f"{x}{y0 + h - (v * half - lo_h) / span_h * h:.2f}"
-               for x, v in zip(x_texts, values)]
+        ys = tuple([bottom - (v * half - lo_h) / span_h * h for v in values])
         color = _COLORS[idx % len(_COLORS)]
         dash = ' stroke-dasharray="5,3"' if dashed else ""
         parts.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" '
+            f'<polyline points="{points % ys}" fill="none" '
             f'stroke="{color}" stroke-width="1.2"{dash}/>'
         )
         parts.append(

@@ -41,8 +41,8 @@ The lane keeps the evaluation order of ``membrane_force`` and of the
 number-generic kernels of ``control`` (``commanded_accel_kernel``,
 ``torque_kernel``, ``force_control_residual_kernel``), which keep that of
 the ``Vec2`` algebra, so traces are bit-identical to the ``Vec2``
-formulas.  Those kernels are the lane's reference: the tests re-derive
-every row of a closed loop from the row before it with them.
+formulas.  Those kernels are the lane's reference: ``reference`` steps
+them one state at a time, and the tests pin the lane to it bit for bit.
 """
 
 from __future__ import annotations

@@ -313,7 +313,7 @@ class TestSimulateCommand:
     def test_variants_sharing_a_law_share_one_run(self, tmp_path):
         # SimPaper and StageConsistent have one torque law: the second
         # variant of that law reuses the first one's run and files
-        shared = ["SimPaper", "StageConsistent", "SimPaper"]
+        shared = ["SimPaper", "StageConsistent"]
         runs = {}
         for label, variants in (("shared", shared), ("alone", ["StageConsistent"])):
             config = write_config(
@@ -331,7 +331,7 @@ class TestSimulateCommand:
         assert printed == [
             "trace_SimPaper.csv", "plot_SimPaper.svg",
             "trace_StageConsistent.csv", "plot_StageConsistent.svg",
-            "trace_SimPaper.csv", "plot_SimPaper.svg", "metrics.json"]
+            "metrics.json"]
         assert re.findall(r"^INFO one walk: (\d+) torque laws, ",
                           proc.stderr, re.MULTILINE) == ["1"]
         timed = re.findall(r"^INFO variant (\w+): SVG \d+\.\d{3} s$",
@@ -340,8 +340,7 @@ class TestSimulateCommand:
         reused = re.findall(
             r"^INFO variant (\w+) reuses the closed loop of variant (\w+)$",
             proc.stderr, re.MULTILINE)
-        assert reused == [("StageConsistent", "SimPaper"),
-                          ("SimPaper", "SimPaper")]
+        assert reused == [("StageConsistent", "SimPaper")]
         assert ((out / "trace_SimPaper.csv").read_bytes()
                 == (out / "trace_StageConsistent.csv").read_bytes())
         sim_svg = (out / "plot_SimPaper.svg").read_text()
@@ -1136,6 +1135,22 @@ def test_a_write_that_fails_on_a_file_it_created_leaves_nothing(
         f"{os.strerror(errno.ENOSPC)}\n")
     assert captured.out == ""
     assert list(out.iterdir()) == []
+
+
+def test_repeated_variant_exits_2_before_writing(tmp_path):
+    # a repeated variant used to run, listing its CSV and chart twice on
+    # stdout and its metrics once in metrics.json
+    config = readme_config(tmp_path / "scenario.json",
+                           variants=["SimPaper", "SimPaper"])
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                   "--svg")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "microinject: config error: run.variants[1] repeats 'SimPaper': "
+        "each variant may appear once\n")
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("duration", [1e-170, 5e-324])

@@ -110,6 +110,14 @@ class TestStructuralErrors:
         with pytest.raises(ParseError, match=r"run.variants\[0\]"):
             parse_config(dumps(doc))
 
+    def test_repeated_variant(self):
+        doc = base_config()
+        doc["run"]["variants"] = ["SimPaper", "Corrected", "SimPaper"]
+        with pytest.raises(ParseError) as info:
+            parse_config(dumps(doc))
+        assert str(info.value) == (
+            "run.variants[2] repeats 'SimPaper': each variant may appear once")
+
     def test_unknown_trajectory_kind(self):
         doc = base_config()
         doc["trajectory"]["kind"] = "Cubic"

@@ -26,6 +26,7 @@ from microinject.dynamics import (
     integrate,
     inverse_dynamics_kernel,
     mass_matrix,
+    rk4_kernel,
     rk4_step,
 )
 from microinject.frames import FrameParams
@@ -313,6 +314,14 @@ def test_rk4_step_matches_vec2_formula_bitwise():
                 Vec2(draw(), draw()), Vec2(draw(), draw()), Vec2(draw(), draw()),
                 rng.choice((1e-3, 0.1, 0.5)))
         assert bits(rk4_step(*args)) == bits(_vec2_rk4_step(*args)), args
+        # the kernel's step also hands back its first stage, the
+        # acceleration M_inv @ ((tau - fed) - B @ qdot) at the state it
+        # starts from, on which the closed loop scores the impedance law
+        minv, q, qdot, tau, fed, h = args
+        *_, a0, a1 = rk4_kernel(minv)(
+            tau.a0 - fed.a0, tau.a1 - fed.a1, q.a0, q.a1, qdot.a0, qdot.a1, h)
+        want = mat_vec_mul(minv, (tau - fed) - mat_vec_mul(damping_matrix(), qdot))
+        assert bits([Vec2(a0, a1)]) == bits([want]), args
     # chains of steps too wide for RK4 grow until they overflow, possibly in
     # a late substage only, as a diverging closed-loop run does
     for _ in range(50):

@@ -1,6 +1,7 @@
 """numpy is loaded only by ``verify``: the package, ``simulate`` and
 ``free-response`` run without it, and the lane dispatch still finds arrays
-when numpy is imported after the package."""
+when numpy is imported after the package.  No command imports
+``reference``."""
 
 import ast
 import json
@@ -109,6 +110,29 @@ def test_simulate_and_free_response_never_load_numpy(tmp_path):
     assert out.split("\n")[:3] == ["False", "0 False", "0 False"]
     assert (tmp_path / "sim" / "plot_McPaper.svg").exists()
     assert (tmp_path / "free.csv").exists()
+
+
+def test_no_command_imports_the_reference(tmp_path):
+    # reference is the tests' closed loop: the package, simulate and verify
+    # run without compiling it
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(README_SCENARIO), encoding="utf-8")
+    out = run_python("""
+        import contextlib, io, sys
+        import microinject
+        from microinject import cli
+        print("microinject.reference" in sys.modules)
+        config, out = sys.argv[1], sys.argv[2]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["simulate", "--config", config,
+                             "--out", out + "/sim", "--svg"])
+        print(code, "microinject.reference" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--suite", "all"])
+        print(code, "microinject.reference" in sys.modules)
+    """, config, tmp_path)
+    assert out.split("\n")[:3] == ["False", "0 False", "0 False"]
+    assert (tmp_path / "sim" / "plot_McPaper.svg").exists()
 
 
 def test_lanes_made_after_the_package_import_still_dispatch():

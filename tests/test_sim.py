@@ -10,19 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memprobe import child_peak_rss, window
-from microinject.algebra2d import Vec2, mat_inv, mat_vec_mul
+from microinject.algebra2d import Vec2, mat_inv
 from microinject.control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
-    ErrorState,
     ImpedanceParams,
-    commanded_accel_kernel,
-    force_control_residual,
     force_control_residual_kernel,
-    impedance_accel,
     STAGE_SPACE_VARIANTS,
-    torque_controller,
-    torque_kernel,
     torque_law,
 )
 from microinject.dynamics import (
@@ -31,20 +25,16 @@ from microinject.dynamics import (
     StageState,
     ZERO_FORCE,
     ZERO_TORQUE,
-    damping_matrix,
     integrate,
     mass_matrix,
     rk4_kernel,
-    rk4_step,
 )
+from microinject import reference
 from microinject.frames import FrameParams
 from microinject.sim import (
-    ComparisonReport,
     MembraneModel,
-    RunMetrics,
     TrajectoryKind,
     TrajectorySpec,
-    VariantReport,
     compare_variants,
     membrane_force,
     run_closed_loop,
@@ -362,93 +352,6 @@ class TestCompareVariants:
         assert report.reports[0].torque_rms_vs_base == pytest.approx(ref, rel=1e-9)
 
 
-def _reference_closed_loop(variant, masses, frame, gains, spec, membrane, fed,
-                           t_end, dt):
-    """``run_closed_loop`` as the Vec2 code computed it, step by step, from
-    the public pieces."""
-    d0 = sample_trajectory(spec, 0.0)
-    q, qdot = d0.qd, d0.qd_dot
-    minv = mat_inv(mass_matrix(masses))
-    # the grid as a list: k*dt, then a final partial step to t_end
-    n = int(math.floor(t_end / dt))
-    if (n + 1) * dt <= t_end:
-        n += 1
-    times = [k * dt for k in range(n + 1)]
-    if times[-1] < t_end:
-        times.append(t_end)
-    rows = []
-    sq_e0 = sq_e1 = sq_div = imp_max = 0.0
-    finite_rows = 0
-    diverged = False
-    for i, t in enumerate(times):
-        desired = sample_trajectory(spec, t)
-        fe = membrane_force(membrane, q, qdot)
-        e = desired.qd - q
-        edot = desired.qd_dot - qdot
-        errors = ErrorState(e, edot, impedance_accel(gains, e, edot, fe))
-        tau = torque_controller(variant, masses, frame, gains, desired, qdot,
-                                errors, fe, fed)
-        oracle = torque_controller(ControllerVariant.STAGE_CONSISTENT, masses,
-                                   frame, gains, desired, qdot, errors, fe, fed)
-        row = (t, q.a0, q.a1, qdot.a0, qdot.a1, desired.qd.a0, desired.qd.a1,
-               fe.fex, fe.fey, tau.taux, tau.tauy, oracle.taux, oracle.tauy)
-        rows.append(row)
-        if not _is_finite(row):
-            diverged = True
-            break
-        qddot_real = mat_vec_mul(
-            minv, tau.vec - fed.vec - mat_vec_mul(damping_matrix(), qdot))
-        realized = ErrorState(e, edot, desired.qd_ddot - qddot_real)
-        imp_max = max(imp_max,
-                      force_control_residual(gains, realized, fe).max_abs())
-        sq_e0 += e.a0 * e.a0
-        sq_e1 += e.a1 * e.a1
-        gap = tau.vec - oracle.vec
-        sq_div += gap.a0 * gap.a0 + gap.a1 * gap.a1
-        finite_rows += 1
-        if i < len(times) - 1:
-            q, qdot = rk4_step(minv, q, qdot, tau.vec, fed.vec,
-                               times[i + 1] - t)
-    n = max(finite_rows, 1)
-    return rows, RunMetrics(
-        Vec2(math.sqrt(sq_e0 / n), math.sqrt(sq_e1 / n)), imp_max,
-        math.sqrt(sq_div / n), len(rows), diverged)
-
-
-def _reference_compare(base, others, masses, frame, gains, spec, membrane, fed,
-                       t_end, dt):
-    """``compare_variants`` on top of ``_reference_closed_loop``."""
-    scenario = (masses, frame, gains, spec, membrane, fed, t_end, dt)
-    base_rows, base_metrics = _reference_closed_loop(base, *scenario)
-    base_finite = [r for r in base_rows if _is_finite(r)]
-    reports = []
-    for variant in others:
-        rows, metrics = _reference_closed_loop(variant, *scenario)
-        sq_tau = 0.0
-        for t, x, y, xdot, ydot, _, _, _, _, taux, tauy, _, _ in base_finite:
-            q, qdot = Vec2(x, y), Vec2(xdot, ydot)
-            desired = sample_trajectory(spec, t)
-            fe = membrane_force(membrane, q, qdot)
-            e, edot = desired.qd - q, desired.qd_dot - qdot
-            errors = ErrorState(e, edot, impedance_accel(gains, e, edot, fe))
-            tau = torque_controller(variant, masses, frame, gains, desired,
-                                    qdot, errors, fe, fed)
-            dx, dy = tau.taux - taux, tau.tauy - tauy
-            sq_tau += dx * dx + dy * dy
-        sq_track = 0.0
-        paired = 0
-        for rv, rb in zip(rows, base_rows):
-            if not (_is_finite(rv) and _is_finite(rb)):
-                break
-            dx, dy = rv[1] - rb[1], rv[2] - rb[2]
-            sq_track += dx * dx + dy * dy
-            paired += 1
-        reports.append(VariantReport(
-            variant, metrics, math.sqrt(sq_tau / max(len(base_finite), 1)),
-            math.sqrt(sq_track / max(paired, 1))))
-    return ComparisonReport(base, base_metrics, tuple(reports))
-
-
 def _bits(value):
     """Every float in a result, as float.hex, in field order."""
     if isinstance(value, float):
@@ -509,24 +412,25 @@ def _pin_scenarios():
     return scenarios
 
 
-def test_float_kernel_matches_vec2_reference_bitwise():
+def test_float_lane_matches_the_kernel_reference_bitwise():
     # the closed loop and compare_variants step in floats with operators
-    # built once per run; they must reproduce every bit of the Vec2 loop,
-    # signed zeros and the non-finite pattern of a diverging row included
+    # built once per run; they must reproduce every bit of the loop that
+    # reference builds from the kernels, signed zeros and the non-finite
+    # pattern of a diverging row included
     variants = list(ControllerVariant)
     scenarios = _pin_scenarios()
     contact_runs = 0
     for index, scenario in enumerate(scenarios):
         for variant in variants:
             rows, metrics = run_closed_loop(variant, *scenario)
-            ref_rows, ref_metrics = _reference_closed_loop(variant, *scenario)
+            ref_rows, ref_metrics = reference.closed_loop(variant, *scenario)
             assert _bits(rows) == _bits(ref_rows), (index, variant)
             assert _bits(metrics) == _bits(ref_metrics), (index, variant)
             contact_runs += any(row[7] > 0.0 for row in rows)  # fex
         base = variants[index % len(variants)]
         others = [v for v in variants if v is not base]
         report = compare_variants(base, others, *scenario)
-        ref_report = _reference_compare(base, others, *scenario)
+        ref_report = reference.compare(base, others, *scenario)
         assert _bits(report) == _bits(ref_report), index
     assert contact_runs >= 4 * (len(scenarios) - 1)
     assert metrics.diverged and not _is_finite(rows[-1])
@@ -541,7 +445,7 @@ def test_rows_whose_sum_overflows_are_not_divergence():
                 ForcePair(1e308, 1e308), 0.2, 1e-3)
     for variant in ControllerVariant:
         rows, metrics = run_closed_loop(variant, *scenario)
-        ref_rows, ref_metrics = _reference_closed_loop(variant, *scenario)
+        ref_rows, ref_metrics = reference.closed_loop(variant, *scenario)
         assert _bits(rows) == _bits(ref_rows), variant
         assert _bits(metrics) == _bits(ref_metrics), variant
         if variant is ControllerVariant.MC_PAPER:
@@ -552,114 +456,27 @@ def test_rows_whose_sum_overflows_are_not_divergence():
             assert not any(math.isfinite(sum(row)) for row in rows)
 
 
-def _rederive_runs(base, others, masses, frame, gains, spec, membrane, fed,
-                   t_end, dt):
-    """``compare_variants``, with every row of every closed loop it runs
-    re-derived from the row before it by the number-generic kernels.
+def _pin_to_reference(base, others, *scenario):
+    """``compare_variants``, pinned to ``reference.compare`` by ``float.hex``:
+    its report, and every row of each closed loop it runs, which must be
+    the rows of the reference's own run of the variant that ran.  Returns
+    the report and every run's rows, by the variant that ran."""
 
-    Each row must be, bit for bit, the row the kernels give at the state
-    that the row before it steps to: the desired point from the trajectory
-    kernel, the contact force from ``membrane_force``, c from
-    ``commanded_accel_kernel``, the applied and oracle torques from
-    ``torque_kernel`` and the step from ``rk4_kernel``, whose first stage
-    scores the impedance law by ``force_control_residual_kernel``.  The
-    metrics, each other variant's torque gap (its law scored on the c of
-    each finite row of the base run) and its tracking gap must be those
-    the re-derived rows give.  Returns the report and every run's rows.
-    """
-    import microinject.sim as sim
+    def keeper(traces):
+        @contextmanager
+        def keep(shared):
+            rows = []
+            yield rows.extend, None
+            traces.setdefault(shared[0], rows)
 
-    traces = {}
+        return keep
 
-    @contextmanager
-    def keeper(shared):
-        rows = traces[shared[0]] = []
-        yield rows.extend, None
-
-    report = compare_variants(base, others, masses, frame, gains, spec,
-                              membrane, fed, t_end, dt, keeper)
-    desired = sim._trajectory_kernel(spec)
-    commanded = commanded_accel_kernel(gains)
-    residual = force_control_residual_kernel(gains)
-    step = rk4_kernel(mat_inv(mass_matrix(masses)))
-    oracle = torque_kernel(_SC, masses, frame, fed)
-    grid = list(sim.step_grid(t_end, dt))
-    fed0, fed1 = fed.fex, fed.fey
-    metrics = {}
-    torque_gaps = {}
+    traces, ref_traces = {}, {}
+    report = compare_variants(base, others, *scenario, keeper(traces))
+    ref_report = reference.compare(base, others, *scenario, keeper(ref_traces))
+    assert _bits(report) == _bits(ref_report)
     for variant, rows in traces.items():
-        torque = torque_kernel(variant, masses, frame, fed)
-        # the base run scores every other variant's law
-        rivals = ({v: torque_kernel(v, masses, frame, fed) for v in others}
-                  if variant is base else {})
-        sq_rivals = dict.fromkeys(rivals, 0.0)
-        sq_e0 = sq_e1 = sq_div = imp_max = 0.0
-        x, y, xdot, ydot = desired(0.0)[:4]
-        for i, (row, (t, h)) in enumerate(zip(rows, grid)):
-            if i:
-                # the state the row before steps to, from its own fields
-                x, y, xdot, ydot, _, _ = step(
-                    before[9] - fed0, before[10] - fed1, *before[1:5],
-                    grid[i - 1][1])
-            qd0, qd1, qv0, qv1, qa0, qa1 = desired(t)
-            fe = membrane_force(membrane, Vec2(x, y), Vec2(xdot, ydot))
-            e0, e1, ed0, ed1 = qd0 - x, qd1 - y, qv0 - xdot, qv1 - ydot
-            c = commanded(qa0, qa1, e0, e1, ed0, ed1, fe.fex, fe.fey)
-            tau = torque(*c, fe.fex, fe.fey, xdot, ydot)
-            want = (t, x, y, xdot, ydot, qd0, qd1, fe.fex, fe.fey, *tau,
-                    *oracle(*c, fe.fex, fe.fey, xdot, ydot))
-            assert _bits(row) == _bits(want), (variant, i)
-            if not _is_finite(row):
-                assert i == len(rows) - 1, (variant, i)
-                break
-            before = row
-            for other, rival in rivals.items():
-                r0, r1 = rival(*c, fe.fex, fe.fey, xdot, ydot)
-                d0, d1 = r0 - tau[0], r1 - tau[1]
-                sq_rivals[other] += d0 * d0 + d1 * d1
-            *_, a0, a1 = step(tau[0] - fed0, tau[1] - fed1, x, y, xdot, ydot, h)
-            r0, r1 = residual(e0, e1, ed0, ed1, qa0 - a0, qa1 - a1,
-                              fe.fex, fe.fey)
-            imp_max = max(imp_max, max(abs(r0), abs(r1)))
-            sq_e0 += e0 * e0
-            sq_e1 += e1 * e1
-            g0, g1 = tau[0] - want[11], tau[1] - want[12]
-            sq_div += g0 * g0 + g1 * g1
-        diverged = not _is_finite(rows[-1])
-        finite_rows = len(rows) - diverged
-        if not diverged:
-            assert len(rows) == len(grid), variant
-        n = max(finite_rows, 1)
-        metrics[variant] = RunMetrics(
-            Vec2(math.sqrt(sq_e0 / n), math.sqrt(sq_e1 / n)), imp_max,
-            math.sqrt(sq_div / n), len(rows), diverged)
-        if variant is base:
-            torque_gaps = {v: math.sqrt(sq / n) for v, sq in sq_rivals.items()}
-
-    def tracking_gap(rows):
-        sq_track = 0.0
-        paired = 0
-        for rv, rb in zip(rows, traces[base]):
-            if not (_is_finite(rv) and _is_finite(rb)):
-                break
-            dx, dy = rv[1] - rb[1], rv[2] - rb[2]
-            sq_track += dx * dx + dy * dy
-            paired += 1
-        return math.sqrt(sq_track / max(paired, 1))
-
-    assert _bits(report.base_metrics) == _bits(metrics[base])
-    # a variant whose law already ran reports that run's metrics object
-    ran_by_metrics = {id(report.base_metrics): base}
-    for r in report.reports:
-        if r.variant in traces:
-            ran_by_metrics.setdefault(id(r.metrics), r.variant)
-    for r in report.reports:
-        ran = ran_by_metrics[id(r.metrics)]
-        assert _bits(r.metrics) == _bits(metrics[ran]), r.variant
-        assert r.torque_rms_vs_base.hex() == torque_gaps[r.variant].hex(), (
-            r.variant)
-        assert r.tracking_rms_vs_base.hex() == tracking_gap(
-            traces[ran]).hex(), r.variant
+        assert _bits(rows) == _bits(ref_traces[variant]), variant
     return report, traces
 
 
@@ -684,7 +501,7 @@ def test_compare_variants_with_shared_laws_matches_reference_bitwise(
     # must be the one a run per variant gives, bit for bit
     scenario = _pin_scenarios()[scenario_index]
     report = compare_variants(base, others, *scenario)
-    ref_report = _reference_compare(base, others, *scenario)
+    ref_report = reference.compare(base, others, *scenario)
     assert _bits(report) == _bits(ref_report)
     assert [r.variant for r in report.reports] == others
 
@@ -755,13 +572,14 @@ def _lane_scenarios():
 
 def test_closed_loop_rows_are_the_kernels_rows_bitwise():
     # the lane evaluates the laws inline; every row, metric and gap must be
-    # what the number-generic kernels give, row by row
+    # what reference gives, which steps the number-generic kernels a state
+    # at a time
     variants = list(ControllerVariant)
     contact = no_contact = diverged = 0
     for index, scenario in enumerate(_lane_scenarios()):
         for base in variants:
             others = [v for v in variants if v is not base]
-            _, traces = _rederive_runs(base, others, *scenario)
+            _, traces = _pin_to_reference(base, others, *scenario)
             for rows in traces.values():
                 touched = any(row[7] > 0.0 for row in rows)
                 contact += touched
@@ -832,7 +650,7 @@ def test_compare_variants_solves_c_once_per_state(base, others, scenario_index):
     # solved at its state, and the other laws are scored on the base run's
     # c, not on a c solved again: the kernels, given the c that
     # commanded_accel_kernel solves at each row, give every row and gap
-    report, traces = _rederive_runs(base, others,
+    report, traces = _pin_to_reference(base, others,
                                     *_pin_scenarios()[scenario_index])
     # a reused run shares its metrics object with the run it reuses
     runs = {id(m): m.samples
@@ -864,7 +682,7 @@ def test_impedance_residual_folds_inf_and_nan_as_the_kernels(
     spec = TrajectorySpec(TrajectoryKind.SINUSOID, Vec2(0.8, 0.0), 1.0,
                           amplitude=Vec2(*amplitude), frequency=0.5 / math.pi)
     fed = ForcePair(*fed)
-    report, traces = _rederive_runs(_SC, [_C, _S, _M], masses, SKEWED_FRAME,
+    report, traces = _pin_to_reference(_SC, [_C, _S, _M], masses, SKEWED_FRAME,
                                     gains, spec, CONTACT, fed, 0.05, 1e-3)
     # McPaper's one finite row, re-scored from the kernels
     (t, x, y, xdot, ydot, _, _, fe0, fe1, tau0, tau1, _, _), flagged = (
@@ -910,7 +728,7 @@ def test_a_row_with_one_torque_not_finite_is_flagged(
     scenario = (MassParams(1.0, 1.0, 1.0), SKEWED_FRAME,
                 ImpedanceParams(1.0, 20.0, 100.0), spec, CONTACT,
                 ForcePair(*fed), 0.05, 1e-3)
-    _, traces = _rederive_runs(_SC, [_C, _S, _M], *scenario)
+    _, traces = _pin_to_reference(_SC, [_C, _S, _M], *scenario)
     for variant, finite in torques.items():
         rows = traces[variant]
         assert len(rows) == flagged + 1, variant
@@ -1243,7 +1061,7 @@ def test_compare_variants_pairs_blocks_of_any_size_as_whole_runs(
 
     monkeypatch.setattr(sim, "_BLOCK_ROWS", block_rows)
     report = compare_variants(base, others, *scenario)
-    assert _bits(report) == _bits(_reference_compare(base, others, *scenario))
+    assert _bits(report) == _bits(reference.compare(base, others, *scenario))
 
 
 @pytest.mark.parametrize("variants", [
