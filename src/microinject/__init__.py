@@ -4,8 +4,19 @@ Covers the stage/camera/image coordinate frames, the 2-DOF motion-stage
 dynamics with a closed-form free response and an RK4 integrator, impedance
 force control, four side-by-side formulations of the image-based torque
 controller, a deterministic closed-loop scenario engine and randomized
-verification suites.  numpy is loaded only with the verification suites.
+verification suites.
+
+Two groups of exports are loaded on first use (PEP 562), so that
+``import microinject`` builds neither module:
+
+* ``config``'s five (``load_config``, ``parse_config``, ``ScenarioConfig``,
+  ``ParseError``, ``InvariantError``): the in-memory API never parses a
+  scenario document, and ``cli`` imports ``config`` itself;
+* ``verify``'s three (``run_suite``, ``PropertyResult``, ``SUITE_NAMES``):
+  ``verify`` imports numpy, which nothing else here needs.
 """
+
+import importlib
 
 from .algebra2d import (
     Mat2,
@@ -19,7 +30,6 @@ from .algebra2d import (
     mat_vec_mul,
     transpose,
 )
-from .config import InvariantError, ParseError, ScenarioConfig, load_config, parse_config
 from .control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
@@ -77,14 +87,21 @@ from .sim import (
 
 __version__ = "0.1.0"
 
-# ``verify`` imports numpy, which nothing else here needs, so its exports
-# are looked up on first use (PEP 562).
-_VERIFY_EXPORTS = ("PropertyResult", "SUITE_NAMES", "run_suite")
+# The exports looked up on first use, by the module they are read from.
+_LAZY_EXPORTS = {
+    "InvariantError": "config",
+    "ParseError": "config",
+    "ScenarioConfig": "config",
+    "load_config": "config",
+    "parse_config": "config",
+    "PropertyResult": "verify",
+    "SUITE_NAMES": "verify",
+    "run_suite": "verify",
+}
 
 
 def __getattr__(name):
-    if name in _VERIFY_EXPORTS:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -7,7 +7,7 @@ Subcommands: ``verify`` (randomized property suites), ``simulate``
 Exit codes: 0 success, 1 verification/numeric failure, 2 usage, config
 or output error.  Reports and artifact paths go to stdout; diagnostics go
 to stderr at the verbosity selected by the MICROINJECT_LOG environment
-variable (error, info or debug).  At info, ``verify`` logs the wall time of each
+variable (error or info).  At info, ``verify`` logs the wall time of each
 suite it runs.  ``simulate`` logs the wall time of its one walk, which
 runs the closed loops of every torque law and writes their CSVs as they
 step, with the number of laws it ran; then, with ``--svg``, the wall time
@@ -82,7 +82,7 @@ log = logging.getLogger("microinject")
 
 FREE_RESPONSE_MAX_ERROR = 1e-5
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO}
 
 def _configure_logging() -> None:
     raw = os.environ.get("MICROINJECT_LOG", "error")
@@ -90,7 +90,7 @@ def _configure_logging() -> None:
     if level is None:
         print(
             f"microinject: ignoring MICROINJECT_LOG={raw!r} "
-            "(expected error, info or debug)",
+            "(expected error or info)",
             file=sys.stderr,
         )
         level = logging.ERROR

@@ -4,9 +4,10 @@ Unknown keys are rejected so that typos in physics parameters surface
 immediately instead of silently falling back to defaults (there are none:
 every field is required).
 
-This module checks the JSON rules: mappings, unknown and missing keys,
-number types and finiteness, the trajectory keys that depend on its kind,
-the ``run`` section, in which each variant may appear once, ``seed``,
+This module checks the JSON rules: mappings, unknown, missing and
+repeated keys, number types and finiteness, the trajectory keys that
+depend on its kind, the ``run`` section, in which each variant may appear
+once, ``seed``,
 the invertibility of the mass matrix and of the frame, and that a
 sinusoid's phase stays finite up to
 ``run.t_end`` and its desired acceleration stays finite
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Sequence, Tuple
+from dataclasses import fields
+from typing import Any, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .algebra2d import SingularMatrix, Vec2, mat_inv
 from .control import STAGE_SPACE_VARIANTS, ControllerVariant, ImpedanceParams
@@ -58,8 +59,7 @@ class InvariantError(ValueError):
     """A numeric constraint on a parsed value is violated."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     frame: FrameParams
     masses: MassParams
     impedance: ImpedanceParams
@@ -70,6 +70,17 @@ class ScenarioConfig:
     dt: float
     variants: Tuple[ControllerVariant, ...]
     seed: int
+
+
+def _unique_keys(pairs: Sequence[Tuple[str, Any]]) -> Dict[str, Any]:
+    """The object of a JSON document, as ``json.loads``' object hook; a key
+    given twice is a ``ParseError``, where ``json.loads`` keeps the last."""
+    out: Dict[str, Any] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"repeated key '{key}': each key may appear once")
+        out[key] = value
+    return out
 
 
 def _require_mapping(node: Any, path: str) -> Mapping[str, Any]:
@@ -263,12 +274,13 @@ _TOP_KEYS = ("frame", "masses", "impedance", "trajectory", "membrane", "fed",
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document.
 
-    Raises ParseError for structural problems (invalid JSON, unknown or
-    missing keys, wrong types) and InvariantError when a value violates a
-    model constraint; both messages name the offending field path.
+    Raises ParseError for structural problems (invalid JSON, unknown,
+    missing or repeated keys, wrong types) and InvariantError when a value
+    violates a model constraint; both messages name the offending field
+    path, except a repeated key's, which names the key.
     """
     try:
-        root = json.loads(text)
+        root = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     root = _require_mapping(root, "config")

@@ -111,8 +111,7 @@ class ImpedanceParams:
         check_fields(self, "> 0", "m", "b", "k")
 
 
-@dataclass(frozen=True)
-class ErrorState:
+class ErrorState(NamedTuple):
     """Stage-frame tracking error and its first two derivatives."""
 
     e: Vec2
@@ -120,8 +119,7 @@ class ErrorState:
     eddot: Vec2
 
 
-@dataclass(frozen=True)
-class DesiredTrajectoryPoint:
+class DesiredTrajectoryPoint(NamedTuple):
     """Desired stage position, velocity and acceleration at one instant."""
 
     qd: Vec2

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 from .algebra2d import (
     Mat2, Vec2, check_fields, diag, identity, lane_map, mat_inv, mat_mul,
@@ -92,8 +92,7 @@ class MassParams:
         return self.my + self.mp
 
 
-@dataclass(frozen=True)
-class StageState:
+class StageState(NamedTuple):
     """Stage configuration: positions q = (x, y) and velocities qdot."""
 
     q: Vec2

@@ -143,8 +143,7 @@ class MembraneModel:
         check_fields(self, "finite", "contact_x")
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     """Aggregates over the finite rows of one closed-loop trace.
 
     rms_tracking_error: per-component RMS of e = qd - q.
@@ -660,8 +659,7 @@ def run_variants(
         yield variant, sources[key][1][0], ran[key], kept.pop(variant, None)
 
 
-@dataclass(frozen=True)
-class VariantReport:
+class VariantReport(NamedTuple):
     """One variant's closed-loop metrics and its gaps to the base run."""
 
     variant: ControllerVariant
@@ -670,8 +668,7 @@ class VariantReport:
     tracking_rms_vs_base: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     base: ControllerVariant
     base_metrics: RunMetrics
     reports: Tuple[VariantReport, ...]

@@ -60,9 +60,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -121,8 +122,7 @@ _DEFAULT_TRIALS = {
 _CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     """Outcome of one ensemble property check.
 
     ``worst`` is the worst-case residual (or, for separation/order checks,

@@ -416,10 +416,13 @@ class TestSimulateCommand:
                          env_extra={"MICROINJECT_LOG": "info"})
         assert quiet.stderr == ""
         assert "INFO one walk: 1 torque laws, " in chatty.stderr
-        bad = run_cli("simulate", "--config", str(config), "--out", str(out),
-                      env_extra={"MICROINJECT_LOG": "loud"})
-        assert bad.returncode == 0
-        assert "ignoring MICROINJECT_LOG" in bad.stderr
+        # nothing logs at debug, so it is not a level
+        for raw in ("loud", "debug"):
+            bad = run_cli("simulate", "--config", str(config), "--out", str(out),
+                          env_extra={"MICROINJECT_LOG": raw})
+            assert bad.returncode == 0
+            assert bad.stderr == (f"microinject: ignoring MICROINJECT_LOG={raw!r} "
+                                  "(expected error or info)\n")
 
 
 class TestFreeResponseCommand:
@@ -1149,6 +1152,22 @@ def test_repeated_variant_exits_2_before_writing(tmp_path):
     assert proc.stderr == (
         "microinject: config error: run.variants[1] repeats 'SimPaper': "
         "each variant may appear once\n")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_repeated_key_exits_2_before_writing(tmp_path):
+    # json.loads alone keeps the last value, which passes k's rule
+    config = write_config(tmp_path / "scenario.json")
+    text = config.read_text()
+    assert text.count('"k": 100.0') == 1
+    config.write_text(text.replace('"k": 100.0', '"k": -5.0, "k": 100.0'))
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                   "--svg")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "microinject: config error: repeated key 'k': each key may appear once\n")
     assert proc.stdout == ""
     assert not out.exists()
 

@@ -118,6 +118,19 @@ class TestStructuralErrors:
         assert str(info.value) == (
             "run.variants[2] repeats 'SimPaper': each variant may appear once")
 
+    @pytest.mark.parametrize("given, twice, key", [
+        # json.loads alone keeps the last value, which passes k's rule
+        ('"k": 100.0', '"k": -5.0, "k": 100.0', "k"),
+        ('"seed": 0', '"seed": 0, "seed": 0', "seed"),
+        ('"dt": 0.001', '"dt": 0.001, "dt": 0.002', "dt"),
+    ])
+    def test_repeated_key(self, given, twice, key):
+        doc = dumps(base_config())
+        assert doc.count(given) == 1
+        with pytest.raises(ParseError) as info:
+            parse_config(doc.replace(given, twice))
+        assert str(info.value) == f"repeated key '{key}': each key may appear once"
+
     def test_unknown_trajectory_kind(self):
         doc = base_config()
         doc["trajectory"]["kind"] = "Cubic"

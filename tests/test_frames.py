@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from microinject import frames, verify
 from microinject.algebra2d import Mat2, det, diag, identity, mat_inv, mat_mul, mat_vec_mul, transpose
+from microinject.dynamics import ForcePair, Torque
 from microinject.frames import (
     CameraCoord,
     FrameParams,
@@ -50,6 +51,14 @@ class TestFrameParams:
         with pytest.raises(TypeError):
             s + c  # type: ignore[operator]
         assert s != c
+
+    def test_force_and_torque_types_have_no_addition(self):
+        # frozen dataclasses, not tuples, so + never concatenates them
+        f = ForcePair(1.0, 2.0)
+        with pytest.raises(TypeError):
+            f + f  # type: ignore[operator]
+        with pytest.raises(TypeError):
+            Torque(1.0, 2.0) + f  # type: ignore[operator]
 
 
 class TestCachedRotation:

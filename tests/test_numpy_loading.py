@@ -1,7 +1,8 @@
 """numpy is loaded only by ``verify``: the package, ``simulate`` and
 ``free-response`` run without it, and the lane dispatch still finds arrays
 when numpy is imported after the package.  No command imports
-``reference``."""
+``reference``, and ``import microinject`` loads neither ``config`` nor
+``verify``: their exports load on first use."""
 
 import ast
 import json
@@ -79,13 +80,47 @@ def test_only_verify_imports_numpy_at_module_level(path):
         assert found == [], f"{path.name} imports numpy at line(s) {found}"
 
 
+# The modules ``import microinject`` leaves unloaded: numpy and verify, which
+# imports it, config, which only a scenario document needs, and reference,
+# which only the tests use.
+UNLOADED_AT_IMPORT = ("numpy", "microinject.config", "microinject.verify",
+                      "microinject.reference")
+
+# The package's exports loaded on first use, by the module they are read
+# from (verify re-exports config's SUITE_NAMES).
+LAZY_EXPORTS = {
+    "load_config": "config", "parse_config": "config",
+    "ScenarioConfig": "config", "ParseError": "config",
+    "InvariantError": "config",
+    "run_suite": "verify", "PropertyResult": "verify", "SUITE_NAMES": "verify",
+}
+
+
 def test_import_microinject_leaves_numpy_unloaded():
     out = run_python("""
         import sys
         import microinject
-        print("numpy" in sys.modules)
-    """)
-    assert out.split() == ["False"]
+        print(*(name in sys.modules for name in sys.argv[1:]))
+    """, *UNLOADED_AT_IMPORT)
+    assert out.split() == ["False"] * len(UNLOADED_AT_IMPORT)
+
+
+def test_lazy_exports_are_their_modules_objects():
+    # in a fresh interpreter, so each name is looked up on first use, config's
+    # before verify's: config's names load neither verify nor numpy
+    out = run_python("""
+        import importlib, json, sys
+        import microinject
+        for name, module in json.loads(sys.argv[1]).items():
+            got = getattr(microinject, name)
+            module = importlib.import_module("microinject." + module)
+            print(name, got is getattr(module, name),
+                  "microinject.verify" in sys.modules, "numpy" in sys.modules)
+    """, json.dumps(LAZY_EXPORTS))
+    assert out.split("\n")[:-1] == [
+        f"{name} True {module == 'verify'} {module == 'verify'}"
+        for name, module in LAZY_EXPORTS.items()]
+    assert set(microinject._LAZY_EXPORTS) == set(LAZY_EXPORTS)
 
 
 def test_simulate_and_free_response_never_load_numpy(tmp_path):
