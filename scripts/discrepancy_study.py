@@ -23,7 +23,6 @@ Usage:
 """
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -79,12 +78,10 @@ def main() -> int:
     try:
         with outputs() as out:
 
-            @contextlib.contextmanager
             def study_csv(shared):
                 """The sink of a skewed-frame run: it writes study_<v>.csv
                 for each v in ``shared``, the variants of the run's law."""
-                with out.trace_csv([study_path(v) for v in shared]) as sink:
-                    yield sink, None
+                return out.trace_csv([study_path(v) for v in shared])
 
             for label, frame in (
                     ("skewed frame (alpha=pi/6, fx=2, fy=4)", SKEWED),

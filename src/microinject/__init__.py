@@ -9,11 +9,11 @@ verification suites.
 Two groups of exports are loaded on first use (PEP 562), so that
 ``import microinject`` builds neither module:
 
-* ``config``'s five (``load_config``, ``parse_config``, ``ScenarioConfig``,
-  ``ParseError``, ``InvariantError``): the in-memory API never parses a
-  scenario document, and ``cli`` imports ``config`` itself;
-* ``verify``'s three (``run_suite``, ``PropertyResult``, ``SUITE_NAMES``):
-  ``verify`` imports numpy, which nothing else here needs.
+* ``config``'s six (``load_config``, ``parse_config``, ``ScenarioConfig``,
+  ``ParseError``, ``InvariantError``, ``SUITE_NAMES``): the in-memory API
+  never parses a scenario document, and ``cli`` imports ``config`` itself;
+* ``verify``'s two (``run_suite``, ``PropertyResult``): ``verify`` imports
+  numpy, which nothing else here needs.
 """
 
 import importlib
@@ -91,11 +91,11 @@ __version__ = "0.1.0"
 _LAZY_EXPORTS = {
     "InvariantError": "config",
     "ParseError": "config",
+    "SUITE_NAMES": "config",
     "ScenarioConfig": "config",
     "load_config": "config",
     "parse_config": "config",
     "PropertyResult": "verify",
-    "SUITE_NAMES": "verify",
     "run_suite": "verify",
 }
 

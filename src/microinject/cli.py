@@ -14,17 +14,19 @@ step, with the number of laws it ran; then, with ``--svg``, the wall time
 of each variant's SVG.
 
 ``simulate`` takes its closed loops from ``sim.run_variants``, the one
-runner, with a keeper of its own, and holds no run's rows.  The closed
-loops of all the torque laws are lanes of one walk of the grid.  Each run
-writes the ``trace_<variant>.csv`` of every variant that shares its law
-(``control.TorqueLaw.key``) from its sink, a block of rows at a time,
-and, with ``--svg``, keeps only the rows its chart plots: every
+runner, with a keeper of its own that gives each run's sink, and holds
+no run's rows.  The closed loops of all the torque laws are lanes of one
+walk of the grid.  Each run writes the ``trace_<variant>.csv`` of
+every variant that shares its law (``control.TorqueLaw.key``) from its
+sink, a block of rows at a time, and, with ``--svg``, keeps only the rows
+its chart plots, by the variant that ran: every
 ``report.chart_stride``-th row of the grid and the latest one.  So the
-rows of every run's chart are held at once, until each chart is drawn.  A
-run that diverges may have a finite prefix with another stride, so its
-chart is drawn from its CSV, read back a line at a time.  A variant that
-reuses a run gets that run's metrics and its SVG panels under the
-variant's own title, and an info line names the variant that ran.
+rows of every run's chart are held at once, each until its chart is
+drawn.  A run that diverges may have a finite prefix with another stride,
+so its chart is drawn from its CSV, read back a line at a time.  A
+variant that reuses a run (its source is another variant) gets that
+run's metrics and its SVG panels under the variant's own title, and an
+info line names the variant that ran.
 
 ``free-response`` takes a negative value in any spelling that ``float()``
 reads (``-1e-5``, ``-inf``).  It checks the masses, the inversion of
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import logging
 import os
 import re
@@ -197,8 +198,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # its rows, all of them finite
     stride = report.chart_stride(grid_rows(config.t_end, config.dt))
 
-    laws = []  # the variant that runs each torque law, in the walk's order
     variant_metrics = {}
+    sampled = {}  # the rows each run's chart plots, by the variant that ran
     panels = {}  # each run's SVG panels, by the variant that ran, with --svg
     printed = []  # the artifact paths, printed once every file is written
     with report.outputs() as out:
@@ -207,33 +208,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         def trace_csv(shared: List[ControllerVariant]) -> Iterator[Any]:
             """The sink of the run of the variants ``shared``: it writes
             their CSVs and, with --svg, keeps the rows its chart plots."""
-            laws.append(shared[0])
             with out.trace_csv([os.path.join(args.out, f"trace_{v.value}.csv")
                                 for v in shared]) as write_rows:
-                keep, sampled = report.chart_sampler(stride)
+                keep, sampled[shared[0]] = report.chart_sampler(stride)
 
                 def sink(block: List[tuple]) -> None:
                     write_rows(block)
                     keep(block)
 
-                yield (sink if args.svg else write_rows), sampled
+                yield sink if args.svg else write_rows
 
+        start = time.perf_counter()
         runs = run_variants(
             config.variants, config.masses, config.frame, config.impedance,
             config.trajectory, config.membrane, config.fed, config.t_end,
             config.dt, keeper=trace_csv,
         )
-        start = time.perf_counter()
-        # the first yield comes once the walk has run every closed loop
-        runs = itertools.chain([next(runs)], runs)
         log.info("one walk: %d torque laws, closed loops + CSVs %.3f s",
-                 len(laws), time.perf_counter() - start)
-        for variant, source, metrics, sampled in runs:
+                 sum(source is variant for variant, source, _ in runs),
+                 time.perf_counter() - start)
+        for variant, source, metrics in runs:
             trace_path = os.path.join(args.out, f"trace_{variant.value}.csv")
             svg_path = os.path.join(args.out, f"plot_{variant.value}.svg")
             title = f"variant {variant.value}"
             ran = time.perf_counter()
-            if sampled is None:
+            if source is not variant:
                 log.info("variant %s reuses the closed loop of variant %s",
                          variant.value, source.value)
             printed.append(trace_path)
@@ -242,11 +241,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     # a run that diverged may have its finite rows at
                     # another stride than the grid's: they are read back
                     # from its CSV, which is closed
-                    if sampled is not None:
+                    if source is variant:
                         panels[source] = report.render_sampled_panels(
                             report.sample_trace_csv(
                                 trace_path, metrics.samples - 1)
-                            if metrics.diverged else sampled)
+                            if metrics.diverged else sampled.pop(source))
                     report.write_trace_panels(fh, panels[source], title)
                 printed.append(svg_path)
                 log.info("variant %s: SVG %.3f s", variant.value,

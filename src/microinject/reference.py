@@ -144,12 +144,13 @@ def compare(
     variant of ``others`` at its finite rows, and each of them runs again
     to be paired with the base run row by row, up to the first row where
     either is not finite.  Each run's rows, a repeated variant's included,
-    go in one block to the sink of ``keeper([variant])``, if given."""
+    go in one block to the sink that ``keeper([variant])`` gives as a
+    context manager, if given, as ``sim.run_variants`` takes it."""
     scenario = (masses, frame, gains, spec, membrane, fed, t_end, dt)
 
     def keep(variant: ControllerVariant, rows: List[Tuple[float, ...]]) -> None:
         if keeper is not None:
-            with keeper([variant]) as (sink, _):
+            with keeper([variant]) as sink:
                 sink(rows)
 
     base_rows, base_metrics, torque_gaps = _run(base, others, *scenario)

@@ -9,8 +9,8 @@ traces.
 The loop steps in plain floats.  Once per scenario it binds the
 trajectory kernel, each distinct torque law's entries (``torque_law``)
 and the RK4 step, and each lane binds the gains, the membrane and fed.
-``run_variants``, the one runner, decides which closed loops run and, by
-its keeper, what each run's sink keeps; ``run_closed_loop``,
+``run_variants``, the one runner, decides which closed loops run, and its
+caller's keeper gives each run's sink; ``run_closed_loop``,
 ``compare_variants``, ``simulate`` and the discrepancy study take their
 runs from it.  Variants whose laws bind the same operators and tail
 (``TorqueLaw.key``) share one run: the two stage-space variants always,
@@ -30,12 +30,11 @@ so it holds at most one block of them.  The oracle's gap is that run's
 ``torque_divergence_rms``, which a lane whose law is the oracle's own
 does not sum: each of its rows would add (tau - tau)**2 = +0.0.
 A lane hands its rows to a sink, a block of rows at a time, and keeps
-none itself.  ``run_closed_loop`` and, by default, ``run_variants``
-collect the rows in a list.  ``compare_variants`` folds each run's
-tracking gap to the base run as the blocks come, so it holds no state per
-row, and hands the rows to the keeper it is given.  ``sample_trajectory``
-wraps the trajectory kernel, and checks a Sinusoid's rules
-(``check_sinusoid_phase``) up to its time.
+none itself.  ``run_closed_loop`` collects the rows in a list.
+``compare_variants`` folds each run's tracking gap to the base run as the
+blocks come, so it holds no state per row, and hands the rows to the
+keeper it is given.  ``sample_trajectory`` wraps the trajectory kernel,
+and checks a Sinusoid's rules (``check_sinusoid_phase``) up to its time.
 
 The lane keeps the evaluation order of ``membrane_force`` and of the
 number-generic kernels of ``control`` (``commanded_accel_kernel``,
@@ -286,11 +285,11 @@ _Sink = Callable[[List[Tuple[float, ...]]], object]
 # hands its sink at a time: a sink is called once a block, not once a row.
 # A walk holds one block of samples, and a lane one block of rows (about
 # 30 KB) until its sink returns, whatever the length of the run.  What a
-# sink keeps is its keeper's: every run's kept exists from the walk until
-# ``run_variants`` yields it.  A block's floats outlive the interpreter's
-# float free list (100 floats), so under tracemalloc, which traces every
-# allocation past that list, a loop runs about 3-5 times slower than with
-# rows handed over one by one.
+# sink keeps is its keeper's: ``run_variants`` holds none of it once it
+# returns.  A block's floats outlive the interpreter's float free list (100
+# floats), so under tracemalloc, which traces every allocation past that
+# list, a loop runs about 3-5 times slower than with rows handed over one
+# by one.
 _BLOCK_ROWS = 64
 
 
@@ -342,8 +341,10 @@ def run_closed_loop(
     ``diverged`` is set instead of raising.  A bad ``t_end`` or ``dt``
     raises ValueError before the run.  It is one lane of ``run_variants``.
     """
-    (_, _, metrics, rows), = run_variants(
-        [variant], masses, frame, gains, spec, membrane, fed, t_end, dt)
+    rows: List[Tuple[float, ...]] = []
+    (_, _, metrics), = run_variants(
+        [variant], masses, frame, gains, spec, membrane, fed, t_end, dt,
+        lambda shared: nullcontext(rows.extend))
     return rows, metrics
 
 
@@ -554,17 +555,8 @@ def _walk(
     return results
 
 
-# gives the sink of a law's closed loop and what it keeps: see run_variants
-_Keeper = Callable[[List[ControllerVariant]], ContextManager[Tuple[_Sink, Any]]]
-
-
-@contextmanager
-def _trace(shared: List[ControllerVariant]) -> Iterator[
-    Tuple[_Sink, List[Tuple[float, ...]]]
-]:
-    """A sink that collects every row in a list, and that list."""
-    rows: List[Tuple[float, ...]] = []
-    yield rows.extend, rows
+# gives the sink of a law's closed loop: see run_variants
+_Keeper = Callable[[List[ControllerVariant]], ContextManager[_Sink]]
 
 
 def run_variants(
@@ -577,51 +569,47 @@ def run_variants(
     fed: ForcePair,
     t_end: float,
     dt: float,
+    keeper: _Keeper,
     torque_gaps: Optional[Dict[ControllerVariant, float]] = None,
-    keeper: _Keeper = _trace,
-) -> Iterator[Tuple[ControllerVariant, ControllerVariant, RunMetrics, Any]]:
+) -> List[Tuple[ControllerVariant, ControllerVariant, RunMetrics]]:
     """Run each distinct torque law of ``variants`` once, all in one walk.
 
     Variants share a law when their ``torque_law``s have the same key
     (``TorqueLaw.key``) at ``masses`` and ``frame``: both stage-space
     variants always, and CORRECTED with them at the identity frame.
-    Yields ``(variant, source, metrics, kept)`` per variant, in order.
-    The first variant of a law runs in closed loop: ``source`` is the
-    variant itself and ``kept`` what its keeper's sink kept of its rows, by
-    default its trace in a list, as ``run_closed_loop`` returns it.
-    A later variant of that law, a repeated one included, reuses that run,
-    which is what running it again would give bit for bit: ``source`` is
-    the variant that ran, ``metrics`` that run's object and ``kept`` None.
+    Returns ``(variant, source, metrics)`` per variant, in order.  The
+    first variant of a law runs in closed loop: ``source`` is the variant
+    itself.  A later variant of that law, a repeated one included, reuses
+    that run, which is what running it again would give bit for bit:
+    ``source`` is the variant that ran and ``metrics`` that run's object.
 
     The closed loops of all the laws are lanes of one walk of the grid
     (``_walk``), which evaluates the desired trajectory once per time and
     hands each block of samples to every lane in the order of the laws'
     first variants.  ``keeper(shared)`` gives a context manager whose
-    ``with`` value is ``(sink, kept)``: ``shared`` lists the distinct
+    ``with`` value is the sink of the run of ``shared``, the distinct
     variants that share a law, the one that runs it first, so a keeper can
-    write what each of them needs as the run steps.  Every keeper is
-    entered before the walk and all are closed before the first yield; an
-    exception raised by a sink ends the walk and reaches the caller of
-    ``next`` once they have been.  A bad grid or a sinusoid whose phase
+    write what each of them needs as the run steps.  What a sink keeps is
+    its keeper's: ``run_variants`` holds no row once it returns.  Every
+    keeper is entered before the walk and all are closed before it
+    returns; an exception raised by a sink ends the walk and reaches the
+    caller once they have been.  A bad grid or a sinusoid whose phase
     overflows by ``t_end``, or whose desired acceleration overflows
     (``check_sinusoid_phase``), raises ValueError, and a frame whose T
     cannot be inverted SingularMatrix, before any keeper is entered.
 
-    Given a ``torque_gaps`` dict, before the first yield the dict maps
-    the variant that runs each law to the RMS gap between its torque
-    and the first run's applied torque along the first run's states.  The
-    first run scores every other law except the oracle's, which it
-    evaluates at each state anyway: that gap is its
-    ``torque_divergence_rms``.  Other runs score nothing.
-
-    Every run's kept exists until it is yielded; the generator keeps
-    nothing a run kept past its yield.
+    Given a ``torque_gaps`` dict, on return the dict maps the variant that
+    runs each law to the RMS gap between its torque and the first run's
+    applied torque along the first run's states.  The first run scores
+    every other law except the oracle's, which it evaluates at each state
+    anyway: that gap is its ``torque_divergence_rms``.  Other runs score
+    nothing.
     """
     variants = list(variants)
     grid = check_run_grid(t_end, dt)
     check_sinusoid_phase(spec, t_end)
     if not variants:
-        return
+        return []
     laws = [torque_law(v, masses, frame) for v in variants]
     # each law by key, and its distinct variants, the one that runs it first
     sources: Dict[Any, Tuple[TorqueLaw, List[ControllerVariant]]] = {}
@@ -634,29 +622,27 @@ def run_variants(
               if torque_gaps is not None else [])
     step = rk4_kernel(mat_inv(mass_matrix(masses)))
 
-    kept = {}
     with ExitStack() as opened:
         lanes = []
         for key, (law, shared) in sources.items():
-            sink, kept[shared[0]] = opened.enter_context(keeper(shared))
             lanes.append(_lane(
                 law, None if key == oracle_key else oracle,
                 # the first lane scores the rivals
                 [] if lanes else [sources[r][0] for r in rivals],
-                gains, membrane, fed, step, sink,
+                gains, membrane, fed, step,
+                opened.enter_context(keeper(shared)),
             ))
         results = _walk(grid, spec, lanes)
-        del sink, lanes
     if torque_gaps is not None:
         metrics, rival_rms = results[0]
         torque_gaps.update(zip((sources[r][1][0] for r in rivals), rival_rms))
         if oracle_key in sources:
             torque_gaps[sources[oracle_key][1][0]] = (
                 metrics.torque_divergence_rms)
-    ran = {key: metrics for key, (metrics, _) in zip(sources, results)}
-    for variant, law in zip(variants, laws):
-        key = law.key
-        yield variant, sources[key][1][0], ran[key], kept.pop(variant, None)
+    # the variant that ran each law, and its metrics
+    ran = {key: (shared[0], metrics)
+           for (key, (_, shared)), (metrics, _) in zip(sources.items(), results)}
+    return [(variant, *ran[law.key]) for variant, law in zip(variants, laws)]
 
 
 class VariantReport(NamedTuple):
@@ -729,13 +715,12 @@ def compare_variants(
     @contextmanager
     def pairing(
         shared: List[ControllerVariant],
-    ) -> Iterator[Tuple[_Sink, None]]:
+    ) -> Iterator[_Sink]:
         """The sink of the run of the variants ``shared``, which folds its
         tracking gap to the base run; at the end of the run the gap is in
         ``tracking_rms``, by the variant that ran."""
         variant = shared[0]
-        kept = nullcontext((None, None)) if keeper is None else keeper(shared)
-        with kept as (sink, _):
+        with (nullcontext() if keeper is None else keeper(shared)) as sink:
             sq_track = 0.0
             paired = 0
             blocks = 0
@@ -758,16 +743,15 @@ def compare_variants(
                         sq_track += dx * dx + dy * dy
                     paired += min(len(rows), len(base_rows))
 
-            yield pair, None
+            yield pair
         if variant is not base:
             tracking_rms[variant] = math.sqrt(sq_track / max(paired, 1))
 
-    runs = run_variants(
+    (_, _, base_metrics), *runs = run_variants(
         [base, *others], masses, frame, gains, spec, membrane, fed, t_end, dt,
-        torque_rms, pairing,
+        pairing, torque_rms,
     )
-    _, _, base_metrics, _ = next(runs)
     reports = tuple(
         VariantReport(variant, metrics, torque_rms[source], tracking_rms[source])
-        for variant, source, metrics, _ in runs)
+        for variant, source, metrics in runs)
     return ComparisonReport(base, base_metrics, reports)

@@ -37,8 +37,8 @@ def window(variant, start=50, first=55, last=80):
                 (last - first) * len(block))
 
     try:
-        yield (lambda shared: nullcontext((
-            sink if shared[0] is variant else None, None))), reading
+        yield (lambda shared: nullcontext(
+            sink if shared[0] is variant else None)), reading
     finally:
         tracemalloc.stop()
 

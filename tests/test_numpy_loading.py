@@ -87,12 +87,12 @@ UNLOADED_AT_IMPORT = ("numpy", "microinject.config", "microinject.verify",
                       "microinject.reference")
 
 # The package's exports loaded on first use, by the module they are read
-# from (verify re-exports config's SUITE_NAMES).
+# from.
 LAZY_EXPORTS = {
     "load_config": "config", "parse_config": "config",
     "ScenarioConfig": "config", "ParseError": "config",
-    "InvariantError": "config",
-    "run_suite": "verify", "PropertyResult": "verify", "SUITE_NAMES": "verify",
+    "InvariantError": "config", "SUITE_NAMES": "config",
+    "run_suite": "verify", "PropertyResult": "verify",
 }
 
 

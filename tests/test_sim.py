@@ -1,7 +1,7 @@
 import dataclasses
 import functools
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 import random
 import weakref
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memprobe import child_peak_rss, window
-from microinject.algebra2d import Vec2, mat_inv
+from microinject.algebra2d import SingularMatrix, Vec2, mat_inv
 from microinject.control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
@@ -466,7 +466,7 @@ def _pin_to_reference(base, others, *scenario):
         @contextmanager
         def keep(shared):
             rows = []
-            yield rows.extend, None
+            yield rows.extend
             traces.setdefault(shared[0], rows)
 
         return keep
@@ -864,6 +864,11 @@ def test_compare_variants_memory_does_not_grow_with_the_run():
 _SHARED = [_S, _C, _SC, _S, _M, _C]
 
 
+def _discard(shared):
+    """A ``run_variants`` keeper whose sink drops every block of rows."""
+    return nullcontext(lambda block: None)
+
+
 def test_run_variants_runs_each_torque_law_once_and_reuses_its_run(
     monkeypatch,
 ):
@@ -871,23 +876,28 @@ def test_run_variants_runs_each_torque_law_once_and_reuses_its_run(
 
     lanes = _record_lanes(monkeypatch)
     scenario = _pin_scenarios()[3]
-    yielded = list(sim.run_variants(_SHARED, *scenario))
+    traces = {}
+
+    def keeper(shared):
+        traces[shared[0]] = rows = []
+        return nullcontext(rows.extend)
+
+    runs = sim.run_variants(_SHARED, *scenario, keeper=keeper)
     # without torque_gaps no run evaluates another law
     assert lanes == [(_S, None, []), (_C, _SC, []), (_M, _SC, [])]
-    assert [variant for variant, _, _, _ in yielded] == _SHARED
-    assert [source for _, source, _, _ in yielded] == [_S, _C, _S, _S, _M, _C]
-    assert [rows is None for _, _, _, rows in yielded] == [
-        False, False, True, True, False, True]
-    ran_metrics = {}
-    for variant, source, metrics, rows in yielded:
-        if rows is None:
-            assert metrics is ran_metrics[source]
-            continue
-        assert source is variant
-        ran_metrics[variant] = metrics
+    assert [variant for variant, _, _ in runs] == _SHARED
+    assert [source for _, source, _ in runs] == [_S, _C, _S, _S, _M, _C]
+    # each law has one keeper, by the variant that runs it, and every
+    # variant of the law, a repeated one included, reports that run
+    assert list(traces) == [_S, _C, _M]
+    ran_metrics = {variant: runs[_SHARED.index(variant)][2]
+                   for variant in traces}
+    for _, source, metrics in runs:
+        assert metrics is ran_metrics[source]
+    for variant, rows in traces.items():
         ref_rows, ref_metrics = run_closed_loop(variant, *scenario)
         assert _bits(rows) == _bits(ref_rows)
-        assert _bits(metrics) == _bits(ref_metrics)
+        assert _bits(ran_metrics[variant]) == _bits(ref_metrics)
 
 
 class _Rows(list):
@@ -897,29 +907,55 @@ class _Rows(list):
 def test_run_variants_keeps_no_rows_once_the_consumer_drops_them():
     import microinject.sim as sim
 
-    traces, handed = [], []
+    traces, handed, lengths = [], [], {}
 
     @contextmanager
     def keeper(shared):
         handed.append(shared)
         rows = _Rows()
         traces.append(weakref.ref(rows))
-        yield rows.extend, rows
+        yield rows.extend
+        # the keeper drops its trace as it exits
+        lengths[shared[0]] = len(rows)
 
-    yielded = 0
-    for _, _, _, rows in sim.run_variants(_SHARED, *_pin_scenarios()[3],
-                                          keeper=keeper):
-        # one walk ran every law: each run's trace lives until it is
-        # yielded, and each one the consumer dropped is gone
-        kept = [ref() is not None for ref in traces]
-        assert kept == [False] * yielded + [True] * (len(traces) - yielded)
-        yielded += rows is not None
-        del rows
-    assert len(traces) == yielded == 3
+    runs = sim.run_variants(_SHARED, *_pin_scenarios()[3], keeper=keeper)
+    # one walk handed each keeper every row of its run, and once
+    # run_variants has returned no trace is left: it holds no row
+    assert lengths == {source: metrics.samples for _, source, metrics in runs}
+    assert len(traces) == 3
     assert [ref() for ref in traces] == [None] * 3
     # each keeper is handed the distinct variants of its law, the one that
     # runs it first
     assert handed == [[_S, _SC], [_C], [_M]]
+
+
+@pytest.mark.parametrize("case", ["bad-grid", "overflowing-sinusoid",
+                                  "singular-frame"])
+def test_run_variants_raises_when_called_before_entering_a_keeper(case):
+    import microinject.sim as sim
+
+    masses, frame, gains, spec, membrane, fed, t_end, dt = _pin_scenarios()[3]
+    error, message = ValueError, None
+    if case == "bad-grid":
+        dt, message = 0.0, r"^dt must be > 0$"
+    elif case == "overflowing-sinusoid":
+        spec = dataclasses.replace(spec, frequency=1.7976931348623157e308)
+        message = r"^frequency is too large for a run to t = "
+    else:
+        # det T = 1, but T fails mat_inv's scale-relative cutoff, which
+        # Corrected's law meets as it is bound
+        frame, error = FrameParams(0.0, 1.0, 1.0, 1e7, 1e-7), SingularMatrix
+    entered = []
+
+    def keeper(shared):
+        entered.append(shared)
+        return _discard(shared)
+
+    # the call itself raises: nothing is left to step for the error
+    with pytest.raises(error, match=message):
+        sim.run_variants([_SC, _C, _M], masses, frame, gains, spec, membrane,
+                         fed, t_end, dt, keeper=keeper)
+    assert entered == []
 
 
 @pytest.mark.parametrize("scenario_index", [3, 4], ids=["skewed", "diverging"])
@@ -934,7 +970,7 @@ def test_compare_variants_hands_every_row_of_each_run_to_its_keeper(
         handed.append(shared)
         assert shared[0] not in kept
         kept[shared[0]] = rows = []
-        yield rows.extend, "dropped by the comparison"
+        yield rows.extend
 
     report = compare_variants(_SC, [_C, _S, _M], *scenario, keeper)
     # SimPaper reuses StageConsistent's run, so it has no keeper of its
@@ -972,7 +1008,7 @@ def test_compare_variants_raises_the_error_of_its_keepers_sink(tmp_path):
         try:
             with open(tmp_path / f"{variant.value}.txt", "w") as fh:
                 files.append(fh)
-                yield sink, None
+                yield sink
         finally:
             exits.append(variant)
 
@@ -1087,10 +1123,10 @@ def test_run_variants_evaluates_the_trajectory_once_per_grid_time(
         return counted
 
     monkeypatch.setattr(sim, "_trajectory_kernel", counting_build)
-    yielded = list(sim.run_variants(variants, *scenario))
+    runs = sim.run_variants(variants, *scenario, keeper=_discard)
     want = [t for t, _ in sim.step_grid(*scenario[-2:])]
     assert [t.hex() for t in times] == [t.hex() for t in want]
-    assert {m.samples for _, _, m, _ in yielded} == {len(want)}
+    assert {m.samples for _, _, m in runs} == {len(want)}
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.0], ids=["+0", "-0"])
@@ -1112,7 +1148,7 @@ def test_corrected_at_the_identity_frame_is_the_stage_space_run(
     lanes = _record_lanes(monkeypatch)
     import microinject.sim as sim
 
-    yielded = list(sim.run_variants([_SC, _C, _M, _S], *scenario))
+    runs = sim.run_variants([_SC, _C, _M, _S], *scenario, keeper=_discard)
     assert lanes == [(_SC, None, []), (_M, _SC, [])]
-    assert [source for _, source, _, _ in yielded] == [_SC, _SC, _M, _SC]
-    assert _bits(yielded[1][2]) == _bits(metrics_c)
+    assert [source for _, source, _ in runs] == [_SC, _SC, _M, _SC]
+    assert _bits(runs[1][2]) == _bits(metrics_c)
