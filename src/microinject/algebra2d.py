@@ -1,6 +1,6 @@
 """Exact-width linear algebra kernel: 2-vectors and 2x2 matrices.
 
-Frozen dataclasses of named entries rather than 2-vector and 2x2 numpy
+Frozen value types of named entries rather than 2-vector and 2x2 numpy
 arrays: every quantity in this package is exactly two-dimensional, and
 bit-reproducible simulation traces require full control over evaluation
 order.  An entry is a float, or a float64 array holding one lane per trial
@@ -21,13 +21,19 @@ a NaN, so a check whose error is NaN fails, in ``verify`` and in
 
 ``check_fields`` is the one check of the parameter types' numeric rules
 (finite, > 0, >= 0); each type's ``__post_init__`` names its fields' rules.
+
+``frozen`` is the one class decorator of the package's value types, the
+vector-like ones here and in ``frames`` and ``dynamics`` and the validated
+parameter types.  It stands in for ``dataclasses.dataclass(frozen=True)``
+to shorten every command's start: it makes a class in about a third of the
+time, and imports neither ``dataclasses`` nor the ``inspect`` module that
+``dataclasses`` imports.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 
 class SingularMatrix(ValueError):
@@ -108,7 +114,75 @@ def fold_worst(acc: float, *values: float, lowest: bool = False) -> float:
     return acc
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _replace(self, **changes):
+    """A new instance with ``changes`` to its fields, built, and so checked,
+    as any other: a cached value such as ``FrameParams.rotation`` is not
+    carried over."""
+    return self.__class__(
+        **{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
+def frozen(cls: type) -> type:
+    """Make ``cls`` an immutable value type of the fields it annotates.
+
+    The fields are the names in the class body's own annotations, in order;
+    a class attribute of the same name is that field's default.  The
+    ``__init__`` (positional or keyword arguments; it calls the class's
+    ``__post_init__``, if any, once the fields are set), ``==`` (same class
+    only, field by field), ``hash`` (of the field tuple) and ``repr``
+    (``Name(field=value, ...)``) are generated from one ``exec``ed source,
+    as ``collections.namedtuple`` builds its ``__new__``, so they cost no
+    more than the ``dataclasses`` ones.  Assigning or deleting an attribute raises
+    ``AttributeError``.  ``_fields`` (also ``__match_args__``) names the
+    fields, and ``_replace(**changes)`` gives a new, checked, instance, as
+    on a ``NamedTuple``.  An instance keeps its ``__dict__``, so a
+    ``functools.cached_property`` works on it.
+    """
+    own = vars(cls)
+    names = tuple(own.get("__annotations__", {}))
+    # a field with a default takes it from the namespace, as "end=_end"
+    params = ", ".join(f"{name}=_{name}" if name in own else name
+                       for name in names)
+    mine = "".join(f"self.{name}, " for name in names)
+    theirs = "".join(f"other.{name}, " for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    source = [f"def __init__(self, {params}):"]
+    source += [f"    _setattr(self, {name!r}, {name})" for name in names]
+    if "__post_init__" in own:
+        source.append("    self.__post_init__()")
+    source += [
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+        "def __repr__(self):",
+        f"    return self.__class__.__qualname__ + f'({shown})'",
+    ]
+    namespace = {f"_{name}": own[name] for name in names if name in own}
+    namespace.update(__name__=cls.__module__, _setattr=object.__setattr__)
+    exec("\n".join(source), namespace)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls._replace = _replace
+    cls._fields = cls.__match_args__ = names
+    return cls
+
+
+@frozen
 class Vec2:
     """A 2-vector with components (a0, a1); units depend on context."""
 
@@ -134,7 +208,7 @@ class Vec2:
         return math.isfinite(self.a0) and math.isfinite(self.a1)
 
 
-@dataclass(frozen=True)
+@frozen
 class Mat2:
     """A 2x2 matrix in row-major entry order (m00, m01, m10, m11)."""
 

@@ -6,12 +6,15 @@ Subcommands: ``verify`` (randomized property suites), ``simulate``
 
 Exit codes: 0 success, 1 verification/numeric failure, 2 usage, config
 or output error.  Reports and artifact paths go to stdout; diagnostics go
-to stderr at the verbosity selected by the MICROINJECT_LOG environment
-variable (error or info).  At info, ``verify`` logs the wall time of each
-suite it runs.  ``simulate`` logs the wall time of its one walk, which
-runs the closed loops of every torque law and writes their CSVs as they
-step, with the number of laws it ran; then, with ``--svg``, the wall time
-of each variant's SVG.
+to stderr, as ``INFO <message>`` and ``ERROR <message>`` lines, at the
+verbosity the MICROINJECT_LOG environment variable (error or info) has when
+``main`` is called: each call reads it again and writes to the
+``sys.stderr`` of the moment.  ``logging`` is neither used nor configured,
+so a process that calls ``main`` keeps its own set-up.  At info, ``verify``
+logs the wall time of each suite it runs.  ``simulate`` logs the wall time
+of its one walk, which runs the closed loops of every torque law and writes
+their CSVs as they step, with the number of laws it ran; then, with
+``--svg``, the wall time of each variant's SVG.
 
 ``simulate`` takes its closed loops from ``sim.run_variants``, the one
 runner, with a keeper of its own that gives each run's sink, and holds
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import logging
 import os
 import re
 import sys
@@ -79,25 +81,34 @@ from .algebra2d import Vec2, check_fields, fold_worst
 from .control import ControllerVariant
 from .sim import run_variants
 
-log = logging.getLogger("microinject")
-
 FREE_RESPONSE_MAX_ERROR = 1e-5
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO}
 
-def _configure_logging() -> None:
+class _Log:
+    """The diagnostics of one ``main`` call: each message, %-formatted with
+    its arguments, is one ``LEVEL message`` line on ``sys.stderr`` as it is
+    when the line is written; info lines only when ``verbose``."""
+
+    def __init__(self, verbose: bool) -> None:
+        self.verbose = verbose
+
+    def info(self, message: str, *args: Any) -> None:
+        if self.verbose:
+            print(f"INFO {message % args}", file=sys.stderr, flush=True)
+
+    def error(self, message: str, *args: Any) -> None:
+        print(f"ERROR {message % args}", file=sys.stderr, flush=True)
+
+
+def _log_from_env() -> _Log:
     raw = os.environ.get("MICROINJECT_LOG", "error")
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
+    if raw not in ("error", "info"):
         print(
             f"microinject: ignoring MICROINJECT_LOG={raw!r} "
             "(expected error or info)",
             file=sys.stderr,
         )
-        level = logging.ERROR
-    logging.basicConfig(
-        stream=sys.stderr, level=level, format="%(levelname)s %(message)s"
-    )
+    return _Log(raw == "info")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,7 +159,7 @@ def run_suite(name: str, seed: int, trials: Optional[int] = None) -> list:
     return run(name, seed, trials)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, log: _Log) -> int:
     if args.trials is not None and args.trials <= 0:
         print("microinject: --trials must be > 0", file=sys.stderr)
         return 2
@@ -182,7 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, log: _Log) -> int:
     try:
         config: ScenarioConfig = load_config(args.config)
     except (OSError, ValueError) as exc:
@@ -311,14 +322,14 @@ def _cmd_free_response(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _configure_logging()
+    log = _log_from_env()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        return _cmd_verify(args)
+        return _cmd_verify(args, log)
     try:
         if args.command == "simulate":
-            return _cmd_simulate(args)
+            return _cmd_simulate(args, log)
         return _cmd_free_response(args)
     except report.CannotWrite as exc:
         print(f"microinject: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
 from typing import Any, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .algebra2d import SingularMatrix, Vec2, mat_inv
@@ -149,7 +148,7 @@ def _build(params: Any, path: str, **values: Any) -> Any:
 def _parse_params(node: Any, path: str, params: Any) -> Any:
     """A section whose keys are the fields of ``params``, each a number."""
     node = _require_mapping(node, path)
-    names = [field.name for field in fields(params)]
+    names = params._fields
     _check_keys(node, names, (), path)
     return _build(params, path, **{name: _number(node, name, path) for name in names})
 

@@ -66,11 +66,10 @@ every kernel built on one frame shares one cosine and sine of alpha.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .algebra2d import (
-    Mat2, Vec2, _is_lanes, check_fields, lane_max, mat_inv, mat_mul,
+    Mat2, Vec2, _is_lanes, check_fields, frozen, lane_max, mat_inv, mat_mul,
 )
 from .dynamics import (
     ForcePair,
@@ -99,7 +98,7 @@ class PreconditionViolated(ValueError):
         self.lane = lane
 
 
-@dataclass(frozen=True)
+@frozen
 class ImpedanceParams:
     """Desired impedance: inertia m, damping b, stiffness k; all > 0."""
 

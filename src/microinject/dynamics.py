@@ -45,11 +45,11 @@ walking it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 from .algebra2d import (
-    Mat2, Vec2, check_fields, diag, identity, lane_map, mat_inv, mat_mul,
+    Mat2, Vec2, check_fields, diag, frozen, identity, lane_map, mat_inv,
+    mat_mul,
 )
 from .frames import FrameParams, transformation_matrix
 
@@ -70,7 +70,7 @@ class NonFiniteState(RuntimeError):
         self.last_index = len(samples) - 1
 
 
-@dataclass(frozen=True)
+@frozen
 class MassParams:
     """Masses of the x-table, y-table and working plate; all > 0."""
 
@@ -99,7 +99,7 @@ class StageState(NamedTuple):
     qdot: Vec2
 
 
-@dataclass(frozen=True)
+@frozen
 class ForcePair:
     """Planar force with x/y components (applied or commanded)."""
 
@@ -111,7 +111,7 @@ class ForcePair:
         return Vec2(self.fex, self.fey)
 
 
-@dataclass(frozen=True)
+@frozen
 class Torque:
     """Motor torque with x/y components."""
 

@@ -32,13 +32,12 @@ read.  ``verify`` never writes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra2d import Mat2, Vec2, check_fields, lane_map, mat_vec_mul
+from .algebra2d import Mat2, Vec2, check_fields, frozen, lane_map, mat_vec_mul
 
 
-@dataclass(frozen=True)
+@frozen
 class FrameParams:
     """Calibration constants tying the three frames together.
 
@@ -65,11 +64,11 @@ class FrameParams:
     def rotation(self) -> Mat2:
         """``rotation_matrix(alpha)``, computed on first read and kept: not
         a field, so ``==``, ``hash`` and ``repr`` ignore it, and
-        ``dataclasses.replace`` gives a frame that computes its own."""
+        ``_replace`` gives a frame that computes its own."""
         return rotation_matrix(self.alpha)
 
 
-@dataclass(frozen=True)
+@frozen
 class StageCoord:
     """Point in the stage frame (length units)."""
 
@@ -81,7 +80,7 @@ class StageCoord:
         return Vec2(self.x, self.y)
 
 
-@dataclass(frozen=True)
+@frozen
 class CameraCoord:
     """Point in the camera frame (length units)."""
 
@@ -93,7 +92,7 @@ class CameraCoord:
         return Vec2(self.xc, self.yc)
 
 
-@dataclass(frozen=True)
+@frozen
 class ImageCoord:
     """Point in the image frame (pixels)."""
 

@@ -49,13 +49,12 @@ from __future__ import annotations
 import enum
 import math
 from contextlib import ExitStack, contextmanager, nullcontext
-from dataclasses import dataclass
 from typing import (
     Any, Callable, ContextManager, Dict, Generator, Iterable, Iterator, List,
     NamedTuple, Optional, Sequence, Tuple,
 )
 
-from .algebra2d import Vec2, check_fields, mat_inv
+from .algebra2d import Vec2, check_fields, frozen, mat_inv
 from .control import (
     ControllerVariant,
     DesiredTrajectoryPoint,
@@ -78,7 +77,7 @@ class TrajectoryKind(enum.Enum):
     SINUSOID = "Sinusoid"
 
 
-@dataclass(frozen=True)
+@frozen
 class TrajectorySpec:
     """Desired-trajectory description.
 
@@ -125,7 +124,7 @@ class TrajectorySpec:
                 raise ValueError(f"{name} components must be finite")
 
 
-@dataclass(frozen=True)
+@frozen
 class MembraneModel:
     """One-sided linear spring-dashpot along x past ``contact_x``.
 

@@ -58,7 +58,6 @@ trial.  Both keep a NaN: a property whose residual is NaN fails.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from operator import itemgetter
 from typing import (
@@ -196,8 +195,9 @@ def _fold_lanes(acc: float, *columns: np.ndarray, lowest: bool = False) -> float
 
 
 def _lanes(params: type, *columns: np.ndarray):
-    """An instance of the frozen dataclass ``params`` whose fields hold the
-    float64 ``columns``, one lane per trial.
+    """An instance of the ``algebra2d.frozen`` type ``params`` whose fields,
+    in ``params._fields`` order, hold the float64 ``columns``, one lane per
+    trial.
 
     Its ``__post_init__`` checks one float per field and is not run: the
     bounds of every column drawn into these types, and the products of
@@ -205,8 +205,8 @@ def _lanes(params: type, *columns: np.ndarray):
     every drawn alpha finite, inside the range it checks.
     """
     instance = object.__new__(params)
-    for field, column in zip(dataclasses.fields(params), columns):
-        object.__setattr__(instance, field.name, column)
+    for name, column in zip(params._fields, columns):
+        object.__setattr__(instance, name, column)
     return instance
 
 

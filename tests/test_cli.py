@@ -1,8 +1,9 @@
+import contextlib
 import errno
 import functools
 import hashlib
+import io
 import json
-import logging
 import math
 import os
 import re
@@ -1248,17 +1249,19 @@ def test_quintic_duration_whose_square_is_positive_runs(tmp_path):
 
 
 def test_simulate_logs_its_walk_once_and_each_variants_svg(
-    tmp_path, capsys, caplog,
+    tmp_path, capsys, monkeypatch,
 ):
     # one walk runs every closed loop before the first variant is done, so
     # it is timed once, with its torque-law count; then each variant's SVG
     from microinject import cli
 
-    caplog.set_level(logging.INFO, logger="microinject")
+    monkeypatch.setenv("MICROINJECT_LOG", "info")
     config = readme_config(tmp_path / "scenario.json", t_end=0.2)
     assert cli.main(["simulate", "--config", str(config), "--out",
                      str(tmp_path / "out"), "--svg"]) == 0
-    messages = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    messages = [line[len("INFO "):]
+                for line in capsys.readouterr().err.splitlines()
+                if line.startswith("INFO ")]
     walks = [m for m in messages if m.startswith("one walk:")]
     assert len(walks) == 1
     assert re.fullmatch(
@@ -1268,6 +1271,31 @@ def test_simulate_logs_its_walk_once_and_each_variants_svg(
             for m in messages[1:]]
     assert [m.group(1) for m in svgs if m] == [
         "StageConsistent", "Corrected", "SimPaper", "McPaper"]
+
+
+def test_each_main_call_logs_at_its_own_level_to_its_own_stderr(
+    tmp_path, monkeypatch,
+):
+    # MICROINJECT_LOG and sys.stderr are read again by every call, not
+    # bound by the first one in the process
+    from microinject import cli
+
+    config = readme_config(tmp_path / "scenario.json", t_end=0.01,
+                           variants=["StageConsistent"])
+    streams = []
+    for n, level in enumerate(["info", "error", "info"]):
+        monkeypatch.setenv("MICROINJECT_LOG", level)
+        streams.append(io.StringIO())
+        with contextlib.redirect_stderr(streams[-1]), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--config", str(config), "--out",
+                             str(tmp_path / f"out{n}")]) == 0
+    first, quiet, last = (stream.getvalue() for stream in streams)
+    assert re.fullmatch(r"INFO one walk: 1 torque laws, closed loops \+ CSVs "
+                        r"\d+\.\d{3} s\n", first)
+    assert quiet == ""
+    assert last.startswith("INFO one walk: 1 torque laws, ")
+    assert last.count("\n") == 1
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.0], ids=["+0", "-0"])

@@ -1,7 +1,5 @@
-import dataclasses
 import math
 import random
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -53,7 +51,7 @@ class TestFrameParams:
         assert s != c
 
     def test_force_and_torque_types_have_no_addition(self):
-        # frozen dataclasses, not tuples, so + never concatenates them
+        # algebra2d.frozen types, not tuples, so + never concatenates them
         f = ForcePair(1.0, 2.0)
         with pytest.raises(TypeError):
             f + f  # type: ignore[operator]
@@ -89,8 +87,8 @@ class TestCachedRotation:
         calls = self._count_rotations(monkeypatch)
         p = FrameParams(alpha=0.7, dx=0.5, dy=0.25, fx=2.0, fy=4.0)
         p.rotation
-        turned = dataclasses.replace(p, alpha=-1.2)
-        moved = dataclasses.replace(p, dx=3.0)
+        turned = p._replace(alpha=-1.2)
+        moved = p._replace(dx=3.0)
         assert turned.rotation == rotation_matrix(-1.2)
         assert moved.rotation == p.rotation
         assert moved.rotation is not p.rotation
@@ -260,6 +258,9 @@ def test_lane_frames_match_float_maps_bitwise():
     def bits(*values):
         return [float(v).hex() for v in values]
 
+    def entries(value):
+        return [getattr(value, name) for name in value._fields]
+
     columns = _frame_lanes()
     for start in range(0, columns.shape[1], verify._CHUNK_ROWS):
         chunk = columns[:, start:start + verify._CHUNK_ROWS]
@@ -288,8 +289,8 @@ def test_lane_frames_match_float_maps_bitwise():
             }
             for name, want in floats.items():
                 got = lanes[name]
-                assert (bits(*(v[lane] for v in astuple(got)))
-                        == bits(*astuple(want))), (start + lane, name)
+                assert (bits(*(v[lane] for v in entries(got)))
+                        == bits(*entries(want))), (start + lane, name)
 
 
 def test_stage_to_camera_is_the_inline_rotation_formula_bitwise():

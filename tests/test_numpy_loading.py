@@ -2,7 +2,8 @@
 ``free-response`` run without it, and the lane dispatch still finds arrays
 when numpy is imported after the package.  No command imports
 ``reference``, and ``import microinject`` loads neither ``config`` nor
-``verify``: their exports load on first use."""
+``verify``: their exports load on first use.  Neither the package nor
+``cli`` loads ``dataclasses``, ``inspect`` or ``logging``."""
 
 import ast
 import json
@@ -121,6 +122,39 @@ def test_lazy_exports_are_their_modules_objects():
         f"{name} True {module == 'verify'} {module == 'verify'}"
         for name, module in LAZY_EXPORTS.items()]
     assert set(microinject._LAZY_EXPORTS) == set(LAZY_EXPORTS)
+
+
+# Standard modules the package and the command line do without, for a
+# faster start: the value types are built by ``algebra2d.frozen``, not
+# ``dataclasses`` (which imports ``inspect``), and ``cli`` writes its own
+# stderr lines, not through ``logging``.
+UNLOADED_AT_START = ("dataclasses", "inspect", "logging")
+
+
+@pytest.mark.parametrize("module", ["microinject", "microinject.cli"])
+def test_import_loads_no_dataclasses_inspect_or_logging(module):
+    # what the import adds, so that a module the interpreter's site loads
+    # cannot fail this
+    out = run_python("""
+        import importlib, sys
+        before = set(sys.modules)
+        importlib.import_module(sys.argv[1])
+        added = set(sys.modules) - before
+        print(sys.argv[1] in added, *(name in added for name in sys.argv[2:]))
+    """, module, *UNLOADED_AT_START)
+    assert out.split() == ["True"] + ["False"] * len(UNLOADED_AT_START)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_logging(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Import)
+             and any(a.name in ("dataclasses", "logging") for a in n.names)
+             or isinstance(n, ast.ImportFrom) and n.level == 0
+             and n.module in ("dataclasses", "logging")]
+    assert found == [], f"{path.name} imports them at line(s) {found}"
 
 
 def test_simulate_and_free_response_never_load_numpy(tmp_path):

@@ -6,7 +6,6 @@ path in front.  ``run`` has no type: config checks ``run.t_end`` > 0 and
 ``dynamics.check_steps`` the step grid.
 """
 
-import dataclasses
 import json
 import math
 from contextlib import nullcontext
@@ -76,8 +75,8 @@ def test_the_table_covers_every_numeric_field_of_the_five_types():
     typed = {(params, f) for _, params, f, _ in TYPED_RULES}
     for params in (FrameParams, MassParams, ImpedanceParams, TrajectorySpec,
                    MembraneModel):
-        numeric = {f.name for f in dataclasses.fields(params)
-                   if "float" in str(f.type)}
+        numeric = {name for name, kind in params.__annotations__.items()
+                   if "float" in str(kind)}
         assert numeric == {f for p, f in typed if p is params}, params
 
 
@@ -97,7 +96,7 @@ def test_direct_construction_names_the_field(section, params, field, value,
                                              message):
     valid = getattr(parse_config(json.dumps(base_for(field))), section)
     with pytest.raises(ValueError) as info:
-        dataclasses.replace(valid, **{field: value})
+        valid._replace(**{field: value})
     assert type(info.value) is ValueError
     assert str(info.value) == f"{field} must be {message}"
 
@@ -112,7 +111,7 @@ def test_boundary_values_are_accepted(rule, accepted):
         # its "> 0" boundary is taken on a Sinusoid, where that is its rule
         base = SINUSOID if field == "duration" else base_for(field)
         valid = getattr(parse_config(json.dumps(base)), section)
-        assert getattr(dataclasses.replace(valid, **{field: accepted}),
+        assert getattr(valid._replace(**{field: accepted}),
                        field) == accepted
 
 
@@ -203,7 +202,7 @@ def test_a_sinusoid_whose_phase_overflows_by_t_end_is_rejected(frequency,
         f"trajectory.frequency is too large for a run to t = {t_end!r}: ")
     # run directly, the same rule is checked before any keeper is entered
     config = parse_config(json.dumps(SINUSOID))
-    spec = dataclasses.replace(config.trajectory, frequency=frequency)
+    spec = config.trajectory._replace(frequency=frequency)
     entered = []
 
     def keeper(shared):
@@ -238,8 +237,8 @@ def test_a_sinusoid_whose_acceleration_overflows_is_rejected(frequency,
         f"{frequency!r}")
     # run directly, the same rule is checked before any keeper is entered
     config = parse_config(json.dumps(SINUSOID))
-    spec = dataclasses.replace(config.trajectory, frequency=frequency,
-                               amplitude=Vec2(*amplitude))
+    spec = config.trajectory._replace(frequency=frequency,
+                                      amplitude=Vec2(*amplitude))
     entered = []
 
     def keeper(shared):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 from contextlib import contextmanager, nullcontext
@@ -358,8 +357,8 @@ def _bits(value):
         return value.hex()
     if isinstance(value, (list, tuple)):
         return [_bits(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if hasattr(value, "_fields"):  # an algebra2d.frozen type
+        return [_bits(getattr(value, name)) for name in value._fields]
     return repr(value)
 
 
@@ -939,7 +938,7 @@ def test_run_variants_raises_when_called_before_entering_a_keeper(case):
     if case == "bad-grid":
         dt, message = 0.0, r"^dt must be > 0$"
     elif case == "overflowing-sinusoid":
-        spec = dataclasses.replace(spec, frequency=1.7976931348623157e308)
+        spec = spec._replace(frequency=1.7976931348623157e308)
         message = r"^frequency is too large for a run to t = "
     else:
         # det T = 1, but T fails mat_inv's scale-relative cutoff, which
