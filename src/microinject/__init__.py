@@ -36,12 +36,6 @@ from .control import (
     ErrorState,
     ImpedanceParams,
     PreconditionViolated,
-    commanded_accel,
-    error_state,
-    force_control_residual,
-    implication_residual,
-    required_torque,
-    torque_controller,
 )
 from .dynamics import (
     ForcePair,
@@ -52,9 +46,6 @@ from .dynamics import (
     ZERO_FORCE,
     ZERO_TORQUE,
     damping_matrix,
-    dynamics_residual,
-    free_response,
-    free_response_accel,
     image_space_operators,
     integrate,
     mass_matrix,

@@ -46,12 +46,12 @@ inline, in the kernels' operation order, and the kernels are its
 reference.
 ``implication_check`` tests the impedance-law precondition and solves c
 once per state, and then combines any number of torque kernels with the
-required torque.  ``torque_controller``,
-``commanded_accel``, ``impedance_accel``, ``force_control_residual``,
-``required_torque`` and ``implication_residual`` build their kernel and
-evaluate it once.  The kernels perform the float operations of the
-``Vec2`` algebra in the same order, products with structural zeros
-included, so they match the ``Vec2`` formulas bit for bit.
+required torque.  ``torque_controller``, ``commanded_accel``,
+``force_control_residual`` and ``implication_residual`` build their
+kernel and evaluate it once, on the package's typed values; the other
+kernels have no typed wrapper.  The kernels perform the float operations
+of the ``Vec2`` algebra in the same order, products with structural
+zeros included, so they match the ``Vec2`` formulas bit for bit.
 
 The kernels are number-generic over floats and float64 arrays: every
 operation is elementwise ``+ - * /`` or ``abs``, every ``max`` is
@@ -195,13 +195,6 @@ def torque_law(
     )
 
 
-def error_state(
-    desired: DesiredTrajectoryPoint, q: Vec2, qdot: Vec2, qddot: Vec2
-) -> ErrorState:
-    """Componentwise errors e = qd - q, edot = qd_dot - qdot, eddot = qd_ddot - qddot."""
-    return ErrorState(desired.qd - q, desired.qd_dot - qdot, desired.qd_ddot - qddot)
-
-
 def impedance_accel_kernel(
     gains: ImpedanceParams,
 ) -> Callable[..., Tuple[float, float]]:
@@ -222,16 +215,6 @@ def impedance_accel_kernel(
         )
 
     return eddot
-
-
-def impedance_accel(
-    gains: ImpedanceParams, e: Vec2, edot: Vec2, fe: ForcePair
-) -> Vec2:
-    """The impedance law solved for the error acceleration:
-    eddot = (fe - b*edot - k*e) * (1/m)."""
-    return Vec2(*impedance_accel_kernel(gains)(
-        e.a0, e.a1, edot.a0, edot.a1, fe.fex, fe.fey
-    ))
 
 
 def force_control_residual_kernel(
@@ -283,19 +266,6 @@ def required_torque_kernel(
         return l0 + fed0, l1 + fed1
 
     return required
-
-
-def required_torque(
-    masses: MassParams, qddot: Vec2, qdot: Vec2, fed: ForcePair
-) -> Torque:
-    """Dynamics inversion: the torque that realizes qddot at state qdot.
-
-    tau = M @ qddot + B @ qdot + fed; feeding it back into the dynamics
-    residual gives exactly zero up to rounding.
-    """
-    return Torque(*required_torque_kernel(mass_matrix(masses), fed)(
-        qddot.a0, qddot.a1, qdot.a0, qdot.a1
-    ))
 
 
 def commanded_accel_kernel(

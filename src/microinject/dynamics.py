@@ -14,13 +14,12 @@ constant, is checked against it by the test suite and by ``verify``.
 Each formula is evaluated in one place, a float kernel bound once per
 parameter set: ``free_response_kernel`` (position, velocity and
 acceleration from one ``exp`` per axis), ``inverse_dynamics_kernel``
-(M @ a + B @ v) and ``rk4_kernel``.
-``free_response``, ``free_response_accel`` and ``dynamics_residual`` wrap
-them and evaluate them once.  ``mass_matrix``, ``inverse_dynamics_kernel``
-and ``free_response_kernel`` are elementwise ``+ - * /`` and ``exp``, with
-``exp`` from ``math`` lane by lane, so the verify suites run them on
-float64 lanes, one per trial or per sample time, each lane with the bits
-of its float evaluation.
+(M @ a + B @ v) and ``rk4_kernel``.  ``free_response`` wraps the first,
+rejects t < 0 and evaluates it once.  ``mass_matrix``,
+``inverse_dynamics_kernel`` and ``free_response_kernel`` are elementwise
+``+ - * /`` and ``exp``, with ``exp`` from ``math`` lane by lane, so the
+verify suites run them on float64 lanes, one per trial or per sample
+time, each lane with the bits of its float evaluation.
 
 The RK4 step is evaluated in one place: ``rk4_kernel`` binds M_inv and B
 once and takes a step of plain floats in one call, its four stage
@@ -58,7 +57,7 @@ class NonFiniteState(RuntimeError):
     """Integration diverged: a state component became NaN or infinite.
 
     ``samples`` holds the finite prefix of the rows, as ``integrate``
-    returns them; ``last_index`` is the index of its final (finite) row.
+    returns them.
     """
 
     def __init__(
@@ -67,7 +66,6 @@ class NonFiniteState(RuntimeError):
     ):
         super().__init__(message)
         self.samples = samples
-        self.last_index = len(samples) - 1
 
 
 @frozen
@@ -148,7 +146,7 @@ def inverse_dynamics_kernel(m_mat: Mat2) -> Callable[..., Tuple[float, float]]:
     acceleration a and velocity v.  Every product of both matrices is
     formed, the structural zeros included, in the order of ``mat_vec_mul``,
     but those with B's unit diagonal: ``1.0 * v`` is ``v`` bit for bit.
-    ``dynamics_residual`` and ``control.required_torque_kernel`` wrap it.
+    ``control.required_torque_kernel`` wraps it.
     """
     m00, m01, m10, m11 = m_mat.m00, m_mat.m01, m_mat.m10, m_mat.m11
     b01, b10 = _B.m01, _B.m10
@@ -160,16 +158,6 @@ def inverse_dynamics_kernel(m_mat: Mat2) -> Callable[..., Tuple[float, float]]:
         )
 
     return lhs
-
-
-def dynamics_residual(
-    masses: MassParams, qddot: Vec2, qdot: Vec2, tau: Torque, fed: ForcePair
-) -> Vec2:
-    """M @ qddot + B @ qdot - (tau - fed); zero iff the dynamics hold."""
-    l0, l1 = inverse_dynamics_kernel(mass_matrix(masses))(
-        qddot.a0, qddot.a1, qdot.a0, qdot.a1
-    )
-    return Vec2(l0 - (tau.taux - fed.fex), l1 - (tau.tauy - fed.fey))
 
 
 def free_response_kernel(
@@ -188,7 +176,7 @@ def free_response_kernel(
     (``verify._lanes(MassParams, ...)``); ``exp`` is ``math.exp`` lane by
     lane, because numpy's need not round as libm does, so each lane gets
     the bits of its float evaluation.  It does not check t;
-    ``free_response`` and ``free_response_accel`` wrap it and reject t < 0.
+    ``free_response`` wraps it and rejects t < 0.
     """
     mx_tot = masses.total_x
     my_tot = masses.total_y
@@ -221,17 +209,6 @@ def free_response(
         raise ValueError("t must be >= 0")
     x, y, xd, yd, _, _ = free_response_kernel(masses, x0, y0, xd0, yd0)(t)
     return StageState(Vec2(x, y), Vec2(xd, yd))
-
-
-def free_response_accel(
-    masses: MassParams, xd0: float, yd0: float, t: float
-) -> Vec2:
-    """Analytic accelerations of the free response:
-    (-(xd0/Mx)*exp(-t/Mx), -(yd0/My)*exp(-t/My))."""
-    if not t >= 0.0:
-        raise ValueError("t must be >= 0")
-    *_, xdd, ydd = free_response_kernel(masses, 0.0, 0.0, xd0, yd0)(t)
-    return Vec2(xdd, ydd)
 
 
 # The most steps (t_end / dt) a run may take.  The time grid is walked, not

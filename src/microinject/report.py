@@ -254,14 +254,22 @@ def chart_sampler(stride: int) -> Tuple[
 
 def sample_trace_csv(path: str, finite_rows: int) -> List[Tuple[float, ...]]:
     """The rows a chart plots of the first ``finite_rows`` rows of the
-    trace CSV at ``path``, read a line at a time.  ``fmt`` round-trips, so
-    ``float`` gives back each value's bits, ``-0`` included, and the chart
-    is the one the rows that were written would give."""
-    keep, sampled = chart_sampler(chart_stride(finite_rows))
+    trace CSV at ``path``, read a line at a time: those ``chart_sampler``
+    keeps at their ``chart_stride``, and only those are parsed.  ``fmt``
+    round-trips, so ``float`` gives back each value's bits, ``-0``
+    included, and the chart is the one the rows that were written would
+    give."""
+    stride = chart_stride(finite_rows)
+    sampled: List[Tuple[float, ...]] = []
+    index = 0
     with open(path, encoding="utf-8", newline="") as fh:
         next(fh)  # the header
-        for line in islice(fh, finite_rows):
-            keep((tuple(map(float, line.split(","))),))
+        for index, line in enumerate(islice(fh, finite_rows)):
+            if not index % stride:
+                sampled.append(tuple(map(float, line.split(","))))
+        if index % stride:
+            # the latest row, off the stride
+            sampled.append(tuple(map(float, line.split(","))))
     return sampled
 
 

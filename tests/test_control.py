@@ -17,11 +17,10 @@ from microinject.control import (
     STAGE_SPACE_VARIANTS,
     commanded_accel,
     commanded_accel_kernel,
-    error_state,
     force_control_residual,
-    impedance_accel,
+    impedance_accel_kernel,
     implication_residual,
-    required_torque,
+    required_torque_kernel,
     torque_controller,
     torque_kernel,
 )
@@ -30,7 +29,7 @@ from microinject.dynamics import (
     MassParams,
     ZERO_FORCE,
     damping_matrix,
-    dynamics_residual,
+    inverse_dynamics_kernel,
     mass_matrix,
 )
 from microinject.frames import FrameParams, transformation_matrix
@@ -81,27 +80,6 @@ class TestImpedanceParams:
             ImpedanceParams(**kwargs)
 
 
-class TestErrorState:
-    def test_perfect_tracking_gives_zeros(self):
-        d = DesiredTrajectoryPoint(Vec2(1, 2), Vec2(3, 4), Vec2(5, 6))
-        es = error_state(d, Vec2(1, 2), Vec2(3, 4), Vec2(5, 6))
-        assert es.e == Vec2(0, 0)
-        assert es.edot == Vec2(0, 0)
-        assert es.eddot == Vec2(0, 0)
-
-    def test_pure_offset(self):
-        d = DesiredTrajectoryPoint(Vec2(1, 1), Vec2(0, 0), Vec2(0, 0))
-        es = error_state(d, Vec2(0, 0), Vec2(0, 0), Vec2(0, 0))
-        assert es.e == Vec2(1, 1)
-        assert es.edot == Vec2(0, 0) and es.eddot == Vec2(0, 0)
-
-    def test_componentwise_subtraction(self):
-        d = DesiredTrajectoryPoint(Vec2(2, 0), Vec2(1, 0), Vec2(0, 0))
-        es = error_state(d, Vec2(1, 0), Vec2(0.5, 0), Vec2(0, 0))
-        assert es.e == Vec2(1.0, 0.0)
-        assert es.edot == Vec2(0.5, 0.0)
-
-
 class TestForceControlResidual:
     def test_all_zero(self):
         gains = ImpedanceParams(1.0, 2.0, 3.0)
@@ -120,30 +98,39 @@ class TestForceControlResidual:
         assert force_control_residual(gains, es, ZERO_FORCE) == Vec2(2.0, 0.0)
 
 
+def _required_torque(masses, qddot, qdot, fed):
+    """The torque that realizes qddot at qdot, from the kernel."""
+    return Vec2(*required_torque_kernel(mass_matrix(masses), fed)(
+        qddot.a0, qddot.a1, qdot.a0, qdot.a1))
+
+
 class TestRequiredTorque:
     def test_static_equilibrium(self):
-        tau = required_torque(
+        tau = _required_torque(
             MassParams(1, 1, 1), Vec2(0, 0), Vec2(0, 0), ForcePair(1.0, 2.0)
         )
-        assert (tau.taux, tau.tauy) == (1.0, 2.0)
+        assert (tau.a0, tau.a1) == (1.0, 2.0)
 
     def test_mass_term(self):
-        tau = required_torque(
+        tau = _required_torque(
             MassParams(1, 1, 1), Vec2(1, 0), Vec2(0, 0), ZERO_FORCE
         )
-        assert (tau.taux, tau.tauy) == (3.0, 0.0)
+        assert (tau.a0, tau.a1) == (3.0, 0.0)
 
     def test_damping_term(self):
-        tau = required_torque(
+        tau = _required_torque(
             MassParams(1, 1, 1), Vec2(0, 0), Vec2(0, 1), ZERO_FORCE
         )
-        assert (tau.taux, tau.tauy) == (0.0, 1.0)
+        assert (tau.a0, tau.a1) == (0.0, 1.0)
 
     @given(masses_st, small_vec, small_vec, force_st)
     def test_inverts_dynamics(self, masses, qddot, qdot, fed):
-        tau = required_torque(masses, qddot, qdot, fed)
-        res = dynamics_residual(masses, qddot, qdot, tau, fed)
-        scale = max(1.0, tau.vec.max_abs())
+        # M @ qddot + B @ qdot - (tau - fed) is zero up to rounding
+        tau = _required_torque(masses, qddot, qdot, fed)
+        lhs = Vec2(*inverse_dynamics_kernel(mass_matrix(masses))(
+            qddot.a0, qddot.a1, qdot.a0, qdot.a1))
+        res = lhs - (tau - fed.vec)
+        scale = max(1.0, tau.max_abs())
         assert res.max_abs() <= 1e-12 * scale
 
 
@@ -261,8 +248,9 @@ def _vec2_torque(variant, masses, frame, gains, desired, qdot, errors, fe, fed):
 
 def test_float_kernels_match_vec2_formulas_bitwise():
     # torque_controller, commanded_accel and force_control_residual evaluate
-    # float kernels; they must give the bits of the Vec2 expressions,
-    # signed zeros and non-finite components included
+    # float kernels, and impedance_accel_kernel and required_torque_kernel
+    # are called as they are; all must give the bits of the Vec2
+    # expressions, signed zeros and non-finite components included
     special = (0.0, -0.0, 2.5, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
     rng = random.Random(5)
 
@@ -300,10 +288,13 @@ def test_float_kernels_match_vec2_formulas_bitwise():
         assert bits(force_control_residual(gains, errors, fe)) == bits(residual), i
         eddot = (fe.vec - errors.edot.scale(gains.b)
                  - errors.e.scale(gains.k)).scale(1.0 / gains.m)
-        assert bits(impedance_accel(gains, errors.e, errors.edot, fe)) == bits(eddot), i
+        got = impedance_accel_kernel(gains)(
+            errors.e.a0, errors.e.a1, errors.edot.a0, errors.edot.a1,
+            fe.fex, fe.fey)
+        assert bits(Vec2(*got)) == bits(eddot), i
         required = (mat_vec_mul(mass_matrix(masses), errors.eddot)
                     + mat_vec_mul(damping_matrix(), qdot) + fed.vec)
-        assert bits(required_torque(masses, errors.eddot, qdot, fed).vec) == bits(
+        assert bits(_required_torque(masses, errors.eddot, qdot, fed)) == bits(
             required), i
 
 
@@ -520,8 +511,8 @@ class TestImplicationResidual:
             ControllerVariant.STAGE_CONSISTENT, masses, frame, gains, d,
             actual, fe, fed,
         )
-        tau = required_torque(masses, actual[2], actual[1], fed)
-        assert res.max_abs() <= 1e-9 * max(1.0, tau.vec.max_abs())
+        tau = _required_torque(masses, actual[2], actual[1], fed)
+        assert res.max_abs() <= 1e-9 * max(1.0, tau.max_abs())
 
     def test_corrected_matches_at_identity_transform(self):
         masses = MassParams(1.5, 0.5, 0.25)

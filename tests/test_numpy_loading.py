@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,36 @@ def test_lazy_exports_are_their_modules_objects():
         f"{name} True {module == 'verify'} {module == 'verify'}"
         for name, module in LAZY_EXPORTS.items()]
     assert set(microinject._LAZY_EXPORTS) == set(LAZY_EXPORTS)
+
+
+# The package root's public names, eager and lazy, sorted: the value types
+# and records, the frame and matrix maps, the closed loop and its pieces,
+# and config's and verify's names.  The one-call typed wrappers of
+# ``control`` and ``dynamics`` are not among them.
+ROOT_EXPORTS = [
+    "CameraCoord", "ComparisonReport", "ControllerVariant",
+    "DesiredTrajectoryPoint", "ErrorState", "ForcePair", "FrameParams",
+    "ImageCoord", "ImpedanceParams", "InvariantError", "MassParams", "Mat2",
+    "MembraneModel", "NonFiniteState", "ParseError", "PreconditionViolated",
+    "PropertyResult", "RunMetrics", "SUITE_NAMES", "ScenarioConfig",
+    "SingularMatrix", "StageCoord", "StageState", "Torque", "TraceRow",
+    "TrajectoryKind", "TrajectorySpec", "VariantReport", "Vec2",
+    "ZERO_FORCE", "ZERO_TORQUE", "camera_to_image", "compare_variants",
+    "damping_matrix", "det", "diag", "identity", "image_offset",
+    "image_space_operators", "integrate", "load_config", "mass_matrix",
+    "mat_inv", "mat_mul", "mat_vec_mul", "membrane_force", "parse_config",
+    "rotation_matrix", "run_closed_loop", "run_suite", "sample_trajectory",
+    "stage_to_camera", "stage_to_image", "transformation_matrix",
+    "transpose",
+]
+
+
+def test_package_root_exports_are_pinned():
+    # submodules are attributes once imported, but not exports
+    eager = {name for name, value in vars(microinject).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert sorted(eager | set(microinject._LAZY_EXPORTS)) == ROOT_EXPORTS
 
 
 # Standard modules the package and the command line do without, for a

@@ -1,14 +1,19 @@
 """``report.outputs``: the one rule for the files a command writes, and
-``Outputs.trace_csv``, the one writer of a trace CSV a block at a time."""
+``Outputs.trace_csv``, the one writer of a trace CSV a block at a time;
+``sample_trace_csv``, which reads a chart's rows back from a trace CSV."""
 
 import errno
 import io
 import itertools
 import os
+import random
 
 import pytest
 
-from microinject.report import CannotWrite, outputs, write_trace_csv
+from microinject.report import (
+    CannotWrite, chart_sampler, chart_stride, outputs, sample_trace_csv,
+    write_trace_csv,
+)
 
 # five trace rows, special values included, one field for each column
 ROWS = [
@@ -174,3 +179,31 @@ def test_a_write_that_fails_on_a_file_it_created_leaves_no_file(
                 write_rows(ROWS * 400)
     assert raised.value.path == paths[1]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_trace_csv_keeps_what_chart_sampler_keeps(tmp_path):
+    # 2,950 finite rows, then a non-finite one as a diverged run ends; each
+    # n reads the first n rows, at strides 1, 2 and 3, with the last row
+    # on the stride (1601, 2401) and off it (1602, 2400, 2945)
+    rng = random.Random(7)
+    special = (0.0, -0.0, 5e-324, -1e308, 0.1)
+    rows = [tuple(rng.choice(special) if rng.random() < 0.2
+                  else rng.uniform(-1e3, 1e3) for _ in range(13))
+            for _ in range(2950)]
+    rows.append((2950.0, float("nan"), *[float("inf")] * 11))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), rows)
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        parsed = [tuple(map(float, line.split(","))) for line in fh]
+
+    def bits(sampled):
+        return [[v.hex() for v in row] for row in sampled]
+
+    cases = (0, 1, 5, 799, 1601, 1602, 2400, 2401, 2945)
+    assert {chart_stride(n) for n in cases} == {1, 2, 3}
+    assert any((n - 1) % chart_stride(n) for n in cases)
+    for n in cases:
+        keep, want = chart_sampler(chart_stride(n))
+        keep(parsed[:n])
+        assert bits(sample_trace_csv(str(path), n)) == bits(want), n
